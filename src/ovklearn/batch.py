@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .exceptions import ConfigError, NumericsError
+from .exceptions import ConfigError, NumericsError, check_positive
 
 __all__ = ["BatchModel", "fit", "regularized_risk"]
 
@@ -47,8 +47,7 @@ def fit(kernel, xs, ys, lam: float) -> BatchModel:
     t = len(xs)
     if t < 1:
         raise ConfigError("batch fit needs at least one example")
-    if lam <= 0:
-        raise ConfigError(f"lambda must be > 0, got {lam}")
+    check_positive("lambda", lam)
     if len(ys) != t:
         raise ConfigError(f"inputs/targets length mismatch: {t} vs {len(ys)}")
     d = kernel.dim

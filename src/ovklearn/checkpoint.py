@@ -10,11 +10,12 @@ diagnostics (clip counters) are not persisted.
 from __future__ import annotations
 
 import json
+import zipfile
 
 import numpy as np
 
 from .batch import BatchModel
-from .exceptions import DataError
+from .exceptions import DataError, OvkError
 from .kernels import kernel_from_dict
 from .losses import EpsilonInsensitive, loss_from_name
 from .monorma import MONORMA
@@ -23,6 +24,10 @@ from .onorma import ONORMA, TruncationSchedule, _ExpansionState
 __all__ = ["FORMAT_VERSION", "save_model", "load_model"]
 
 FORMAT_VERSION = 1
+
+# what numpy, zipfile and the field lookups raise on a file that is not a
+# complete checkpoint (a bare .npy array fails the `with` with TypeError)
+_READ_ERRORS = (OSError, EOFError, ValueError, KeyError, TypeError, zipfile.BadZipFile)
 
 
 def _loss_spec(loss) -> str:
@@ -117,54 +122,66 @@ def save_model(path, model) -> None:
 
 
 def load_model(path):
-    """Rebuild the saved model; raises DataError on unknown formats."""
-    with np.load(path, allow_pickle=False) as zf:
-        try:
-            meta = json.loads(str(zf["meta"]))
-        except (KeyError, json.JSONDecodeError) as exc:
-            raise DataError(f"{path}: not a model checkpoint: {exc}") from None
-        version = meta.get("format_version")
-        if version != FORMAT_VERSION:
-            raise DataError(
-                f"{path}: unsupported checkpoint format version {version!r}"
-            )
-        kind = meta.get("model")
-        if kind == "onorma":
-            learner = ONORMA(
-                kernel_from_dict(meta["kernel"]),
-                loss=loss_from_name(meta["loss"]),
-                lam=meta["lam"],
-                eta0=meta["eta0"],
-                truncation=_schedule_from(meta["truncation"]),
-            )
-            learner.t = meta["t"]
-            learner._norm_sq = meta["norm_sq"]
-            _restore_state(
-                learner._state, zf["support"], zf["coeffs"], zf["times"], meta["input_dim"]
-            )
-            return learner
-        if kind == "monorma":
-            learner = MONORMA(
-                [kernel_from_dict(k) for k in meta["kernels"]],
-                loss=loss_from_name(meta["loss"]),
-                lam=meta["lam"],
-                eta0=meta["eta0"],
-                r=meta["r"],
-                truncation=_schedule_from(meta["truncation"]),
-            )
-            learner.t = meta["t"]
-            learner._delta = np.array(meta["delta"])
-            learner._gamma = np.array(meta["gamma"])
-            _restore_state(
-                learner._state, zf["support"], zf["coeffs"], zf["times"], meta["input_dim"]
-            )
-            return learner
-        if kind == "batch":
-            return BatchModel(
-                kernel=kernel_from_dict(meta["kernel"]),
-                support=zf["support"].copy(),
-                coeffs=zf["coeffs"].copy(),
-                lam=meta["lam"],
-                norm_sq=meta["norm_sq"],
-            )
-        raise DataError(f"{path}: unknown model kind {kind!r}")
+    """Rebuild the saved model.
+
+    Every failure to read it, from a missing or non-npz file to an
+    archive without the expected entries, raises DataError.
+    """
+    try:
+        with np.load(path, allow_pickle=False) as zf:
+            return _model_from(path, zf)
+    except OvkError:
+        raise
+    except _READ_ERRORS as exc:
+        raise DataError(f"{path}: not a model checkpoint: {exc!r}") from None
+
+
+def _model_from(path, zf):
+    meta = json.loads(str(zf["meta"]))
+    if not isinstance(meta, dict):
+        raise DataError(f"{path}: not a model checkpoint: metadata is not an object")
+    version = meta.get("format_version")
+    if version != FORMAT_VERSION:
+        raise DataError(
+            f"{path}: unsupported checkpoint format version {version!r}"
+        )
+    kind = meta.get("model")
+    if kind == "onorma":
+        learner = ONORMA(
+            kernel_from_dict(meta["kernel"]),
+            loss=loss_from_name(meta["loss"]),
+            lam=meta["lam"],
+            eta0=meta["eta0"],
+            truncation=_schedule_from(meta["truncation"]),
+        )
+        learner.t = meta["t"]
+        learner._norm_sq = meta["norm_sq"]
+        _restore_state(
+            learner._state, zf["support"], zf["coeffs"], zf["times"], meta["input_dim"]
+        )
+        return learner
+    if kind == "monorma":
+        learner = MONORMA(
+            [kernel_from_dict(k) for k in meta["kernels"]],
+            loss=loss_from_name(meta["loss"]),
+            lam=meta["lam"],
+            eta0=meta["eta0"],
+            r=meta["r"],
+            truncation=_schedule_from(meta["truncation"]),
+        )
+        learner.t = meta["t"]
+        learner._delta = np.array(meta["delta"])
+        learner._gamma = np.array(meta["gamma"])
+        _restore_state(
+            learner._state, zf["support"], zf["coeffs"], zf["times"], meta["input_dim"]
+        )
+        return learner
+    if kind == "batch":
+        return BatchModel(
+            kernel=kernel_from_dict(meta["kernel"]),
+            support=zf["support"].copy(),
+            coeffs=zf["coeffs"].copy(),
+            lam=meta["lam"],
+            norm_sq=meta["norm_sq"],
+        )
+    raise DataError(f"{path}: unknown model kind {kind!r}")

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the shared parameter check."""
+
+import math
 
 
 class OvkError(Exception):
@@ -31,3 +33,13 @@ class HypothesisViolation(OvkError, ValueError):
 
 class DataError(OvkError, ValueError):
     """Malformed dataset file or inconsistent dataset contents."""
+
+
+def check_positive(name: str, value) -> None:
+    """Raise ConfigError unless ``value`` is a finite number > 0.
+
+    Written as ``not value > 0`` so that NaN, for which every comparison
+    is False, is rejected too.
+    """
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigError(f"{name} must be finite and > 0, got {value}")

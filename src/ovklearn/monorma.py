@@ -8,6 +8,11 @@ squared norm ``gamma_j = ||g_j||^2`` through an O(d^2) recursion (no
 re-expansion of g_j), and then recomputes the weights in closed form on
 the constraint set ``{delta_j > 0, sum_j delta_j^r <= 1}``.  The weight
 update always lands exactly on the boundary ``sum_j delta_j^r = 1``.
+
+Truncation drops a term from every g_j at once, so each gamma_j is
+downdated exactly by the single-kernel learner's drop formula
+(:func:`~ovklearn.onorma.drop_expired`), at O(s (p + d)) per kernel and
+dropped term; no Gram matrix is formed during a step.
 """
 
 from __future__ import annotations
@@ -16,9 +21,9 @@ import math
 
 import numpy as np
 
-from .exceptions import ConfigError, DimensionMismatch, NumericsError
+from .exceptions import ConfigError, DimensionMismatch, NumericsError, check_positive
 from .losses import SquaredLoss
-from .onorma import StepResult, _ExpansionState, eval_expansion, norm_recursion
+from .onorma import StepResult, _ExpansionState, drop_expired, eval_expansion, norm_recursion
 
 __all__ = ["MONORMA", "delta_update", "gamma_update"]
 
@@ -49,8 +54,7 @@ def delta_update(delta_prev, gamma, r) -> np.ndarray:
     gamma = np.asarray(gamma, dtype=float)
     if delta_prev.shape != gamma.shape:
         raise DimensionMismatch("weight/norm lists", delta_prev.shape[0], gamma.shape[0])
-    if r <= 0:
-        raise ConfigError(f"constraint exponent r must be > 0, got {r}")
+    check_positive("constraint exponent r", r)
     if delta_prev.shape[0] == 1:
         # one kernel: the simplex pins the weight at exactly 1
         return np.ones(1)
@@ -70,10 +74,13 @@ class MONORMA:
     kernel, and ``r > 0`` picks the weight constraint set.  Weights start
     uniform on the constraint boundary, ``delta_j = m^(-1/r)``.
 
-    Truncation is supported as an extension (off by default): dropped
-    terms invalidate the incremental norm recursion, so each per-kernel
-    norm is recomputed from the surviving window's Gram form whenever a
-    step drops terms.
+    Truncation is supported as an extension (off by default).  A dropped
+    term leaves every g_j, and each gamma_j is downdated by the exact
+    closed-form change its removal makes, the same update the
+    single-kernel learner uses; a gamma_j that rounding pushes below zero
+    is clamped and counted in ``gamma_clips``.
+    :meth:`per_kernel_norm_sq` recomputes a norm from the Gram form for
+    checking; the step never calls it.
     """
 
     def __init__(self, kernels, loss=None, lam=0.01, eta0=1.0, r=2.0, truncation=None):
@@ -83,17 +90,14 @@ class MONORMA:
         dims = {k.dim for k in kernels}
         if len(dims) != 1:
             raise ConfigError(f"kernels disagree on output dimension: {sorted(dims)}")
-        if lam <= 0:
-            raise ConfigError(f"lambda must be > 0, got {lam}")
-        if eta0 <= 0:
-            raise ConfigError(f"eta0 must be > 0, got {eta0}")
+        check_positive("lambda", lam)
+        check_positive("eta0", eta0)
         if eta0 * lam >= 1:
             raise ConfigError(
                 f"need eta0 * lambda < 1 for a contracting update, "
                 f"got {eta0} * {lam} = {eta0 * lam}"
             )
-        if r <= 0:
-            raise ConfigError(f"constraint exponent r must be > 0, got {r}")
+        check_positive("constraint exponent r", r)
         self.kernels = kernels
         self.m = len(kernels)
         self.loss = loss if loss is not None else SquaredLoss()
@@ -188,11 +192,8 @@ class MONORMA:
         if coeff_norm > 0.0:
             self._state.append(x, alpha / self._state.scale, t)
 
-        if self.truncation is not None and self._truncate(t):
-            # dropped terms: the recursion no longer describes g_j
-            new_gamma = np.array(
-                [self.per_kernel_norm_sq(j) for j in range(self.m)]
-            )
+        if self.truncation is not None:
+            self._truncate(t, new_gamma)
         self._gamma = new_gamma
         self._delta = delta_update(self._delta, self._gamma, self.r)
 
@@ -201,17 +202,15 @@ class MONORMA:
     def fit(self, xs, ys) -> list[StepResult]:
         return [self.step(x, y) for x, y in zip(np.asarray(xs), np.asarray(ys))]
 
-    def _truncate(self, t: int) -> bool:
+    def _truncate(self, t: int, gamma: np.ndarray) -> None:
         cutoff = t - self.truncation.window(t)
-        dropped = False
-        state = self._state
-        while len(state) > 0 and state.front()[0] <= cutoff:
-            state.pop_front()
-            dropped = True
-        return dropped
+        self.gamma_clips += drop_expired(self._state, self.kernels, gamma, cutoff)
 
     def per_kernel_norm_sq(self, j: int) -> float:
-        """||g_j||^2 recomputed from the full block Gram quadratic form."""
+        """||g_j||^2 recomputed from the full block Gram quadratic form.
+
+        Independent of the tracked ``gamma``; O(s^2 d^2).
+        """
         if len(self._state) == 0:
             return 0.0
         a = self._state.coeffs.ravel()

@@ -13,7 +13,8 @@ The shrink is applied lazily through a single scale factor, so a step
 costs O(s d^2) with s stored terms instead of O(s d) extra work for the
 explicit multiply; the scale folds into the stored coefficients when it
 underflows.  The squared RKHS norm of the hypothesis is tracked
-incrementally alongside.
+incrementally alongside, and :func:`drop_expired` downdates it exactly
+for every term truncation removes.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ConfigError, DimensionMismatch, NumericsError
+from .exceptions import ConfigError, DimensionMismatch, NumericsError, check_positive
 from .losses import SquaredLoss
 
 __all__ = ["ONORMA", "StepResult", "TruncationSchedule", "truncation_window"]
@@ -190,6 +191,33 @@ def eval_expansion(kernel, state: _ExpansionState, x) -> np.ndarray:
     return state.scale * kernel.expansion(state.support, x, state.raw_coeffs)
 
 
+def drop_expired(state: _ExpansionState, kernels, norms_sq, cutoff: int) -> int:
+    """Pop every term with time <= cutoff, downdating each norm exactly.
+
+    ``norms_sq[j]`` tracks ``||g_j||^2`` for ``g_j = sum_i K_j(x_i, .) a_i``
+    over the terms in ``state``; every kernel reads the same terms.
+    Removing ``K_j(x_i, .) a_i`` changes it by
+    ``-2 <g_j(x_i), a_i> + <K_j(x_i, x_i) a_i, a_i>`` with ``g_j(x_i)``
+    evaluated before the pop, so a dropped term costs one expansion per
+    kernel, O(s (p + d)), and no Gram matrix is formed.  Norms that
+    rounding leaves below zero are clamped; returns how many were.
+    """
+    while len(state) > 0:
+        ti, xi, ai = state.front()
+        if ti > cutoff:
+            break
+        for j, kernel in enumerate(kernels):
+            g_at_xi = eval_expansion(kernel, state, xi)
+            norms_sq[j] -= 2.0 * float(g_at_xi @ ai) - float(ai @ (kernel(xi, xi) @ ai))
+        state.pop_front()
+    clips = 0
+    for j in range(len(norms_sq)):
+        if norms_sq[j] < 0.0:
+            norms_sq[j] = 0.0
+            clips += 1
+    return clips
+
+
 def norm_recursion(prev_sq, g_at_x, k_xx, alpha, decay) -> float:
     """Squared-norm update for ``g <- decay * g + K(x, .) alpha``.
 
@@ -221,10 +249,8 @@ class ONORMA:
     """
 
     def __init__(self, kernel, loss=None, lam=0.01, eta0=1.0, truncation=None):
-        if lam <= 0:
-            raise ConfigError(f"lambda must be > 0, got {lam}")
-        if eta0 <= 0:
-            raise ConfigError(f"eta0 must be > 0, got {eta0}")
+        check_positive("lambda", lam)
+        check_positive("eta0", eta0)
         if eta0 * lam >= 1:
             raise ConfigError(
                 f"need eta0 * lambda < 1 for a contracting update, "
@@ -306,22 +332,10 @@ class ONORMA:
         return [self.step(x, y) for x, y in zip(np.asarray(xs), np.asarray(ys))]
 
     def _truncate(self, t: int) -> None:
+        norms = [self._norm_sq]
         cutoff = t - self.truncation.window(t)
-        state = self._state
-        while len(state) > 0:
-            ti, xi, ai = state.front()
-            if ti > cutoff:
-                break
-            # removing K(x_i, .) a_i changes the squared norm by
-            # -2 <f(x_i), a_i> + <K(x_i, x_i) a_i, a_i>
-            f_at_xi = eval_expansion(self.kernel, state, xi)
-            self._norm_sq -= 2.0 * float(f_at_xi @ ai) - float(
-                ai @ (self.kernel(xi, xi) @ ai)
-            )
-            state.pop_front()
-        if self._norm_sq < 0.0:
-            self._norm_sq = 0.0
-            self.norm_clips += 1
+        self.norm_clips += drop_expired(self._state, [self.kernel], norms, cutoff)
+        self._norm_sq = norms[0]
 
     def hypothesis_norm_sq(self) -> float:
         """||f_t||^2 recomputed exactly from the block Gram quadratic form.

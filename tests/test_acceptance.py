@@ -605,6 +605,45 @@ def test_criterion_11_step_cost_scaling(capsys):
     assert trunc_late < plain_late
 
 
+def test_criterion_11b_truncated_monorma_plateau(capsys):
+    ds = gen_synthetic(SynthSpec(2000, 4, seed=0))
+    schedule = TruncationSchedule(t0=100, epsilon=0.25)
+
+    # interleaved as in criterion 11; the reference is truncated ONORMA,
+    # whose late step is a fixed cost over a few hundred kept terms
+    models = [
+        ONORMA(SeparableGaussian(mu=1.0, dim=4), lam=0.1, eta0=0.5, truncation=schedule),
+        MONORMA(
+            [SeparableGaussian(mu=1.0, dim=4), SeparableGaussian(mu=2.0, dim=4)],
+            lam=0.1,
+            eta0=0.5,
+            truncation=schedule,
+        ),
+    ]
+    times = np.empty((2, len(ds)))
+    for i, (x, y) in enumerate(zip(ds.xs, ds.ys)):
+        for k, model in enumerate(models):
+            tick = time.perf_counter_ns()
+            model.step(x, y)
+            times[k, i] = time.perf_counter_ns() - tick
+    single, multi = times / 1000.0
+
+    multi_early = float(np.median(multi[500:1000]))
+    multi_late = float(np.median(multi[1500:2000]))
+    single_late = float(np.median(single[1500:2000]))
+    ok = multi_late <= 2.5 * multi_early and multi_late <= 4.0 * single_late
+    report(
+        capsys,
+        "11b",
+        ok,
+        f"truncated 2-kernel MONORMA late/early {multi_late / multi_early:.2f}x "
+        f"(limit 2.5), late {multi_late:.0f}us vs truncated ONORMA "
+        f"{single_late:.0f}us = {multi_late / single_late:.2f}x (limit 4)",
+    )
+    assert multi_late <= 2.5 * multi_early
+    assert multi_late <= 4.0 * single_late
+
+
 def test_criterion_12_metrics_determinism(capsys, tmp_path):
     base = ExperimentConfig(
         algorithm="monorma",

@@ -151,8 +151,9 @@ def test_validation_errors():
         fit(kernel, np.empty((0, 2)), np.empty((0, 2)), 0.1)
     with pytest.raises(ConfigError):
         fit(kernel, xs, ys, 0.0)
-    with pytest.raises(ConfigError):
-        fit(kernel, xs, ys, -1.0)
+    for lam in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigError):
+            fit(kernel, xs, ys, lam)
     with pytest.raises(ConfigError):
         fit(kernel, xs, ys[:2], 0.1)
 

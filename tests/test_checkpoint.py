@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -143,6 +144,46 @@ def test_rejects_unknown_kind(tmp_path):
     path = tmp_path / "odd.npz"
     np.savez(path, meta=np.array(json.dumps(meta)))
     with pytest.raises(DataError, match="unknown model kind 'perceptron'"):
+        load_model(path)
+
+
+def npy_bytes():
+    buf = io.BytesIO()
+    np.save(buf, np.ones(3))
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize(
+    "contents",
+    [None, b"", b"definitely not an archive\n", b"PK\x03\x04 truncated zip", npy_bytes()],
+    ids=["missing", "empty", "text", "broken-zip", "bare-array"],
+)
+def test_rejects_unreadable_file(tmp_path, contents):
+    path = tmp_path / "garbage.npz"
+    if contents is not None:
+        path.write_bytes(contents)
+    with pytest.raises(DataError, match="not a model checkpoint"):
+        load_model(path)
+
+
+def test_rejects_incomplete_archive(tmp_path):
+    model = ONORMA(SeparableGaussian(mu=1.0, dim=2), lam=0.1)
+    xs, ys = stream(11, 5)
+    for x, y in zip(xs, ys):
+        model.step(x, y)
+    full = tmp_path / "full.npz"
+    save_model(full, model)
+    with np.load(full) as zf:
+        meta = zf["meta"]
+    path = tmp_path / "partial.npz"
+    np.savez(path, meta=meta)  # no support, coeffs or times
+    with pytest.raises(DataError, match="not a model checkpoint.*support"):
+        load_model(path)
+    np.savez(path, meta=np.array(json.dumps({"format_version": 1, "model": "onorma"})))
+    with pytest.raises(DataError, match="not a model checkpoint.*kernel"):
+        load_model(path)
+    np.savez(path, meta=np.array(json.dumps([1, 2])))
+    with pytest.raises(DataError, match="not a model checkpoint"):
         load_model(path)
 
 

@@ -70,6 +70,15 @@ def test_malformed_override_exits_2(capsys):
     assert "expected key=value" in err
 
 
+@pytest.mark.parametrize("algorithm", ["onorma", "monorma", "batch"])
+def test_nan_hyperparameter_exits_2(algorithm, capsys):
+    code, _, err = run_cli(
+        ["train", "--set", f"algorithm={algorithm}", "--set", "lambda=nan"], capsys
+    )
+    assert code == 2
+    assert "lambda must be finite and > 0, got nan" in err
+
+
 def test_singular_batch_system_exits_3(tmp_path, capsys):
     # duplicated rows with a vanishing ridge make the solve unservable
     data = tmp_path / "dup.csv"

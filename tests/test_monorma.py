@@ -96,8 +96,9 @@ def test_delta_single_kernel_pinned_at_one():
 
 
 def test_delta_validation():
-    with pytest.raises(ConfigError):
-        delta_update(np.array([0.5, 0.5]), np.array([1.0, 1.0]), r=0.0)
+    for r in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigError):
+            delta_update(np.array([0.5, 0.5]), np.array([1.0, 1.0]), r=r)
     with pytest.raises(DimensionMismatch):
         delta_update(np.array([0.5, 0.5]), np.array([1.0]), r=1.0)
 
@@ -158,10 +159,10 @@ def test_gamma_matches_gram_recomputation():
                 assert abs(impl - oracle) <= 1e-9 * max(1.0, oracle)
 
 
-def test_single_kernel_reduces_to_onorma():
+def check_single_kernel_reduction(truncation):
     k = SeparableGaussian(mu=1.0, dim=3)
-    multi = MONORMA([k], lam=0.1, eta0=0.5, r=2.0)
-    single = ONORMA(k, lam=0.1, eta0=0.5)
+    multi = MONORMA([k], lam=0.1, eta0=0.5, r=2.0, truncation=truncation)
+    single = ONORMA(k, lam=0.1, eta0=0.5, truncation=truncation)
     xs, ys = stream(55, 500)
     for x, y in zip(xs, ys):
         rm = multi.step(x, y)
@@ -169,9 +170,18 @@ def test_single_kernel_reduces_to_onorma():
         assert np.allclose(rm.prediction, rs.prediction, rtol=0, atol=1e-12)
         assert np.array_equal(multi.delta, np.ones(1))
     assert multi.support_size == single.support_size
-    assert abs(multi.gamma[0] - single.norm_sq) <= 1e-12 * max(1.0, single.norm_sq)
+    assert abs(multi.gamma[0] - single.norm_sq) <= 1e-12 * single.norm_sq
     probe = np.full(4, 0.3)
     assert np.allclose(multi.predict(probe), single.predict(probe), rtol=0, atol=1e-12)
+
+
+def test_single_kernel_reduces_to_onorma():
+    check_single_kernel_reduction(None)
+
+
+def test_single_kernel_reduces_to_onorma_truncated():
+    # both learners drop the same terms and downdate the norm the same way
+    check_single_kernel_reduction(TruncationSchedule(t0=20, epsilon=0.25))
 
 
 def test_truncation_recomputes_norms():
@@ -227,6 +237,14 @@ def test_constructor_validation():
         MONORMA([k], lam=0.5, eta0=2.0)
     with pytest.raises(ConfigError):
         MONORMA([k], lam=0.1, r=0.0)
+    # every comparison with NaN is False, so "<= 0" alone would let it in
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ConfigError):
+            MONORMA([k], lam=bad)
+        with pytest.raises(ConfigError):
+            MONORMA([k], lam=0.1, eta0=bad)
+        with pytest.raises(ConfigError):
+            MONORMA([k], lam=0.1, r=bad)
 
 
 def test_step_and_predict_validation():

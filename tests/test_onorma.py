@@ -199,6 +199,12 @@ def test_constructor_validation():
         ONORMA(k, lam=0.5, eta0=0.0)
     with pytest.raises(ConfigError):
         ONORMA(k, lam=0.5, eta0=2.0)  # eta0 * lam = 1
+    # every comparison with NaN is False, so "<= 0" alone would let it in
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ConfigError):
+            ONORMA(k, lam=bad)
+        with pytest.raises(ConfigError):
+            ONORMA(k, lam=0.1, eta0=bad)
 
 
 def test_step_validation():
