@@ -61,7 +61,7 @@ from .losses import (
     encode_labels,
     loss_from_name,
 )
-from .monorma import MONORMA, delta_update, gamma_update
+from .monorma import MONORMA, delta_update
 from .onorma import ONORMA, StepResult, TruncationSchedule, truncation_window
 
 __version__ = "0.1.0"
@@ -114,7 +114,6 @@ __all__ = [
     "loss_from_name",
     "MONORMA",
     "delta_update",
-    "gamma_update",
     "ONORMA",
     "StepResult",
     "TruncationSchedule",

@@ -54,7 +54,9 @@ def fit(kernel, xs, ys, lam: float) -> BatchModel:
 
     gram = kernel.gram(xs)
     y = ys.ravel()
-    system = gram + lam * t * np.eye(t * d)
+    # lambda t on the diagonal of one copy; no td x td identity is formed
+    system = gram.copy()
+    system.flat[:: t * d + 1] += lam * t
     try:
         factor = scipy.linalg.cho_factor(system)
     except scipy.linalg.LinAlgError:

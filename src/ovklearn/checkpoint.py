@@ -19,7 +19,7 @@ from .exceptions import DataError, OvkError
 from .kernels import kernel_from_dict
 from .losses import EpsilonInsensitive, loss_from_name
 from .monorma import MONORMA
-from .onorma import ONORMA, TruncationSchedule, _ExpansionState
+from .onorma import ONORMA, TruncationSchedule
 
 __all__ = ["FORMAT_VERSION", "save_model", "load_model"]
 
@@ -45,16 +45,21 @@ def _schedule_from(d) -> TruncationSchedule | None:
     return None if d is None else TruncationSchedule(t0=d["t0"], epsilon=d["epsilon"])
 
 
-def _restore_state(state: _ExpansionState, support, coeffs, times, input_dim) -> None:
-    state.input_dim = input_dim
-    if len(support) == 0:
-        return
-    state._X = np.ascontiguousarray(support, dtype=float)
-    state._A = np.ascontiguousarray(coeffs, dtype=float)
-    state._T = np.ascontiguousarray(times, dtype=np.int64)
-    state.start = 0
-    state.end = len(support)
-    state.scale = 1.0
+def _save_online(path, meta, state) -> None:
+    np.savez(
+        path,
+        meta=np.array(json.dumps(meta)),
+        support=state.support.copy(),
+        coeffs=state.coeffs,
+        times=state.times.copy(),
+    )
+
+
+def _restore_online(learner, zf, meta):
+    # a truncated learner rebuilds its cross terms here, in one O(s^2) pass
+    learner.t = meta["t"]
+    learner._state.restore(zf["support"], zf["coeffs"], zf["times"], meta["input_dim"])
+    return learner
 
 
 def save_model(path, model) -> None:
@@ -72,14 +77,7 @@ def save_model(path, model) -> None:
             "norm_sq": model.norm_sq,
             "input_dim": model._state.input_dim,
         }
-        state = model._state
-        np.savez(
-            path,
-            meta=np.array(json.dumps(meta)),
-            support=state.support.copy(),
-            coeffs=state.coeffs,
-            times=state.times.copy(),
-        )
+        _save_online(path, meta, model._state)
     elif isinstance(model, MONORMA):
         meta = {
             "format_version": FORMAT_VERSION,
@@ -95,14 +93,7 @@ def save_model(path, model) -> None:
             "gamma": model.gamma.tolist(),
             "input_dim": model._state.input_dim,
         }
-        state = model._state
-        np.savez(
-            path,
-            meta=np.array(json.dumps(meta)),
-            support=state.support.copy(),
-            coeffs=state.coeffs,
-            times=state.times.copy(),
-        )
+        _save_online(path, meta, model._state)
     elif isinstance(model, BatchModel):
         meta = {
             "format_version": FORMAT_VERSION,
@@ -154,12 +145,8 @@ def _model_from(path, zf):
             eta0=meta["eta0"],
             truncation=_schedule_from(meta["truncation"]),
         )
-        learner.t = meta["t"]
-        learner._norm_sq = meta["norm_sq"]
-        _restore_state(
-            learner._state, zf["support"], zf["coeffs"], zf["times"], meta["input_dim"]
-        )
-        return learner
+        learner._norms[0] = meta["norm_sq"]
+        return _restore_online(learner, zf, meta)
     if kind == "monorma":
         learner = MONORMA(
             [kernel_from_dict(k) for k in meta["kernels"]],
@@ -169,13 +156,9 @@ def _model_from(path, zf):
             r=meta["r"],
             truncation=_schedule_from(meta["truncation"]),
         )
-        learner.t = meta["t"]
         learner._delta = np.array(meta["delta"])
-        learner._gamma = np.array(meta["gamma"])
-        _restore_state(
-            learner._state, zf["support"], zf["coeffs"], zf["times"], meta["input_dim"]
-        )
-        return learner
+        learner._norms[:] = meta["gamma"]
+        return _restore_online(learner, zf, meta)
     if kind == "batch":
         return BatchModel(
             kernel=kernel_from_dict(meta["kernel"]),

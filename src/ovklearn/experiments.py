@@ -25,7 +25,7 @@ from .batch import fit as batch_fit
 from .batch import regularized_risk
 from .bounds import check_cumulative_bound, check_hypotheses, compute_constants
 from .data import Dataset, SynthSpec, gen_synthetic, load_csv, split_and_normalize
-from .exceptions import ConfigError
+from .exceptions import ConfigError, check_positive
 from .kernels import NonSeparablePoly, SeparableGaussian
 from .losses import SquaredLoss, loss_from_name
 from .monorma import MONORMA
@@ -487,6 +487,9 @@ def bound_check(cfg: ExperimentConfig):
             "config field 'algorithm': bound checking needs onorma "
             f"(got {cfg.algorithm!r})"
         )
+    # the hypothesis test compares lambda before any learner validates it
+    check_positive("lambda", cfg.lam)
+    check_positive("eta0", cfg.eta0)
     loss = cfg.build_loss()
     dataset = load_dataset(cfg)
     train, _, _ = split_and_normalize(dataset, cfg.train_fraction, cfg.seed, cfg.normalize)

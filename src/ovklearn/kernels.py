@@ -51,10 +51,17 @@ def _check_pair(x, x2):
 class OperatorKernel:
     """Common evaluation helpers; concrete families fill in the formulas.
 
-    Subclasses implement ``__call__`` (the d x d matrix), ``apply`` (fused
-    matrix-vector product), ``expansion`` (vectorised evaluation of
-    ``sum_i K(query, support_i) @ coeffs_i``) and ``gram`` (the stacked
-    td x td block matrix with block (i, j) equal to ``K(x_i, x_j)``).
+    Subclasses implement ``__call__`` (the d x d matrix), ``expansion``
+    (vectorised evaluation of ``sum_i K(query, support_i) @ coeffs_i``),
+    ``gram`` (the stacked td x td block matrix with block (i, j) equal to
+    ``K(x_i, x_j)``) and the per-term row methods below.
+
+    Both families write ``K(x_i, x)`` through one scalar per support term,
+    the row ``r_i`` (Gaussian weight or inner product).  A single-query
+    expansion is ``row_expansion(row(support, x), coeffs)``, and the same
+    row gives every cross product ``<K(x_i, x) a, coeffs_i>`` through
+    ``row_cross``, so an online step sweeps its support once per kernel.
+    The row methods trust their arguments; ``expansion`` checks them.
     """
 
     dim: int
@@ -62,10 +69,36 @@ class OperatorKernel:
     def __call__(self, x, x2) -> np.ndarray:
         raise NotImplementedError
 
-    def apply(self, x, x2, a) -> np.ndarray:
+    def row(self, support, x) -> np.ndarray:
+        """The per-term scalars ``r_i`` of ``K(x_i, x)``, one per support row."""
+        raise NotImplementedError
+
+    def row_expansion(self, row, coeffs) -> np.ndarray:
+        """``sum_i K(x_i, x) coeffs_i`` from the row of x."""
+        raise NotImplementedError
+
+    def row_cross(self, row, coeffs, a) -> np.ndarray:
+        """``<K(x_i, x) a, coeffs_i>`` for every i, from the row of x."""
+        raise NotImplementedError
+
+    def quad(self, x, a) -> float:
+        """``<K(x, x) a, a>`` without forming the d x d matrix."""
         raise NotImplementedError
 
     def expansion(self, support, query, coeffs) -> np.ndarray:
+        support = np.asarray(support, dtype=float)
+        coeffs = self._check_coeff(coeffs)
+        query = np.asarray(query, dtype=float)
+        if len(support) == 0:
+            shape = (self.dim,) if query.ndim == 1 else (len(query), self.dim)
+            return np.zeros(shape)
+        if query.ndim == 1:
+            if query.shape[0] != support.shape[1]:
+                raise DimensionMismatch("query point", query.shape[0], support.shape[1])
+            return self.row_expansion(self.row(support, query), coeffs)
+        return self._batch_expansion(support, query, coeffs)
+
+    def _batch_expansion(self, support, queries, coeffs) -> np.ndarray:
         raise NotImplementedError
 
     def gram(self, xs) -> np.ndarray:
@@ -126,35 +159,33 @@ class SeparableGaussian(OperatorKernel):
         J.setflags(write=False)
         object.__setattr__(self, "structure", J)
 
-    def _weight(self, x, x2) -> float:
-        d = x - x2
-        return float(np.exp(-np.dot(d, d) / self.mu))
-
     def __call__(self, x, x2) -> np.ndarray:
         x, x2 = _check_pair(x, x2)
-        return self._weight(x, x2) * self.structure
+        d = x - x2
+        return float(np.exp(-np.dot(d, d) / self.mu)) * self.structure
 
-    def apply(self, x, x2, a) -> np.ndarray:
-        # scalar * (J @ a); never materialises the d x d kernel value
-        x, x2 = _check_pair(x, x2)
-        a = self._check_coeff(a)
-        return self._weight(x, x2) * (self.structure @ a)
+    def row(self, support, x) -> np.ndarray:
+        # w_i = exp(-||x_i - x||^2 / mu), so K(x_i, x) = w_i J
+        diffs = support - x
+        return np.exp(-np.einsum("ij,ij->i", diffs, diffs) / self.mu)
 
-    def expansion(self, support, query, coeffs) -> np.ndarray:
-        support = np.asarray(support, dtype=float)
-        coeffs = self._check_coeff(coeffs)
-        query = np.asarray(query, dtype=float)
-        if len(support) == 0:
-            shape = (self.dim,) if query.ndim == 1 else (len(query), self.dim)
-            return np.zeros(shape)
-        if query.ndim == 1:
-            if query.shape[0] != support.shape[1]:
-                raise DimensionMismatch("query point", query.shape[0], support.shape[1])
-            diffs = support - query
-            w = np.exp(-np.einsum("ij,ij->i", diffs, diffs) / self.mu)
-            return self.structure @ (w @ coeffs)
-        sq = cdist(query, support, "sqeuclidean")
-        return (np.exp(-sq / self.mu) @ coeffs) @ self.structure
+    def row_expansion(self, row, coeffs) -> np.ndarray:
+        return self.structure @ (row @ coeffs)
+
+    def row_cross(self, row, coeffs, a) -> np.ndarray:
+        return row * (coeffs @ (self.structure @ a))
+
+    def quad(self, x, a) -> float:
+        # exp(0) = 1, so K(x, x) == J for every x
+        return float(a @ (self.structure @ a))
+
+    def _batch_expansion(self, support, queries, coeffs) -> np.ndarray:
+        # exp(-sq / mu) in place: one n x s buffer instead of three
+        w = cdist(queries, support, "sqeuclidean")
+        np.negative(w, out=w)
+        w /= self.mu
+        np.exp(w, out=w)
+        return (w @ coeffs) @ self.structure
 
     def gram(self, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
@@ -198,33 +229,32 @@ class NonSeparablePoly(OperatorKernel):
         d = self.dim
         return self.mu * dot * np.ones((d, d)) + (1.0 - self.mu) * dot * dot * np.eye(d)
 
-    def apply(self, x, x2, a) -> np.ndarray:
-        x, x2 = _check_pair(x, x2)
-        a = self._check_coeff(a)
-        dot = float(np.dot(x, x2))
-        # ONES @ a == sum(a) * ones, so the product costs O(d)
-        return self.mu * dot * np.sum(a) * np.ones(self.dim) + (
-            1.0 - self.mu
-        ) * dot * dot * a
+    # ONES @ a == sum(a) * ones, so every product below costs O(d) per term
 
-    def expansion(self, support, query, coeffs) -> np.ndarray:
-        support = np.asarray(support, dtype=float)
-        coeffs = self._check_coeff(coeffs)
-        query = np.asarray(query, dtype=float)
-        if len(support) == 0:
-            shape = (self.dim,) if query.ndim == 1 else (len(query), self.dim)
-            return np.zeros(shape)
-        row_sums = coeffs.sum(axis=1)
-        if query.ndim == 1:
-            if query.shape[0] != support.shape[1]:
-                raise DimensionMismatch("query point", query.shape[0], support.shape[1])
-            p = support @ query
-            return self.mu * float(p @ row_sums) * np.ones(self.dim) + (
-                1.0 - self.mu
-            ) * ((p * p) @ coeffs)
-        p = query @ support.T
-        coupled = self.mu * (p @ row_sums)[:, None] * np.ones(self.dim)
-        return coupled + (1.0 - self.mu) * ((p * p) @ coeffs)
+    def row(self, support, x) -> np.ndarray:
+        # p_i = <x_i, x>, so K(x_i, x) = mu p_i ONES + (1 - mu) p_i^2 I
+        return support @ x
+
+    def row_expansion(self, row, coeffs) -> np.ndarray:
+        return self.mu * float(row @ coeffs.sum(axis=1)) * np.ones(self.dim) + (
+            1.0 - self.mu
+        ) * ((row * row) @ coeffs)
+
+    def row_cross(self, row, coeffs, a) -> np.ndarray:
+        return self.mu * float(np.sum(a)) * (row * coeffs.sum(axis=1)) + (
+            1.0 - self.mu
+        ) * ((row * row) * (coeffs @ a))
+
+    def quad(self, x, a) -> float:
+        dot = float(x @ x)
+        total = float(np.sum(a))
+        return self.mu * dot * total * total + (1.0 - self.mu) * dot * dot * float(a @ a)
+
+    def _batch_expansion(self, support, queries, coeffs) -> np.ndarray:
+        p = queries @ support.T
+        coupled = self.mu * (p @ coeffs.sum(axis=1))[:, None] * np.ones(self.dim)
+        p *= p  # in place: no second n x s buffer
+        return coupled + (1.0 - self.mu) * (p @ coeffs)
 
     def gram(self, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)

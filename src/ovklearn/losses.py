@@ -2,10 +2,15 @@
 
 Losses expose ``value(z, y)`` and ``gradient(z, y)`` where z is the
 prediction and y the target, both vectors in the output space.  The
-gradient is taken with respect to z.
+gradient is taken with respect to z.  Both losses depend on z and y only
+through the residual ``r = z - y``; ``evaluate(r)`` returns the value and
+the gradient together from an already formed (and trusted) residual,
+which is what an online step calls.
 """
 
 from __future__ import annotations
+
+import math
 
 from dataclasses import dataclass
 
@@ -22,12 +27,12 @@ __all__ = [
 ]
 
 
-def _check_dims(z, y):
+def _residual(z, y) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     y = np.asarray(y, dtype=float)
     if z.shape != y.shape:
         raise DimensionMismatch("loss arguments", z.shape[-1], y.shape[-1])
-    return z, y
+    return z - y
 
 
 @dataclass(frozen=True)
@@ -41,13 +46,13 @@ class SquaredLoss:
     lipschitz = None
 
     def value(self, z, y) -> float:
-        z, y = _check_dims(z, y)
-        r = z - y
-        return 0.5 * float(r @ r)
+        return self.evaluate(_residual(z, y))[0]
 
     def gradient(self, z, y) -> np.ndarray:
-        z, y = _check_dims(z, y)
-        return z - y
+        return self.evaluate(_residual(z, y))[1]
+
+    def evaluate(self, r) -> tuple[float, np.ndarray]:
+        return 0.5 * float(r @ r), r
 
     def name(self) -> str:
         return "squared"
@@ -69,16 +74,17 @@ class EpsilonInsensitive:
             raise ConfigError(f"epsilon must be >= 0, got {self.epsilon}")
 
     def value(self, z, y) -> float:
-        z, y = _check_dims(z, y)
-        return max(0.0, float(np.linalg.norm(z - y)) - self.epsilon)
+        return self.evaluate(_residual(z, y))[0]
 
     def gradient(self, z, y) -> np.ndarray:
-        z, y = _check_dims(z, y)
-        r = z - y
-        n = float(np.linalg.norm(r))
+        return self.evaluate(_residual(z, y))[1]
+
+    def evaluate(self, r) -> tuple[float, np.ndarray]:
+        n = math.sqrt(float(r @ r))
+        value = max(0.0, n - self.epsilon)
         if n <= self.epsilon or n == 0.0:
-            return np.zeros_like(r)
-        return r / n
+            return value, np.zeros_like(r)
+        return value, r / n
 
     def name(self) -> str:
         return f"eps({self.epsilon:g})"

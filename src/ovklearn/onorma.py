@@ -9,12 +9,19 @@ The hypothesis after t steps is the kernel expansion
 3. shrinks all older coefficients by ``1 - eta_t * lambda``,
 4. optionally drops terms older than the truncation window.
 
-The shrink is applied lazily through a single scale factor, so a step
-costs O(s d^2) with s stored terms instead of O(s d) extra work for the
-explicit multiply; the scale folds into the stored coefficients when it
-underflows.  The squared RKHS norm of the hypothesis is tracked
-incrementally alongside, and :func:`drop_expired` downdates it exactly
-for every term truncation removes.
+The shrink is applied lazily through a single scale factor that folds
+into the stored coefficients when it underflows, so no step rewrites the
+coefficients.  With s stored terms in R^p and outputs in R^d, a step
+computes one kernel row over the support, O(s p), which gives both the
+prediction, O(s d), and, under truncation, the new term's cross products
+with every stored term, O(s d).  The squared RKHS norm is tracked by an
+O(d^2) recursion.  Under truncation each stored term also keeps its cross
+sum with the later terms, so :func:`drop_expired` downdates the norm
+exactly for a dropped term in O(1) per kernel, with no kernel evaluation.
+
+:class:`ONORMA` and the multi-kernel learner in :mod:`ovklearn.monorma`
+share this step through :class:`_OnlineLearner`, which runs one
+coefficient sequence over a list of kernels.
 """
 
 from __future__ import annotations
@@ -86,17 +93,27 @@ class StepResult:
 class _ExpansionState:
     """Support points and raw coefficients with a shared lazy scale.
 
-    Terms are appended at the back and dropped from the front; buffers
-    grow by doubling and compact when the front offset gets large.
-    Effective coefficients are ``scale * raw``.
+    Every kernel in ``kernels`` reads the same terms.  Terms are appended
+    at the back and dropped from the front; buffers grow by doubling and
+    compact when the front offset gets large.  Effective coefficients are
+    ``scale * raw``.
+
+    With ``cross_terms`` on, term i also keeps, for each kernel j, the raw
+    sums ``C[i, j] = sum_{k > i} <K_j(x_i, x_k) a_k, a_i>`` over the later
+    terms and ``Q[i, j] = <K_j(x_i, x_i) a_i, a_i>``.  Terms leave in the
+    order they came, so every term later than the oldest is still stored
+    and the oldest term's share of ``||g_j||^2`` is
+    ``scale^2 (2 C[i, j] + Q[i, j])``.
     """
 
-    def __init__(self, dim: int):
-        self.dim = dim
+    _BUFFERS = ("_X", "_A", "_T", "_C", "_Q")
+
+    def __init__(self, kernels, cross_terms: bool = False):
+        self.kernels = tuple(kernels)
+        self.dim = self.kernels[0].dim
+        self.cross_terms = cross_terms
         self.input_dim = None
-        self._X = None
-        self._A = None
-        self._T = np.empty(_INITIAL_CAPACITY, dtype=np.int64)
+        self._X = self._A = self._T = self._C = self._Q = None
         self.start = 0
         self.end = 0
         self.scale = 1.0
@@ -133,53 +150,122 @@ class _ExpansionState:
 
     @property
     def times(self) -> np.ndarray:
+        if self._T is None:
+            return np.empty(0, dtype=np.int64)
         return self._T[self.start : self.end]
 
-    def append(self, x: np.ndarray, raw_coeff: np.ndarray, t: int) -> None:
+    def expand(self, x):
+        """Each kernel's row over the support at x and ``g_j(x)``.
+
+        One sweep of the support per kernel; the rows are kept for
+        :meth:`append`.  Returns ``(None, zeros)`` on an empty support.
+        """
+        if self.end == self.start:
+            return None, [np.zeros(self.dim) for _ in self.kernels]
+        support, raw = self.support, self.raw_coeffs
+        rows = [kernel.row(support, x) for kernel in self.kernels]
+        gs = [self.scale * k.row_expansion(r, raw) for k, r in zip(self.kernels, rows)]
+        return rows, gs
+
+    def _allocate(self, cap: int, input_dim: int) -> None:
+        m = len(self.kernels)
+        self._X = np.empty((cap, input_dim))
+        self._A = np.empty((cap, self.dim))
+        self._T = np.empty(cap, dtype=np.int64)
+        if self.cross_terms:
+            self._C = np.zeros((cap, m))
+            self._Q = np.zeros((cap, m))
+
+    def append(self, x, raw_coeff, t: int, rows=None, quads=None) -> None:
+        """Store a term x with coefficient ``scale * raw_coeff``.
+
+        With cross terms on, ``rows`` are :meth:`expand`'s rows at x and
+        ``quads[j]`` is ``<K_j(x, x) a, a>`` for the effective coefficient.
+        """
         if self._X is None:
-            cap = _INITIAL_CAPACITY
-            self._X = np.empty((cap, x.shape[0]))
-            self._A = np.empty((cap, self.dim))
-        if self.end == len(self._T):
+            self._allocate(_INITIAL_CAPACITY, x.shape[0])
+        elif self.end == len(self._T):
             self._compact_or_grow()
-        self._X[self.end] = x
-        self._A[self.end] = raw_coeff
-        self._T[self.end] = t
+        i = self.end
+        if self.cross_terms:
+            if i > self.start:
+                raw = self._A[self.start : i]
+                for j, kernel in enumerate(self.kernels):
+                    self._C[self.start : i, j] += kernel.row_cross(rows[j], raw, raw_coeff)
+            self._C[i] = 0.0
+            self._Q[i] = quads
+            self._Q[i] /= self.scale * self.scale
+        self._X[i] = x
+        self._A[i] = raw_coeff
+        self._T[i] = t
         self.end += 1
 
     def _compact_or_grow(self) -> None:
         n = len(self)
+        live = slice(self.start, self.end)
         if self.start > len(self._T) // 2:
             # plenty of dead space at the front: shift instead of growing
-            self._X[:n] = self._X[self.start : self.end]
-            self._A[:n] = self._A[self.start : self.end]
-            self._T[:n] = self._T[self.start : self.end]
+            for name in self._BUFFERS:
+                buf = getattr(self, name)
+                if buf is not None:
+                    buf[:n] = buf[live]
         else:
             cap = max(2 * len(self._T), _INITIAL_CAPACITY)
-            for name in ("_X", "_A"):
+            for name in self._BUFFERS:
                 old = getattr(self, name)
-                new = np.empty((cap, old.shape[1]))
-                new[:n] = old[self.start : self.end]
-                setattr(self, name, new)
-            new_t = np.empty(cap, dtype=np.int64)
-            new_t[:n] = self._T[self.start : self.end]
-            self._T = new_t
+                if old is not None:
+                    new = np.empty((cap,) + old.shape[1:], dtype=old.dtype)
+                    new[:n] = old[live]
+                    setattr(self, name, new)
         self.start = 0
         self.end = n
 
     def decay(self, factor: float) -> None:
         self.scale *= factor
         if self.scale < RENORM_THRESHOLD:
-            self._A[self.start : self.end] *= self.scale
+            if self._A is not None:
+                live = slice(self.start, self.end)
+                self._A[live] *= self.scale
+                if self.cross_terms:
+                    # C and Q are bilinear in the raw coefficients
+                    self._C[live] *= self.scale * self.scale
+                    self._Q[live] *= self.scale * self.scale
             self.scale = 1.0
 
-    def front(self):
-        """Oldest term as (time, x, effective coefficient)."""
-        i = self.start
-        return int(self._T[i]), self._X[i], self.scale * self._A[i]
+    def restore(self, support, coeffs, times, input_dim) -> None:
+        """Replace the terms by saved ones (effective coefficients, scale 1)."""
+        self.input_dim = input_dim
+        self.scale = 1.0
+        self.start = self.end = 0
+        if len(support) == 0:
+            return
+        n = len(support)
+        self._allocate(max(n, _INITIAL_CAPACITY), support.shape[1])
+        self._X[:n] = support
+        self._A[:n] = coeffs
+        self._T[:n] = times
+        self.end = n
+        if self.cross_terms:
+            self.track_cross_terms()
 
-    def pop_front(self) -> None:
-        self.start += 1
+    def track_cross_terms(self) -> None:
+        """Keep C and Q from now on, built from the stored terms: O(s^2).
+
+        Replays the appends of the stored terms, one row per term and kernel.
+        """
+        self.cross_terms = True
+        if self._T is None:
+            return
+        shape = (len(self._T), len(self.kernels))
+        self._C, self._Q = np.zeros(shape), np.zeros(shape)
+        X, A, lo = self._X, self._A, self.start
+        for i in range(lo, self.end):
+            for j, kernel in enumerate(self.kernels):
+                if i > lo:
+                    row = kernel.row(X[lo:i], X[i])
+                    self._C[lo:i, j] += kernel.row_cross(row, A[lo:i], A[i])
+                self._Q[i, j] = kernel.quad(X[i], A[i])
+            self._C[i] = 0.0
 
 
 def eval_expansion(kernel, state: _ExpansionState, x) -> np.ndarray:
@@ -191,25 +277,29 @@ def eval_expansion(kernel, state: _ExpansionState, x) -> np.ndarray:
     return state.scale * kernel.expansion(state.support, x, state.raw_coeffs)
 
 
-def drop_expired(state: _ExpansionState, kernels, norms_sq, cutoff: int) -> int:
+def drop_expired(state: _ExpansionState, norms_sq: np.ndarray, cutoff: int) -> int:
     """Pop every term with time <= cutoff, downdating each norm exactly.
 
     ``norms_sq[j]`` tracks ``||g_j||^2`` for ``g_j = sum_i K_j(x_i, .) a_i``
-    over the terms in ``state``; every kernel reads the same terms.
-    Removing ``K_j(x_i, .) a_i`` changes it by
-    ``-2 <g_j(x_i), a_i> + <K_j(x_i, x_i) a_i, a_i>`` with ``g_j(x_i)``
-    evaluated before the pop, so a dropped term costs one expansion per
-    kernel, O(s (p + d)), and no Gram matrix is formed.  Norms that
-    rounding leaves below zero are clamped; returns how many were.
+    over the terms in ``state``.  Removing the oldest term changes it by
+    ``-2 <g_j(x_i), a_i> + <K_j(x_i, x_i) a_i, a_i>``; every other term is
+    later, so this is ``-scale^2 (2 C[i, j] + Q[i, j])`` from the state's
+    cross terms.  A dropped term costs O(1) per kernel and no kernel
+    evaluation.  Norms that rounding leaves below zero are clamped;
+    returns how many were.
     """
-    while len(state) > 0:
-        ti, xi, ai = state.front()
-        if ti > cutoff:
-            break
-        for j, kernel in enumerate(kernels):
-            g_at_xi = eval_expansion(kernel, state, xi)
-            norms_sq[j] -= 2.0 * float(g_at_xi @ ai) - float(ai @ (kernel(xi, xi) @ ai))
-        state.pop_front()
+    lo = i = state.start
+    while i < state.end and state._T[i] <= cutoff:
+        i += 1
+    if i == lo:
+        return 0
+    if not state.cross_terms:
+        # truncation switched on after construction
+        state.track_cross_terms()
+    s2 = state.scale * state.scale
+    for k in range(lo, i):
+        norms_sq -= s2 * (2.0 * state._C[k] + state._Q[k])
+    state.start = i
     clips = 0
     for j in range(len(norms_sq)):
         if norms_sq[j] < 0.0:
@@ -218,19 +308,124 @@ def drop_expired(state: _ExpansionState, kernels, norms_sq, cutoff: int) -> int:
     return clips
 
 
-def norm_recursion(prev_sq, g_at_x, k_xx, alpha, decay) -> float:
+def norm_recursion(prev_sq, cross, quad, decay) -> float:
     """Squared-norm update for ``g <- decay * g + K(x, .) alpha``.
 
-    ``g_at_x`` is the old expansion evaluated at x; ``k_xx`` is K(x, x).
-    Returns ``decay^2 * prev + <K(x,x) a, a> + 2 decay <g(x), a>``, which
-    may dip a hair below zero through rounding (callers clamp).
+    ``cross`` is ``<g(x), alpha>`` for the old expansion and ``quad`` is
+    ``<K(x, x) alpha, alpha>``.  Returns
+    ``decay^2 * prev + quad + 2 decay cross``, which may dip a hair below
+    zero through rounding (callers clamp).
     """
-    quad = float(alpha @ (k_xx @ alpha))
-    cross = float(np.dot(g_at_x, alpha))
     return decay * decay * prev_sq + quad + 2.0 * decay * cross
 
 
-class ONORMA:
+class _OnlineLearner:
+    """The step shared by :class:`ONORMA` and ``MONORMA``.
+
+    One coefficient sequence is expanded over every kernel in ``kernels``
+    (``g_j = sum_i K_j(x_i, .) a_i``), and ``_norms[j]`` tracks
+    ``||g_j||^2``.  Subclasses say how the g_j combine into the
+    prediction (:meth:`_combine`), what norm the risk reports
+    (:meth:`_penalty_norm_sq`) and what follows the update
+    (:meth:`_after_step`).
+    """
+
+    def __init__(self, kernels, loss, lam, eta0, truncation):
+        check_positive("lambda", lam)
+        check_positive("eta0", eta0)
+        if eta0 * lam >= 1:
+            raise ConfigError(
+                f"need eta0 * lambda < 1 for a contracting update, "
+                f"got {eta0} * {lam} = {eta0 * lam}"
+            )
+        self.loss = loss if loss is not None else SquaredLoss()
+        self.lam = lam
+        self.eta0 = eta0
+        self.truncation = truncation
+        self.t = 0
+        # the cross terms only serve truncation's downdates
+        self._state = _ExpansionState(kernels, cross_terms=truncation is not None)
+        self._norms = np.zeros(len(kernels))
+
+    @property
+    def dim(self) -> int:
+        return self._state.dim
+
+    @property
+    def support_size(self) -> int:
+        return len(self._state)
+
+    def learning_rate(self, t: int) -> float:
+        return self.eta0 / math.sqrt(t)
+
+    def predict(self, x) -> np.ndarray:
+        """f_t at x (one point or a batch of rows); zero before any step."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 1:
+            x = self._state.check_input(x)
+        elif self._state.input_dim is not None and x.shape[1] != self._state.input_dim:
+            raise DimensionMismatch("query points", x.shape[1], self._state.input_dim)
+        return self._combine([eval_expansion(k, self._state, x) for k in self._state.kernels])
+
+    def step(self, x, y) -> StepResult:
+        """Consume one example: predict, then update the hypothesis."""
+        x = self._state.check_input(x)
+        y = np.asarray(y, dtype=float)
+        if y.shape != (self.dim,):
+            raise DimensionMismatch("target vector", y.shape[-1], self.dim)
+        return self._step(x, y)
+
+    def fit(self, xs, ys) -> list[StepResult]:
+        """Run one step per row of (xs, ys) in order; returns all results."""
+        return [self.step(x, y) for x, y in zip(np.asarray(xs), np.asarray(ys))]
+
+    def _step(self, x: np.ndarray, y: np.ndarray) -> StepResult:
+        state, norms = self._state, self._norms
+        self.t += 1
+        t = self.t
+        eta = self.learning_rate(t)
+        decay = 1.0 - eta * self.lam
+
+        rows, gs = state.expand(x)
+        pred = self._combine(gs)
+        risk = 0.5 * self.lam * self._penalty_norm_sq()
+        loss_value, grad = self.loss.evaluate(pred - y)
+        alpha = -eta * grad
+        alpha_sq = float(alpha @ alpha)
+        # a finite squared norm proves every entry finite; overflow alone is no error
+        if not math.isfinite(alpha_sq) and not np.all(np.isfinite(grad)):
+            raise NumericsError(f"non-finite loss gradient at step {t}")
+
+        quads = [kernel.quad(x, alpha) for kernel in state.kernels]
+        clips = 0
+        for j in range(len(quads)):
+            new = norm_recursion(norms[j], float(gs[j] @ alpha), quads[j], decay)
+            if new < 0.0:
+                new = 0.0
+                clips += 1
+            norms[j] = new
+
+        state.decay(decay)
+        coeff_norm = math.sqrt(alpha_sq)
+        if coeff_norm > 0.0:
+            # zero coefficients contribute nothing; keep the support minimal
+            state.append(x, alpha / state.scale, t, rows, quads)
+        if self.truncation is not None:
+            clips += drop_expired(state, norms, t - self.truncation.window(t))
+        self._after_step(clips)
+        return StepResult(pred, loss_value, loss_value + risk, coeff_norm)
+
+    def _combine(self, gs) -> np.ndarray:
+        raise NotImplementedError
+
+    def _penalty_norm_sq(self) -> float:
+        raise NotImplementedError
+
+    def _after_step(self, clips: int) -> None:
+        raise NotImplementedError
+
+
+class ONORMA(_OnlineLearner):
     """Single-kernel online learner with optional truncation.
 
     Parameters
@@ -249,93 +444,23 @@ class ONORMA:
     """
 
     def __init__(self, kernel, loss=None, lam=0.01, eta0=1.0, truncation=None):
-        check_positive("lambda", lam)
-        check_positive("eta0", eta0)
-        if eta0 * lam >= 1:
-            raise ConfigError(
-                f"need eta0 * lambda < 1 for a contracting update, "
-                f"got {eta0} * {lam} = {eta0 * lam}"
-            )
+        super().__init__([kernel], loss, lam, eta0, truncation)
         self.kernel = kernel
-        self.loss = loss if loss is not None else SquaredLoss()
-        self.lam = lam
-        self.eta0 = eta0
-        self.truncation = truncation
-        self.t = 0
         self.norm_clips = 0
-        self._state = _ExpansionState(kernel.dim)
-        self._norm_sq = 0.0
-
-    @property
-    def dim(self) -> int:
-        return self.kernel.dim
-
-    @property
-    def support_size(self) -> int:
-        return len(self._state)
 
     @property
     def norm_sq(self) -> float:
         """Incrementally tracked ||f_t||^2 in the RKHS."""
-        return self._norm_sq
+        return float(self._norms[0])
 
-    def learning_rate(self, t: int) -> float:
-        return self.eta0 / math.sqrt(t)
+    def _combine(self, gs) -> np.ndarray:
+        return gs[0]
 
-    def predict(self, x) -> np.ndarray:
-        """f_t evaluated at x; the zero vector before any step."""
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            x = self._state.check_input(x)
-        return eval_expansion(self.kernel, self._state, x)
+    def _penalty_norm_sq(self) -> float:
+        return float(self._norms[0])
 
-    def step(self, x, y) -> StepResult:
-        """Consume one example: predict, then update the hypothesis."""
-        x = self._state.check_input(x)
-        y = np.asarray(y, dtype=float)
-        if y.shape != (self.dim,):
-            raise DimensionMismatch("target vector", y.shape[-1], self.dim)
-
-        self.t += 1
-        t = self.t
-        eta = self.learning_rate(t)
-        decay = 1.0 - eta * self.lam
-
-        pred = eval_expansion(self.kernel, self._state, x)
-        loss_value = self.loss.value(pred, y)
-        risk = loss_value + 0.5 * self.lam * self._norm_sq
-
-        grad = self.loss.gradient(pred, y)
-        if not np.all(np.isfinite(grad)):
-            raise NumericsError(f"non-finite loss gradient at step {t}")
-        alpha = -eta * grad
-
-        new_norm = norm_recursion(self._norm_sq, pred, self.kernel(x, x), alpha, decay)
-        if new_norm < 0.0:
-            new_norm = 0.0
-            self.norm_clips += 1
-        self._norm_sq = new_norm
-
-        self._state.decay(decay)
-        coeff_norm = float(np.linalg.norm(alpha))
-        if coeff_norm > 0.0:
-            # zero coefficients contribute nothing; keep the support minimal
-            self._state.append(x, alpha / self._state.scale, t)
-
-        if self.truncation is not None:
-            self._truncate(t)
-
-        return StepResult(pred, loss_value, risk, coeff_norm)
-
-    def fit(self, xs, ys) -> list[StepResult]:
-        """Run one step per row of (xs, ys) in order; returns all results."""
-        return [self.step(x, y) for x, y in zip(np.asarray(xs), np.asarray(ys))]
-
-    def _truncate(self, t: int) -> None:
-        norms = [self._norm_sq]
-        cutoff = t - self.truncation.window(t)
-        self.norm_clips += drop_expired(self._state, [self.kernel], norms, cutoff)
-        self._norm_sq = norms[0]
+    def _after_step(self, clips: int) -> None:
+        self.norm_clips += clips
 
     def hypothesis_norm_sq(self) -> float:
         """||f_t||^2 recomputed exactly from the block Gram quadratic form.

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ovklearn.batch import fit
 from ovklearn.checkpoint import load_model, save_model
@@ -63,6 +65,46 @@ def test_onorma_truncated_round_trip(tmp_path):
     assert back.support_size == model.support_size
     probes = probe_points(4, 8)
     assert np.allclose(back.predict(probes), model.predict(probes), atol=1e-12)
+
+
+def truncated_learner(kind):
+    schedule = TruncationSchedule(t0=10, epsilon=0.25)
+    if kind == "monorma":
+        kernels = [SeparableGaussian(mu=1.0, dim=2), SeparableGaussian(mu=3.0, dim=2)]
+        return MONORMA(kernels, lam=0.3, eta0=0.6, r=1.5, truncation=schedule)
+    kernel = SeparableGaussian(mu=1.0, dim=2) if kind == "gaussian" else NonSeparablePoly(0.4, 2)
+    return ONORMA(kernel, lam=0.3, eta0=0.6, truncation=schedule)
+
+
+def tracked_norms(model):
+    return model.gamma if isinstance(model, MONORMA) else np.array([model.norm_sq])
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    kind=st.sampled_from(["gaussian", "poly", "monorma"]),
+    seed=st.integers(0, 2**16),
+    saved_at=st.integers(0, 80),
+    continued=st.integers(20, 60),
+)
+def test_save_load_continue_matches_uninterrupted(tmp_path_factory, kind, seed, saved_at, continued):
+    # the reloaded learner rebuilds its cross terms; its later drops must
+    # downdate the norms exactly as the uninterrupted run does
+    xs, ys = stream(seed, saved_at + continued)
+    straight, first = truncated_learner(kind), truncated_learner(kind)
+    for x, y in zip(xs[:saved_at], ys[:saved_at]):
+        straight.step(x, y)
+        first.step(x, y)
+    path = tmp_path_factory.mktemp("ckpt") / "model.npz"
+    save_model(path, first)
+    back = load_model(path)
+    for x, y in zip(xs[saved_at:], ys[saved_at:]):
+        expected, got = straight.step(x, y), back.step(x, y)
+        scale = max(1.0, float(np.max(np.abs(expected.prediction))))
+        assert np.max(np.abs(got.prediction - expected.prediction)) <= 1e-12 * scale
+        want, have = tracked_norms(straight), tracked_norms(back)
+        assert np.all(np.abs(have - want) <= 1e-12 * np.maximum(1.0, want))
+    assert back.support_size == straight.support_size < saved_at + continued
 
 
 def test_monorma_round_trip(tmp_path):

@@ -1,7 +1,11 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from ovklearn.cli import main
+
+BOUND_CONFIG = str(Path(__file__).resolve().parents[1] / "configs" / "bound-check.cfg")
 
 
 def run_cli(argv, capsys):
@@ -77,6 +81,16 @@ def test_nan_hyperparameter_exits_2(algorithm, capsys):
     )
     assert code == 2
     assert "lambda must be finite and > 0, got nan" in err
+
+
+@pytest.mark.parametrize("setting", ["lambda=nan", "lambda=inf", "eta0=nan", "eta0=inf"])
+def test_check_bounds_non_finite_hyperparameter_exits_2(setting, capsys):
+    code, _, err = run_cli(
+        ["check-bounds", "--config", BOUND_CONFIG, "--set", setting], capsys
+    )
+    assert code == 2
+    name, value = setting.split("=")
+    assert f"{name} must be finite and > 0, got {value}" in err
 
 
 def test_singular_batch_system_exits_3(tmp_path, capsys):

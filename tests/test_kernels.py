@@ -103,22 +103,22 @@ def test_gaussian_axioms_property(mu, seed):
     assert form >= -1e-9
 
 
-def test_apply_matches_call_matvec():
-    rng = np.random.default_rng(13)
-    for _ in range(100):
+def test_row_methods_match_kernel_matrices():
+    # the online step's per-term products, checked against K(x_i, x) itself
+    rng = np.random.default_rng(15)
+    for _ in range(50):
         dim = int(rng.integers(1, 5))
         k = random_kernel(rng, dim)
-        x = rng.normal(size=4)
-        x2 = rng.normal(size=4)
-        a = rng.normal(size=dim)
-        assert np.allclose(k.apply(x, x2, a), k(x, x2) @ a, atol=1e-12, rtol=1e-12)
-
-
-def test_apply_hand_values():
-    k = SeparableGaussian(mu=1.0, dim=2)
-    x = np.array([0.1, 0.2, 0.3])
-    assert np.allclose(k.apply(x, x, [1.0, 0.0]), [1.0, 0.1], atol=1e-15)
-    assert np.array_equal(k.apply(x, x, [0.0, 0.0]), [0.0, 0.0])
+        support = rng.normal(size=(int(rng.integers(1, 8)), 3))
+        coeffs = rng.normal(size=(len(support), dim))
+        x, a = rng.normal(size=3), rng.normal(size=dim)
+        row = k.row(support, x)
+        expansion = sum(k(xi, x) @ ci for xi, ci in zip(support, coeffs))
+        cross = [float(ci @ (k(xi, x) @ a)) for xi, ci in zip(support, coeffs)]
+        assert np.allclose(k.row_expansion(row, coeffs), expansion, rtol=1e-12, atol=1e-12)
+        assert np.allclose(k.row_cross(row, coeffs, a), cross, rtol=1e-12, atol=1e-12)
+        quad = float(a @ (k(x, x) @ a))
+        assert abs(k.quad(x, a) - quad) <= 1e-12 * max(1.0, abs(quad))
 
 
 def test_expansion_matches_naive_sum():
@@ -234,7 +234,7 @@ def test_input_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         k(np.ones(3), np.ones(4))
     with pytest.raises(DimensionMismatch):
-        k.apply(np.ones(3), np.ones(3), np.ones(3))
+        k.expansion(np.ones((2, 3)), np.ones(3), np.ones((2, 3)))
 
 
 def test_kernels_are_immutable():

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from conftest import NaiveMultiKernelLearner, gram_norm_sq
 from ovklearn.exceptions import ConfigError, DimensionMismatch
 from ovklearn.kernels import NonSeparablePoly, SeparableGaussian
-from ovklearn.monorma import MONORMA, delta_update, gamma_update
+from ovklearn.monorma import MONORMA, delta_update
 from ovklearn.onorma import ONORMA, TruncationSchedule
 
 
@@ -103,18 +103,6 @@ def test_delta_validation():
         delta_update(np.array([0.5, 0.5]), np.array([1.0]), r=1.0)
 
 
-def test_gamma_update_hand_values():
-    k_xx = np.array([[2.0, 0.5], [0.5, 1.0]])
-    alpha = np.array([1.0, -1.0])
-    # initialization case: gamma_prev = 0, g_prev = 0
-    assert abs(gamma_update(0.0, np.zeros(2), k_xx, alpha, 0.9) - 2.0) <= 1e-15
-    # zero new coefficient: pure decay
-    assert abs(gamma_update(3.0, np.ones(2), k_xx, np.zeros(2), 0.8) - 1.92) <= 1e-15
-    # strongly negative cross term: clamped at zero
-    clamped = gamma_update(0.0, np.array([-10.0, 0.0]), 0.01 * np.eye(2), np.array([1.0, 0.0]), 0.9)
-    assert clamped == 0.0
-
-
 def test_first_step_gamma_values():
     kernels = kernel_trio(2)
     model = MONORMA(kernels, lam=0.01, eta0=1.0)
@@ -198,6 +186,26 @@ def test_truncation_recomputes_norms():
                 oracle = gram_norm_sq(k, list(state.support), list(state.coeffs))
                 assert abs(model.gamma[j] - oracle) <= 1e-8 * max(1.0, oracle)
     assert model.support_size < 100
+
+
+def test_truncated_gammas_match_gram_oracle_through_folds():
+    # both families at once, with the lazy scale folding (cross terms rescale)
+    schedule = TruncationSchedule(t0=15, epsilon=0.25)
+    kernels = [SeparableGaussian(mu=1.0, dim=2), NonSeparablePoly(mu=0.4, dim=2)]
+    model = MONORMA(kernels, lam=0.9, eta0=0.9, truncation=schedule)
+    xs, ys = stream(59, 240, d=2)
+    folds = 0
+    for t, (x, y) in enumerate(zip(xs, ys), start=1):
+        before = model._state.scale
+        model.step(x, y)
+        folds += model._state.scale > before
+        if t % 10 == 0:
+            state = model._state
+            for j, k in enumerate(kernels):
+                oracle = gram_norm_sq(k, list(state.support), list(state.coeffs))
+                assert abs(model.gamma[j] - oracle) <= 1e-10 * oracle
+    assert folds >= 1
+    assert model.support_size == schedule.window(240)
 
 
 def test_risk_decomposition():

@@ -60,8 +60,28 @@ def test_truncation_window_properties(t, t0, epsilon):
 
 def test_norm_recursion_hand_value():
     # 0.25 * 1 + <I a, a> + 2 * 0.5 * <g, a> with a = (1, 1), g = (1, 0)
-    got = norm_recursion(1.0, np.array([1.0, 0.0]), np.eye(2), np.array([1.0, 1.0]), 0.5)
+    got = norm_recursion(1.0, cross=1.0, quad=2.0, decay=0.5)
     assert abs(got - 3.25) <= 1e-15
+    # first term from a zero hypothesis, and a zero coefficient (pure decay)
+    assert norm_recursion(0.0, cross=0.0, quad=2.0, decay=0.9) == 2.0
+    assert abs(norm_recursion(3.0, cross=0.0, quad=0.0, decay=0.8) - 1.92) <= 1e-15
+
+
+def test_negative_norm_recursion_is_clamped_and_counted():
+    # a tracked norm forced below its true value makes the recursion go
+    # negative: with y = 0 the cross term is -eta ||f(x)||^2
+    from ovklearn.monorma import MONORMA
+
+    k = SeparableGaussian(mu=1.0, dim=2)
+    x = np.array([0.2, 0.4, 0.1])
+    for model in (ONORMA(k, lam=0.1, eta0=0.5), MONORMA([k, k], lam=0.1, eta0=0.5)):
+        model.step(x, np.array([3.0, -1.0]))
+        model._norms[:] = 0.0
+        model.step(x, np.zeros(2))
+        norms = model.gamma if isinstance(model, MONORMA) else [model.norm_sq]
+        assert np.all(np.asarray(norms) == 0.0)
+        clips = model.gamma_clips if isinstance(model, MONORMA) else model.norm_clips
+        assert clips == len(norms)
 
 
 def test_first_step():
@@ -77,7 +97,7 @@ def test_first_step():
     # eta_1 = 1: the new coefficient is exactly y
     assert abs(res.new_coeff_norm - np.sqrt(5.0)) <= 1e-12
     assert model.support_size == 1
-    assert np.allclose(model.predict(x), k.apply(x, x, y), atol=1e-12)
+    assert np.allclose(model.predict(x), k(x, x) @ y, atol=1e-12)
     assert abs(model.norm_sq - float(y @ (k(x, x) @ y))) <= 1e-12
 
 
@@ -216,6 +236,8 @@ def test_step_validation():
     model.step(np.ones(3), np.zeros(2) + 0.5)
     with pytest.raises(DimensionMismatch):
         model.step(np.ones(4), np.full(2, 0.5))  # input dim changed mid-run
+    with pytest.raises(DimensionMismatch):
+        model.predict(np.ones((2, 4)))
 
 
 def test_non_finite_gradient_raises():
@@ -270,3 +292,110 @@ def test_fit_returns_one_result_per_example():
     results = model.fit(xs, ys)
     assert len(results) == 25
     assert model.t == 25
+
+
+def fold_count_run(model, xs, ys, check_every, check):
+    """Step through the stream, calling check(model) every check_every steps.
+
+    Returns how many times the lazy scale folded into the coefficients.
+    """
+    folds = 0
+    for i, (x, y) in enumerate(zip(xs, ys), start=1):
+        before = model._state.scale
+        model.step(x, y)
+        if model._state.scale > before:
+            folds += 1
+        if i % check_every == 0:
+            check(model)
+    return folds
+
+
+@pytest.mark.parametrize("family", ["gaussian", "poly"])
+def test_truncated_norm_tracker_matches_gram_oracle(family):
+    # the drop downdates read cached cross terms; the oracle sums every pair
+    kernel = SeparableGaussian(mu=1.0, dim=2) if family == "gaussian" else NonSeparablePoly(0.4, 2)
+    schedule = TruncationSchedule(t0=15, epsilon=0.25)
+    xs, ys = stream(43, 240, d=2)
+
+    def check(model):
+        state = model._state
+        oracle = gram_norm_sq(kernel, list(state.support), list(state.coeffs))
+        assert abs(model.norm_sq - oracle) <= 1e-10 * oracle
+
+    # lam = eta0 = 0.9 folds the lazy scale (the cross terms rescale with
+    # it); 0.1 / 0.5 never does
+    for lam, eta0, expect_folds in ((0.9, 0.9, True), (0.1, 0.5, False)):
+        model = ONORMA(kernel, lam=lam, eta0=eta0, truncation=schedule)
+        folds = fold_count_run(model, xs, ys, 10, check)
+        assert (folds >= 1) == expect_folds
+        assert model.support_size == schedule.window(240)
+
+
+class RowCounter:
+    """Counts calls of a kernel family's row method while installed."""
+
+    def __init__(self, monkeypatch, *families):
+        self.calls = 0
+        for cls in families:
+            original = cls.row
+
+            def counted(kernel, support, x, _original=original):
+                self.calls += 1
+                return _original(kernel, support, x)
+
+            monkeypatch.setattr(cls, "row", counted)
+
+
+def test_truncated_step_computes_one_row_per_kernel(monkeypatch):
+    from ovklearn.monorma import MONORMA
+
+    kernels = [SeparableGaussian(mu=1.0, dim=2), NonSeparablePoly(mu=0.4, dim=2)]
+    schedule = TruncationSchedule(t0=10, epsilon=0.25)
+    learners = [
+        (ONORMA(kernels[0], lam=0.1, eta0=0.5, truncation=schedule), 1),
+        (ONORMA(kernels[1], lam=0.1, eta0=0.5, truncation=schedule), 1),
+        (MONORMA(kernels, lam=0.1, eta0=0.5, truncation=schedule), 2),
+    ]
+    xs, ys = stream(44, 120, d=2)
+    counter = RowCounter(monkeypatch, SeparableGaussian, NonSeparablePoly)
+    for model, m in learners:
+        dropped = set()
+        for i, (x, y) in enumerate(zip(xs, ys)):
+            if i == 100:
+                # a much shorter window: the next step drops ~20 terms at once
+                model.truncation = TruncationSchedule(t0=5, epsilon=0.1)
+            before_rows, before_size = counter.calls, model.support_size
+            model.step(x, y)
+            assert counter.calls - before_rows == (m if before_size else 0)
+            dropped.add(before_size + 1 - model.support_size)
+        assert {0, 1} <= dropped and max(dropped) >= 15
+        norms = model.gamma if m == 2 else [model.norm_sq]
+        state = model._state
+        for kernel, tracked in zip(kernels if m == 2 else [model.kernel], norms):
+            oracle = gram_norm_sq(kernel, list(state.support), list(state.coeffs))
+            assert abs(tracked - oracle) <= 1e-10 * oracle
+
+
+def test_truncation_switched_on_after_construction():
+    k = SeparableGaussian(mu=1.0, dim=2)
+    model = ONORMA(k, lam=0.1, eta0=0.5)
+    xs, ys = stream(45, 150, d=2)
+    model.fit(xs[:60], ys[:60])
+    assert model._state._C is None  # untruncated learners keep no cross terms
+    model.truncation = TruncationSchedule(t0=20, epsilon=0.25)
+    model.fit(xs[60:], ys[60:])
+    assert model.support_size == model.truncation.window(150)
+    oracle = gram_norm_sq(k, list(model._state.support), list(model._state.coeffs))
+    assert abs(model.norm_sq - oracle) <= 1e-10 * oracle
+
+
+def test_lazy_scale_folds_on_an_empty_support():
+    # a wide epsilon keeps every gradient zero, so the scale underflows with no terms
+    model = ONORMA(
+        SeparableGaussian(mu=1.0, dim=2), loss=EpsilonInsensitive(100.0), lam=0.9, eta0=0.9
+    )
+    xs, ys = stream(46, 60, d=2)
+    model.fit(xs, ys)
+    assert model.support_size == 0
+    assert model._state.scale >= 1e-6
+
