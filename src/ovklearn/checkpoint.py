@@ -2,9 +2,10 @@
 
 The archive stores the kernel specification, support points, effective
 coefficients (lazy decay scale folded in), the step counter, and the
-per-model extras (tracked norms, kernel weights).  Loading rebuilds a
-learner whose predictions match the saved one to 1e-12; transient
-diagnostics (clip counters) are not persisted.
+per-model extras (tracked norms, kernel weights).  An online learner's
+terms go through its public ``to_arrays``/``restore`` pair.  Loading
+rebuilds a learner whose predictions match the saved one to 1e-12;
+transient diagnostics (clip counters) are not persisted.
 """
 
 from __future__ import annotations
@@ -37,64 +38,36 @@ def _loss_spec(loss) -> str:
     return loss.name()
 
 
-def _schedule_dict(tr: TruncationSchedule | None):
-    return None if tr is None else {"t0": tr.t0, "epsilon": tr.epsilon}
-
-
-def _schedule_from(d) -> TruncationSchedule | None:
-    return None if d is None else TruncationSchedule(t0=d["t0"], epsilon=d["epsilon"])
-
-
-def _save_online(path, meta, state) -> None:
-    np.savez(
-        path,
-        meta=np.array(json.dumps(meta)),
-        support=state.support.copy(),
-        coeffs=state.coeffs,
-        times=state.times.copy(),
-    )
-
-
-def _restore_online(learner, zf, meta):
-    # a truncated learner rebuilds its cross terms here, in one O(s^2) pass
-    learner.t = meta["t"]
-    learner._state.restore(zf["support"], zf["coeffs"], zf["times"], meta["input_dim"])
-    return learner
-
-
 def save_model(path, model) -> None:
     """Write an ONORMA, MONORMA, or BatchModel checkpoint."""
-    if isinstance(model, ONORMA):
+    if isinstance(model, (ONORMA, MONORMA)):
+        support, coeffs, times, input_dim = model.to_arrays()
+        arrays = {"support": support, "coeffs": coeffs, "times": times}
+        tr = model.truncation
         meta = {
             "format_version": FORMAT_VERSION,
-            "model": "onorma",
-            "kernel": model.kernel.to_dict(),
             "loss": _loss_spec(model.loss),
             "lam": model.lam,
             "eta0": model.eta0,
-            "truncation": _schedule_dict(model.truncation),
+            "truncation": None if tr is None else {"t0": tr.t0, "epsilon": tr.epsilon},
             "t": model.t,
-            "norm_sq": model.norm_sq,
-            "input_dim": model._state.input_dim,
+            "input_dim": input_dim,
         }
-        _save_online(path, meta, model._state)
-    elif isinstance(model, MONORMA):
-        meta = {
-            "format_version": FORMAT_VERSION,
-            "model": "monorma",
-            "kernels": [k.to_dict() for k in model.kernels],
-            "loss": _loss_spec(model.loss),
-            "lam": model.lam,
-            "eta0": model.eta0,
-            "r": model.r,
-            "truncation": _schedule_dict(model.truncation),
-            "t": model.t,
-            "delta": model.delta.tolist(),
-            "gamma": model.gamma.tolist(),
-            "input_dim": model._state.input_dim,
-        }
-        _save_online(path, meta, model._state)
+        if isinstance(model, ONORMA):
+            meta.update(model="onorma", kernel=model.kernel.to_dict(), norm_sq=model.norm_sq)
+        else:
+            meta.update(
+                model="monorma",
+                kernels=[k.to_dict() for k in model.kernels],
+                r=model.r,
+                delta=model.delta.tolist(),
+                gamma=model.gamma.tolist(),
+            )
     elif isinstance(model, BatchModel):
+        arrays = {
+            "support": np.asarray(model.support, dtype=float),
+            "coeffs": np.asarray(model.coeffs, dtype=float),
+        }
         meta = {
             "format_version": FORMAT_VERSION,
             "model": "batch",
@@ -102,14 +75,9 @@ def save_model(path, model) -> None:
             "lam": model.lam,
             "norm_sq": model.norm_sq,
         }
-        np.savez(
-            path,
-            meta=np.array(json.dumps(meta)),
-            support=np.asarray(model.support, dtype=float),
-            coeffs=np.asarray(model.coeffs, dtype=float),
-        )
     else:
         raise TypeError(f"cannot checkpoint {type(model).__name__}")
+    np.savez(path, meta=np.array(json.dumps(meta)), **arrays)
 
 
 def load_model(path):
@@ -137,28 +105,6 @@ def _model_from(path, zf):
             f"{path}: unsupported checkpoint format version {version!r}"
         )
     kind = meta.get("model")
-    if kind == "onorma":
-        learner = ONORMA(
-            kernel_from_dict(meta["kernel"]),
-            loss=loss_from_name(meta["loss"]),
-            lam=meta["lam"],
-            eta0=meta["eta0"],
-            truncation=_schedule_from(meta["truncation"]),
-        )
-        learner._norms[0] = meta["norm_sq"]
-        return _restore_online(learner, zf, meta)
-    if kind == "monorma":
-        learner = MONORMA(
-            [kernel_from_dict(k) for k in meta["kernels"]],
-            loss=loss_from_name(meta["loss"]),
-            lam=meta["lam"],
-            eta0=meta["eta0"],
-            r=meta["r"],
-            truncation=_schedule_from(meta["truncation"]),
-        )
-        learner._delta = np.array(meta["delta"])
-        learner._norms[:] = meta["gamma"]
-        return _restore_online(learner, zf, meta)
     if kind == "batch":
         return BatchModel(
             kernel=kernel_from_dict(meta["kernel"]),
@@ -167,4 +113,25 @@ def _model_from(path, zf):
             lam=meta["lam"],
             norm_sq=meta["norm_sq"],
         )
-    raise DataError(f"{path}: unknown model kind {kind!r}")
+    if kind not in ("onorma", "monorma"):
+        raise DataError(f"{path}: unknown model kind {kind!r}")
+    # only the kernel(s), norm and weight fields differ by kind
+    if kind == "onorma":
+        cls, kernels, norms = ONORMA, kernel_from_dict(meta["kernel"]), [meta["norm_sq"]]
+        hyper, weights = {}, {}
+    else:
+        cls, kernels = MONORMA, [kernel_from_dict(k) for k in meta["kernels"]]
+        norms, hyper, weights = meta["gamma"], {"r": meta["r"]}, {"delta": meta["delta"]}
+    tr = meta["truncation"]
+    learner = cls(
+        kernels,
+        loss=loss_from_name(meta["loss"]),
+        lam=meta["lam"],
+        eta0=meta["eta0"],
+        truncation=None if tr is None else TruncationSchedule(**tr),
+        **hyper,
+    )
+    learner.restore(
+        zf["support"], zf["coeffs"], zf["times"], meta["input_dim"], meta["t"], norms, **weights
+    )
+    return learner

@@ -101,6 +101,8 @@ class SynthSpec:
             raise ConfigError(f"n_instances must be >= 1, got {self.n_instances}")
         if self.n_outputs < 1:
             raise ConfigError(f"n_outputs must be >= 1, got {self.n_outputs}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def feature_map(xs) -> np.ndarray:

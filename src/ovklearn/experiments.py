@@ -160,6 +160,8 @@ class ExperimentConfig:
                 f"config field 'kernel': {self.algorithm} takes exactly one "
                 f"kernel, got {len(self.kernels)}"
             )
+        if self.seed < 0:
+            raise ConfigError(f"config field 'seed': must be >= 0, got {self.seed}")
         if self.data not in ("synthetic", "csv"):
             raise ConfigError(f"config field 'data': unknown source {self.data!r}")
         if self.data == "csv":
@@ -180,6 +182,15 @@ class ExperimentConfig:
         if not self.truncate:
             return None
         return TruncationSchedule(t0=self.t0, epsilon=self.epsilon)
+
+    def build_learner(self, kernels, loss):
+        """The online learner the config names, over already built kernels."""
+        common = dict(
+            loss=loss, lam=self.lam, eta0=self.eta0, truncation=self.truncation_schedule()
+        )
+        if self.algorithm == "onorma":
+            return ONORMA(kernels[0], **common)
+        return MONORMA(kernels, r=self.r, **common)
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -386,23 +397,7 @@ def run_experiment(cfg: ExperimentConfig):
         summary["support_size"] = len(train)
         predict = model.predict
     else:
-        if cfg.algorithm == "onorma":
-            model = ONORMA(
-                kernels[0],
-                loss=loss,
-                lam=cfg.lam,
-                eta0=cfg.eta0,
-                truncation=cfg.truncation_schedule(),
-            )
-        else:
-            model = MONORMA(
-                kernels,
-                loss=loss,
-                lam=cfg.lam,
-                eta0=cfg.eta0,
-                r=cfg.r,
-                truncation=cfg.truncation_schedule(),
-            )
+        model = cfg.build_learner(kernels, loss)
         sq_sum = 0.0
         start = time.perf_counter()
         for i, (x, y) in enumerate(zip(train.xs, train.ys), start=1):
@@ -433,27 +428,12 @@ def run_experiment(cfg: ExperimentConfig):
     summary.update(_test_scores(predict, test))
 
     if cfg.algorithm == "onorma" and isinstance(loss, SquaredLoss):
-        hyp = check_hypotheses(kernels[0], train.xs, train.ys, cfg.lam, loss)
+        hyp, consts, report = _guarantee(cfg, kernels[0], train, loss, lambda: step_results)
         summary["hyp_kappa_sq"] = hyp.kappa_sq
         summary["hyp_c_y"] = hyp.c_y
         summary["hyp_lambda_margin"] = hyp.lambda_margin
         summary["hyp_passes"] = hyp.passes
-        if hyp.passes:
-            consts = compute_constants(
-                np.sqrt(hyp.kappa_sq),
-                c_y=hyp.c_y,
-                eta0=cfg.eta0,
-                lam=cfg.lam,
-                branch="least_squares",
-                truncated=cfg.truncate,
-            )
-            reference = batch_fit(kernels[0], train.xs, train.ys, cfg.lam)
-            report = check_cumulative_bound(
-                step_results,
-                regularized_risk(reference, train.xs, train.ys),
-                consts,
-                len(train),
-            )
+        if report is not None:
             summary["bound_u"] = consts.u
             summary["bound_alpha"] = consts.alpha
             summary["bound_beta"] = consts.beta
@@ -493,12 +473,25 @@ def bound_check(cfg: ExperimentConfig):
     loss = cfg.build_loss()
     dataset = load_dataset(cfg)
     train, _, _ = split_and_normalize(dataset, cfg.train_fraction, cfg.seed, cfg.normalize)
-    kernel = cfg.build_kernels(train.output_dim)[0]
+    kernels = cfg.build_kernels(train.output_dim)
+    # the learner is built inside run_log, so eta0 * lambda >= 1 reaches
+    # compute_constants (exit 3) before the constructor's own check (exit 2)
+    return _guarantee(
+        cfg, kernels[0], train, loss, lambda: cfg.build_learner(kernels, loss).fit(train.xs, train.ys)
+    )
+
+
+def _guarantee(cfg: ExperimentConfig, kernel, train: Dataset, loss, run_log):
+    """Hypotheses, then constants, the online run and the batch reference.
+
+    ``run_log()`` returns the online run's StepResults; it is called only
+    once the constants exist.  Returns (hypothesis report, constants or
+    None, bound report or None): the bound is checked only when the
+    hypotheses pass on the least-squares branch, the one with a batch
+    minimiser.
+    """
     hyp = check_hypotheses(kernel, train.xs, train.ys, cfg.lam, loss)
-    if not hyp.passes:
-        return hyp, None, None
-    if hyp.branch != "least_squares":
-        # no batch minimiser available for this loss; diagnostics only
+    if not hyp.passes or hyp.branch != "least_squares":
         return hyp, None, None
     consts = compute_constants(
         np.sqrt(hyp.kappa_sq),
@@ -508,14 +501,7 @@ def bound_check(cfg: ExperimentConfig):
         branch="least_squares",
         truncated=cfg.truncate,
     )
-    learner = ONORMA(
-        kernel,
-        loss=loss,
-        lam=cfg.lam,
-        eta0=cfg.eta0,
-        truncation=cfg.truncation_schedule(),
-    )
-    step_results = learner.fit(train.xs, train.ys)
+    step_results = run_log()
     reference = batch_fit(kernel, train.xs, train.ys, cfg.lam)
     report = check_cumulative_bound(
         step_results, regularized_risk(reference, train.xs, train.ys), consts, len(train)
@@ -532,7 +518,10 @@ def sweep(cfg: ExperimentConfig, parameter: str, values):
         raise ConfigError(
             f"sweep parameter must be one of {_SWEEPABLE}, got {parameter!r}"
         )
-    values = [float(v) for v in values]
+    try:
+        values = [float(v) for v in values]
+    except ValueError as exc:
+        raise ConfigError(f"sweep values must be numbers: {exc}") from None
     if not values:
         raise ConfigError("sweep needs at least one value")
     base = dataclasses.replace(cfg, metrics=None, summary=None, checkpoint=None)

@@ -70,8 +70,9 @@ class EpsilonInsensitive:
     lipschitz = 1.0
 
     def __post_init__(self):
-        if self.epsilon < 0:
-            raise ConfigError(f"epsilon must be >= 0, got {self.epsilon}")
+        # NaN passes `epsilon < 0` and makes every loss max(0.0, nan) = 0.0
+        if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
+            raise ConfigError(f"epsilon must be finite and >= 0, got {self.epsilon}")
 
     def value(self, z, y) -> float:
         return self.evaluate(_residual(z, y))[0]

@@ -114,12 +114,7 @@ class MONORMA(_OnlineLearner):
         self.gamma_clips += clips
         self._delta = delta_update(self._delta, self._norms, self.r)
 
-    def per_kernel_norm_sq(self, j: int) -> float:
-        """||g_j||^2 recomputed from the full block Gram quadratic form.
-
-        Independent of the tracked ``gamma``; O(s^2 d^2).
-        """
-        if len(self._state) == 0:
-            return 0.0
-        a = self._state.coeffs.ravel()
-        return float(a @ (self.kernels[j].gram(self._state.support) @ a))
+    def restore(self, support, coeffs, times, input_dim, t, norms, delta) -> None:
+        """As the single-kernel learner's, plus the kernel weights ``delta``."""
+        super().restore(support, coeffs, times, input_dim, t, norms)
+        self._delta[:] = delta

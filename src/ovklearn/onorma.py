@@ -268,15 +268,6 @@ class _ExpansionState:
             self._C[i] = 0.0
 
 
-def eval_expansion(kernel, state: _ExpansionState, x) -> np.ndarray:
-    """Evaluate ``sum_i K(x_i, x) a_i`` for one point or a batch of rows."""
-    if len(state) == 0:
-        x = np.asarray(x)
-        shape = (kernel.dim,) if x.ndim == 1 else (len(x), kernel.dim)
-        return np.zeros(shape)
-    return state.scale * kernel.expansion(state.support, x, state.raw_coeffs)
-
-
 def drop_expired(state: _ExpansionState, norms_sq: np.ndarray, cutoff: int) -> int:
     """Pop every term with time <= cutoff, downdating each norm exactly.
 
@@ -360,12 +351,14 @@ class _OnlineLearner:
 
     def predict(self, x) -> np.ndarray:
         """f_t at x (one point or a batch of rows); zero before any step."""
+        state = self._state
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
-            x = self._state.check_input(x)
-        elif self._state.input_dim is not None and x.shape[1] != self._state.input_dim:
-            raise DimensionMismatch("query points", x.shape[1], self._state.input_dim)
-        return self._combine([eval_expansion(k, self._state, x) for k in self._state.kernels])
+            x = state.check_input(x)
+        elif state.input_dim is not None and x.shape[1] != state.input_dim:
+            raise DimensionMismatch("query points", x.shape[1], state.input_dim)
+        gs = [state.scale * k.expansion(state.support, x, state.raw_coeffs) for k in state.kernels]
+        return self._combine(gs)
 
     def step(self, x, y) -> StepResult:
         """Consume one example: predict, then update the hypothesis."""
@@ -378,6 +371,30 @@ class _OnlineLearner:
     def fit(self, xs, ys) -> list[StepResult]:
         """Run one step per row of (xs, ys) in order; returns all results."""
         return [self.step(x, y) for x, y in zip(np.asarray(xs), np.asarray(ys))]
+
+    def to_arrays(self):
+        """Copies of the support, effective coefficients and times, and the input width."""
+        state = self._state
+        return state.support.copy(), state.coeffs, state.times.copy(), state.input_dim
+
+    def restore(self, support, coeffs, times, input_dim, t, norms) -> None:
+        """Resume from :meth:`to_arrays`' output, the step count and the tracked norms.
+
+        A truncated learner rebuilds its cross terms here, in one O(s^2) pass.
+        """
+        self.t = t
+        self._norms[:] = norms
+        self._state.restore(support, coeffs, times, input_dim)
+
+    def per_kernel_norm_sq(self, j: int) -> float:
+        """||g_j||^2 recomputed from the full block Gram quadratic form.
+
+        Independent of the tracked norms; O(s^2 d^2).
+        """
+        if len(self._state) == 0:
+            return 0.0
+        a = self._state.coeffs.ravel()
+        return float(a @ (self._state.kernels[j].gram(self._state.support) @ a))
 
     def _step(self, x: np.ndarray, y: np.ndarray) -> StepResult:
         state, norms = self._state, self._norms
@@ -463,11 +480,5 @@ class ONORMA(_OnlineLearner):
         self.norm_clips += clips
 
     def hypothesis_norm_sq(self) -> float:
-        """||f_t||^2 recomputed exactly from the block Gram quadratic form.
-
-        Independent of the incremental tracker; O(s^2 d^2).
-        """
-        if len(self._state) == 0:
-            return 0.0
-        a = self._state.coeffs.ravel()
-        return float(a @ (self.kernel.gram(self._state.support) @ a))
+        """||f_t||^2 recomputed exactly from the block Gram quadratic form."""
+        return self.per_kernel_norm_sq(0)

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import NaiveMultiKernelLearner, NaiveOnlineLearner, gram_norm_sq
 from ovklearn.batch import fit
 from ovklearn.checkpoint import load_model, save_model
 from ovklearn.exceptions import DataError
-from ovklearn.kernels import NonSeparablePoly, SeparableGaussian
+from ovklearn.kernels import NonSeparablePoly, SeparableGaussian, kernel_from_dict
 from ovklearn.losses import EpsilonInsensitive
 from ovklearn.monorma import MONORMA
 from ovklearn.onorma import ONORMA, TruncationSchedule
@@ -232,3 +233,122 @@ def test_rejects_incomplete_archive(tmp_path):
 def test_save_rejects_other_objects(tmp_path):
     with pytest.raises(TypeError):
         save_model(tmp_path / "no.npz", object())
+
+
+# Format v1 as written by hand: the archive entries and meta fields below are
+# the format, so a renamed key or a reinterpreted field fails here even when
+# save and load change together.
+GAUSS_V1 = {"family": "gaussian", "mu": 1.0, "dim": 2, "structure": [[1.0, 0.2], [0.2, 1.0]]}
+POLY_V1 = {"family": "poly", "mu": 0.4, "dim": 2}
+
+
+def v1_terms(seed, times):
+    rng = np.random.default_rng(seed)
+    n = len(times)
+    return rng.uniform(size=(n, 3)), 0.3 * rng.normal(size=(n, 2)), np.array(times, dtype=np.int64)
+
+
+def v1_onorma_meta(kernel, truncation, t, support, coeffs):
+    naive_norm = gram_norm_sq(kernel_from_dict(kernel), support, coeffs)
+    return {
+        "format_version": 1,
+        "model": "onorma",
+        "kernel": kernel,
+        "loss": "squared",
+        "lam": 0.3,
+        "eta0": 0.6,
+        "truncation": truncation,
+        "t": t,
+        "norm_sq": naive_norm,
+        "input_dim": 3,
+    }
+
+
+def v1_monorma_meta(t, support, coeffs):
+    gammas = [gram_norm_sq(kernel_from_dict(k), support, coeffs) for k in (GAUSS_V1, POLY_V1)]
+    return {
+        "format_version": 1,
+        "model": "monorma",
+        "kernels": [GAUSS_V1, POLY_V1],
+        "loss": "squared",
+        "lam": 0.3,
+        "eta0": 0.6,
+        "r": 1.5,
+        "truncation": {"t0": 5, "epsilon": 0.25},
+        "t": t,
+        "delta": [0.8, 0.5],
+        "gamma": gammas,
+        "input_dim": 3,
+    }
+
+
+def write_v1(path, meta, support, coeffs, times):
+    np.savez(path, meta=np.array(json.dumps(meta)), support=support, coeffs=coeffs, times=times)
+
+
+@pytest.mark.parametrize("truncated", [False, True], ids=["plain", "truncated"])
+def test_format_v1_onorma_archive_loads_and_resumes(tmp_path, truncated):
+    # truncated: t0 = 5 keeps 9 terms at t = 12, and the next steps drop the oldest
+    kernel, schedule = (POLY_V1, {"t0": 5, "epsilon": 0.25}) if truncated else (GAUSS_V1, None)
+    times = list(range(4, 13)) if truncated else list(range(1, 9))
+    support, coeffs, stamps = v1_terms(20, times)
+    meta = v1_onorma_meta(kernel, schedule, times[-1], support, coeffs)
+    path = tmp_path / "v1.npz"
+    write_v1(path, meta, support, coeffs, stamps)
+    back = load_model(path)
+    assert back.t == meta["t"] and back.norm_sq == meta["norm_sq"]
+    assert back.truncation == (TruncationSchedule(**schedule) if truncated else None)
+    naive = NaiveOnlineLearner(
+        kernel_from_dict(kernel), lam=0.3, eta0=0.6, truncation=back.truncation
+    )
+    naive.t = meta["t"]
+    naive.terms = [[int(k), x, a.copy()] for k, x, a in zip(stamps, support, coeffs)]
+    xs, ys, _ = v1_terms(21, range(6))
+    for x, y in zip(xs, ys):
+        assert np.max(np.abs(back.predict(x) - naive.predict(x))) <= 1e-12
+        assert np.max(np.abs(back.step(x, y).prediction - naive.step(x, y))) <= 1e-12
+    assert back.support_size == len(naive.terms)
+    if truncated:
+        assert back.support_size < len(times) + len(xs)
+
+
+def test_format_v1_monorma_archive_loads(tmp_path):
+    support, coeffs, stamps = v1_terms(22, range(4, 13))
+    meta = v1_monorma_meta(12, support, coeffs)
+    path = tmp_path / "v1.npz"
+    write_v1(path, meta, support, coeffs, stamps)
+    back = load_model(path)
+    assert back.t == 12 and back.r == 1.5
+    assert back.truncation == TruncationSchedule(t0=5, epsilon=0.25)
+    assert back.delta.tolist() == meta["delta"] and back.gamma.tolist() == meta["gamma"]
+    naive = NaiveMultiKernelLearner([kernel_from_dict(k) for k in meta["kernels"]])
+    naive.delta = np.array(meta["delta"])
+    naive.terms = [[x, a] for x, a in zip(support, coeffs)]
+    probes = v1_terms(23, range(5))[0]
+    naive_preds = np.array([naive.predict(x) for x in probes])
+    assert np.max(np.abs(back.predict(probes) - naive_preds)) <= 1e-12
+
+
+def test_save_model_writes_format_v1_fields(tmp_path):
+    support, coeffs, _ = v1_terms(24, range(3))
+    truncated = TruncationSchedule(t0=5, epsilon=0.25)
+    gaussian, poly = kernel_from_dict(GAUSS_V1), kernel_from_dict(POLY_V1)
+    cases = [
+        (ONORMA(gaussian, lam=0.3, eta0=0.6), v1_onorma_meta(GAUSS_V1, None, 3, support, coeffs)),
+        (
+            MONORMA([gaussian, poly], lam=0.3, eta0=0.6, r=1.5, truncation=truncated),
+            v1_monorma_meta(3, support, coeffs),
+        ),
+    ]
+    for model, v1_meta in cases:
+        model.fit(support, coeffs)
+        path = tmp_path / "saved.npz"
+        save_model(path, model)
+        with np.load(path) as zf:
+            assert sorted(zf.files) == ["coeffs", "meta", "support", "times"]
+            assert sorted(json.loads(str(zf["meta"]))) == sorted(v1_meta)
+    save_model(path, fit(gaussian, support, coeffs, lam=0.5))
+    with np.load(path) as zf:
+        assert sorted(zf.files) == ["coeffs", "meta", "support"]
+        batch_meta = json.loads(str(zf["meta"]))
+    assert sorted(batch_meta) == ["format_version", "kernel", "lam", "model", "norm_sq"]

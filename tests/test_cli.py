@@ -93,6 +93,27 @@ def test_check_bounds_non_finite_hyperparameter_exits_2(setting, capsys):
     assert f"{name} must be finite and > 0, got {value}" in err
 
 
+def test_non_finite_epsilon_exits_2(capsys):
+    code, _, err = run_cli(["train", "--set", "loss=eps(nan)"], capsys)
+    assert code == 2
+    assert "bad epsilon in loss spec 'eps(nan)'" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["train", "--set", "seed=-1"],
+        ["check-bounds", "--config", BOUND_CONFIG, "--set", "seed=-1"],
+        ["generate", "--n", "10", "--seed", "-1", "--out", "unused.csv"],
+    ],
+    ids=["train", "check-bounds", "generate"],
+)
+def test_negative_seed_exits_2(argv, capsys):
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2
+    assert "must be >= 0, got -1" in err
+
+
 def test_singular_batch_system_exits_3(tmp_path, capsys):
     # duplicated rows with a vanishing ridge make the solve unservable
     data = tmp_path / "dup.csv"
@@ -167,6 +188,12 @@ def test_sweep_writes_table(tmp_path, capsys):
     assert len(lines) == 3
     assert [float(line.split(",")[0]) for line in lines[1:]] == [2.5, 3.0]
     assert out.startswith("value,test_mse,cum_mse,time_s")
+
+
+def test_sweep_non_numeric_value_exits_2(capsys):
+    code, _, err = run_cli(["sweep", "--param", "lambda", "--values", "abc"], capsys)
+    assert code == 2
+    assert "sweep values must be numbers" in err
 
 
 def test_no_subcommand_is_usage_error(capsys):

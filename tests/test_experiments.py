@@ -317,6 +317,8 @@ def test_sweep_errors():
         sweep(cfg, "t0", [1.0])
     with pytest.raises(ConfigError, match="at least one value"):
         sweep(cfg, "lambda", [])
+    with pytest.raises(ConfigError, match="sweep values must be numbers"):
+        sweep(cfg, "lambda", ["0.5", "abc"])
 
 
 def test_sweep_table_batch_row():

@@ -142,8 +142,9 @@ def test_loss_from_name():
         loss_from_name("hinge")
     with pytest.raises(ConfigError):
         loss_from_name("eps(abc)")
-    with pytest.raises(ConfigError):
-        loss_from_name("eps(-1)")
+    for spec in ("eps(-1)", "eps(nan)", "eps(inf)", "eps(-inf)"):
+        with pytest.raises(ConfigError):
+            loss_from_name(spec)
 
 
 def test_negative_epsilon_rejected():
