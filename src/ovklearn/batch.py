@@ -9,6 +9,7 @@ bounds and accuracy at desk scale, not to scale.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,11 +53,14 @@ def fit(kernel, xs, ys, lam: float) -> BatchModel:
         raise ConfigError(f"inputs/targets length mismatch: {t} vs {len(ys)}")
     d = kernel.dim
 
+    ridge = lam * t
+    if not math.isfinite(ridge):
+        raise NumericsError(f"lambda * t overflows: {lam!r} * {t}")
     gram = kernel.gram(xs)
     y = ys.ravel()
     # lambda t on the diagonal of one copy; no td x td identity is formed
     system = gram.copy()
-    system.flat[:: t * d + 1] += lam * t
+    system.flat[:: t * d + 1] += ridge
     try:
         factor = scipy.linalg.cho_factor(system)
     except scipy.linalg.LinAlgError:

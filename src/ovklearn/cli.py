@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from .data import SynthSpec, gen_synthetic, save_csv
-from .exceptions import ConfigError, DataError, HypothesisViolation, NumericsError
+from .exceptions import HypothesisViolation, NumericsError, OvkError
 from .experiments import (
     bound_check,
     read_config,
@@ -126,12 +126,12 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ConfigError, DataError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except (NumericsError, HypothesisViolation) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except (OvkError, FileNotFoundError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ or ``poly(mu=0.2)``, comma-separated when the learner combines several.
 from __future__ import annotations
 
 import dataclasses
+import math
 import re
 import time
 from dataclasses import dataclass
@@ -25,7 +26,7 @@ from .batch import fit as batch_fit
 from .batch import regularized_risk
 from .bounds import check_cumulative_bound, check_hypotheses, compute_constants
 from .data import Dataset, SynthSpec, gen_synthetic, load_csv, split_and_normalize
-from .exceptions import ConfigError, check_positive
+from .exceptions import ConfigError, DataError, check_positive
 from .kernels import NonSeparablePoly, SeparableGaussian
 from .losses import SquaredLoss, loss_from_name
 from .monorma import MONORMA
@@ -172,7 +173,10 @@ class ExperimentConfig:
     def build_kernels(self, dim: int):
         structure = None
         if self.structure is not None:
-            structure = np.loadtxt(self.structure, delimiter=",", ndmin=2)
+            try:
+                structure = np.loadtxt(self.structure, delimiter=",", ndmin=2)
+            except ValueError as exc:
+                raise DataError(f"structure file {self.structure}: {exc}") from None
         return [spec.build(dim, structure=structure) for spec in self.kernels]
 
     def build_loss(self):
@@ -494,7 +498,7 @@ def _guarantee(cfg: ExperimentConfig, kernel, train: Dataset, loss, run_log):
     if not hyp.passes or hyp.branch != "least_squares":
         return hyp, None, None
     consts = compute_constants(
-        np.sqrt(hyp.kappa_sq),
+        math.sqrt(hyp.kappa_sq),
         c_y=hyp.c_y,
         eta0=cfg.eta0,
         lam=cfg.lam,

@@ -14,7 +14,7 @@ The weight update always lands exactly on the boundary
 Truncation drops a term from every g_j at once.  Each stored term keeps
 its cross sums with the later terms, one per kernel, so every gamma_j is
 downdated exactly at O(m) per dropped term
-(:func:`~ovklearn.onorma.drop_expired`); keeping those sums costs one
+(``onorma._ExpansionState.drop_expired``); keeping those sums costs one
 O(s d) product per kernel and step.  No Gram matrix is formed and no
 kernel is evaluated for a drop.
 """

@@ -16,8 +16,9 @@ computes one kernel row over the support, O(s p), which gives both the
 prediction, O(s d), and, under truncation, the new term's cross products
 with every stored term, O(s d).  The squared RKHS norm is tracked by an
 O(d^2) recursion.  Under truncation each stored term also keeps its cross
-sum with the later terms, so :func:`drop_expired` downdates the norm
-exactly for a dropped term in O(1) per kernel, with no kernel evaluation.
+sum with the later terms, so :meth:`_ExpansionState.drop_expired`
+downdates the norm exactly for a dropped term in O(1) per kernel, with no
+kernel evaluation.
 
 :class:`ONORMA` and the multi-kernel learner in :mod:`ovklearn.monorma`
 share this step through :class:`_OnlineLearner`, which runs one
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ConfigError, DimensionMismatch, NumericsError, check_positive
+from .exceptions import ConfigError, DataError, DimensionMismatch, NumericsError, check_positive
 from .losses import SquaredLoss
 
 __all__ = ["ONORMA", "StepResult", "TruncationSchedule", "truncation_window"]
@@ -93,10 +94,11 @@ class StepResult:
 class _ExpansionState:
     """Support points and raw coefficients with a shared lazy scale.
 
-    Every kernel in ``kernels`` reads the same terms.  Terms are appended
-    at the back and dropped from the front; buffers grow by doubling and
-    compact when the front offset gets large.  Effective coefficients are
-    ``scale * raw``.
+    Every kernel in ``kernels`` reads the same terms.  :meth:`append` is
+    the only way a term comes in and :meth:`drop_expired` the only way one
+    leaves: terms are appended at the back and dropped from the front;
+    buffers grow by doubling and compact when the front offset gets large.
+    Effective coefficients are ``scale * raw``.
 
     With ``cross_terms`` on, term i also keeps, for each kernel j, the raw
     sums ``C[i, j] = sum_{k > i} <K_j(x_i, x_k) a_k, a_i>`` over the later
@@ -112,11 +114,7 @@ class _ExpansionState:
         self.kernels = tuple(kernels)
         self.dim = self.kernels[0].dim
         self.cross_terms = cross_terms
-        self.input_dim = None
-        self._X = self._A = self._T = self._C = self._Q = None
-        self.start = 0
-        self.end = 0
-        self.scale = 1.0
+        self.restore((), (), (), None)
 
     def __len__(self) -> int:
         return self.end - self.start
@@ -125,22 +123,22 @@ class _ExpansionState:
         x = np.asarray(x, dtype=float)
         if x.ndim != 1:
             raise DimensionMismatch("input point", x.ndim, 1)
+        # a finite squared norm proves every entry finite; overflow alone is no error
+        if not math.isfinite(x @ x) and not np.all(np.isfinite(x)):
+            raise DataError(f"non-finite input point {x}")
         if self.input_dim is None:
             self.input_dim = x.shape[0]
+            self._X = np.empty((0, self.input_dim))
         elif x.shape[0] != self.input_dim:
             raise DimensionMismatch("input point", x.shape[0], self.input_dim)
         return x
 
     @property
     def support(self) -> np.ndarray:
-        if self._X is None:
-            return np.empty((0, 0))
         return self._X[self.start : self.end]
 
     @property
     def raw_coeffs(self) -> np.ndarray:
-        if self._A is None:
-            return np.empty((0, self.dim))
         return self._A[self.start : self.end]
 
     @property
@@ -150,8 +148,6 @@ class _ExpansionState:
 
     @property
     def times(self) -> np.ndarray:
-        if self._T is None:
-            return np.empty(0, dtype=np.int64)
         return self._T[self.start : self.end]
 
     def expand(self, x):
@@ -167,24 +163,13 @@ class _ExpansionState:
         gs = [self.scale * k.row_expansion(r, raw) for k, r in zip(self.kernels, rows)]
         return rows, gs
 
-    def _allocate(self, cap: int, input_dim: int) -> None:
-        m = len(self.kernels)
-        self._X = np.empty((cap, input_dim))
-        self._A = np.empty((cap, self.dim))
-        self._T = np.empty(cap, dtype=np.int64)
-        if self.cross_terms:
-            self._C = np.zeros((cap, m))
-            self._Q = np.zeros((cap, m))
-
     def append(self, x, raw_coeff, t: int, rows=None, quads=None) -> None:
         """Store a term x with coefficient ``scale * raw_coeff``.
 
         With cross terms on, ``rows`` are :meth:`expand`'s rows at x and
         ``quads[j]`` is ``<K_j(x, x) a, a>`` for the effective coefficient.
         """
-        if self._X is None:
-            self._allocate(_INITIAL_CAPACITY, x.shape[0])
-        elif self.end == len(self._T):
+        if self.end == len(self._T):
             self._compact_or_grow()
         i = self.end
         if self.cross_terms:
@@ -223,80 +208,67 @@ class _ExpansionState:
     def decay(self, factor: float) -> None:
         self.scale *= factor
         if self.scale < RENORM_THRESHOLD:
-            if self._A is not None:
-                live = slice(self.start, self.end)
-                self._A[live] *= self.scale
-                if self.cross_terms:
-                    # C and Q are bilinear in the raw coefficients
-                    self._C[live] *= self.scale * self.scale
-                    self._Q[live] *= self.scale * self.scale
+            live = slice(self.start, self.end)
+            self._A[live] *= self.scale
+            if self.cross_terms:
+                # C and Q are bilinear in the raw coefficients
+                self._C[live] *= self.scale * self.scale
+                self._Q[live] *= self.scale * self.scale
             self.scale = 1.0
 
     def restore(self, support, coeffs, times, input_dim) -> None:
-        """Replace the terms by saved ones (effective coefficients, scale 1)."""
-        self.input_dim = input_dim
-        self.scale = 1.0
-        self.start = self.end = 0
-        if len(support) == 0:
-            return
-        n = len(support)
-        self._allocate(max(n, _INITIAL_CAPACITY), support.shape[1])
-        self._X[:n] = support
-        self._A[:n] = coeffs
-        self._T[:n] = times
-        self.end = n
-        if self.cross_terms:
-            self.track_cross_terms()
+        """Replace the terms by saved ones (effective coefficients, scale 1).
 
-    def track_cross_terms(self) -> None:
-        """Keep C and Q from now on, built from the stored terms: O(s^2).
-
-        Replays the appends of the stored terms, one row per term and kernel.
+        Appends them in order into buffers sized for them.  With cross
+        terms on, each append gets the term's rows and quads as in a step,
+        which rebuilds C and Q in O(s^2).
         """
-        self.cross_terms = True
-        if self._T is None:
-            return
-        shape = (len(self._T), len(self.kernels))
-        self._C, self._Q = np.zeros(shape), np.zeros(shape)
-        X, A, lo = self._X, self._A, self.start
-        for i in range(lo, self.end):
-            for j, kernel in enumerate(self.kernels):
-                if i > lo:
-                    row = kernel.row(X[lo:i], X[i])
-                    self._C[lo:i, j] += kernel.row_cross(row, A[lo:i], A[i])
-                self._Q[i, j] = kernel.quad(X[i], A[i])
-            self._C[i] = 0.0
+        n, m = len(support), len(self.kernels)
+        self.input_dim = input_dim
+        self._X = np.empty((n, input_dim or 0))
+        self._A = np.empty((n, self.dim))
+        self._T = np.empty(n, dtype=np.int64)
+        self._C = np.empty((n, m)) if self.cross_terms else None
+        self._Q = np.empty((n, m)) if self.cross_terms else None
+        self.start = self.end = 0
+        self.scale = 1.0
+        for x, a, t in zip(support, coeffs, times):
+            rows = quads = None
+            if self.cross_terms:
+                rows = [kernel.row(self.support, x) for kernel in self.kernels]
+                quads = [kernel.quad(x, a) for kernel in self.kernels]
+            self.append(x, a, t, rows, quads)
 
+    def drop_expired(self, cutoff: int, norms_sq: np.ndarray) -> int:
+        """Pop every term with time <= cutoff, downdating each norm exactly.
 
-def drop_expired(state: _ExpansionState, norms_sq: np.ndarray, cutoff: int) -> int:
-    """Pop every term with time <= cutoff, downdating each norm exactly.
-
-    ``norms_sq[j]`` tracks ``||g_j||^2`` for ``g_j = sum_i K_j(x_i, .) a_i``
-    over the terms in ``state``.  Removing the oldest term changes it by
-    ``-2 <g_j(x_i), a_i> + <K_j(x_i, x_i) a_i, a_i>``; every other term is
-    later, so this is ``-scale^2 (2 C[i, j] + Q[i, j])`` from the state's
-    cross terms.  A dropped term costs O(1) per kernel and no kernel
-    evaluation.  Norms that rounding leaves below zero are clamped;
-    returns how many were.
-    """
-    lo = i = state.start
-    while i < state.end and state._T[i] <= cutoff:
-        i += 1
-    if i == lo:
-        return 0
-    if not state.cross_terms:
-        # truncation switched on after construction
-        state.track_cross_terms()
-    s2 = state.scale * state.scale
-    for k in range(lo, i):
-        norms_sq -= s2 * (2.0 * state._C[k] + state._Q[k])
-    state.start = i
-    clips = 0
-    for j in range(len(norms_sq)):
-        if norms_sq[j] < 0.0:
-            norms_sq[j] = 0.0
-            clips += 1
-    return clips
+        ``norms_sq[j]`` tracks ``||g_j||^2`` for ``g_j = sum_i K_j(x_i, .) a_i``
+        over the stored terms.  Removing the oldest term changes it by
+        ``-2 <g_j(x_i), a_i> + <K_j(x_i, x_i) a_i, a_i>``; every other term
+        is later, so this is ``-scale^2 (2 C[i, j] + Q[i, j])``.  A dropped
+        term costs O(1) per kernel and no kernel evaluation.  Norms that
+        rounding leaves below zero are clamped; returns how many were.
+        """
+        lo = i = self.start
+        while i < self.end and self._T[i] <= cutoff:
+            i += 1
+        if i == lo:
+            return 0
+        if not self.cross_terms:
+            # truncation switched on after construction
+            self.cross_terms = True
+            self.restore(self.support, self.coeffs, self.times, self.input_dim)
+            lo, i = 0, i - lo
+        s2 = self.scale * self.scale
+        for k in range(lo, i):
+            norms_sq -= s2 * (2.0 * self._C[k] + self._Q[k])
+        self.start = i
+        clips = 0
+        for j in range(len(norms_sq)):
+            if norms_sq[j] < 0.0:
+                norms_sq[j] = 0.0
+                clips += 1
+        return clips
 
 
 def norm_recursion(prev_sq, cross, quad, decay) -> float:
@@ -355,6 +327,8 @@ class _OnlineLearner:
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
             x = state.check_input(x)
+        elif x.ndim != 2:
+            raise DimensionMismatch("query points", x.shape, "(n, p)")
         elif state.input_dim is not None and x.shape[1] != state.input_dim:
             raise DimensionMismatch("query points", x.shape[1], state.input_dim)
         gs = [state.scale * k.expansion(state.support, x, state.raw_coeffs) for k in state.kernels]
@@ -362,11 +336,10 @@ class _OnlineLearner:
 
     def step(self, x, y) -> StepResult:
         """Consume one example: predict, then update the hypothesis."""
-        x = self._state.check_input(x)
         y = np.asarray(y, dtype=float)
         if y.shape != (self.dim,):
-            raise DimensionMismatch("target vector", y.shape[-1], self.dim)
-        return self._step(x, y)
+            raise DimensionMismatch("target vector", y.shape, (self.dim,))
+        return self._step(self._state.check_input(x), y)
 
     def fit(self, xs, ys) -> list[StepResult]:
         """Run one step per row of (xs, ys) in order; returns all results."""
@@ -380,7 +353,8 @@ class _OnlineLearner:
     def restore(self, support, coeffs, times, input_dim, t, norms) -> None:
         """Resume from :meth:`to_arrays`' output, the step count and the tracked norms.
 
-        A truncated learner rebuilds its cross terms here, in one O(s^2) pass.
+        A truncated learner rebuilds its cross terms here by re-appending its
+        terms, in O(s^2).
         """
         self.t = t
         self._norms[:] = norms
@@ -428,7 +402,7 @@ class _OnlineLearner:
             # zero coefficients contribute nothing; keep the support minimal
             state.append(x, alpha / state.scale, t, rows, quads)
         if self.truncation is not None:
-            clips += drop_expired(state, norms, t - self.truncation.window(t))
+            clips += state.drop_expired(t - self.truncation.window(t), norms)
         self._after_step(clips)
         return StepResult(pred, loss_value, loss_value + risk, coeff_norm)
 

@@ -209,3 +209,54 @@ def test_generate_is_deterministic(tmp_path, capsys):
     assert a.read_text() == b.read_text()
     arr = np.loadtxt(a, delimiter=",", skiprows=1)
     assert arr.shape == (10, 22)
+
+
+# keys whose values are words, not numbers, in the check-bounds report
+TEXT_KEYS = {
+    "kappa_note", "branch", "loss", "sigma_admissible", "hypotheses_pass",
+    "holds", "truncated", "result", "c_lip",
+}
+
+
+def test_check_bounds_prints_plain_numbers(capsys):
+    code, out, _ = run_cli(stable_args(), capsys)
+    assert code == 0
+    lines = out.strip().split("\n")
+    assert not [line for line in lines if "np." in line]
+    numbers = {}
+    for line in lines:
+        key, value = line.split(" = ", 1)
+        if key not in TEXT_KEYS:
+            numbers[key] = float(value)
+    assert {"rhs", "slack", "kappa", "u", "alpha", "beta"} <= set(numbers)
+
+
+@pytest.mark.parametrize(
+    "contents, message",
+    [
+        ("a,b\n1,2\n", "structure file {path}: could not convert"),
+        ("1,0\n0\n", "structure file {path}: the number of columns changed"),
+        ("inf,0\n0,1\n", "structure matrix must be finite"),
+        ("nan,0\n0,1\n", "structure matrix must be finite"),
+        ("1,0,0\n0,1,0\n0,0,1\n", "structure matrix: dimensions differ"),
+    ],
+    ids=["text", "ragged", "inf", "nan", "wrong-shape"],
+)
+def test_bad_structure_file_exits_2(tmp_path, capsys, contents, message):
+    path = tmp_path / "J.csv"
+    path.write_text(contents)
+    code, _, err = run_cli(
+        ["train", "--set", "n_instances=20", "--set", "n_outputs=2", "--set", f"structure={path}"],
+        capsys,
+    )
+    assert code == 2
+    assert message.format(path=path) in err
+
+
+def test_overflowing_batch_ridge_exits_3(capsys):
+    code, _, err = run_cli(
+        ["train", "--set", "algorithm=batch", "--set", "n_instances=20", "--set", "lambda=1e308"],
+        capsys,
+    )
+    assert code == 3
+    assert "lambda * t overflows" in err

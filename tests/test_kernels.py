@@ -212,6 +212,20 @@ def test_structure_validation():
         SeparableGaussian(mu=1.0, dim=2, structure=np.array([[1.0, 2.0], [2.0, 1.0]]))
     with pytest.raises(DimensionMismatch):
         SeparableGaussian(mu=1.0, dim=3, structure=np.eye(2))
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ConfigError, match="must be finite"):
+            SeparableGaussian(mu=1.0, dim=2, structure=np.array([[bad, 0.0], [0.0, 1.0]]))
+
+
+def test_structure_spectrum_is_computed_once(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+    k = SeparableGaussian(mu=1.0, dim=2, structure=np.array([[1.0, 0.1], [0.1, 1.0]]))
+    xs = np.random.default_rng(19).normal(size=(10, 3))
+    assert abs(k.diag_operator_norm(xs[0]) - 1.1) <= 1e-12
+    assert abs(operator_norm_bound(k, xs) - 1.1) <= 1e-12
+    assert len(calls) == 1
 
 
 def test_parameter_validation():

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import NaiveOnlineLearner, gram_norm_sq
-from ovklearn.exceptions import ConfigError, DimensionMismatch, NumericsError
+from ovklearn.exceptions import ConfigError, DataError, DimensionMismatch, NumericsError
 from ovklearn.kernels import NonSeparablePoly, SeparableGaussian
+from ovklearn.monorma import MONORMA
 from ovklearn.losses import EpsilonInsensitive, SquaredLoss
 from ovklearn.onorma import (
     ONORMA,
@@ -238,6 +239,28 @@ def test_step_validation():
         model.step(np.ones(4), np.full(2, 0.5))  # input dim changed mid-run
     with pytest.raises(DimensionMismatch):
         model.predict(np.ones((2, 4)))
+    with pytest.raises(DimensionMismatch, match=r"\(\) vs \(2,\)"):
+        model.step(np.ones(3), 1.0)  # scalar target
+    with pytest.raises(DimensionMismatch, match=r"\(1, 2\) vs \(2,\)"):
+        model.step(np.ones(3), np.zeros((1, 2)))
+    with pytest.raises(DimensionMismatch):
+        model.predict(5.0)
+    with pytest.raises(DimensionMismatch):
+        model.predict(np.ones((1, 2, 3)))
+    # a non-finite input point is rejected before the learner changes
+    fresh = [
+        ONORMA(SeparableGaussian(mu=1.0, dim=2), lam=0.1, eta0=0.5),
+        ONORMA(NonSeparablePoly(mu=0.5, dim=2), lam=0.1, eta0=0.5),
+        MONORMA([SeparableGaussian(mu=1.0, dim=2), NonSeparablePoly(mu=0.5, dim=2)]),
+    ]
+    for learner in fresh + [model]:
+        before = (learner.t, learner.support_size, learner.to_arrays()[3])
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(DataError):
+                learner.step(np.array([bad, 0.0, 0.0]), np.full(2, 0.5))
+        assert (learner.t, learner.support_size, learner.to_arrays()[3]) == before
+        learner.step(np.full(3, 0.1), np.full(2, 0.5))
+        assert np.isfinite(learner.predict(np.full(3, 0.2))).all()
 
 
 def test_non_finite_gradient_raises():
