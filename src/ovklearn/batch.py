@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .exceptions import ConfigError, NumericsError, check_positive
+from .exceptions import ConfigError, NumericsError, check_finite, check_positive
 
 __all__ = ["BatchModel", "fit", "regularized_risk"]
 
@@ -34,7 +34,9 @@ class BatchModel:
     _gram: np.ndarray = field(repr=False, default=None)
 
     def predict(self, x) -> np.ndarray:
-        return self.kernel.expansion(self.support, np.asarray(x, dtype=float), self.coeffs)
+        x = np.asarray(x, dtype=float)
+        check_finite("query", x)
+        return self.kernel.expansion(self.support, x, self.coeffs)
 
 
 def fit(kernel, xs, ys, lam: float) -> BatchModel:

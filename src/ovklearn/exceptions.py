@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and the shared parameter check."""
+"""Exception types shared across the package, and the shared value checks."""
 
 import math
+
+import numpy as np
 
 
 class OvkError(Exception):
@@ -43,3 +45,10 @@ def check_positive(name: str, value) -> None:
     """
     if not (math.isfinite(value) and value > 0):
         raise ConfigError(f"{name} must be finite and > 0, got {value}")
+
+
+def check_finite(name: str, values) -> None:
+    """Raise DataError unless every entry of the array ``values`` is finite."""
+    if not np.all(np.isfinite(values)):
+        bad = np.count_nonzero(~np.isfinite(values))
+        raise DataError(f"non-finite {name}: {bad} of {np.size(values)} entries")

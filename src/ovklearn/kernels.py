@@ -14,6 +14,9 @@ Both are Hermitian (``K(x, x') == K(x', x).T``) and positive-definite:
 for any points ``x_k`` and vectors ``y_k``,
 ``sum_{k,l} <K(x_k, x_l) y_l, y_k> >= 0``.
 
+The kernels of one family share each support sweep (squared distances or
+inner products); see :class:`OperatorKernel`.
+
 Kernel objects are immutable and safe to share between threads.
 """
 
@@ -51,34 +54,51 @@ def _check_pair(x, x2):
 class OperatorKernel:
     """Common evaluation helpers; concrete families fill in the formulas.
 
-    Subclasses implement ``__call__`` (the d x d matrix), ``expansion``
-    (vectorised evaluation of ``sum_i K(query, support_i) @ coeffs_i``),
-    ``gram`` (the stacked td x td block matrix with block (i, j) equal to
-    ``K(x_i, x_j)``) and the per-term row methods below.
+    Subclasses implement ``__call__`` (the d x d matrix), ``gram`` (the
+    stacked td x td block matrix with block (i, j) equal to ``K(x_i, x_j)``)
+    and the row methods below, from which ``expansion`` (vectorised
+    evaluation of ``sum_i K(query, support_i) @ coeffs_i``) is built.
 
     Both families write ``K(x_i, x)`` through one scalar per support term,
-    the row ``r_i`` (Gaussian weight or inner product).  A single-query
-    expansion is ``row_expansion(row(support, x), coeffs)``, and the same
-    row gives every cross product ``<K(x_i, x) a, coeffs_i>`` through
-    ``row_cross``, so an online step sweeps its support once per kernel.
+    ``r_i`` (Gaussian weight or inner product), and every kernel of a
+    ``family`` derives it from the same family row: the squared distances
+    ``||x_i - x||^2`` or the inner products ``<x_i, x>``.  ``row`` sweeps
+    the support once for that row and ``scalars`` maps it elementwise to
+    the kernel's own ``r_i``, so a bank of kernels sweeps its support once
+    per family, not once per kernel.  ``row_expansion`` and ``row_cross``
+    read the scalars: a single-query expansion is
+    ``row_expansion(scalars(row(support, x)), coeffs)``, and the same
+    scalars give every cross product ``<K(x_i, x) a, coeffs_i>``.
     The row methods trust their arguments; ``expansion`` checks them.
     """
 
+    family: str
     dim: int
 
     def __call__(self, x, x2) -> np.ndarray:
         raise NotImplementedError
 
     def row(self, support, x) -> np.ndarray:
-        """The per-term scalars ``r_i`` of ``K(x_i, x)``, one per support row."""
+        """The family row of x over the support: (s,) for a point, (n, s) for n rows."""
+        raise NotImplementedError
+
+    def scalars(self, row, out=None) -> np.ndarray:
+        """The per-term scalars ``r_i`` of ``K(x_i, x)``, elementwise from the family row."""
         raise NotImplementedError
 
     def row_expansion(self, row, coeffs) -> np.ndarray:
-        """``sum_i K(x_i, x) coeffs_i`` from the row of x."""
+        """``sum_i K(x_i, x) coeffs_i`` from the scalars of x."""
+        raise NotImplementedError
+
+    def batch_row_expansion(self, rows, coeffs, out) -> np.ndarray:
+        """``row_expansion`` of n queries from their (n, s) family rows.
+
+        Overwrites the rows only when ``out`` is ``rows``; ``out=None`` leaves them.
+        """
         raise NotImplementedError
 
     def row_cross(self, row, coeffs, a) -> np.ndarray:
-        """``<K(x_i, x) a, coeffs_i>`` for every i, from the row of x."""
+        """``<K(x_i, x) a, coeffs_i>`` for every i, from the scalars of x."""
         raise NotImplementedError
 
     def quad(self, x, a) -> float:
@@ -95,11 +115,9 @@ class OperatorKernel:
         if query.ndim == 1:
             if query.shape[0] != support.shape[1]:
                 raise DimensionMismatch("query point", query.shape[0], support.shape[1])
-            return self.row_expansion(self.row(support, query), coeffs)
-        return self._batch_expansion(support, query, coeffs)
-
-    def _batch_expansion(self, support, queries, coeffs) -> np.ndarray:
-        raise NotImplementedError
+            return self.row_expansion(self.scalars(self.row(support, query)), coeffs)
+        rows = self.row(support, query)
+        return self.batch_row_expansion(rows, coeffs, out=rows)
 
     def gram(self, xs) -> np.ndarray:
         raise NotImplementedError
@@ -137,6 +155,8 @@ class SeparableGaussian(OperatorKernel):
     dim: int
     structure: np.ndarray = field(default=None)
 
+    family = "gaussian"
+
     def __post_init__(self):
         if not self.mu > 0:
             raise ConfigError(f"gaussian kernel requires mu > 0, got {self.mu}")
@@ -169,12 +189,23 @@ class SeparableGaussian(OperatorKernel):
         return float(np.exp(-np.dot(d, d) / self.mu)) * self.structure
 
     def row(self, support, x) -> np.ndarray:
-        # w_i = exp(-||x_i - x||^2 / mu), so K(x_i, x) = w_i J
+        # ||x_i - x||^2: the same for every mu and J
+        if x.ndim == 2:
+            return cdist(x, support, "sqeuclidean")
         diffs = support - x
-        return np.exp(-np.einsum("ij,ij->i", diffs, diffs) / self.mu)
+        return np.einsum("ij,ij->i", diffs, diffs)
+
+    def scalars(self, row, out=None) -> np.ndarray:
+        # w_i = exp(-||x_i - x||^2 / mu), so K(x_i, x) = w_i J
+        w = np.negative(row, out=out)
+        w /= self.mu
+        return np.exp(w, out=w)
 
     def row_expansion(self, row, coeffs) -> np.ndarray:
         return self.structure @ (row @ coeffs)
+
+    def batch_row_expansion(self, rows, coeffs, out) -> np.ndarray:
+        return (self.scalars(rows, out) @ coeffs) @ self.structure
 
     def row_cross(self, row, coeffs, a) -> np.ndarray:
         return row * (coeffs @ (self.structure @ a))
@@ -182,14 +213,6 @@ class SeparableGaussian(OperatorKernel):
     def quad(self, x, a) -> float:
         # exp(0) = 1, so K(x, x) == J for every x
         return float(a @ (self.structure @ a))
-
-    def _batch_expansion(self, support, queries, coeffs) -> np.ndarray:
-        # exp(-sq / mu) in place: one n x s buffer instead of three
-        w = cdist(queries, support, "sqeuclidean")
-        np.negative(w, out=w)
-        w /= self.mu
-        np.exp(w, out=w)
-        return (w @ coeffs) @ self.structure
 
     def gram(self, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
@@ -201,7 +224,7 @@ class SeparableGaussian(OperatorKernel):
 
     def to_dict(self) -> dict:
         return {
-            "family": "gaussian",
+            "family": self.family,
             "mu": self.mu,
             "dim": self.dim,
             "structure": self.structure.tolist(),
@@ -220,6 +243,8 @@ class NonSeparablePoly(OperatorKernel):
     mu: float
     dim: int
 
+    family = "poly"
+
     def __post_init__(self):
         if not 0.0 <= self.mu <= 1.0:
             raise ConfigError(f"poly kernel requires mu in [0, 1], got {self.mu}")
@@ -235,8 +260,14 @@ class NonSeparablePoly(OperatorKernel):
     # ONES @ a == sum(a) * ones, so every product below costs O(d) per term
 
     def row(self, support, x) -> np.ndarray:
-        # p_i = <x_i, x>, so K(x_i, x) = mu p_i ONES + (1 - mu) p_i^2 I
+        # p_i = <x_i, x>: the same for every mu
+        if x.ndim == 2:
+            return x @ support.T
         return support @ x
+
+    def scalars(self, row, out=None) -> np.ndarray:
+        # K(x_i, x) = mu p_i ONES + (1 - mu) p_i^2 I reads p_i itself
+        return row
 
     def row_expansion(self, row, coeffs) -> np.ndarray:
         return self.mu * float(row @ coeffs.sum(axis=1)) * np.ones(self.dim) + (
@@ -253,11 +284,10 @@ class NonSeparablePoly(OperatorKernel):
         total = float(np.sum(a))
         return self.mu * dot * total * total + (1.0 - self.mu) * dot * dot * float(a @ a)
 
-    def _batch_expansion(self, support, queries, coeffs) -> np.ndarray:
-        p = queries @ support.T
-        coupled = self.mu * (p @ coeffs.sum(axis=1))[:, None] * np.ones(self.dim)
-        p *= p  # in place: no second n x s buffer
-        return coupled + (1.0 - self.mu) * (p @ coeffs)
+    def batch_row_expansion(self, rows, coeffs, out) -> np.ndarray:
+        coupled = self.mu * (rows @ coeffs.sum(axis=1))[:, None] * np.ones(self.dim)
+        squares = np.multiply(rows, rows, out=out)
+        return coupled + (1.0 - self.mu) * (squares @ coeffs)
 
     def gram(self, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
@@ -268,7 +298,7 @@ class NonSeparablePoly(OperatorKernel):
         )
 
     def to_dict(self) -> dict:
-        return {"family": "poly", "mu": self.mu, "dim": self.dim}
+        return {"family": self.family, "mu": self.mu, "dim": self.dim}
 
 
 def operator_norm_bound(kernel: OperatorKernel, xs) -> float:

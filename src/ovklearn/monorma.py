@@ -4,9 +4,11 @@ The hypothesis is ``f_t = sum_j delta_j g_j`` where every per-kernel
 expansion ``g_j = sum_i K_j(x_i, .) a_i`` shares one coefficient
 sequence; only the kernel differs.  Each step runs the single-kernel
 learner's step over all m kernels (:class:`~ovklearn.onorma._OnlineLearner`):
-one kernel row per kernel over the s stored terms gives every g_j(x_t),
-each squared norm ``gamma_j = ||g_j||^2`` is refreshed by an O(d^2)
-recursion (no re-expansion of g_j), and the weights are then recomputed
+one sweep of the s stored terms per kernel family (the Gaussians share
+their squared distances, the poly kernels their inner products) gives
+every g_j(x_t), each squared norm ``gamma_j = ||g_j||^2`` is refreshed by
+an O(d^2) recursion (no re-expansion of g_j), and the weights are then
+recomputed
 in closed form on the constraint set ``{delta_j > 0, sum_j delta_j^r <= 1}``.
 The weight update always lands exactly on the boundary
 ``sum_j delta_j^r = 1``.
@@ -64,7 +66,9 @@ class MONORMA(_OnlineLearner):
     Parameters mirror :class:`~ovklearn.onorma.ONORMA` except that a list
     of kernels (all with the same output dimension) replaces the single
     kernel, and ``r > 0`` picks the weight constraint set.  Weights start
-    uniform on the constraint boundary, ``delta_j = m^(-1/r)``.
+    uniform on the constraint boundary, ``delta_j = m^(-1/r)``.  Kernels of
+    one family share each support sweep, so a bank of many bandwidths or
+    structure matrices costs one sweep plus O(s d) per kernel and step.
 
     Truncation is supported as an extension (off by default).  A dropped
     term leaves every g_j, and each gamma_j is downdated by the exact

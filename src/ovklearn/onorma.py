@@ -12,13 +12,14 @@ The hypothesis after t steps is the kernel expansion
 The shrink is applied lazily through a single scale factor that folds
 into the stored coefficients when it underflows, so no step rewrites the
 coefficients.  With s stored terms in R^p and outputs in R^d, a step
-computes one kernel row over the support, O(s p), which gives both the
-prediction, O(s d), and, under truncation, the new term's cross products
-with every stored term, O(s d).  The squared RKHS norm is tracked by an
-O(d^2) recursion.  Under truncation each stored term also keeps its cross
-sum with the later terms, so :meth:`_ExpansionState.drop_expired`
-downdates the norm exactly for a dropped term in O(1) per kernel, with no
-kernel evaluation.
+sweeps the support once per kernel family, O(s p) (the kernels of one
+family share their row, see :mod:`ovklearn.kernels`), which gives each
+kernel's prediction, O(s d), and, under truncation, the new term's cross
+products with every stored term, O(s d).  The squared RKHS norm is
+tracked by an O(d^2) recursion.  Under truncation each stored term also
+keeps its cross sum with the later terms, so
+:meth:`_ExpansionState.drop_expired` downdates the norm exactly for a
+dropped term in O(1) per kernel, with no kernel evaluation.
 
 :class:`ONORMA` and the multi-kernel learner in :mod:`ovklearn.monorma`
 share this step through :class:`_OnlineLearner`, which runs one
@@ -32,7 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ConfigError, DataError, DimensionMismatch, NumericsError, check_positive
+from .exceptions import ConfigError, DataError, DimensionMismatch, NumericsError
+from .exceptions import check_finite, check_positive
 from .losses import SquaredLoss
 
 __all__ = ["ONORMA", "StepResult", "TruncationSchedule", "truncation_window"]
@@ -94,10 +96,12 @@ class StepResult:
 class _ExpansionState:
     """Support points and raw coefficients with a shared lazy scale.
 
-    Every kernel in ``kernels`` reads the same terms.  :meth:`append` is
-    the only way a term comes in and :meth:`drop_expired` the only way one
-    leaves: terms are appended at the back and dropped from the front;
-    buffers grow by doubling and compact when the front offset gets large.
+    Every kernel in ``kernels`` reads the same terms, and the kernels of
+    one family read them through one shared row (:meth:`_rows`).
+    :meth:`append` is the only way a term comes in and :meth:`drop_expired`
+    the only way one leaves: terms are appended at the back and dropped
+    from the front; buffers grow by doubling and compact when the front
+    offset gets large.
     Effective coefficients are ``scale * raw``.
 
     With ``cross_terms`` on, term i also keeps, for each kernel j, the raw
@@ -114,6 +118,10 @@ class _ExpansionState:
         self.kernels = tuple(kernels)
         self.dim = self.kernels[0].dim
         self.cross_terms = cross_terms
+        families = {}
+        for j, kernel in enumerate(self.kernels):
+            families.setdefault(kernel.family, []).append((j, kernel))
+        self._families = tuple(families.values())
         self.restore((), (), (), None)
 
     def __len__(self) -> int:
@@ -150,23 +158,48 @@ class _ExpansionState:
     def times(self) -> np.ndarray:
         return self._T[self.start : self.end]
 
-    def expand(self, x):
-        """Each kernel's row over the support at x and ``g_j(x)``.
+    def _rows(self, x) -> list:
+        """Each kernel's scalars over the support at x: one ``row`` call per family."""
+        rows = [None] * len(self.kernels)
+        for family in self._families:
+            shared = family[0][1].row(self.support, x)  # the same for every member
+            for j, kernel in family:
+                rows[j] = kernel.scalars(shared)
+        return rows
 
-        One sweep of the support per kernel; the rows are kept for
+    def expand(self, x):
+        """Each kernel's scalars over the support at x and ``g_j(x)``.
+
+        One sweep of the support per family; the scalars are kept for
         :meth:`append`.  Returns ``(None, zeros)`` on an empty support.
         """
         if self.end == self.start:
             return None, [np.zeros(self.dim) for _ in self.kernels]
-        support, raw = self.support, self.raw_coeffs
-        rows = [kernel.row(support, x) for kernel in self.kernels]
+        rows, raw = self._rows(x), self.raw_coeffs
         gs = [self.scale * k.row_expansion(r, raw) for k, r in zip(self.kernels, rows)]
         return rows, gs
+
+    def expand_rows(self, queries) -> list:
+        """``g_j`` at each of the (n, p) queries: one ``row`` call per family.
+
+        The last kernel of a family overwrites the family's rows, so at most
+        two n x s arrays are alive at once.
+        """
+        if self.end == self.start:
+            return [np.zeros((len(queries), self.dim)) for _ in self.kernels]
+        gs, raw = [None] * len(self.kernels), self.raw_coeffs
+        for family in self._families:
+            *others, (last, kernel) = family
+            shared = kernel.row(self.support, queries)
+            for j, other in others:
+                gs[j] = self.scale * other.batch_row_expansion(shared, raw, None)
+            gs[last] = self.scale * kernel.batch_row_expansion(shared, raw, shared)
+        return gs
 
     def append(self, x, raw_coeff, t: int, rows=None, quads=None) -> None:
         """Store a term x with coefficient ``scale * raw_coeff``.
 
-        With cross terms on, ``rows`` are :meth:`expand`'s rows at x and
+        With cross terms on, ``rows`` are :meth:`expand`'s scalars at x and
         ``quads[j]`` is ``<K_j(x, x) a, a>`` for the effective coefficient.
         """
         if self.end == len(self._T):
@@ -220,8 +253,9 @@ class _ExpansionState:
         """Replace the terms by saved ones (effective coefficients, scale 1).
 
         Appends them in order into buffers sized for them.  With cross
-        terms on, each append gets the term's rows and quads as in a step,
-        which rebuilds C and Q in O(s^2).
+        terms on, each append gets the term's scalars and quads as in a
+        step (one ``row`` call per family and term), which rebuilds C and Q
+        in O(s^2).
         """
         n, m = len(support), len(self.kernels)
         self.input_dim = input_dim
@@ -235,7 +269,7 @@ class _ExpansionState:
         for x, a, t in zip(support, coeffs, times):
             rows = quads = None
             if self.cross_terms:
-                rows = [kernel.row(self.support, x) for kernel in self.kernels]
+                rows = self._rows(x)
                 quads = [kernel.quad(x, a) for kernel in self.kernels]
             self.append(x, a, t, rows, quads)
 
@@ -326,13 +360,13 @@ class _OnlineLearner:
         state = self._state
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
-            x = state.check_input(x)
-        elif x.ndim != 2:
+            return self._combine(state.expand(state.check_input(x))[1])
+        if x.ndim != 2:
             raise DimensionMismatch("query points", x.shape, "(n, p)")
-        elif state.input_dim is not None and x.shape[1] != state.input_dim:
+        if state.input_dim is not None and x.shape[1] != state.input_dim:
             raise DimensionMismatch("query points", x.shape[1], state.input_dim)
-        gs = [state.scale * k.expansion(state.support, x, state.raw_coeffs) for k in state.kernels]
-        return self._combine(gs)
+        check_finite("query rows", x)
+        return self._combine(state.expand_rows(x))
 
     def step(self, x, y) -> StepResult:
         """Consume one example: predict, then update the hypothesis."""
@@ -372,8 +406,7 @@ class _OnlineLearner:
 
     def _step(self, x: np.ndarray, y: np.ndarray) -> StepResult:
         state, norms = self._state, self._norms
-        self.t += 1
-        t = self.t
+        t = self.t + 1
         eta = self.learning_rate(t)
         decay = 1.0 - eta * self.lam
 
@@ -386,6 +419,7 @@ class _OnlineLearner:
         # a finite squared norm proves every entry finite; overflow alone is no error
         if not math.isfinite(alpha_sq) and not np.all(np.isfinite(grad)):
             raise NumericsError(f"non-finite loss gradient at step {t}")
+        self.t = t  # a rejected step leaves the count, and every later rate, as it was
 
         quads = [kernel.quad(x, alpha) for kernel in state.kernels]
         clips = 0

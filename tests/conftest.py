@@ -103,24 +103,26 @@ class NaiveMultiKernelLearner:
 
     Shares one coefficient sequence across kernels, multiplies it out
     explicitly each step, recomputes every ||g_j||^2 from scratch, and
-    applies the closed-form weight update written out longhand.
+    applies the closed-form weight update written out longhand.  With a
+    truncation schedule, terms older than its window are filtered out.
     """
 
-    def __init__(self, kernels, loss=None, lam=0.01, eta0=1.0, r=2.0):
+    def __init__(self, kernels, loss=None, lam=0.01, eta0=1.0, r=2.0, truncation=None):
         self.kernels = list(kernels)
         self.m = len(self.kernels)
         self.loss = loss if loss is not None else SquaredLoss()
         self.lam = lam
         self.eta0 = eta0
         self.r = r
+        self.truncation = truncation
         self.t = 0
-        self.terms = []  # [x, coeff]
+        self.terms = []  # [x, coeff, time], coeffs mutated in place
         self.delta = np.full(self.m, self.m ** (-1.0 / r))
         self.gamma = np.zeros(self.m)
 
     def g_eval(self, j, x):
         out = np.zeros(self.kernels[j].dim)
-        for xi, ai in self.terms:
+        for xi, ai, *_ in self.terms:
             out = out + self.kernels[j](xi, x) @ ai
         return out
 
@@ -139,7 +141,10 @@ class NaiveMultiKernelLearner:
         for term in self.terms:
             term[1] = decay * term[1]
         if np.linalg.norm(alpha) > 0.0:
-            self.terms.append([np.array(x, dtype=float), alpha])
+            self.terms.append([np.array(x, dtype=float), alpha, self.t])
+        if self.truncation is not None:
+            cutoff = self.t - self.truncation.window(self.t)
+            self.terms = [term for term in self.terms if term[2] > cutoff]
         xs = [term[0] for term in self.terms]
         cs = [term[1] for term in self.terms]
         self.gamma = np.array([gram_norm_sq(k, xs, cs) for k in self.kernels])

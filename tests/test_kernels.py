@@ -104,21 +104,31 @@ def test_gaussian_axioms_property(mu, seed):
 
 
 def test_row_methods_match_kernel_matrices():
-    # the online step's per-term products, checked against K(x_i, x) itself
+    # the online step's per-term products, checked against K(x_i, x) itself;
+    # the family row comes from another kernel of the family, as in a bank
     rng = np.random.default_rng(15)
     for _ in range(50):
         dim = int(rng.integers(1, 5))
         k = random_kernel(rng, dim)
+        sibling = dataclasses.replace(k, mu=k.mu / 2)
         support = rng.normal(size=(int(rng.integers(1, 8)), 3))
         coeffs = rng.normal(size=(len(support), dim))
         x, a = rng.normal(size=3), rng.normal(size=dim)
-        row = k.row(support, x)
+        row = k.scalars(sibling.row(support, x))
         expansion = sum(k(xi, x) @ ci for xi, ci in zip(support, coeffs))
         cross = [float(ci @ (k(xi, x) @ a)) for xi, ci in zip(support, coeffs)]
         assert np.allclose(k.row_expansion(row, coeffs), expansion, rtol=1e-12, atol=1e-12)
         assert np.allclose(k.row_cross(row, coeffs, a), cross, rtol=1e-12, atol=1e-12)
         quad = float(a @ (k(x, x) @ a))
         assert abs(k.quad(x, a) - quad) <= 1e-12 * max(1.0, abs(quad))
+
+        queries = rng.normal(size=(3, 3))
+        rows = sibling.row(support, queries)
+        kept = rows.copy()
+        batch = k.batch_row_expansion(rows, coeffs, None)
+        assert np.array_equal(rows, kept)  # out=None leaves the shared rows intact
+        naive = [sum(k(xi, q) @ ci for xi, ci in zip(support, coeffs)) for q in queries]
+        assert np.allclose(batch, naive, rtol=1e-12, atol=1e-12)
 
 
 def test_expansion_matches_naive_sum():

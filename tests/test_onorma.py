@@ -422,3 +422,89 @@ def test_lazy_scale_folds_on_an_empty_support():
     assert model.support_size == 0
     assert model._state.scale >= 1e-6
 
+
+def test_same_family_bank_sweeps_once_per_step_predict_and_replay(monkeypatch, tmp_path):
+    from ovklearn.checkpoint import load_model, save_model
+
+    J = np.array([[1.0, 0.3], [0.3, 0.5]])
+    banks = [
+        [
+            SeparableGaussian(mu=0.5, dim=2),
+            SeparableGaussian(mu=1.0, dim=2, structure=J),
+            SeparableGaussian(mu=2.0, dim=2, structure=np.eye(2)),
+            SeparableGaussian(mu=4.0, dim=2),
+        ],
+        [NonSeparablePoly(mu=mu, dim=2) for mu in (0.1, 0.5, 0.9)],
+    ]
+    xs, ys = stream(46, 60, d=2)
+    counter = RowCounter(monkeypatch, SeparableGaussian, NonSeparablePoly)
+    for kernels in banks:
+        for truncation in (None, TruncationSchedule(t0=10, epsilon=0.25)):
+            model = MONORMA(kernels, lam=0.1, eta0=0.5, truncation=truncation)
+            for x, y in zip(xs, ys):
+                before_rows, before_size = counter.calls, model.support_size
+                model.step(x, y)
+                assert counter.calls - before_rows == (1 if before_size else 0)
+            for queries in (xs[:7], xs[0]):
+                before_rows = counter.calls
+                model.predict(queries)
+                assert counter.calls - before_rows == 1
+
+            save_model(tmp_path / "bank.npz", model)
+            before_rows = counter.calls
+            back = load_model(tmp_path / "bank.npz")
+            # a truncated restore replays each term's row; a plain one needs none
+            assert counter.calls - before_rows == (model.support_size if truncation else 0)
+            assert np.allclose(back.predict(xs[:7]), model.predict(xs[:7]), rtol=1e-12, atol=0)
+
+
+def test_rejected_step_leaves_the_step_count():
+    def learners():
+        return [
+            ONORMA(SeparableGaussian(mu=1.0, dim=2), lam=0.1, eta0=0.5),
+            MONORMA(
+                [SeparableGaussian(mu=1.0, dim=2), NonSeparablePoly(mu=0.4, dim=2)],
+                lam=0.1,
+                eta0=0.5,
+                truncation=TruncationSchedule(t0=3, epsilon=0.25),
+            ),
+        ]
+
+    xs, ys = stream(47, 8, p=3, d=2)
+    for model, clean in zip(learners(), learners()):
+        model.step(np.ones(3), np.ones(2))
+        clean.step(np.ones(3), np.ones(2))
+        with pytest.raises(NumericsError, match="step 2"):
+            model.step(np.ones(3), np.array([np.inf, 0.0]))
+        assert model.t == 1 and model.support_size == 1
+        for x, y in zip(xs, ys):
+            got, want = model.step(x, y), clean.step(x, y)
+            assert np.array_equal(got.prediction, want.prediction)
+            assert got.instantaneous_risk == want.instantaneous_risk
+        assert model.t == clean.t == 9
+        assert np.array_equal(model._norms, clean._norms)
+        assert np.array_equal(model._state.coeffs, clean._state.coeffs)
+        assert np.array_equal(model.predict(xs), clean.predict(xs))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_query_rows_raise_before_kernel_work(monkeypatch, bad):
+    from ovklearn.batch import fit
+
+    kernels = [SeparableGaussian(mu=1.0, dim=2), NonSeparablePoly(mu=0.4, dim=2)]
+    xs, ys = stream(48, 12, p=3, d=2)
+    trained = [ONORMA(kernels[0], lam=0.1, eta0=0.5), MONORMA(kernels, lam=0.1, eta0=0.5)]
+    for model in trained:
+        model.fit(xs, ys)
+    fresh = [ONORMA(kernels[1], lam=0.1, eta0=0.5), MONORMA(kernels, lam=0.1, eta0=0.5)]
+    batch = fit(kernels[1], xs, ys, 0.1)
+    queries = xs[:4].copy()
+    queries[2, 1] = bad
+    counter = RowCounter(monkeypatch, SeparableGaussian, NonSeparablePoly)
+    for model in trained + fresh + [batch]:
+        with pytest.raises(DataError, match="non-finite"):
+            model.predict(queries)
+    with pytest.raises(DataError, match="non-finite"):
+        batch.predict(queries[2])
+    assert counter.calls == 0
+    assert all(model.t == 12 for model in trained)

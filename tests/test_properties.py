@@ -3,8 +3,10 @@
 Property 1: along a random stream, every tracked norm equals the naive
 Gram oracle, and a checkpoint taken at a random step restores the same
 terms; a truncated learner rebuilds the same cross sums by re-appending
-them.  Property 4: no ``--set`` value makes the CLI end other than with
-exit 0, 2 or 3.
+them.  Property 2: over random kernel banks, the weights stay on the
+boundary ``sum_j delta_j^r = 1`` after every step, and the predictions and
+per-kernel norms equal the naive multi-kernel learner's.  Property 4: no
+``--set`` value makes the CLI end other than with exit 0, 2 or 3.
 """
 
 import contextlib
@@ -15,10 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import gram_norm_sq
+from conftest import NaiveMultiKernelLearner, gram_norm_sq
 from ovklearn.checkpoint import load_model, save_model
 from ovklearn.cli import main
-from ovklearn.kernels import NonSeparablePoly, SeparableGaussian
+from ovklearn.kernels import NonSeparablePoly, SeparableGaussian, default_structure
 from ovklearn.monorma import MONORMA
 from ovklearn.onorma import ONORMA, TruncationSchedule
 
@@ -90,6 +92,65 @@ def test_tracked_norms_and_restore(
     assert close(tracked(back), tracked(live), 1e-12)
     if truncated and n > t0:
         assert live.support_size <= live.truncation.window(n)
+
+
+# a kernel of a bank: family, bandwidth or mix, and (Gaussian) structure matrix
+BANK_KERNEL = st.one_of(
+    st.tuples(
+        st.just("gaussian"),
+        st.floats(0.1, 8.0),
+        st.sampled_from(["default", "identity", "random"]),
+    ),
+    st.tuples(st.just("poly"), st.floats(0.0, 1.0), st.none()),
+)
+
+
+def bank_kernel(spec, d, rng):
+    family, mu, structure = spec
+    if family == "poly":
+        return NonSeparablePoly(mu=mu, dim=d)
+    if structure == "random":
+        a = rng.normal(size=(d, d))
+        J = a @ a.T / d
+        J = (J + J.T) / 2
+    else:
+        J = default_structure(d) if structure == "default" else np.eye(d)
+    return SeparableGaussian(mu=mu, dim=d, structure=J)
+
+
+@pytest.mark.parametrize("truncated", [False, True], ids=["plain", "truncated"])
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    specs=st.lists(BANK_KERNEL, min_size=1, max_size=6),
+    r=st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+    n=st.integers(5, 20),
+    t0=st.integers(2, 6),
+    p=st.integers(1, 4),
+    d=st.integers(1, 3),
+)
+def test_bank_weights_stay_on_the_simplex_and_match_the_oracle(
+    truncated, seed, specs, r, n, t0, p, d
+):
+    rng = np.random.default_rng(seed)
+    kernels = [bank_kernel(spec, d, rng) for spec in specs]
+    xs = rng.uniform(-1.0, 1.0, size=(n, p))
+    ys = rng.normal(size=(n, d))
+    queries = rng.uniform(-1.0, 1.0, size=(4, p))
+    truncation = TruncationSchedule(t0=t0, epsilon=0.25) if truncated else None
+    model = MONORMA(kernels, lam=0.1, eta0=0.5, r=r, truncation=truncation)
+    naive = NaiveMultiKernelLearner(kernels, lam=0.1, eta0=0.5, r=r, truncation=truncation)
+    for x, y in zip(xs, ys):
+        assert close(model.step(x, y).prediction, naive.step(x, y), 1e-10)
+        assert abs(float(np.sum(model.delta**r)) - 1.0) <= 1e-12
+        assert close(model.gamma, naive.gamma, 1e-10)
+        assert model.support_size == len(naive.terms)
+    state = model._state
+    oracle = [gram_norm_sq(k, list(state.support), list(state.coeffs)) for k in kernels]
+    assert close(model.gamma, np.array(oracle), 1e-10)
+    want = np.array([naive.predict(q) for q in queries])
+    assert close(model.predict(queries), want, 1e-10)
+    assert close(np.array([model.predict(q) for q in queries]), want, 1e-10)
 
 
 # documented config keys: values in range, then values at or beyond their
