@@ -2,10 +2,13 @@
 """Online learner versus the batch ridge solve, head to head.
 
 For growing stream lengths, fits the batch regularized-least-squares
-model (one dense block-Gram solve) and runs the online learner over the
-same examples, then compares held-out MSE and wall time.  The online
-pass trades a little accuracy for a much flatter cost curve: the solve
-is cubic in the number of examples, one online sweep is quadratic.
+model and runs the online learner over the same examples, then compares
+held-out MSE and wall time.  The kernel is a separable Gaussian, so the
+batch fit solves d = 4 independent t x t Cholesky systems in the structure
+matrix's eigenbasis (d t^3 / 3 flops) rather than one dense td x td system
+((td)^3 / 3).  The online pass trades a little accuracy for a much flatter
+cost curve: the solve is cubic in the number of examples, one online sweep
+is quadratic.
 """
 
 import time

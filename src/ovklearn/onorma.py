@@ -134,12 +134,14 @@ class _ExpansionState:
         # a finite squared norm proves every entry finite; overflow alone is no error
         if not math.isfinite(x @ x) and not np.all(np.isfinite(x)):
             raise DataError(f"non-finite input point {x}")
-        if self.input_dim is None:
-            self.input_dim = x.shape[0]
-            self._X = np.empty((0, self.input_dim))
-        elif x.shape[0] != self.input_dim:
+        if self.input_dim is not None and x.shape[0] != self.input_dim:
             raise DimensionMismatch("input point", x.shape[0], self.input_dim)
         return x
+
+    def fix_width(self, p: int) -> None:
+        """Set the input width of an empty state; the first committed step calls this."""
+        self.input_dim = p
+        self._X = np.empty((0, p))
 
     @property
     def support(self) -> np.ndarray:
@@ -419,7 +421,10 @@ class _OnlineLearner:
         # a finite squared norm proves every entry finite; overflow alone is no error
         if not math.isfinite(alpha_sq) and not np.all(np.isfinite(grad)):
             raise NumericsError(f"non-finite loss gradient at step {t}")
-        self.t = t  # a rejected step leaves the count, and every later rate, as it was
+        # a rejected step leaves the count, every later rate and the input width as they were
+        self.t = t
+        if state.input_dim is None:
+            state.fix_width(x.shape[0])
 
         quads = [kernel.quad(x, alpha) for kernel in state.kernels]
         clips = 0

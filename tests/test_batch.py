@@ -8,14 +8,41 @@ from ovklearn.kernels import NonSeparablePoly, SeparableGaussian
 from ovklearn.onorma import ONORMA
 
 
-def random_problem(rng, t_max=60, d_max=4):
-    t = int(rng.integers(1, t_max + 1))
-    d = int(rng.integers(1, d_max + 1))
+# structure matrices J of the Gaussian draws; "ones" has d - 1 zero eigenvalues
+STRUCTURES = ("default", "identity", "ones", "psd", "rank-deficient")
+# every structure, both families at t = 1 and d = 1, and one larger separable solve
+EDGE_CASES = (
+    [{"kind": s} for s in STRUCTURES]
+    + [{"kind": k, "t": 1} for k in ("poly", "ones")]
+    + [{"kind": k, "d": 1} for k in ("poly", "psd", "rank-deficient")]
+    + [{"kind": "psd", "t": 200}]
+)
+
+
+def random_structure(rng, kind, d):
+    if kind == "default":
+        return None
+    if kind == "identity":
+        return np.eye(d)
+    if kind == "ones":
+        return np.ones((d, d))
+    rank = d if kind == "psd" else int(rng.integers(0, d))
+    factor = rng.normal(size=(d, rank))
+    return factor @ factor.T
+
+
+def random_problem(rng, t_max=60, d_max=4, t=None, d=None, kind=None):
+    """A random ridge problem; ``kind`` is "poly" or a Gaussian's structure, None a random one."""
+    t = int(rng.integers(1, t_max + 1)) if t is None else t
+    d = int(rng.integers(1, d_max + 1)) if d is None else d
     p = int(rng.integers(2, 6))
-    if rng.uniform() < 0.5:
-        kernel = SeparableGaussian(mu=float(rng.uniform(0.5, 4.0)), dim=d)
-    else:
+    if kind is None:
+        kind = "poly" if rng.uniform() < 0.5 else STRUCTURES[rng.integers(len(STRUCTURES))]
+    if kind == "poly":
         kernel = NonSeparablePoly(mu=float(rng.uniform(0.0, 1.0)), dim=d)
+    else:
+        J = random_structure(rng, kind, d)
+        kernel = SeparableGaussian(mu=float(rng.uniform(0.5, 4.0)), dim=d, structure=J)
     xs = rng.uniform(0.0, 1.0, size=(t, p))
     ys = rng.normal(size=(t, d))
     lam = float(rng.uniform(1e-3, 10.0))
@@ -34,8 +61,8 @@ def test_single_point_identity_structure_closed_form():
 
 def test_residuals_on_random_systems():
     rng = np.random.default_rng(61)
-    for _ in range(20):
-        kernel, xs, ys, lam = random_problem(rng)
+    for case in EDGE_CASES + [{}] * 20:
+        kernel, xs, ys, lam = random_problem(rng, **case)
         model = fit(kernel, xs, ys, lam)
         t = len(xs)
         gram = block_gram(kernel, xs)  # independent assembly
@@ -47,8 +74,8 @@ def test_residuals_on_random_systems():
 
 def test_matches_independent_dense_solver():
     rng = np.random.default_rng(62)
-    for _ in range(10):
-        kernel, xs, ys, lam = random_problem(rng, t_max=25)
+    for case in EDGE_CASES + [{}] * 10:
+        kernel, xs, ys, lam = random_problem(rng, t_max=25, **case)
         model = fit(kernel, xs, ys, lam)
         t, d = ys.shape
         system = block_gram(kernel, xs) + lam * t * np.eye(t * d)
@@ -166,3 +193,40 @@ def test_singular_system_raises_numerics_error():
     ys = np.array([[1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(NumericsError):
         fit(kernel, xs, ys, 1e-300)
+
+
+def test_gaussian_fit_never_forms_the_block_gram(monkeypatch):
+    def refuse(self, xs):
+        raise AssertionError("a Gaussian fit formed the td x td block Gram")
+
+    rng = np.random.default_rng(71)
+    kernel = SeparableGaussian(mu=1.5, dim=3)
+    xs = rng.uniform(size=(30, 4))
+    ys = rng.normal(size=(30, 3))
+    lam = 0.2
+    monkeypatch.setattr(SeparableGaussian, "gram", refuse)
+    model = fit(kernel, xs, ys, lam)
+    risk = regularized_risk(model, xs, ys)
+    gram = block_gram(kernel, xs)
+    a = model.coeffs.ravel()
+    residuals = (gram @ a).reshape(ys.shape) - ys
+    norm_sq = float(a @ (gram @ a))
+    oracle = 0.5 * float(np.mean(np.sum(residuals**2, axis=1))) + 0.5 * lam * norm_sq
+    assert abs(model.norm_sq - norm_sq) <= 1e-9 * norm_sq
+    assert abs(risk - oracle) <= 1e-9 * oracle
+
+
+@pytest.mark.parametrize(
+    "kernel", [SeparableGaussian(mu=1.0, dim=2), NonSeparablePoly(mu=0.3, dim=2)]
+)
+def test_jittered_retry_solves_a_singular_consistent_system(kernel):
+    # a duplicated input with a duplicated target: the Gram is singular but
+    # the targets lie in its range, so the first factor fails and the
+    # jittered one solves the unjittered system to the residual tolerance
+    xs = np.array([[1.0, 2.0], [1.0, 2.0], [0.0, 1.0]])
+    ys = np.array([[1.0, 0.5], [1.0, 0.5], [-1.0, 2.0]])
+    model = fit(kernel, xs, ys, 1e-300)
+    gram = block_gram(kernel, xs)
+    a = model.coeffs.ravel()
+    assert np.linalg.norm(gram @ a - ys.ravel()) <= 1e-8 * np.linalg.norm(ys)
+    assert np.allclose(model.coeffs[0], model.coeffs[1], rtol=1e-5)

@@ -156,6 +156,16 @@ def test_check_bounds_pass(capsys):
     assert "result = bound holds" in out
 
 
+def test_check_bounds_at_a_thousand_training_rows(capsys):
+    # the guarantee's batch reference is then a t = 1000, d = 4 Gaussian fit
+    code, out, _ = run_cli(
+        ["check-bounds", "--config", BOUND_CONFIG, "--set", "n_instances=2000"], capsys
+    )
+    assert code == 0
+    assert "m = 1000" in out
+    assert "result = bound holds" in out
+
+
 def test_check_bounds_hypothesis_failure(capsys):
     code, out, _ = run_cli(stable_args(["--set", "lambda=0.01"]), capsys)
     assert code == 3

@@ -486,6 +486,19 @@ def test_rejected_step_leaves_the_step_count():
         assert np.array_equal(model._state.coeffs, clean._state.coeffs)
         assert np.array_equal(model.predict(xs), clean.predict(xs))
 
+    # a rejected first step fixes no input width; a committed one does, even
+    # with a zero coefficient and so no stored term
+    for model in learners():
+        with pytest.raises(NumericsError, match="step 1"):
+            model.step(np.ones(3), np.array([np.inf, 0.0]))
+        assert model.t == 0 and model.to_arrays()[3] is None
+        model.step(np.ones(4), np.zeros(2))
+        assert model.support_size == 0 and model.to_arrays()[0].shape == (0, 4)
+        with pytest.raises(DimensionMismatch):
+            model.step(np.ones(3), np.ones(2))
+        model.step(np.ones(4), np.array([1.0, 0.0]))
+        assert model.t == 2 and model.support_size == 1
+
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_nonfinite_query_rows_raise_before_kernel_work(monkeypatch, bad):
