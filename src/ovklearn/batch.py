@@ -14,40 +14,58 @@ Gram matrix.  Which solve runs depends on the kernel:
   system by one Cholesky: (td)^3 / 3 flops and O((td)^2) memory.
 
 Both check the relative residual in the original basis and retry a failed
-factor once with the same diagonal jitter.  This baseline exists to verify
-bounds and accuracy at desk scale, not to scale.
+factor once with the same diagonal jitter.  The fitted model predicts
+through the online learners' expansion state, so its queries are checked
+and evaluated as theirs are.  This baseline exists to verify bounds and
+accuracy at desk scale, not to scale.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .exceptions import ConfigError, NumericsError, check_finite, check_positive
+from .exceptions import ConfigError, DimensionMismatch, NumericsError
+from .exceptions import check_examples, check_positive
+from .onorma import _ExpansionState
 
 __all__ = ["BatchModel", "fit", "regularized_risk"]
 
 _RESIDUAL_TOL = 1e-8
 
 
-@dataclass
+@dataclass(frozen=True)
 class BatchModel:
-    """Fitted expansion: support inputs, one coefficient vector each."""
+    """Fitted expansion: support inputs, one coefficient vector each.
+
+    ``predict`` reads a one-kernel :class:`~ovklearn.onorma._ExpansionState`
+    built at construction from ``support`` and ``coeffs``; the fields are
+    frozen so that a checkpoint always holds the terms ``predict`` reads.
+    """
 
     kernel: object
     support: np.ndarray
     coeffs: np.ndarray
     lam: float
     norm_sq: float
-    _gram: np.ndarray = field(repr=False, default=None)
+
+    def __post_init__(self):
+        support = np.asarray(self.support, dtype=float)
+        coeffs = np.asarray(self.coeffs, dtype=float)
+        t, d = len(support), self.kernel.dim
+        if support.ndim != 2 or coeffs.shape != (t, d):
+            shapes = (support.shape, coeffs.shape)
+            raise DimensionMismatch("support, coeffs", shapes, f"(t, p), (t, {d})")
+        state = _ExpansionState([self.kernel])
+        state.restore(support, coeffs, range(1, t + 1), support.shape[1])
+        object.__setattr__(self, "_state", state)
 
     def predict(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        check_finite("query", x)
-        return self.kernel.expansion(self.support, x, self.coeffs)
+        """h at x (one point or a batch of rows)."""
+        return self._state.evaluate(x)[0]
 
 
 def fit(kernel, xs, ys, lam: float) -> BatchModel:
@@ -56,28 +74,22 @@ def fit(kernel, xs, ys, lam: float) -> BatchModel:
     Raises :class:`NumericsError` when the (jittered) system cannot be
     solved to a relative residual of 1e-8.
     """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
+    xs, ys = check_examples(xs, ys, kernel.dim)
     t = len(xs)
     if t < 1:
         raise ConfigError("batch fit needs at least one example")
     check_positive("lambda", lam)
-    if len(ys) != t:
-        raise ConfigError(f"inputs/targets length mismatch: {t} vs {len(ys)}")
 
     ridge = lam * t
     if not math.isfinite(ridge):
         raise NumericsError(f"lambda * t overflows: {lam!r} * {t}")
-    if kernel.family == "gaussian":
-        coeffs, norm_sq = _separable_solve(kernel, xs, ys, ridge)
-        gram = None
-    else:
-        coeffs, norm_sq, gram = _dense_solve(kernel, xs, ys, ridge)
-    return BatchModel(kernel, xs, coeffs, lam, norm_sq, _gram=gram)
+    solve = _separable_solve if kernel.family == "gaussian" else _dense_solve
+    coeffs, norm_sq = solve(kernel, xs, ys, ridge)
+    return BatchModel(kernel, xs, coeffs, lam, norm_sq)
 
 
 def _dense_solve(kernel, xs, ys, ridge):
-    """Coefficients, ``||h||^2`` and the block Gram from one td x td Cholesky."""
+    """Coefficients and ``||h||^2`` from one td x td Cholesky."""
     t, d = len(xs), kernel.dim
     gram = kernel.gram(xs)
     y = ys.ravel()
@@ -94,7 +106,7 @@ def _dense_solve(kernel, xs, ys, ridge):
 
     a = _solve_or_jitter(solve, 1e-10 * np.trace(gram) / (t * d), cond)
     _check_residual(float(np.linalg.norm(system @ a - y)), y, cond)
-    return a.reshape(t, d), float(a @ (gram @ a)), gram
+    return a.reshape(t, d), float(a @ (gram @ a))
 
 
 def _separable_solve(kernel, xs, ys, ridge):
@@ -169,8 +181,7 @@ def regularized_risk(model: BatchModel, xs, ys) -> float:
 
     ``(1/n) sum_i ||h(x_i) - y_i||^2 / 2 + (lambda/2) ||h||^2``.
     """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
+    xs, ys = check_examples(xs, ys, model.kernel.dim)
     residuals = model.predict(xs) - ys
     data_term = 0.5 * float(np.mean(np.einsum("ij,ij->i", residuals, residuals)))
     return data_term + 0.5 * model.lam * model.norm_sq

@@ -52,3 +52,22 @@ def check_finite(name: str, values) -> None:
     if not np.all(np.isfinite(values)):
         bad = np.count_nonzero(~np.isfinite(values))
         raise DataError(f"non-finite {name}: {bad} of {np.size(values)} entries")
+
+
+def check_examples(xs, ys, dim: int):
+    """``(xs, ys)`` as float arrays once they are (t, p) and (t, dim) and finite.
+
+    Raises DimensionMismatch for a wrong shape, ConfigError for unequal
+    lengths and DataError for a non-finite entry.
+    """
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    if xs.ndim != 2:
+        raise DimensionMismatch("input rows", xs.shape, "(t, p)")
+    if ys.shape[1:] != (dim,):
+        raise DimensionMismatch("target rows", ys.shape, f"(t, {dim})")
+    if len(xs) != len(ys):
+        raise ConfigError(f"inputs/targets length mismatch: {len(xs)} vs {len(ys)}")
+    check_finite("inputs", xs)
+    check_finite("targets", ys)
+    return xs, ys

@@ -15,7 +15,9 @@ for any points ``x_k`` and vectors ``y_k``,
 ``sum_{k,l} <K(x_k, x_l) y_l, y_k> >= 0``.
 
 The kernels of one family share each support sweep (squared distances or
-inner products); see :class:`OperatorKernel`.
+inner products); see :class:`OperatorKernel`.  A kernel evaluates no
+expansion itself: every model, online or batch, sums ``K(x_i, x) c_i``
+through the per-term methods in one place, ``onorma._ExpansionState``.
 
 Kernel objects are immutable and safe to share between threads.
 """
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .exceptions import ConfigError, DimensionMismatch
+from .exceptions import ConfigError, DimensionMismatch, check_positive
 
 __all__ = [
     "SeparableGaussian",
@@ -56,8 +58,8 @@ class OperatorKernel:
 
     Subclasses implement ``__call__`` (the d x d matrix), ``gram`` (the
     stacked td x td block matrix with block (i, j) equal to ``K(x_i, x_j)``)
-    and the row methods below, from which ``expansion`` (vectorised
-    evaluation of ``sum_i K(query, support_i) @ coeffs_i``) is built.
+    and the row methods below, from which every model evaluates its
+    expansion ``sum_i K(x_i, x) coeffs_i``.
 
     Both families write ``K(x_i, x)`` through one scalar per support term,
     ``r_i`` (Gaussian weight or inner product), and every kernel of a
@@ -69,7 +71,8 @@ class OperatorKernel:
     read the scalars: a single-query expansion is
     ``row_expansion(scalars(row(support, x)), coeffs)``, and the same
     scalars give every cross product ``<K(x_i, x) a, coeffs_i>``.
-    The row methods trust their arguments; ``expansion`` checks them.
+    The row methods trust their arguments; the caller, the expansion state
+    of :mod:`ovklearn.onorma`, checks them.
     """
 
     family: str
@@ -105,32 +108,12 @@ class OperatorKernel:
         """``<K(x, x) a, a>`` without forming the d x d matrix."""
         raise NotImplementedError
 
-    def expansion(self, support, query, coeffs) -> np.ndarray:
-        support = np.asarray(support, dtype=float)
-        coeffs = self._check_coeff(coeffs)
-        query = np.asarray(query, dtype=float)
-        if len(support) == 0:
-            shape = (self.dim,) if query.ndim == 1 else (len(query), self.dim)
-            return np.zeros(shape)
-        if query.ndim == 1:
-            if query.shape[0] != support.shape[1]:
-                raise DimensionMismatch("query point", query.shape[0], support.shape[1])
-            return self.row_expansion(self.scalars(self.row(support, query)), coeffs)
-        rows = self.row(support, query)
-        return self.batch_row_expansion(rows, coeffs, out=rows)
-
     def gram(self, xs) -> np.ndarray:
         raise NotImplementedError
 
     def diag_operator_norm(self, x) -> float:
         """Spectral norm of K(x, x)."""
         return float(np.max(np.abs(np.linalg.eigvalsh(self(x, x)))))
-
-    def _check_coeff(self, a) -> np.ndarray:
-        a = np.asarray(a, dtype=float)
-        if a.shape[-1] != self.dim:
-            raise DimensionMismatch("coefficient vector", a.shape[-1], self.dim)
-        return a
 
     def to_dict(self) -> dict:
         raise NotImplementedError
@@ -163,8 +146,7 @@ class SeparableGaussian(OperatorKernel):
     family = "gaussian"
 
     def __post_init__(self):
-        if not self.mu > 0:
-            raise ConfigError(f"gaussian kernel requires mu > 0, got {self.mu}")
+        check_positive("gaussian kernel mu", self.mu)
         if self.dim < 1:
             raise ConfigError(f"output dimension must be >= 1, got {self.dim}")
         J = self.structure

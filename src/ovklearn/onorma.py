@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConfigError, DataError, DimensionMismatch, NumericsError
-from .exceptions import check_finite, check_positive
+from .exceptions import check_examples, check_finite, check_positive
 from .losses import SquaredLoss
 
 __all__ = ["ONORMA", "StepResult", "TruncationSchedule", "truncation_window"]
@@ -180,6 +180,23 @@ class _ExpansionState:
         rows, raw = self._rows(x), self.raw_coeffs
         gs = [self.scale * k.row_expansion(r, raw) for k, r in zip(self.kernels, rows)]
         return rows, gs
+
+    def evaluate(self, x) -> list:
+        """Each kernel's ``g_j`` at one point or at each of n rows; zeros on an empty support.
+
+        The one query path of every model: checks the shape, the input
+        width once it is fixed and finiteness, then runs :meth:`expand` or
+        :meth:`expand_rows`.
+        """
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 1:
+            return self.expand(self.check_input(x))[1]
+        if x.ndim != 2:
+            raise DimensionMismatch("query points", x.shape, "(n, p)")
+        if self.input_dim is not None and x.shape[1] != self.input_dim:
+            raise DimensionMismatch("query points", x.shape[1], self.input_dim)
+        check_finite("query rows", x)
+        return self.expand_rows(x)
 
     def expand_rows(self, queries) -> list:
         """``g_j`` at each of the (n, p) queries: one ``row`` call per family.
@@ -359,16 +376,7 @@ class _OnlineLearner:
 
     def predict(self, x) -> np.ndarray:
         """f_t at x (one point or a batch of rows); zero before any step."""
-        state = self._state
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return self._combine(state.expand(state.check_input(x))[1])
-        if x.ndim != 2:
-            raise DimensionMismatch("query points", x.shape, "(n, p)")
-        if state.input_dim is not None and x.shape[1] != state.input_dim:
-            raise DimensionMismatch("query points", x.shape[1], state.input_dim)
-        check_finite("query rows", x)
-        return self._combine(state.expand_rows(x))
+        return self._combine(self._state.evaluate(x))
 
     def step(self, x, y) -> StepResult:
         """Consume one example: predict, then update the hypothesis."""
@@ -378,8 +386,12 @@ class _OnlineLearner:
         return self._step(self._state.check_input(x), y)
 
     def fit(self, xs, ys) -> list[StepResult]:
-        """Run one step per row of (xs, ys) in order; returns all results."""
-        return [self.step(x, y) for x, y in zip(np.asarray(xs), np.asarray(ys))]
+        """Run one step per row of (xs, ys) in order; returns all results.
+
+        Shapes, lengths and finiteness are checked before the first step.
+        """
+        xs, ys = check_examples(xs, ys, self.dim)
+        return [self.step(x, y) for x, y in zip(xs, ys)]
 
     def to_arrays(self):
         """Copies of the support, effective coefficients and times, and the input width."""

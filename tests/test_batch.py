@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import block_gram
 from ovklearn.batch import BatchModel, fit, regularized_risk
-from ovklearn.exceptions import ConfigError, NumericsError
+from ovklearn.exceptions import ConfigError, DataError, DimensionMismatch, NumericsError
 from ovklearn.kernels import NonSeparablePoly, SeparableGaussian
 from ovklearn.onorma import ONORMA
 
@@ -183,6 +185,30 @@ def test_validation_errors():
             fit(kernel, xs, ys, lam)
     with pytest.raises(ConfigError):
         fit(kernel, xs, ys[:2], 0.1)
+    # wrong shapes are DimensionMismatch and non-finite entries DataError
+    x4, y4 = np.ones((4, 2)), np.ones((4, 2))
+    for bad_xs in (np.ones(4), np.ones((4, 2, 1))):
+        with pytest.raises(DimensionMismatch):
+            fit(kernel, bad_xs, y4, 0.1)
+    for bad_ys in (np.ones((4, 3)), np.ones(4), np.ones((4, 1))):
+        with pytest.raises(DimensionMismatch):
+            fit(kernel, x4, bad_ys, 0.1)
+    for bad in (np.nan, np.inf):
+        bad_xs, bad_ys = x4.copy(), y4.copy()
+        bad_xs[1, 0] = bad_ys[2, 1] = bad
+        with pytest.raises(DataError, match="non-finite inputs"):
+            fit(kernel, bad_xs, y4, 0.1)
+        with pytest.raises(DataError, match="non-finite targets"):
+            fit(kernel, x4, bad_ys, 0.1)
+    # the risk checks its examples as a fit does, instead of broadcasting them
+    model = fit(kernel, x4, y4, 0.1)
+    with pytest.raises(DimensionMismatch):
+        regularized_risk(model, x4, y4[:, :1])
+    with pytest.raises(ConfigError):
+        regularized_risk(model, x4, y4[:1])
+    # predict reads the terms given at construction, so they cannot be swapped
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        model.coeffs = np.zeros((4, 2))
 
 
 def test_singular_system_raises_numerics_error():

@@ -99,6 +99,12 @@ def test_non_finite_epsilon_exits_2(capsys):
     assert "bad epsilon in loss spec 'eps(nan)'" in err
 
 
+def test_infinite_gaussian_bandwidth_exits_2(capsys):
+    code, _, err = run_cli(["train", "--set", "kernel=gaussian(mu=1e400)"], capsys)
+    assert code == 2
+    assert "gaussian kernel mu must be finite and > 0, got inf" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -239,6 +245,18 @@ def test_check_bounds_prints_plain_numbers(capsys):
         if key not in TEXT_KEYS:
             numbers[key] = float(value)
     assert {"rhs", "slack", "kappa", "u", "alpha", "beta"} <= set(numbers)
+    # the guarantee's numbers on the shipped config, pinned
+    code, out, _ = run_cli(["check-bounds", "--config", BOUND_CONFIG], capsys)
+    assert code == 0
+    pinned = {
+        "lhs_mean_inst_risk": 0.6343758257167997,
+        "batch_risk": 0.6215416241188464,
+        "rhs": 4.804143869371358,
+        "slack": 4.1697680436545586,
+    }
+    values = dict(line.split(" = ", 1) for line in out.strip().split("\n"))
+    for key, expected in pinned.items():
+        assert float(values[key]) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import block_gram, power_iteration_norm
+from ovklearn.batch import BatchModel
 from ovklearn.exceptions import ConfigError, DimensionMismatch
 from ovklearn.kernels import (
     NonSeparablePoly,
@@ -143,21 +144,21 @@ def test_expansion_matches_naive_sum():
         naive = np.zeros(dim)
         for i in range(n):
             naive += k(support[i], query) @ coeffs[i]
-        got = k.expansion(support, query, coeffs)
+        model = BatchModel(k, support, coeffs, lam=0.1, norm_sq=0.0)
+        got = model.predict(query)
         assert np.allclose(got, naive, atol=1e-10, rtol=1e-10)
         batch = rng.normal(size=(4, 3))
-        rows = np.stack([k.expansion(support, q, coeffs) for q in batch])
-        got_batch = k.expansion(support, batch, coeffs)
+        rows = np.stack([model.predict(q) for q in batch])
+        got_batch = model.predict(batch)
         assert got_batch.shape == (4, dim)
         assert np.allclose(got_batch, rows, atol=1e-10, rtol=1e-10)
 
 
 def test_expansion_empty_support():
     k = NonSeparablePoly(mu=0.5, dim=3)
-    empty = np.empty((0, 2))
-    coeffs = np.empty((0, 3))
-    assert np.array_equal(k.expansion(empty, np.ones(2), coeffs), np.zeros(3))
-    batch = k.expansion(empty, np.ones((5, 2)), coeffs)
+    model = BatchModel(k, np.empty((0, 2)), np.empty((0, 3)), lam=0.1, norm_sq=0.0)
+    assert np.array_equal(model.predict(np.ones(2)), np.zeros(3))
+    batch = model.predict(np.ones((5, 2)))
     assert np.array_equal(batch, np.zeros((5, 3)))
 
 
@@ -243,6 +244,9 @@ def test_parameter_validation():
         SeparableGaussian(mu=0.0, dim=2)
     with pytest.raises(ConfigError):
         SeparableGaussian(mu=-1.0, dim=2)
+    for mu in (float("inf"), float("nan")):
+        with pytest.raises(ConfigError):
+            SeparableGaussian(mu=mu, dim=2)
     with pytest.raises(ConfigError):
         SeparableGaussian(mu=1.0, dim=0)
     with pytest.raises(ConfigError):
@@ -258,7 +262,7 @@ def test_input_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         k(np.ones(3), np.ones(4))
     with pytest.raises(DimensionMismatch):
-        k.expansion(np.ones((2, 3)), np.ones(3), np.ones((2, 3)))
+        BatchModel(k, np.ones((2, 3)), np.ones((2, 3)), lam=0.1, norm_sq=0.0)
 
 
 def test_kernels_are_immutable():

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import NaiveOnlineLearner, gram_norm_sq
+from ovklearn.batch import fit as batch_fit
 from ovklearn.exceptions import ConfigError, DataError, DimensionMismatch, NumericsError
 from ovklearn.kernels import NonSeparablePoly, SeparableGaussian
 from ovklearn.monorma import MONORMA
@@ -237,16 +238,20 @@ def test_step_validation():
     model.step(np.ones(3), np.zeros(2) + 0.5)
     with pytest.raises(DimensionMismatch):
         model.step(np.ones(4), np.full(2, 0.5))  # input dim changed mid-run
-    with pytest.raises(DimensionMismatch):
-        model.predict(np.ones((2, 4)))
     with pytest.raises(DimensionMismatch, match=r"\(\) vs \(2,\)"):
         model.step(np.ones(3), 1.0)  # scalar target
     with pytest.raises(DimensionMismatch, match=r"\(1, 2\) vs \(2,\)"):
         model.step(np.ones(3), np.zeros((1, 2)))
-    with pytest.raises(DimensionMismatch):
-        model.predict(5.0)
-    with pytest.raises(DimensionMismatch):
-        model.predict(np.ones((1, 2, 3)))
+    # a batch model shares the online query checks, for both families
+    rng = np.random.default_rng(31)
+    batch_models = [
+        batch_fit(kernel, rng.normal(size=(3, 3)), rng.normal(size=(3, 2)), 0.1)
+        for kernel in (SeparableGaussian(mu=1.0, dim=2), NonSeparablePoly(mu=0.5, dim=2))
+    ]
+    for fitted in [model] + batch_models:
+        for query in (np.ones((2, 4)), np.ones((2, 5)), np.ones(5), np.ones((1, 2, 3)), 5.0):
+            with pytest.raises(DimensionMismatch):
+                fitted.predict(query)
     # a non-finite input point is rejected before the learner changes
     fresh = [
         ONORMA(SeparableGaussian(mu=1.0, dim=2), lam=0.1, eta0=0.5),
@@ -315,6 +320,23 @@ def test_fit_returns_one_result_per_example():
     results = model.fit(xs, ys)
     assert len(results) == 25
     assert model.t == 25
+
+
+def test_fit_checks_every_example_before_any_step():
+    xs, ys = stream(43, 10, d=2)
+    late_nan = ys.copy()
+    late_nan[7, 0] = np.nan
+    for learner in (
+        ONORMA(SeparableGaussian(mu=1.0, dim=2), lam=0.1, eta0=0.5),
+        MONORMA([SeparableGaussian(mu=1.0, dim=2), NonSeparablePoly(mu=0.5, dim=2)]),
+    ):
+        with pytest.raises(ConfigError, match="inputs/targets length mismatch: 10 vs 5"):
+            learner.fit(xs, ys[:5])
+        with pytest.raises(DimensionMismatch):
+            learner.fit(xs, ys[:, :1])
+        with pytest.raises(DataError, match="non-finite targets"):
+            learner.fit(xs, late_nan)
+        assert learner.t == 0 and learner.support_size == 0
 
 
 def fold_count_run(model, xs, ys, check_every, check):
