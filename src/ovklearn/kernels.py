@@ -15,7 +15,9 @@ for any points ``x_k`` and vectors ``y_k``,
 ``sum_{k,l} <K(x_k, x_l) y_l, y_k> >= 0``.
 
 The kernels of one family share each support sweep (squared distances or
-inner products); see :class:`OperatorKernel`.  A kernel evaluates no
+inner products); see :class:`OperatorKernel`.  A poly kernel also reads
+each stored term's coefficient sum, which the expansion state keeps, so no
+row method reduces over the support.  A kernel evaluates no
 expansion itself: every model, online or batch, sums ``K(x_i, x) c_i``
 through the per-term methods in one place, ``onorma._ExpansionState``.
 
@@ -69,14 +71,18 @@ class OperatorKernel:
     the kernel's own ``r_i``, so a bank of kernels sweeps its support once
     per family, not once per kernel.  ``row_expansion`` and ``row_cross``
     read the scalars: a single-query expansion is
-    ``row_expansion(scalars(row(support, x)), coeffs)``, and the same
+    ``row_expansion(scalars(row(support, x)), coeffs, sums)``, and the same
     scalars give every cross product ``<K(x_i, x) a, coeffs_i>``.
+    ``sums`` holds each term's coefficient sum ``sum_k coeffs[i, k]``,
+    read only by a kernel with ``reads_sums`` set (the poly family, whose
+    all-ones block needs it), and ``None`` for a kernel without.
     The row methods trust their arguments; the caller, the expansion state
-    of :mod:`ovklearn.onorma`, checks them.
+    of :mod:`ovklearn.onorma`, checks them and keeps the sums.
     """
 
     family: str
     dim: int
+    reads_sums = False
 
     def __call__(self, x, x2) -> np.ndarray:
         raise NotImplementedError
@@ -89,18 +95,18 @@ class OperatorKernel:
         """The per-term scalars ``r_i`` of ``K(x_i, x)``, elementwise from the family row."""
         raise NotImplementedError
 
-    def row_expansion(self, row, coeffs) -> np.ndarray:
+    def row_expansion(self, row, coeffs, sums) -> np.ndarray:
         """``sum_i K(x_i, x) coeffs_i`` from the scalars of x."""
         raise NotImplementedError
 
-    def batch_row_expansion(self, rows, coeffs, out) -> np.ndarray:
+    def batch_row_expansion(self, rows, coeffs, sums, out) -> np.ndarray:
         """``row_expansion`` of n queries from their (n, s) family rows.
 
         Overwrites the rows only when ``out`` is ``rows``; ``out=None`` leaves them.
         """
         raise NotImplementedError
 
-    def row_cross(self, row, coeffs, a) -> np.ndarray:
+    def row_cross(self, row, coeffs, sums, a) -> np.ndarray:
         """``<K(x_i, x) a, coeffs_i>`` for every i, from the scalars of x."""
         raise NotImplementedError
 
@@ -193,13 +199,13 @@ class SeparableGaussian(OperatorKernel):
         w /= self.mu
         return np.exp(w, out=w)
 
-    def row_expansion(self, row, coeffs) -> np.ndarray:
+    def row_expansion(self, row, coeffs, sums) -> np.ndarray:
         return self.structure @ (row @ coeffs)
 
-    def batch_row_expansion(self, rows, coeffs, out) -> np.ndarray:
+    def batch_row_expansion(self, rows, coeffs, sums, out) -> np.ndarray:
         return (self.scalars(rows, out) @ coeffs) @ self.structure
 
-    def row_cross(self, row, coeffs, a) -> np.ndarray:
+    def row_cross(self, row, coeffs, sums, a) -> np.ndarray:
         return row * (coeffs @ (self.structure @ a))
 
     def quad(self, x, a) -> float:
@@ -234,12 +240,17 @@ class NonSeparablePoly(OperatorKernel):
     ``K(x, x') = mu * <x, x'> * ONES + (1 - mu) * <x, x'>^2 * I`` with
     mu in [0, 1].  mu = 1 gives the fully coupled linear kernel, mu = 0
     the uncoupled quadratic one.
+
+    The coupled part ``ONES @ c_i`` is ``sum(c_i) * ones``, so the row
+    methods read the stored terms' coefficient sums (``reads_sums``)
+    instead of reducing the coefficients on every call.
     """
 
     mu: float
     dim: int
 
     family = "poly"
+    reads_sums = True
 
     def __post_init__(self):
         if not 0.0 <= self.mu <= 1.0:
@@ -265,13 +276,13 @@ class NonSeparablePoly(OperatorKernel):
         # K(x_i, x) = mu p_i ONES + (1 - mu) p_i^2 I reads p_i itself
         return row
 
-    def row_expansion(self, row, coeffs) -> np.ndarray:
-        return self.mu * float(row @ coeffs.sum(axis=1)) * np.ones(self.dim) + (
+    def row_expansion(self, row, coeffs, sums) -> np.ndarray:
+        return self.mu * float(row @ sums) * np.ones(self.dim) + (
             1.0 - self.mu
         ) * ((row * row) @ coeffs)
 
-    def row_cross(self, row, coeffs, a) -> np.ndarray:
-        return self.mu * float(np.sum(a)) * (row * coeffs.sum(axis=1)) + (
+    def row_cross(self, row, coeffs, sums, a) -> np.ndarray:
+        return self.mu * float(np.sum(a)) * (row * sums) + (
             1.0 - self.mu
         ) * ((row * row) * (coeffs @ a))
 
@@ -280,8 +291,8 @@ class NonSeparablePoly(OperatorKernel):
         total = float(np.sum(a))
         return self.mu * dot * total * total + (1.0 - self.mu) * dot * dot * float(a @ a)
 
-    def batch_row_expansion(self, rows, coeffs, out) -> np.ndarray:
-        coupled = self.mu * (rows @ coeffs.sum(axis=1))[:, None] * np.ones(self.dim)
+    def batch_row_expansion(self, rows, coeffs, sums, out) -> np.ndarray:
+        coupled = self.mu * (rows @ sums)[:, None] * np.ones(self.dim)
         squares = np.multiply(rows, rows, out=out)
         return coupled + (1.0 - self.mu) * (squares @ coeffs)
 

@@ -67,8 +67,10 @@ class MONORMA(_OnlineLearner):
     of kernels (all with the same output dimension) replaces the single
     kernel, and ``r > 0`` picks the weight constraint set.  Weights start
     uniform on the constraint boundary, ``delta_j = m^(-1/r)``.  Kernels of
-    one family share each support sweep, so a bank of many bandwidths or
-    structure matrices costs one sweep plus O(s d) per kernel and step.
+    one family share each support sweep, so a bank of many bandwidths,
+    structure matrices or poly mixes costs one sweep plus O(s d) per kernel
+    and step; a poly kernel reads each term's stored coefficient sum and
+    makes no reduction over the support.
 
     Truncation is supported as an extension (off by default).  A dropped
     term leaves every g_j, and each gamma_j is downdated by the exact

@@ -15,7 +15,9 @@ coefficients.  With s stored terms in R^p and outputs in R^d, a step
 sweeps the support once per kernel family, O(s p) (the kernels of one
 family share their row, see :mod:`ovklearn.kernels`), which gives each
 kernel's prediction, O(s d), and, under truncation, the new term's cross
-products with every stored term, O(s d).  The squared RKHS norm is
+products with every stored term, O(s d).  A poly kernel also reads each
+term's coefficient sum, which is stored with the term, so no step reduces
+the stored coefficients.  The squared RKHS norm is
 tracked by an O(d^2) recursion.  Under truncation each stored term also
 keeps its cross sum with the later terms, so
 :meth:`_ExpansionState.drop_expired` downdates the norm exactly for a
@@ -104,6 +106,12 @@ class _ExpansionState:
     offset gets large.
     Effective coefficients are ``scale * raw``.
 
+    When a kernel ``reads_sums`` (the poly family), term i also keeps its
+    raw coefficient sum ``S[i] = sum_k raw[i, k]`` (:attr:`raw_sums`),
+    written by :meth:`append` (so also by :meth:`restore`'s replay) and
+    recomputed from the folded coefficients by :meth:`decay`; a state of
+    other kernels keeps none.
+
     With ``cross_terms`` on, term i also keeps, for each kernel j, the raw
     sums ``C[i, j] = sum_{k > i} <K_j(x_i, x_k) a_k, a_i>`` over the later
     terms and ``Q[i, j] = <K_j(x_i, x_i) a_i, a_i>``.  Terms leave in the
@@ -112,12 +120,13 @@ class _ExpansionState:
     ``scale^2 (2 C[i, j] + Q[i, j])``.
     """
 
-    _BUFFERS = ("_X", "_A", "_T", "_C", "_Q")
+    _BUFFERS = ("_X", "_A", "_S", "_T", "_C", "_Q")
 
     def __init__(self, kernels, cross_terms: bool = False):
         self.kernels = tuple(kernels)
         self.dim = self.kernels[0].dim
         self.cross_terms = cross_terms
+        self.keeps_sums = any(kernel.reads_sums for kernel in self.kernels)
         families = {}
         for j, kernel in enumerate(self.kernels):
             families.setdefault(kernel.family, []).append((j, kernel))
@@ -152,6 +161,11 @@ class _ExpansionState:
         return self._A[self.start : self.end]
 
     @property
+    def raw_sums(self):
+        """Each term's raw coefficient sum, or None when no kernel reads them."""
+        return None if self._S is None else self._S[self.start : self.end]
+
+    @property
     def coeffs(self) -> np.ndarray:
         """Effective coefficients (scale applied)."""
         return self.scale * self.raw_coeffs
@@ -177,8 +191,8 @@ class _ExpansionState:
         """
         if self.end == self.start:
             return None, [np.zeros(self.dim) for _ in self.kernels]
-        rows, raw = self._rows(x), self.raw_coeffs
-        gs = [self.scale * k.row_expansion(r, raw) for k, r in zip(self.kernels, rows)]
+        rows, raw, sums = self._rows(x), self.raw_coeffs, self.raw_sums
+        gs = [self.scale * k.row_expansion(r, raw, sums) for k, r in zip(self.kernels, rows)]
         return rows, gs
 
     def evaluate(self, x) -> list:
@@ -206,13 +220,13 @@ class _ExpansionState:
         """
         if self.end == self.start:
             return [np.zeros((len(queries), self.dim)) for _ in self.kernels]
-        gs, raw = [None] * len(self.kernels), self.raw_coeffs
+        gs, raw, sums = [None] * len(self.kernels), self.raw_coeffs, self.raw_sums
         for family in self._families:
             *others, (last, kernel) = family
             shared = kernel.row(self.support, queries)
             for j, other in others:
-                gs[j] = self.scale * other.batch_row_expansion(shared, raw, None)
-            gs[last] = self.scale * kernel.batch_row_expansion(shared, raw, shared)
+                gs[j] = self.scale * other.batch_row_expansion(shared, raw, sums, None)
+            gs[last] = self.scale * kernel.batch_row_expansion(shared, raw, sums, shared)
         return gs
 
     def append(self, x, raw_coeff, t: int, rows=None, quads=None) -> None:
@@ -226,14 +240,16 @@ class _ExpansionState:
         i = self.end
         if self.cross_terms:
             if i > self.start:
-                raw = self._A[self.start : i]
+                raw, sums = self.raw_coeffs, self.raw_sums
                 for j, kernel in enumerate(self.kernels):
-                    self._C[self.start : i, j] += kernel.row_cross(rows[j], raw, raw_coeff)
+                    self._C[self.start : i, j] += kernel.row_cross(rows[j], raw, sums, raw_coeff)
             self._C[i] = 0.0
             self._Q[i] = quads
             self._Q[i] /= self.scale * self.scale
         self._X[i] = x
         self._A[i] = raw_coeff
+        if self._S is not None:
+            self._S[i] = self._A[i].sum()
         self._T[i] = t
         self.end += 1
 
@@ -262,6 +278,9 @@ class _ExpansionState:
         if self.scale < RENORM_THRESHOLD:
             live = slice(self.start, self.end)
             self._A[live] *= self.scale
+            if self._S is not None:
+                # re-reduced, not scaled: scale * S may differ in the last bit
+                self._S[live] = self._A[live].sum(axis=1)
             if self.cross_terms:
                 # C and Q are bilinear in the raw coefficients
                 self._C[live] *= self.scale * self.scale
@@ -271,15 +290,16 @@ class _ExpansionState:
     def restore(self, support, coeffs, times, input_dim) -> None:
         """Replace the terms by saved ones (effective coefficients, scale 1).
 
-        Appends them in order into buffers sized for them.  With cross
-        terms on, each append gets the term's scalars and quads as in a
-        step (one ``row`` call per family and term), which rebuilds C and Q
-        in O(s^2).
+        Appends them in order into buffers sized for them, which also
+        writes each term's coefficient sum.  With cross terms on, each
+        append gets the term's scalars and quads as in a step (one ``row``
+        call per family and term), which rebuilds C and Q in O(s^2).
         """
         n, m = len(support), len(self.kernels)
         self.input_dim = input_dim
         self._X = np.empty((n, input_dim or 0))
         self._A = np.empty((n, self.dim))
+        self._S = np.empty(n) if self.keeps_sums else None
         self._T = np.empty(n, dtype=np.int64)
         self._C = np.empty((n, m)) if self.cross_terms else None
         self._Q = np.empty((n, m)) if self.cross_terms else None

@@ -259,6 +259,39 @@ def test_check_bounds_prints_plain_numbers(capsys):
         assert float(values[key]) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
+POLY_BANK = "kernel=poly(mu=0),poly(mu=0.5),poly(mu=1)"
+
+
+@pytest.mark.parametrize(
+    "extra, final_cum_mse, test_mse",
+    [
+        (["kernel=poly(mu=0.2)"], 0.33085980047712793, 0.23983303004721598),
+        (
+            ["kernel=poly(mu=0.2)", "truncate=true", "t0=30"],
+            0.45257801361291145,
+            0.3820923200911847,
+        ),
+        (["algorithm=monorma", POLY_BANK], 0.2998935602309761, 0.20286026512932145),
+        (
+            ["algorithm=monorma", POLY_BANK, "truncate=true", "t0=30"],
+            0.42350018270797923,
+            0.35741896692668845,
+        ),
+    ],
+    ids=["onorma", "onorma-truncated", "monorma", "monorma-truncated"],
+)
+def test_poly_train_numbers_pinned(capsys, extra, final_cum_mse, test_mse):
+    # the poly step reads each term's stored coefficient sum; these pin its results
+    argv = ["train", "--config", BOUND_CONFIG, "--set", "lambda=0.01", "--set", "eta0=0.02"]
+    for setting in extra:
+        argv += ["--set", setting]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    values = dict(line.split(" = ", 1) for line in out.strip().split("\n"))
+    assert float(values["final_cum_mse"]) == pytest.approx(final_cum_mse, rel=1e-12, abs=0.0)
+    assert float(values["test_mse"]) == pytest.approx(test_mse, rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize(
     "contents, message",
     [

@@ -118,15 +118,16 @@ def test_row_methods_match_kernel_matrices():
         row = k.scalars(sibling.row(support, x))
         expansion = sum(k(xi, x) @ ci for xi, ci in zip(support, coeffs))
         cross = [float(ci @ (k(xi, x) @ a)) for xi, ci in zip(support, coeffs)]
-        assert np.allclose(k.row_expansion(row, coeffs), expansion, rtol=1e-12, atol=1e-12)
-        assert np.allclose(k.row_cross(row, coeffs, a), cross, rtol=1e-12, atol=1e-12)
+        sums = coeffs.sum(axis=1)
+        assert np.allclose(k.row_expansion(row, coeffs, sums), expansion, rtol=1e-12, atol=1e-12)
+        assert np.allclose(k.row_cross(row, coeffs, sums, a), cross, rtol=1e-12, atol=1e-12)
         quad = float(a @ (k(x, x) @ a))
         assert abs(k.quad(x, a) - quad) <= 1e-12 * max(1.0, abs(quad))
 
         queries = rng.normal(size=(3, 3))
         rows = sibling.row(support, queries)
         kept = rows.copy()
-        batch = k.batch_row_expansion(rows, coeffs, None)
+        batch = k.batch_row_expansion(rows, coeffs, sums, None)
         assert np.array_equal(rows, kept)  # out=None leaves the shared rows intact
         naive = [sum(k(xi, q) @ ci for xi, ci in zip(support, coeffs)) for q in queries]
         assert np.allclose(batch, naive, rtol=1e-12, atol=1e-12)

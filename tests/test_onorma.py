@@ -122,9 +122,14 @@ def test_learning_rate_schedule():
     assert model.learning_rate(1) == 0.8
 
 
-def test_matches_naive_oracle_through_renormalization():
-    # lam and eta0 chosen so the lazy scale underflows repeatedly
-    k = SeparableGaussian(mu=1.0, dim=3)
+@pytest.mark.parametrize(
+    "k",
+    [SeparableGaussian(mu=1.0, dim=3), NonSeparablePoly(mu=0.3, dim=3)],
+    ids=["gaussian", "poly"],
+)
+def test_matches_naive_oracle_through_renormalization(k):
+    # lam and eta0 chosen so the lazy scale underflows repeatedly; a fold
+    # also refreshes the poly terms' coefficient sums
     model = ONORMA(k, lam=0.9, eta0=0.9)
     naive = NaiveOnlineLearner(k, lam=0.9, eta0=0.9)
     xs, ys = stream(32, 500)

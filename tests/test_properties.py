@@ -3,10 +3,12 @@
 Property 1: along a random stream, every tracked norm equals the naive
 Gram oracle, and a checkpoint taken at a random step restores the same
 terms; a truncated learner rebuilds the same cross sums by re-appending
-them.  Property 2: over random kernel banks, the weights stay on the
-boundary ``sum_j delta_j^r = 1`` after every step, and the predictions and
-per-kernel norms equal the naive multi-kernel learner's.  Property 4: no
-``--set`` value makes the CLI end other than with exit 0, 2 or 3.
+them, and a poly learner's per-term coefficient sums equal a fresh
+reduction of its coefficients.  Property 2: over random kernel banks, the
+weights stay on the boundary ``sum_j delta_j^r = 1`` after every step, and
+the predictions and per-kernel norms equal the naive multi-kernel
+learner's.  Property 4: no ``--set`` value makes the CLI end other than
+with exit 0, 2 or 3.
 """
 
 import contextlib
@@ -41,6 +43,13 @@ def tracked(model):
     return model.gamma if isinstance(model, MONORMA) else np.array([model.norm_sq])
 
 
+def sums_hold(state, kind):
+    # only a poly kernel reads the per-term coefficient sums; they must equal a fresh reduction
+    if kind != "poly":
+        return state.raw_sums is None
+    return np.array_equal(state.raw_sums, state.raw_coeffs.sum(axis=1))
+
+
 def close(have, want, rel):
     return np.max(np.abs(have - want), initial=0.0) <= rel * np.max(np.abs(want), initial=0.0)
 
@@ -72,6 +81,7 @@ def test_tracked_norms_and_restore(
     assert np.array_equal(back._state.support, live._state.support)
     assert np.array_equal(back._state.coeffs, live._state.coeffs)
     assert np.array_equal(back._state.times, live._state.times)
+    assert sums_hold(back._state, kind)
     if truncated:
         # restore replays append: the rebuilt sums are the live ones with the scale folded in
         s2 = live._state.scale ** 2
@@ -90,6 +100,7 @@ def test_tracked_norms_and_restore(
     )
     assert close(tracked(live), oracle, 1e-10)
     assert close(tracked(back), tracked(live), 1e-12)
+    assert sums_hold(live._state, kind) and sums_hold(back._state, kind)
     if truncated and n > t0:
         assert live.support_size <= live.truncation.window(n)
 
