@@ -118,10 +118,10 @@ def _model_from(path, zf):
     # only the kernel(s), norm and weight fields differ by kind
     if kind == "onorma":
         cls, kernels, norms = ONORMA, kernel_from_dict(meta["kernel"]), [meta["norm_sq"]]
-        hyper, weights = {}, {}
+        hyper, delta = {}, None
     else:
         cls, kernels = MONORMA, [kernel_from_dict(k) for k in meta["kernels"]]
-        norms, hyper, weights = meta["gamma"], {"r": meta["r"]}, {"delta": meta["delta"]}
+        norms, hyper, delta = meta["gamma"], {"r": meta["r"]}, meta["delta"]
     tr = meta["truncation"]
     learner = cls(
         kernels,
@@ -132,6 +132,6 @@ def _model_from(path, zf):
         **hyper,
     )
     learner.restore(
-        zf["support"], zf["coeffs"], zf["times"], meta["input_dim"], meta["t"], norms, **weights
+        zf["support"], zf["coeffs"], zf["times"], meta["input_dim"], meta["t"], norms, delta
     )
     return learner

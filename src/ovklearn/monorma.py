@@ -2,16 +2,16 @@
 
 The hypothesis is ``f_t = sum_j delta_j g_j`` where every per-kernel
 expansion ``g_j = sum_i K_j(x_i, .) a_i`` shares one coefficient
-sequence; only the kernel differs.  Each step runs the single-kernel
-learner's step over all m kernels (:class:`~ovklearn.onorma._OnlineLearner`):
-one sweep of the s stored terms per kernel family (the Gaussians share
-their squared distances, the poly kernels their inner products) gives
-every g_j(x_t), each squared norm ``gamma_j = ||g_j||^2`` is refreshed by
-an O(d^2) recursion (no re-expansion of g_j), and the weights are then
-recomputed
-in closed form on the constraint set ``{delta_j > 0, sum_j delta_j^r <= 1}``.
-The weight update always lands exactly on the boundary
-``sum_j delta_j^r = 1``.
+sequence; only the kernel differs.  This is the step of
+:class:`~ovklearn.onorma.ONORMA` over m kernels, and ONORMA is the case
+m = 1 (:class:`~ovklearn.onorma._OnlineLearner` runs both): one sweep of
+the s stored terms per kernel family (the Gaussians share their squared
+distances, the poly kernels their inner products) gives every g_j(x_t),
+each squared norm ``gamma_j = ||g_j||^2`` is refreshed by an O(d^2)
+recursion (no re-expansion of g_j), and the weights are then recomputed
+in closed form (:func:`delta_update`) on the constraint set
+``{delta_j > 0, sum_j delta_j^r <= 1}``.  The weight update always lands
+exactly on the boundary ``sum_j delta_j^r = 1``.
 
 Truncation drops a term from every g_j at once.  Each stored term keeps
 its cross sums with the later terms, one per kernel, so every gamma_j is
@@ -25,13 +25,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exceptions import ConfigError, DimensionMismatch, check_positive
-from .onorma import _OnlineLearner
+from .exceptions import DimensionMismatch, check_positive
+from .onorma import _OnlineLearner, _reweight
 
 __all__ = ["MONORMA", "delta_update"]
-
-# below this, (delta^2 gamma) carries no reweighting information
-_DEGENERATE_FLOOR = 1e-300
 
 
 def delta_update(delta_prev, gamma, r) -> np.ndarray:
@@ -52,12 +49,7 @@ def delta_update(delta_prev, gamma, r) -> np.ndarray:
     if delta_prev.shape[0] == 1:
         # one kernel: the simplex pins the weight at exactly 1
         return np.ones(1)
-    terms = delta_prev * delta_prev * gamma
-    if np.all(terms <= _DEGENERATE_FLOOR):
-        return delta_prev.copy()
-    num = terms ** (1.0 / (r + 1.0))
-    den = np.sum(terms ** (r / (r + 1.0))) ** (1.0 / r)
-    return num / den
+    return _reweight(delta_prev, gamma, r)
 
 
 class MONORMA(_OnlineLearner):
@@ -66,35 +58,27 @@ class MONORMA(_OnlineLearner):
     Parameters mirror :class:`~ovklearn.onorma.ONORMA` except that a list
     of kernels (all with the same output dimension) replaces the single
     kernel, and ``r > 0`` picks the weight constraint set.  Weights start
-    uniform on the constraint boundary, ``delta_j = m^(-1/r)``.  Kernels of
-    one family share each support sweep, so a bank of many bandwidths,
-    structure matrices or poly mixes costs one sweep plus O(s d) per kernel
-    and step; a poly kernel reads each term's stored coefficient sum and
-    makes no reduction over the support.
+    uniform on the constraint boundary, ``delta_j = m^(-1/r)``; an ``r``
+    for which that start underflows to 0 or misses the boundary by more
+    than 1e-12 raises ``ConfigError``.  Kernels of one family share each
+    support sweep, so a bank of many bandwidths, structure matrices or poly
+    mixes costs one sweep plus O(s d) per kernel and step; a poly kernel
+    reads each term's stored coefficient sum and makes no reduction over
+    the support.
 
     Truncation is supported as an extension (off by default).  A dropped
     term leaves every g_j, and each gamma_j is downdated by the exact
-    closed-form change its removal makes, the same update the
-    single-kernel learner uses; a gamma_j that rounding pushes below zero
-    is clamped and counted in ``gamma_clips``.
+    closed-form change its removal makes; a gamma_j that rounding pushes
+    below zero is clamped and counted in ``gamma_clips``.
     :meth:`per_kernel_norm_sq` recomputes a norm from the Gram form for
-    checking; the step never calls it.
+    checking; the step never calls it.  :meth:`restore` also takes the
+    kernel weights ``delta``.
     """
 
     def __init__(self, kernels, loss=None, lam=0.01, eta0=1.0, r=2.0, truncation=None):
-        kernels = list(kernels)
-        if len(kernels) < 1:
-            raise ConfigError("need at least one kernel")
-        dims = {k.dim for k in kernels}
-        if len(dims) != 1:
-            raise ConfigError(f"kernels disagree on output dimension: {sorted(dims)}")
-        super().__init__(kernels, loss, lam, eta0, truncation)
-        check_positive("constraint exponent r", r)
-        self.kernels = kernels
-        self.m = len(kernels)
-        self.r = r
-        self.gamma_clips = 0
-        self._delta = np.full(self.m, self.m ** (-1.0 / r))
+        super().__init__(kernels, loss, lam, eta0, truncation, r)
+        self.kernels = list(self._state.kernels)
+        self.m = len(self.kernels)
 
     @property
     def delta(self) -> np.ndarray:
@@ -106,21 +90,7 @@ class MONORMA(_OnlineLearner):
         """Current per-kernel squared norms (copy)."""
         return self._norms.copy()
 
-    def _combine(self, gs) -> np.ndarray:
-        f = np.zeros_like(gs[0])
-        for w, g in zip(self._delta, gs):
-            f = f + w * g
-        return f
-
-    def _penalty_norm_sq(self) -> float:
-        # ||f||^2 in the sum space is sum_j delta_j^2 ||g_j||^2
-        return float(np.sum(self._delta * self._delta * self._norms))
-
-    def _after_step(self, clips: int) -> None:
-        self.gamma_clips += clips
-        self._delta = delta_update(self._delta, self._norms, self.r)
-
-    def restore(self, support, coeffs, times, input_dim, t, norms, delta) -> None:
-        """As the single-kernel learner's, plus the kernel weights ``delta``."""
-        super().restore(support, coeffs, times, input_dim, t, norms)
-        self._delta[:] = delta
+    @property
+    def gamma_clips(self) -> int:
+        """How often rounding pushed a gamma_j below zero (then clamped to 0)."""
+        return self._clips

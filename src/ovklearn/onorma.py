@@ -23,9 +23,10 @@ keeps its cross sum with the later terms, so
 :meth:`_ExpansionState.drop_expired` downdates the norm exactly for a
 dropped term in O(1) per kernel, with no kernel evaluation.
 
-:class:`ONORMA` and the multi-kernel learner in :mod:`ovklearn.monorma`
-share this step through :class:`_OnlineLearner`, which runs one
-coefficient sequence over a list of kernels.
+:class:`ONORMA` is the multi-kernel learner of :mod:`ovklearn.monorma`
+over one kernel: both are :class:`_OnlineLearner`, which runs one
+coefficient sequence over a weighted list of kernels, and one kernel's
+weight is pinned at exactly 1.
 """
 
 from __future__ import annotations
@@ -100,15 +101,15 @@ class _ExpansionState:
 
     Every kernel in ``kernels`` reads the same terms, and the kernels of
     one family read them through one shared row (:meth:`_rows`).
-    :meth:`append` is the only way a term comes in and :meth:`drop_expired`
-    the only way one leaves: terms are appended at the back and dropped
-    from the front; buffers grow by doubling and compact when the front
-    offset gets large.
+    :meth:`append` (or :meth:`restore`, for a whole saved support) is the
+    only way a term comes in and :meth:`drop_expired` the only way one
+    leaves: terms are appended at the back and dropped from the front;
+    buffers grow by doubling and compact when the front offset gets large.
     Effective coefficients are ``scale * raw``.
 
     When a kernel ``reads_sums`` (the poly family), term i also keeps its
     raw coefficient sum ``S[i] = sum_k raw[i, k]`` (:attr:`raw_sums`),
-    written by :meth:`append` (so also by :meth:`restore`'s replay) and
+    written by :meth:`append` and :meth:`restore` and
     recomputed from the folded coefficients by :meth:`decay`; a state of
     other kernels keeps none.
 
@@ -239,19 +240,26 @@ class _ExpansionState:
             self._compact_or_grow()
         i = self.end
         if self.cross_terms:
-            if i > self.start:
-                raw, sums = self.raw_coeffs, self.raw_sums
-                for j, kernel in enumerate(self.kernels):
-                    self._C[self.start : i, j] += kernel.row_cross(rows[j], raw, sums, raw_coeff)
-            self._C[i] = 0.0
-            self._Q[i] = quads
-            self._Q[i] /= self.scale * self.scale
+            self._add_cross_sums(i, raw_coeff, rows, quads)
         self._X[i] = x
         self._A[i] = raw_coeff
         if self._S is not None:
             self._S[i] = self._A[i].sum()
         self._T[i] = t
         self.end += 1
+
+    def _add_cross_sums(self, i: int, raw_coeff, rows, quads) -> None:
+        """Add term i's products to the C of the terms before it, whose scalars
+        at term i's input are ``rows``, and set term i's own C and Q."""
+        if i > self.start:
+            live = slice(self.start, i)
+            raw = self._A[live]
+            sums = None if self._S is None else self._S[live]
+            for j, kernel in enumerate(self.kernels):
+                self._C[live, j] += kernel.row_cross(rows[j], raw, sums, raw_coeff)
+        self._C[i] = 0.0
+        self._Q[i] = quads
+        self._Q[i] /= self.scale * self.scale
 
     def _compact_or_grow(self) -> None:
         n = len(self)
@@ -290,27 +298,29 @@ class _ExpansionState:
     def restore(self, support, coeffs, times, input_dim) -> None:
         """Replace the terms by saved ones (effective coefficients, scale 1).
 
-        Appends them in order into buffers sized for them, which also
-        writes each term's coefficient sum.  With cross terms on, each
-        append gets the term's scalars and quads as in a step (one ``row``
-        call per family and term), which rebuilds C and Q in O(s^2).
+        Copies them into buffers sized for them and reduces every term's
+        coefficient sum at once.  With cross terms on, it then replays each
+        term's cross sums with the terms before it as :meth:`append` would
+        (one ``row`` call per family and term), which rebuilds C and Q in
+        O(s^2).
         """
         n, m = len(support), len(self.kernels)
         self.input_dim = input_dim
-        self._X = np.empty((n, input_dim or 0))
-        self._A = np.empty((n, self.dim))
-        self._S = np.empty(n) if self.keeps_sums else None
-        self._T = np.empty(n, dtype=np.int64)
+        self._X = np.array(support, dtype=float, order="C").reshape(n, input_dim or 0)
+        self._A = np.array(coeffs, dtype=float, order="C").reshape(n, self.dim)
+        self._S = self._A.sum(axis=1) if self.keeps_sums else None
+        self._T = np.array(times, dtype=np.int64).reshape(n)
         self._C = np.empty((n, m)) if self.cross_terms else None
         self._Q = np.empty((n, m)) if self.cross_terms else None
-        self.start = self.end = 0
+        self.start = 0
         self.scale = 1.0
-        for x, a, t in zip(support, coeffs, times):
-            rows = quads = None
-            if self.cross_terms:
-                rows = self._rows(x)
+        if self.cross_terms:
+            for i in range(n):
+                self.end = i  # the support is the terms before i, as when i was appended
+                x, a = self._X[i], self._A[i]
                 quads = [kernel.quad(x, a) for kernel in self.kernels]
-            self.append(x, a, t, rows, quads)
+                self._add_cross_sums(i, a, self._rows(x), quads)
+        self.end = n
 
     def drop_expired(self, cutoff: int, norms_sq: np.ndarray) -> int:
         """Pop every term with time <= cutoff, downdating each norm exactly.
@@ -355,18 +365,37 @@ def norm_recursion(prev_sq, cross, quad, decay) -> float:
     return decay * decay * prev_sq + quad + 2.0 * decay * cross
 
 
+# below this, (delta^2 gamma) carries no reweighting information
+_DEGENERATE_FLOOR = 1e-300
+
+
+def _reweight(delta_prev: np.ndarray, gamma: np.ndarray, r: float) -> np.ndarray:
+    """:func:`ovklearn.monorma.delta_update` for m >= 2, on trusted arrays."""
+    terms = delta_prev * delta_prev * gamma
+    if np.all(terms <= _DEGENERATE_FLOOR):
+        return delta_prev.copy()
+    num = terms ** (1.0 / (r + 1.0))
+    den = np.sum(terms ** (r / (r + 1.0))) ** (1.0 / r)
+    return num / den
+
+
 class _OnlineLearner:
-    """The step shared by :class:`ONORMA` and ``MONORMA``.
+    """The step of :class:`ONORMA` and ``MONORMA``, over m weighted kernels.
 
     One coefficient sequence is expanded over every kernel in ``kernels``
-    (``g_j = sum_i K_j(x_i, .) a_i``), and ``_norms[j]`` tracks
-    ``||g_j||^2``.  Subclasses say how the g_j combine into the
-    prediction (:meth:`_combine`), what norm the risk reports
-    (:meth:`_penalty_norm_sq`) and what follows the update
-    (:meth:`_after_step`).
+    (``g_j = sum_i K_j(x_i, .) a_i``), ``_norms[j]`` tracks ``||g_j||^2``,
+    and ``f = sum_j delta_j g_j`` has ``||f||^2 = sum_j delta_j^2 ||g_j||^2``.
+    The weights ``delta`` live on ``sum_j delta_j^r = 1``, which pins one
+    kernel's at exactly 1: then the step reads g_1 and its norm directly.
     """
 
-    def __init__(self, kernels, loss, lam, eta0, truncation):
+    def __init__(self, kernels, loss, lam, eta0, truncation, r=2.0):
+        kernels = list(kernels)
+        if len(kernels) < 1:
+            raise ConfigError("need at least one kernel")
+        dims = {k.dim for k in kernels}
+        if len(dims) != 1:
+            raise ConfigError(f"kernels disagree on output dimension: {sorted(dims)}")
         check_positive("lambda", lam)
         check_positive("eta0", eta0)
         if eta0 * lam >= 1:
@@ -374,14 +403,22 @@ class _OnlineLearner:
                 f"need eta0 * lambda < 1 for a contracting update, "
                 f"got {eta0} * {lam} = {eta0 * lam}"
             )
+        check_positive("constraint exponent r", r)
+        m = len(kernels)
+        self._delta = np.full(m, m ** (-1.0 / r))
+        # an extreme r rounds the uniform start to 0 or off the boundary
+        if not (self._delta[0] > 0.0 and abs(np.sum(self._delta**r) - 1.0) <= 1e-12):
+            raise ConfigError(f"constraint exponent r = {r!r} cannot weight {m} kernels")
         self.loss = loss if loss is not None else SquaredLoss()
         self.lam = lam
         self.eta0 = eta0
         self.truncation = truncation
         self.t = 0
+        self.r = r
+        self._clips = 0
         # the cross terms only serve truncation's downdates
         self._state = _ExpansionState(kernels, cross_terms=truncation is not None)
-        self._norms = np.zeros(len(kernels))
+        self._norms = np.zeros(m)
 
     @property
     def dim(self) -> int:
@@ -418,14 +455,16 @@ class _OnlineLearner:
         state = self._state
         return state.support.copy(), state.coeffs, state.times.copy(), state.input_dim
 
-    def restore(self, support, coeffs, times, input_dim, t, norms) -> None:
-        """Resume from :meth:`to_arrays`' output, the step count and the tracked norms.
+    def restore(self, support, coeffs, times, input_dim, t, norms, delta=None) -> None:
+        """Resume from :meth:`to_arrays`' output, the step count, the tracked norms
+        and the kernel weights (None keeps them).
 
-        A truncated learner rebuilds its cross terms here by re-appending its
-        terms, in O(s^2).
+        A truncated learner rebuilds its cross terms here, in O(s^2).
         """
         self.t = t
         self._norms[:] = norms
+        if delta is not None:
+            self._delta[:] = delta
         self._state.restore(support, coeffs, times, input_dim)
 
     def per_kernel_norm_sq(self, j: int) -> float:
@@ -474,21 +513,29 @@ class _OnlineLearner:
             state.append(x, alpha / state.scale, t, rows, quads)
         if self.truncation is not None:
             clips += state.drop_expired(t - self.truncation.window(t), norms)
-        self._after_step(clips)
+        self._clips += clips
+        if len(norms) > 1:
+            self._delta = _reweight(self._delta, norms, self.r)
         return StepResult(pred, loss_value, loss_value + risk, coeff_norm)
 
     def _combine(self, gs) -> np.ndarray:
-        raise NotImplementedError
+        if len(gs) == 1:
+            return gs[0]
+        f = np.zeros_like(gs[0])
+        for w, g in zip(self._delta, gs):
+            f += w * g
+        return f
 
     def _penalty_norm_sq(self) -> float:
-        raise NotImplementedError
-
-    def _after_step(self, clips: int) -> None:
-        raise NotImplementedError
+        if len(self._norms) == 1:
+            return float(self._norms[0])
+        return float(np.sum(self._delta * self._delta * self._norms))
 
 
 class ONORMA(_OnlineLearner):
     """Single-kernel online learner with optional truncation.
+
+    MONORMA over the one kernel ``[kernel]``, whose weight is pinned at 1.
 
     Parameters
     ----------
@@ -508,21 +555,16 @@ class ONORMA(_OnlineLearner):
     def __init__(self, kernel, loss=None, lam=0.01, eta0=1.0, truncation=None):
         super().__init__([kernel], loss, lam, eta0, truncation)
         self.kernel = kernel
-        self.norm_clips = 0
 
     @property
     def norm_sq(self) -> float:
         """Incrementally tracked ||f_t||^2 in the RKHS."""
         return float(self._norms[0])
 
-    def _combine(self, gs) -> np.ndarray:
-        return gs[0]
-
-    def _penalty_norm_sq(self) -> float:
-        return float(self._norms[0])
-
-    def _after_step(self, clips: int) -> None:
-        self.norm_clips += clips
+    @property
+    def norm_clips(self) -> int:
+        """How often rounding pushed the tracked norm below zero (then clamped to 0)."""
+        return self._clips
 
     def hypothesis_norm_sq(self) -> float:
         """||f_t||^2 recomputed exactly from the block Gram quadratic form."""

@@ -83,6 +83,27 @@ def test_nan_hyperparameter_exits_2(algorithm, capsys):
     assert "lambda must be finite and > 0, got nan" in err
 
 
+@pytest.mark.parametrize("r", ["1e-300", "1e308"])
+def test_unrepresentable_weight_exponent_exits_2(r, capsys):
+    # the two weights would start at 0 (predicting 0 everywhere) or at 1 each (off the simplex)
+    code, _, err = run_cli(
+        [
+            "train",
+            "--config",
+            BOUND_CONFIG,
+            "--set",
+            "algorithm=monorma",
+            "--set",
+            "kernel=gaussian(mu=1),gaussian(mu=2)",
+            "--set",
+            f"r={r}",
+        ],
+        capsys,
+    )
+    assert code == 2
+    assert f"constraint exponent r = {float(r)!r} cannot weight 2 kernels" in err
+
+
 @pytest.mark.parametrize("setting", ["lambda=nan", "lambda=inf", "eta0=nan", "eta0=inf"])
 def test_check_bounds_non_finite_hyperparameter_exits_2(setting, capsys):
     code, _, err = run_cli(

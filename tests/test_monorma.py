@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from conftest import NaiveMultiKernelLearner, gram_norm_sq
 from ovklearn.exceptions import ConfigError, DimensionMismatch
 from ovklearn.kernels import NonSeparablePoly, SeparableGaussian
+from ovklearn.losses import EpsilonInsensitive
 from ovklearn.monorma import MONORMA, delta_update
 from ovklearn.onorma import ONORMA, TruncationSchedule
 
@@ -147,20 +148,29 @@ def test_gamma_matches_gram_recomputation():
                 assert abs(impl - oracle) <= 1e-9 * max(1.0, oracle)
 
 
-def check_single_kernel_reduction(truncation):
-    k = SeparableGaussian(mu=1.0, dim=3)
-    multi = MONORMA([k], lam=0.1, eta0=0.5, r=2.0, truncation=truncation)
-    single = ONORMA(k, lam=0.1, eta0=0.5, truncation=truncation)
+def check_single_kernel_reduction(truncation, kernel=None, loss=None, lam=0.1, eta0=0.5):
+    # one kernel's weight is pinned at exactly 1, so every output matches bit for bit
+    k = kernel if kernel is not None else SeparableGaussian(mu=1.0, dim=3)
+    multi = MONORMA([k], loss=loss, lam=lam, eta0=eta0, r=2.0, truncation=truncation)
+    single = ONORMA(k, loss=loss, lam=lam, eta0=eta0, truncation=truncation)
     xs, ys = stream(55, 500)
+    folds = 0
     for x, y in zip(xs, ys):
+        before = single._state.scale
         rm = multi.step(x, y)
         rs = single.step(x, y)
-        assert np.allclose(rm.prediction, rs.prediction, rtol=0, atol=1e-12)
+        folds += single._state.scale > before
+        assert np.array_equal(rm.prediction, rs.prediction)
+        assert rm.instantaneous_risk == rs.instantaneous_risk
         assert np.array_equal(multi.delta, np.ones(1))
+        assert multi.gamma[0] == single.norm_sq
     assert multi.support_size == single.support_size
-    assert abs(multi.gamma[0] - single.norm_sq) <= 1e-12 * single.norm_sq
-    probe = np.full(4, 0.3)
-    assert np.allclose(multi.predict(probe), single.predict(probe), rtol=0, atol=1e-12)
+    for have, want in zip(multi.to_arrays(), single.to_arrays()):
+        assert np.array_equal(have, want)
+    probes = np.random.default_rng(60).uniform(0.0, 1.0, size=(7, 4))
+    assert np.array_equal(multi.predict(probes), single.predict(probes))
+    assert np.array_equal(multi.predict(probes[0]), single.predict(probes[0]))
+    return folds
 
 
 def test_single_kernel_reduces_to_onorma():
@@ -170,6 +180,17 @@ def test_single_kernel_reduces_to_onorma():
 def test_single_kernel_reduces_to_onorma_truncated():
     # both learners drop the same terms and downdate the norm the same way
     check_single_kernel_reduction(TruncationSchedule(t0=20, epsilon=0.25))
+
+
+@pytest.mark.parametrize("truncation", [None, TruncationSchedule(t0=20, epsilon=0.25)])
+def test_single_kernel_reduces_to_onorma_poly_and_eps_loss(truncation):
+    check_single_kernel_reduction(truncation, kernel=NonSeparablePoly(mu=0.3, dim=3))
+    check_single_kernel_reduction(truncation, loss=EpsilonInsensitive(0.25))
+
+
+def test_single_kernel_reduces_to_onorma_through_folds():
+    # a fast shrink folds the lazy scale into the stored coefficients
+    assert check_single_kernel_reduction(None, lam=0.9, eta0=0.9) >= 1
 
 
 def test_truncation_recomputes_norms():
@@ -245,6 +266,11 @@ def test_constructor_validation():
         MONORMA([k], lam=0.5, eta0=2.0)
     with pytest.raises(ConfigError):
         MONORMA([k], lam=0.1, r=0.0)
+    # the uniform start m^(-1/r) underflows to 0, or rounds to 1 so that sum_j delta_j^r = m
+    for extreme in (1e-300, 1e308):
+        with pytest.raises(ConfigError, match="cannot weight 2 kernels"):
+            MONORMA([k, SeparableGaussian(mu=2.0, dim=2)], lam=0.1, r=extreme)
+        assert np.array_equal(MONORMA([k], lam=0.1, r=extreme).delta, np.ones(1))
     # every comparison with NaN is False, so "<= 0" alone would let it in
     for bad in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ConfigError):

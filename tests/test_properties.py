@@ -2,7 +2,7 @@
 
 Property 1: along a random stream, every tracked norm equals the naive
 Gram oracle, and a checkpoint taken at a random step restores the same
-terms; a truncated learner rebuilds the same cross sums by re-appending
+terms; a truncated learner rebuilds the same cross sums by replaying
 them, and a poly learner's per-term coefficient sums equal a fresh
 reduction of its coefficients.  Property 2: over random kernel banks, the
 weights stay on the boundary ``sum_j delta_j^r = 1`` after every step, and
@@ -83,7 +83,7 @@ def test_tracked_norms_and_restore(
     assert np.array_equal(back._state.times, live._state.times)
     assert sums_hold(back._state, kind)
     if truncated:
-        # restore replays append: the rebuilt sums are the live ones with the scale folded in
+        # restore replays the appends' cross sums: the rebuilt sums are the live ones with the scale folded in
         s2 = live._state.scale ** 2
         assert back._state.scale == 1.0
         for name in ("_C", "_Q"):
