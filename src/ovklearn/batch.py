@@ -11,13 +11,18 @@ Gram matrix.  Which solve runs depends on the kernel:
   ``(l_j S + lambda t I) c_j = (Y U)_j`` and ``C = [c_j] U^T``:
   d t^3 / 3 flops and O(t^2) memory, and G is never formed.
 * :class:`~ovklearn.kernels.NonSeparablePoly` factors the dense block
-  system by one Cholesky: (td)^3 / 3 flops and O((td)^2) memory.
+  system by one Cholesky: (td)^3 / 3 flops.  The system is written into
+  one td x td buffer from the t x t inner products and factored in place,
+  so it is the only td x td array of the fit.
 
-Both check the relative residual in the original basis and retry a failed
-factor once with the same diagonal jitter.  The fitted model predicts
-through the online learners' expansion state, so its queries are checked
-and evaluated as theirs are.  This baseline exists to verify bounds and
-accuracy at desk scale, not to scale.
+Both retry a failed factor once with the same diagonal jitter.  The
+relative residual and ``||h||^2`` are then computed in the original basis
+through the kernel's ``_gram_apply``, ``G vec(C) = S C J`` or
+``mu (P s) 1^T + (1 - mu) (P∘P) C`` with s the row sums of C: O(t^2 d)
+from t x t arrays alone.  The fitted model predicts through the online
+learners' expansion state, so its queries are checked and evaluated as
+theirs are.  This baseline exists to verify bounds and accuracy at desk
+scale, not to scale.
 """
 
 from __future__ import annotations
@@ -83,46 +88,66 @@ def fit(kernel, xs, ys, lam: float) -> BatchModel:
     ridge = lam * t
     if not math.isfinite(ridge):
         raise NumericsError(f"lambda * t overflows: {lam!r} * {t}")
+    scalar = kernel.scalar_gram(xs)
     solve = _separable_solve if kernel.family == "gaussian" else _dense_solve
-    coeffs, norm_sq = solve(kernel, xs, ys, ridge)
-    return BatchModel(kernel, xs, coeffs, lam, norm_sq)
+    coeffs, cond = solve(kernel, scalar, ys, ridge)
+    # G vec(C) in the original basis from the t x t scalar Gram: O(t^2 d)
+    applied = kernel._gram_apply(scalar, coeffs)
+    _check_residual(float(np.linalg.norm(applied + ridge * coeffs - ys)), ys, cond)
+    return BatchModel(kernel, xs, coeffs, lam, float(np.sum(coeffs * applied)))
 
 
-def _dense_solve(kernel, xs, ys, ridge):
-    """Coefficients and ``||h||^2`` from one td x td Cholesky."""
-    t, d = len(xs), kernel.dim
-    gram = kernel.gram(xs)
-    y = ys.ravel()
-    # lambda t on the diagonal of one copy; no td x td identity is formed
-    system = gram.copy()
-    system.flat[:: t * d + 1] += ridge
+def _dense_solve(kernel, p, ys, ridge):
+    """Coefficients and a condition estimate from one td x td buffer, factored in place.
+
+    The kernel's Gram writer fills the buffer from the t x t inner products
+    P with the same floats as the Kronecker sum.  ONES and I share the
+    eigenbasis ``[ones / sqrt(d), complement]``, so the condition estimate
+    reads the spectra of ``mu d P + (1 - mu) P∘P`` (the ones direction) and
+    ``(1 - mu) P∘P`` (the d - 1 others), two t x t problems.
+    """
+    t, d = ys.shape
+    n = t * d
+    system = np.empty((n, n))
+
+    def fill(jitter=0.0):
+        """Write ``G + (lambda t + jitter) I`` into the buffer; returns the trace of G."""
+        kernel._fill_gram(p, system)
+        trace = np.trace(system)
+        system.flat[:: n + 1] += ridge
+        if jitter:
+            system.flat[:: n + 1] += jitter
+        return trace
 
     def solve(jitter):
-        shifted = system + jitter * np.eye(t * d) if jitter else system
-        return scipy.linalg.cho_solve(scipy.linalg.cho_factor(shifted), y)
+        if jitter:
+            # the failed factor overwrote the buffer
+            fill(jitter)
+        # the system is symmetric, so its transpose is the Fortran-ordered
+        # view LAPACK factors without a copy
+        factor = scipy.linalg.cho_factor(system.T, overwrite_a=True)
+        return scipy.linalg.cho_solve(factor, ys.ravel())
 
     def cond():
-        return np.linalg.cond(system)
+        squares = (1.0 - kernel.mu) * p * p
+        blocks = [kernel.mu * d * p + squares] + ([squares] if d > 1 else [])
+        return _condition(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]), ridge)
 
-    a = _solve_or_jitter(solve, 1e-10 * np.trace(gram) / (t * d), cond)
-    _check_residual(float(np.linalg.norm(system @ a - y)), y, cond)
-    return a.reshape(t, d), float(a @ (gram @ a))
+    coeffs = _solve_or_jitter(solve, 1e-10 * fill() / n, cond)
+    return coeffs.reshape(t, d), cond
 
 
-def _separable_solve(kernel, xs, ys, ridge):
-    """Coefficients and ``||h||^2`` for ``K = k(x, x') J``, a t x t Cholesky per direction.
+def _separable_solve(kernel, scalar, ys, ridge):
+    """Coefficients and a condition estimate for ``K = k(x, x') J``, a t x t factor per direction.
 
     With ``J = U diag(l) U^T`` the block Gram ``S ⊗ J`` becomes
     ``S ⊗ diag(l)`` in the rotated outputs ``Y U``; column j of the
     rotated coefficients solves ``(l_j S + lambda t I) c_j = (Y U)_j``.
-    The eigenvalues are used as computed (tiny negative ones included)
-    and the residual is checked in the original basis.
+    The eigenvalues are used as computed (tiny negative ones included).
     """
-    t, d = len(xs), kernel.dim
-    y = ys.reshape(t, d)
-    scalar = kernel.scalar_gram(xs)
+    t, d = ys.shape
     eigvals, eigvecs = kernel.structure_eig
-    rotated = y @ eigvecs
+    rotated = ys @ eigvecs
 
     def solve(jitter):
         out = np.empty_like(rotated)
@@ -138,17 +163,18 @@ def _separable_solve(kernel, xs, ys, ridge):
 
     def cond():
         # the block system's eigenvalues are s_i l_j + lambda t
-        spectrum = np.abs(np.outer(np.linalg.eigvalsh(scalar), eigvals) + ridge)
-        with np.errstate(divide="ignore"):
-            return spectrum.max() / spectrum.min()
+        return _condition(np.outer(np.linalg.eigvalsh(scalar), eigvals), ridge)
 
     # U is orthogonal, so jitter on every block is jitter on the whole system
     jitter = 1e-10 * np.trace(scalar) * np.trace(kernel.structure) / (t * d)
-    coeffs = _solve_or_jitter(solve, jitter, cond)
-    # S C J is G vec(C) in the original basis: O(t^2 d), and G is never formed
-    applied = (scalar @ coeffs) @ kernel.structure
-    _check_residual(float(np.linalg.norm(applied + ridge * coeffs - y)), y, cond)
-    return coeffs, float(np.sum(coeffs * applied))
+    return _solve_or_jitter(solve, jitter, cond), cond
+
+
+def _condition(eigvals, ridge) -> float:
+    """Condition number of a symmetric system from the eigenvalues of its Gram."""
+    spectrum = np.abs(eigvals + ridge)
+    with np.errstate(divide="ignore"):
+        return spectrum.max() / spectrum.min()
 
 
 def _solve_or_jitter(solve, jitter, cond):

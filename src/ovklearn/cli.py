@@ -13,6 +13,7 @@ import sys
 from .data import SynthSpec, gen_synthetic, save_csv
 from .exceptions import HypothesisViolation, NumericsError, OvkError
 from .experiments import (
+    STABLE_STEP,
     bound_check,
     read_config,
     run_experiment,
@@ -83,6 +84,13 @@ def _cmd_train(args) -> int:
     cfg = read_config(args.config, args.set)
     _, summary = run_experiment(cfg)
     sys.stdout.write(summary_text(summary))
+    step = summary.get("max_eff_step", 0.0)
+    if step > STABLE_STEP:
+        print(
+            f"warning: max_eff_step = {step:.3g} exceeds {STABLE_STEP:g}, above which "
+            "squared-loss steps overshoot and the run diverges; lower eta0",
+            file=sys.stderr,
+        )
     return EXIT_OK
 
 

@@ -47,6 +47,9 @@ __all__ = [
     "sweep_table_text",
 ]
 
+# the squared loss's curvature threshold for the effective step eta_t ||K(x, x)||
+STABLE_STEP = 2.0
+
 _KERNEL_RE = re.compile(r"^(gaussian|poly)\(\s*mu\s*=\s*([^)]+?)\s*\)$")
 
 
@@ -354,6 +357,19 @@ def _test_scores(predict, test: Dataset) -> dict:
     return out
 
 
+def _max_eff_step(model: ONORMA, xs) -> float:
+    """``max_t eta_t ||K(x_t, x_t)||_op`` over the inputs ``xs`` in stream order.
+
+    With squared loss a step above ``STABLE_STEP`` overshoots: the run is
+    then expected to diverge.
+    """
+    steps = (
+        model.learning_rate(t) * model.kernel.diag_operator_norm(x)
+        for t, x in enumerate(xs, start=1)
+    )
+    return max(steps, default=0.0)
+
+
 def run_experiment(cfg: ExperimentConfig):
     """Train per the config; returns (metrics records, summary dict).
 
@@ -424,6 +440,8 @@ def run_experiment(cfg: ExperimentConfig):
         summary["train_time_s"] = time.perf_counter() - start
         summary["final_cum_mse"] = records[-1].cum_mse if records else 0.0
         summary["support_size"] = model.support_size
+        if cfg.algorithm == "onorma":
+            summary["max_eff_step"] = _max_eff_step(model, train.xs)
         predict = model.predict
         if cfg.algorithm == "monorma":
             for j, dj in enumerate(model.delta, start=1):

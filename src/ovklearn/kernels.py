@@ -59,9 +59,11 @@ class OperatorKernel:
     """Common evaluation helpers; concrete families fill in the formulas.
 
     Subclasses implement ``__call__`` (the d x d matrix), ``gram`` (the
-    stacked td x td block matrix with block (i, j) equal to ``K(x_i, x_j)``)
-    and the row methods below, from which every model evaluates its
-    expansion ``sum_i K(x_i, x) coeffs_i``.
+    stacked td x td block matrix with block (i, j) equal to ``K(x_i, x_j)``),
+    ``_gram_apply`` (that matrix times a coefficient array, from the t x t
+    ``scalar_gram`` alone, for the batch solves and the norm oracle) and the
+    row methods below, from which every model evaluates its expansion
+    ``sum_i K(x_i, x) coeffs_i``.
 
     Both families write ``K(x_i, x)`` through one scalar per support term,
     ``r_i`` (Gaussian weight or inner product), and every kernel of a
@@ -114,7 +116,20 @@ class OperatorKernel:
         """``<K(x, x) a, a>`` without forming the d x d matrix."""
         raise NotImplementedError
 
+    def scalar_gram(self, xs) -> np.ndarray:
+        """The t x t matrix of per-term scalars ``r(x_i, x_k)``, from the family row."""
+        xs = np.asarray(xs, dtype=float)
+        row = self.row(xs, xs)
+        return self.scalars(row, out=row)
+
     def gram(self, xs) -> np.ndarray:
+        raise NotImplementedError
+
+    def _gram_apply(self, scalar, coeffs) -> np.ndarray:
+        """``G vec(coeffs)`` as a t x d array, from the t x t ``scalar_gram``.
+
+        The block Gram G is never formed: O(t^2 d) time and O(t^2) memory.
+        """
         raise NotImplementedError
 
     def diag_operator_norm(self, x) -> float:
@@ -212,14 +227,12 @@ class SeparableGaussian(OperatorKernel):
         # exp(0) = 1, so K(x, x) == J for every x
         return float(a @ (self.structure @ a))
 
-    def scalar_gram(self, xs) -> np.ndarray:
-        """The t x t matrix ``S[i, k] = exp(-||x_i - x_k||^2 / mu)``."""
-        xs = np.asarray(xs, dtype=float)
-        sq = self.row(xs, xs)
-        return self.scalars(sq, out=sq)
-
     def gram(self, xs) -> np.ndarray:
         return np.kron(self.scalar_gram(xs), self.structure)
+
+    def _gram_apply(self, scalar, coeffs) -> np.ndarray:
+        # (S ⊗ J) vec(C) is S C J
+        return (scalar @ coeffs) @ self.structure
 
     def diag_operator_norm(self, x) -> float:
         return self._diag_norm
@@ -297,12 +310,32 @@ class NonSeparablePoly(OperatorKernel):
         return coupled + (1.0 - self.mu) * (squares @ coeffs)
 
     def gram(self, xs) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        p = xs @ xs.T
-        d = self.dim
-        return np.kron(self.mu * p, np.ones((d, d))) + np.kron(
-            (1.0 - self.mu) * p * p, np.eye(d)
-        )
+        """The td x td block Gram ``mu P ⊗ ONES + (1 - mu) (P∘P) ⊗ I``, P the inner products.
+
+        Written by :meth:`_fill_gram` into one buffer, with no Kronecker terms.
+        """
+        p = self.scalar_gram(xs)
+        t = len(p)
+        return self._fill_gram(p, np.empty((t * self.dim, t * self.dim)))
+
+    def _fill_gram(self, p, out) -> np.ndarray:
+        """Write the block Gram of the t x t inner products ``p`` into the td x td ``out``.
+
+        mu p goes into every entry of each block and ``(1 - mu) p^2`` onto its
+        diagonal: entry for entry the floats of the Kronecker sum.
+        """
+        t, d = len(p), self.dim
+        blocks = out.reshape(t, d, t, d)
+        np.multiply(p[:, None, :, None], self.mu, out=blocks)
+        squares = (1.0 - self.mu) * p * p
+        for a in range(d):
+            blocks[:, a, :, a] += squares
+        return out
+
+    def _gram_apply(self, scalar, coeffs) -> np.ndarray:
+        # block (i, k) maps c_k to mu p_ik sum(c_k) ones + (1 - mu) p_ik^2 c_k
+        coupled = self.mu * (scalar @ coeffs.sum(axis=1))
+        return coupled[:, None] + ((1.0 - self.mu) * scalar * scalar) @ coeffs
 
     def to_dict(self) -> dict:
         return {"family": self.family, "mu": self.mu, "dim": self.dim}

@@ -70,7 +70,7 @@ class MONORMA(_OnlineLearner):
     term leaves every g_j, and each gamma_j is downdated by the exact
     closed-form change its removal makes; a gamma_j that rounding pushes
     below zero is clamped and counted in ``gamma_clips``.
-    :meth:`per_kernel_norm_sq` recomputes a norm from the Gram form for
+    :meth:`per_kernel_norm_sq` recomputes a norm from the scalar Gram for
     checking; the step never calls it.  :meth:`restore` also takes the
     kernel weights ``delta``.
     """

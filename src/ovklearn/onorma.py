@@ -468,14 +468,16 @@ class _OnlineLearner:
         self._state.restore(support, coeffs, times, input_dim)
 
     def per_kernel_norm_sq(self, j: int) -> float:
-        """||g_j||^2 recomputed from the full block Gram quadratic form.
+        """||g_j||^2 recomputed as ``sum(C ∘ G vec(C))`` from the kernel's t x t scalar Gram.
 
-        Independent of the tracked norms; O(s^2 d^2).
+        Independent of the tracked norms; O(s^2 (p + d)) time and O(s^2)
+        memory, with the (sd) x (sd) block Gram never formed.
         """
         if len(self._state) == 0:
             return 0.0
-        a = self._state.coeffs.ravel()
-        return float(a @ (self._state.kernels[j].gram(self._state.support) @ a))
+        kernel, coeffs = self._state.kernels[j], self._state.coeffs
+        applied = kernel._gram_apply(kernel.scalar_gram(self._state.support), coeffs)
+        return float(np.sum(coeffs * applied))
 
     def _step(self, x: np.ndarray, y: np.ndarray) -> StepResult:
         state, norms = self._state, self._norms
@@ -567,5 +569,5 @@ class ONORMA(_OnlineLearner):
         return self._clips
 
     def hypothesis_norm_sq(self) -> float:
-        """||f_t||^2 recomputed exactly from the block Gram quadratic form."""
+        """||f_t||^2 recomputed from the kernel's scalar Gram; see :meth:`per_kernel_norm_sq`."""
         return self.per_kernel_norm_sq(0)

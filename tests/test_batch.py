@@ -1,10 +1,12 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import block_gram
-from ovklearn.batch import BatchModel, fit, regularized_risk
+from ovklearn.batch import BatchModel, _dense_solve, fit, regularized_risk
 from ovklearn.exceptions import ConfigError, DataError, DimensionMismatch, NumericsError
 from ovklearn.kernels import NonSeparablePoly, SeparableGaussian
 from ovklearn.onorma import ONORMA
@@ -256,3 +258,88 @@ def test_jittered_retry_solves_a_singular_consistent_system(kernel):
     a = model.coeffs.ravel()
     assert np.linalg.norm(gram @ a - ys.ravel()) <= 1e-8 * np.linalg.norm(ys)
     assert np.allclose(model.coeffs[0], model.coeffs[1], rtol=1e-5)
+
+
+def kron_dense_solve(kernel, xs, ys, lam, jitter=False):
+    """The poly fit built the plain way: a Kronecker-sum Gram, the ridge on a
+    copy, an optional jitter by a td x td identity, then one Cholesky."""
+    t, d = ys.shape
+    p = xs @ xs.T
+    gram = np.kron(kernel.mu * p, np.ones((d, d))) + np.kron(
+        (1.0 - kernel.mu) * p * p, np.eye(d)
+    )
+    system = gram.copy()
+    system.flat[:: t * d + 1] += lam * t
+    if jitter:
+        system = system + 1e-10 * np.trace(gram) / (t * d) * np.eye(t * d)
+    return scipy.linalg.cho_solve(scipy.linalg.cho_factor(system), ys.ravel()).reshape(t, d)
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.2, 1.0])
+@pytest.mark.parametrize("d", [1, 4])
+@pytest.mark.parametrize("t", [1, 37, 250])
+def test_dense_fit_is_bit_identical_to_the_kron_solve(mu, d, t):
+    rng = np.random.default_rng(72)
+    xs = rng.normal(size=(t, 20)) / 4.0
+    ys = rng.normal(size=(t, d))
+    kernel = NonSeparablePoly(mu=mu, dim=d)
+    model = fit(kernel, xs, ys, 0.01)
+    assert np.array_equal(model.coeffs, kron_dense_solve(kernel, xs, ys, 0.01))
+
+
+def test_dense_retry_factors_a_freshly_built_system(monkeypatch):
+    # the first factor overwrites the buffer and then fails; the retry must
+    # rebuild the system, not factor what the failed attempt left behind
+    real = scipy.linalg.cho_factor
+    calls = []
+
+    def fail_first(a, *args, **kwargs):
+        calls.append(a.shape)
+        factor = real(a, *args, **kwargs)
+        if len(calls) == 1:
+            raise scipy.linalg.LinAlgError("forced failure")
+        return factor
+
+    rng = np.random.default_rng(73)
+    kernel = NonSeparablePoly(mu=0.3, dim=3)
+    xs = rng.normal(size=(40, 5))
+    ys = rng.normal(size=(40, 3))
+    expected = kron_dense_solve(kernel, xs, ys, 0.05, jitter=True)
+    monkeypatch.setattr(scipy.linalg, "cho_factor", fail_first)
+    model = fit(kernel, xs, ys, 0.05)
+    assert len(calls) == 2
+    assert np.array_equal(model.coeffs, expected)
+
+
+def _peak_bytes(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_dense_fit_holds_one_system_in_memory():
+    # one td x td buffer, factored without a copy; the t x t arrays add 1/d^2 each
+    t, d = 250, 4
+    rng = np.random.default_rng(74)
+    xs = rng.normal(size=(t, 20))
+    ys = rng.normal(size=(t, d))
+    kernel = NonSeparablePoly(mu=0.2, dim=d)
+    system_bytes = 8 * (t * d) ** 2
+    fit(kernel, xs, ys, 0.01)  # warm-up: one-time allocations are not the fit's
+    assert _peak_bytes(lambda: fit(kernel, xs, ys, 0.01)) <= 1.5 * system_bytes
+    assert _peak_bytes(lambda: kernel.gram(xs)) <= 1.25 * system_bytes
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_dense_condition_estimate_matches_the_block_system(d):
+    rng = np.random.default_rng(75)
+    t, lam = 9, 0.05
+    kernel = NonSeparablePoly(mu=0.3, dim=d)
+    xs = rng.uniform(-1.0, 1.0, size=(t, 3))
+    ys = rng.normal(size=(t, d))
+    _, cond = _dense_solve(kernel, kernel.scalar_gram(xs), ys, lam * t)
+    oracle = np.linalg.cond(block_gram(kernel, xs) + lam * t * np.eye(t * d))
+    assert abs(cond() - oracle) <= 1e-6 * oracle

@@ -141,7 +141,7 @@ def test_negative_seed_exits_2(argv, capsys):
     assert "must be >= 0, got -1" in err
 
 
-def test_singular_batch_system_exits_3(tmp_path, capsys):
+def singular_batch_run(tmp_path, capsys, extra=()):
     # duplicated rows with a vanishing ridge make the solve unservable
     data = tmp_path / "dup.csv"
     rows = ["f1,f2,y1"]
@@ -149,7 +149,7 @@ def test_singular_batch_system_exits_3(tmp_path, capsys):
         rows.append("0.5,0.5,1.0")
         rows.append("0.5,0.5,-1.0")
     data.write_text("\n".join(rows) + "\n")
-    code, _, err = run_cli(
+    return run_cli(
         [
             "train",
             "--set", "algorithm=batch",
@@ -158,11 +158,45 @@ def test_singular_batch_system_exits_3(tmp_path, capsys):
             "--set", "input_cols=0-1",
             "--set", "output_cols=2",
             "--set", "lambda=1e-300",
+            *extra,
         ],
         capsys,
     )
+
+
+def test_singular_batch_system_exits_3(tmp_path, capsys):
+    code, _, err = singular_batch_run(tmp_path, capsys)
     assert code == 3
     assert err.startswith("numeric failure: ")
+
+
+def test_singular_poly_batch_system_exits_3(tmp_path, capsys):
+    # the dense solve fails the same way and reports its two-spectrum condition estimate
+    code, _, err = singular_batch_run(tmp_path, capsys, ["--set", "kernel=poly(mu=0.5)"])
+    assert code == 3
+    assert err.startswith("numeric failure: ")
+    assert "condition estimate" in err
+
+
+def summary_value(out, key):
+    (line,) = [line for line in out.splitlines() if line.startswith(f"{key} = ")]
+    return float(line.split(" = ")[1])
+
+
+def test_train_warns_when_the_effective_step_diverges(capsys):
+    # the literal reference settings: eta0 = 1 puts the first step at 14-72
+    config = str(Path(BOUND_CONFIG).with_name("benchmark.cfg"))
+    code, out, err = run_cli(["train", "--config", config], capsys)
+    assert code == 0
+    assert summary_value(out, "max_eff_step") > 2.0
+    assert err.startswith("warning: max_eff_step = ")
+
+
+def test_train_is_silent_when_the_effective_step_is_stable(capsys):
+    code, out, err = run_cli(["train", "--config", BOUND_CONFIG], capsys)
+    assert code == 0
+    assert summary_value(out, "max_eff_step") <= 2.0
+    assert err == ""
 
 
 def stable_args(extra=()):

@@ -172,6 +172,17 @@ def test_gram_matches_blockwise_assembly():
         assert np.allclose(k.gram(xs), block_gram(k, xs), atol=1e-12, rtol=1e-12)
 
 
+@pytest.mark.parametrize("mu", [0.0, 0.2, 1.0])
+@pytest.mark.parametrize("dim", [1, 4])
+def test_poly_gram_equals_the_kronecker_sum(mu, dim):
+    # the one-buffer writer puts the same floats where the Kronecker sum does
+    xs = np.random.default_rng(18).normal(size=(37, 5))
+    k = NonSeparablePoly(mu=mu, dim=dim)
+    p = xs @ xs.T
+    kron = np.kron(mu * p, np.ones((dim, dim))) + np.kron((1.0 - mu) * p * p, np.eye(dim))
+    assert np.array_equal(k.gram(xs), kron)
+
+
 def test_gram_symmetric_psd():
     rng = np.random.default_rng(16)
     for _ in range(20):

@@ -229,6 +229,39 @@ def test_truncated_gammas_match_gram_oracle_through_folds():
     assert model.support_size == schedule.window(240)
 
 
+@pytest.mark.parametrize(
+    "case",
+    [
+        {"lam": 0.1, "eta0": 0.5, "truncate": False},
+        {"lam": 0.1, "eta0": 0.5, "truncate": True},
+        {"lam": 0.9, "eta0": 0.9, "truncate": True, "folds": True},
+    ],
+    ids=["plain", "truncated", "folding"],
+)
+def test_per_kernel_norm_sq_matches_gram_oracle(case):
+    # the recomputed norms come from t x t scalar Grams; both families
+    schedule = TruncationSchedule(t0=15, epsilon=0.25) if case["truncate"] else None
+    kernels = [SeparableGaussian(mu=1.0, dim=3), NonSeparablePoly(mu=0.4, dim=3)]
+    model = MONORMA(kernels, lam=case["lam"], eta0=case["eta0"], truncation=schedule)
+    single = ONORMA(kernels[1], lam=case["lam"], eta0=case["eta0"], truncation=schedule)
+    xs, ys = stream(60, 120, d=3)
+    folds = 0
+    for t, (x, y) in enumerate(zip(xs, ys), start=1):
+        before = model._state.scale
+        model.step(x, y)
+        single.step(x, y)
+        folds += model._state.scale > before
+        if t % 20 == 0:
+            state = model._state
+            for j, k in enumerate(kernels):
+                oracle = gram_norm_sq(k, list(state.support), list(state.coeffs))
+                assert abs(model.per_kernel_norm_sq(j) - oracle) <= 1e-12 * oracle
+            state = single._state
+            oracle = gram_norm_sq(kernels[1], list(state.support), list(state.coeffs))
+            assert abs(single.hypothesis_norm_sq() - oracle) <= 1e-12 * oracle
+    assert (folds >= 1) == case.get("folds", False)
+
+
 def test_risk_decomposition():
     model = MONORMA(kernel_trio(2), lam=0.4, eta0=0.5)
     xs, ys = stream(57, 40, d=2)
