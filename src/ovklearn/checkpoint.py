@@ -87,7 +87,8 @@ def load_model(path):
     archive without the expected entries, raises DataError.
     """
     try:
-        with np.load(path, allow_pickle=False) as zf:
+        # np.load can raise before its archive owns the handle; this closes it on every path
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as zf:
             return _model_from(path, zf)
     except OvkError:
         raise

@@ -47,6 +47,9 @@ RENORM_THRESHOLD = 1e-6
 
 _INITIAL_CAPACITY = 64
 
+# a block of queries' family rows takes about this many bytes, so it stays in cache
+_BLOCK_BYTES = 1 << 20
+
 
 def truncation_window(t: int, t0: int, epsilon: float) -> int:
     """Number of most recent expansion terms kept at step t.
@@ -214,20 +217,34 @@ class _ExpansionState:
         return self.expand_rows(x)
 
     def expand_rows(self, queries) -> list:
-        """``g_j`` at each of the (n, p) queries: one ``row`` call per family.
+        """``g_j`` at each of the (n, p) queries, swept in blocks of rows.
 
-        The last kernel of a family overwrites the family's rows, so at most
-        two n x s arrays are alive at once.
+        Each family does its per-support work once (``row_sweep``) and
+        writes each block's rows into one buffer of about ``_BLOCK_BYTES``.
+        The family's last kernel turns that buffer into its scalars in
+        place and the others share a second one, so the sweep holds at most
+        two such buffers and no n x s array.  Each kernel writes its block
+        of ``g_j`` into its (n, d) output.
         """
-        if self.end == self.start:
-            return [np.zeros((len(queries), self.dim)) for _ in self.kernels]
-        gs, raw, sums = [None] * len(self.kernels), self.raw_coeffs, self.raw_sums
+        n, s = len(queries), len(self)
+        gs = [np.zeros((n, self.dim)) for _ in self.kernels]
+        if s == 0:
+            return gs
+        block = max(1, min(n, _BLOCK_BYTES // (8 * s)))  # float64 rows
+        raw, sums = self.raw_coeffs, self.raw_sums
         for family in self._families:
             *others, (last, kernel) = family
-            shared = kernel.row(self.support, queries)
-            for j, other in others:
-                gs[j] = self.scale * other.batch_row_expansion(shared, raw, sums, None)
-            gs[last] = self.scale * kernel.batch_row_expansion(shared, raw, sums, shared)
+            sweep = kernel.row_sweep(self.support)
+            shared = np.empty((block, s))
+            scratch = np.empty((block, s)) if others else None
+            for lo in range(0, n, block):
+                hi = min(lo + block, n)
+                rows = sweep(queries[lo:hi], shared[: hi - lo])
+                for j, other in others:
+                    other.batch_row_expansion(rows, raw, sums, scratch[: hi - lo], gs[j][lo:hi])
+                kernel.batch_row_expansion(rows, raw, sums, rows, gs[last][lo:hi])
+        for g in gs:
+            g *= self.scale
         return gs
 
     def append(self, x, raw_coeff, t: int, rows=None, quads=None) -> None:

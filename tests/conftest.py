@@ -22,6 +22,14 @@ def block_gram(kernel, xs):
     return g
 
 
+def naive_expansion(kernel, support, coeffs, x):
+    """``sum_i K(x_i, x) c_i`` at one point, one d x d kernel matrix at a time."""
+    out = np.zeros(kernel.dim)
+    for xi, ci in zip(support, coeffs):
+        out = out + kernel(xi, x) @ ci
+    return out
+
+
 def gram_norm_sq(kernel, support, coeffs):
     """Squared expansion norm via the reproducing property, term by term."""
     total = 0.0

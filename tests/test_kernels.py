@@ -125,10 +125,10 @@ def test_row_methods_match_kernel_matrices():
         assert abs(k.quad(x, a) - quad) <= 1e-12 * max(1.0, abs(quad))
 
         queries = rng.normal(size=(3, 3))
-        rows = sibling.row(support, queries)
+        rows = sibling.row_sweep(support)(queries, np.empty((3, len(support))))
         kept = rows.copy()
-        batch = k.batch_row_expansion(rows, coeffs, sums, None)
-        assert np.array_equal(rows, kept)  # out=None leaves the shared rows intact
+        batch = k.batch_row_expansion(rows, coeffs, sums, None, np.empty((3, dim)))
+        assert np.array_equal(rows, kept)  # scratch=None leaves the shared rows intact
         naive = [sum(k(xi, q) @ ci for xi, ci in zip(support, coeffs)) for q in queries]
         assert np.allclose(batch, naive, rtol=1e-12, atol=1e-12)
 

@@ -382,18 +382,22 @@ def test_truncated_norm_tracker_matches_gram_oracle(family):
 
 
 class RowCounter:
-    """Counts calls of a kernel family's row method while installed."""
+    """Counts a kernel family's support sweeps while installed.
+
+    A sweep is a ``row`` call (one point) or a ``row_sweep`` call (the set-up
+    of every block of a multi-row query).
+    """
 
     def __init__(self, monkeypatch, *families):
         self.calls = 0
         for cls in families:
-            original = cls.row
+            for name in ("row", "row_sweep"):
 
-            def counted(kernel, support, x, _original=original):
-                self.calls += 1
-                return _original(kernel, support, x)
+                def counted(kernel, *args, _original=getattr(cls, name)):
+                    self.calls += 1
+                    return _original(kernel, *args)
 
-            monkeypatch.setattr(cls, "row", counted)
+                monkeypatch.setattr(cls, name, counted)
 
 
 def test_truncated_step_computes_one_row_per_kernel(monkeypatch):
