@@ -17,8 +17,9 @@ Gram matrix.  Which solve runs depends on the kernel:
 
 Both retry a failed factor once with the same diagonal jitter.  The
 relative residual and ``||h||^2`` are then computed in the original basis
-through the kernel's ``_gram_apply``, ``G vec(C) = S C J`` or
-``mu (P s) 1^T + (1 - mu) (P∘P) C`` with s the row sums of C: O(t^2 d)
+from ``G vec(C)``, the kernel's ``row_expansion`` over the t x t scalar
+Gram (the same expansion a prediction evaluates): ``S C J^T`` or
+``mu (P s) 1^T + (1 - mu) (P∘P) C`` with s the row sums of C, O(t^2 d)
 from t x t arrays alone.  The fitted model predicts through the online
 learners' expansion state, so its queries are checked and evaluated as
 theirs are.  This baseline exists to verify bounds and accuracy at desk
@@ -92,7 +93,7 @@ def fit(kernel, xs, ys, lam: float) -> BatchModel:
     solve = _separable_solve if kernel.family == "gaussian" else _dense_solve
     coeffs, cond = solve(kernel, scalar, ys, ridge)
     # G vec(C) in the original basis from the t x t scalar Gram: O(t^2 d)
-    applied = kernel._gram_apply(scalar, coeffs)
+    applied = kernel.row_expansion(scalar, coeffs, coeffs.sum(axis=1))
     _check_residual(float(np.linalg.norm(applied + ridge * coeffs - ys)), ys, cond)
     return BatchModel(kernel, xs, coeffs, lam, float(np.sum(coeffs * applied)))
 

@@ -84,7 +84,8 @@ def load_model(path):
     """Rebuild the saved model.
 
     Every failure to read it, from a missing or non-npz file to an
-    archive without the expected entries, raises DataError.
+    archive without the expected entries, raises DataError; so does a NaN
+    or inf in the stored terms, norms or kernel weights.
     """
     try:
         # np.load can raise before its archive owns the handle; this closes it on every path
@@ -107,22 +108,20 @@ def _model_from(path, zf):
         )
     kind = meta.get("model")
     if kind == "batch":
-        return BatchModel(
-            kernel=kernel_from_dict(meta["kernel"]),
-            support=zf["support"].copy(),
-            coeffs=zf["coeffs"].copy(),
-            lam=meta["lam"],
-            norm_sq=meta["norm_sq"],
-        )
+        kernel = kernel_from_dict(meta["kernel"])
+        support, coeffs, norm_sq = zf["support"], zf["coeffs"], meta["norm_sq"]
+        _check_finite(path, support=support, coeffs=coeffs, norm_sq=norm_sq)
+        return BatchModel(kernel, support, coeffs, lam=meta["lam"], norm_sq=norm_sq)
     if kind not in ("onorma", "monorma"):
         raise DataError(f"{path}: unknown model kind {kind!r}")
     # only the kernel(s), norm and weight fields differ by kind
     if kind == "onorma":
         cls, kernels, norms = ONORMA, kernel_from_dict(meta["kernel"]), [meta["norm_sq"]]
-        hyper, delta = {}, None
+        hyper, delta, tracked = {}, None, {"norm_sq": norms}
     else:
         cls, kernels = MONORMA, [kernel_from_dict(k) for k in meta["kernels"]]
         norms, hyper, delta = meta["gamma"], {"r": meta["r"]}, meta["delta"]
+        tracked = {"gamma": norms, "delta": delta}
     tr = meta["truncation"]
     learner = cls(
         kernels,
@@ -132,7 +131,18 @@ def _model_from(path, zf):
         truncation=None if tr is None else TruncationSchedule(**tr),
         **hyper,
     )
-    learner.restore(
-        zf["support"], zf["coeffs"], zf["times"], meta["input_dim"], meta["t"], norms, delta
-    )
+    support, coeffs = zf["support"], zf["coeffs"]
+    _check_finite(path, support=support, coeffs=coeffs, **tracked)
+    learner.restore(support, coeffs, zf["times"], meta["input_dim"], meta["t"], norms, delta)
     return learner
+
+
+def _check_finite(path, **fields) -> None:
+    """DataError naming the first field with a NaN or inf entry.
+
+    Nothing downstream checks a loaded value: a non-finite one would
+    turn every later prediction or risk into NaN without an error.
+    """
+    for name, values in fields.items():
+        if not np.all(np.isfinite(np.asarray(values, dtype=float))):
+            raise DataError(f"{path}: non-finite {name} in checkpoint")

@@ -84,7 +84,8 @@ class KernelSpec:
         return NonSeparablePoly(mu=self.mu, dim=dim)
 
     def text(self) -> str:
-        return f"{self.family}(mu={self.mu:g})"
+        # repr is the shortest text that parses back to the same float
+        return f"{self.family}(mu={repr(float(self.mu)).removesuffix('.0')})"
 
 
 def _parse_bool(value: str, key: str) -> bool:
@@ -294,10 +295,9 @@ def _f(value) -> str:
     return repr(float(value))
 
 
-def metrics_text(records, m_deltas: int = 0) -> str:
+def metrics_text(records) -> str:
     """Metrics CSV as a string; header even when there are no records."""
-    if records and records[0].deltas is not None:
-        m_deltas = len(records[0].deltas)
+    m_deltas = len(records[0].deltas) if records and records[0].deltas is not None else 0
     header = "step,loss,cum_mse,r_inst,step_us" + "".join(
         f",delta_{j + 1}" for j in range(m_deltas)
     )
@@ -316,9 +316,9 @@ def metrics_text(records, m_deltas: int = 0) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_metrics(path, records, m_deltas: int = 0) -> None:
+def write_metrics(path, records) -> None:
     with open(path, "w", newline="") as fh:
-        fh.write(metrics_text(records, m_deltas))
+        fh.write(metrics_text(records))
 
 
 def summary_text(summary: dict) -> str:

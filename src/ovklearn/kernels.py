@@ -19,11 +19,13 @@ inner products); see :class:`OperatorKernel`.  A sweep for many queries at
 once is one BLAS product of the queries with the support: the Gaussian
 family writes each squared distance in its centred GEMM form, clamped at
 0, whose predictions agree with the single-point sweep's within 1e-12
-relative.  A poly kernel also reads
-each stored term's coefficient sum, which the expansion state keeps, so no
-row method reduces over the support.  A kernel evaluates no
-expansion itself: every model, online or batch, sums ``K(x_i, x) c_i``
-through the per-term methods in one place, ``onorma._ExpansionState``.
+relative.  Each family writes its expansion ``sum_i K(x_i, x) c_i`` once,
+in ``row_expansion``, for one query or a block of them; the online step,
+every multi-row predict and the batch Gram product ``G vec(C)`` (the
+expansion over the t x t ``scalar_gram``) all call it.  A poly kernel also
+reads each term's coefficient sum, which the expansion state keeps, so no
+row method reduces over the support.  Every model, online or batch, feeds
+the row methods in one place, ``onorma._ExpansionState``.
 
 Kernel objects are immutable and safe to share between threads.
 """
@@ -62,11 +64,9 @@ class OperatorKernel:
     """Common evaluation helpers; concrete families fill in the formulas.
 
     Subclasses implement ``__call__`` (the d x d matrix), ``gram`` (the
-    stacked td x td block matrix with block (i, j) equal to ``K(x_i, x_j)``),
-    ``_gram_apply`` (that matrix times a coefficient array, from the t x t
-    ``scalar_gram`` alone, for the batch solves and the norm oracle) and the
-    row methods below, from which every model evaluates its expansion
-    ``sum_i K(x_i, x) coeffs_i``.
+    stacked td x td block matrix with block (i, j) equal to ``K(x_i, x_j)``)
+    and the row methods below, from which every model evaluates its
+    expansion ``sum_i K(x_i, x) coeffs_i``.
 
     Both families write ``K(x_i, x)`` through one scalar per support term,
     ``r_i`` (Gaussian weight or inner product), and every kernel of a
@@ -77,12 +77,14 @@ class OperatorKernel:
     per family, not once per kernel.  Many queries are swept through
     ``row_sweep(support)``, which does the per-support work once and
     returns a function writing the (B, s) family rows of a block of B
-    queries into a caller's buffer with one BLAS product; a block's rows
-    feed ``batch_row_expansion`` and, over the support itself,
-    ``scalar_gram``.  ``row_expansion`` and ``row_cross``
-    read the scalars: a single-query expansion is
-    ``row_expansion(scalars(row(support, x)), coeffs, sums)``, and the same
-    scalars give every cross product ``<K(x_i, x) a, coeffs_i>``.
+    queries into a caller's buffer with one BLAS product; over the support
+    itself it gives ``scalar_gram``.  ``row_expansion`` and ``row_cross``
+    read the scalars: one query's expansion is
+    ``row_expansion(scalars(row(support, x)), coeffs, sums)``, a block's
+    takes its (B, s) scalars, and over the t x t ``scalar_gram`` it is the
+    block Gram product ``G vec(coeffs)`` of the batch solves and the norm
+    oracle, with G never formed.  The same scalars give every cross
+    product ``<K(x_i, x) a, coeffs_i>``.
     ``sums`` holds each term's coefficient sum ``sum_k coeffs[i, k]``,
     read only by a kernel with ``reads_sums`` set (the poly family, whose
     all-ones block needs it), and ``None`` for a kernel without.
@@ -113,15 +115,13 @@ class OperatorKernel:
         """The per-term scalars ``r_i`` of ``K(x_i, x)``, elementwise from the family row."""
         raise NotImplementedError
 
-    def row_expansion(self, row, coeffs, sums) -> np.ndarray:
-        """``sum_i K(x_i, x) coeffs_i`` from the scalars of x."""
-        raise NotImplementedError
+    def row_expansion(self, scalars, coeffs, sums, scratch=None, out=None) -> np.ndarray:
+        """``sum_i K(x_i, x) coeffs_i`` from the (s,) scalars of one x, or of B queries from (B, s).
 
-    def batch_row_expansion(self, rows, coeffs, sums, scratch, out) -> np.ndarray:
-        """``row_expansion`` of B queries from their (B, s) family rows, written into (B, d) ``out``.
-
-        The kernel's scalars go into ``scratch``: the rows are overwritten
-        only when ``scratch`` is ``rows``, and ``None`` allocates.
+        The result goes into ``out`` ((d,) or (B, d)), and ``None`` allocates.
+        A kernel that needs a buffer the size of the scalars writes it into
+        ``scratch``: the scalars are overwritten only when ``scratch`` is
+        ``scalars``, and ``None`` allocates.
         """
         raise NotImplementedError
 
@@ -140,13 +140,6 @@ class OperatorKernel:
         return self.scalars(row, out=row)
 
     def gram(self, xs) -> np.ndarray:
-        raise NotImplementedError
-
-    def _gram_apply(self, scalar, coeffs) -> np.ndarray:
-        """``G vec(coeffs)`` as a t x d array, from the t x t ``scalar_gram``.
-
-        The block Gram G is never formed: O(t^2 d) time and O(t^2) memory.
-        """
         raise NotImplementedError
 
     def diag_operator_norm(self, x) -> float:
@@ -195,8 +188,10 @@ class SeparableGaussian(OperatorKernel):
             raise DimensionMismatch("structure matrix", J.shape, (self.dim, self.dim))
         if not np.all(np.isfinite(J)):
             raise ConfigError("structure matrix must be finite")
-        if not np.allclose(J, J.T, atol=1e-12):
-            raise ConfigError("structure matrix must be symmetric")
+        # an asymmetric J makes K(x, x') differ from K(x', x)^T
+        asymmetry = np.max(np.abs(J - J.T))
+        if asymmetry > 1e-12 * np.max(np.abs(J)):
+            raise ConfigError(f"structure matrix must be symmetric, |J - J^T| = {asymmetry:.3e}")
         # eigvalsh and eigh differ in the last bit (1.3 at d = 4 and the
         # default J), and every bound constant reads the eigvalsh value
         eigs = np.linalg.eigvalsh(J)
@@ -249,11 +244,9 @@ class SeparableGaussian(OperatorKernel):
         w /= self.mu
         return np.exp(w, out=w)
 
-    def row_expansion(self, row, coeffs, sums) -> np.ndarray:
-        return self.structure @ (row @ coeffs)
-
-    def batch_row_expansion(self, rows, coeffs, sums, scratch, out) -> np.ndarray:
-        return np.matmul(self.scalars(rows, scratch) @ coeffs, self.structure, out=out)
+    def row_expansion(self, scalars, coeffs, sums, scratch=None, out=None) -> np.ndarray:
+        # row b is J (w_b C) for any J; one query's floats are those of J @ (w @ C)
+        return np.matmul(scalars @ coeffs, self.structure.T, out=out)
 
     def row_cross(self, row, coeffs, sums, a) -> np.ndarray:
         return row * (coeffs @ (self.structure @ a))
@@ -264,10 +257,6 @@ class SeparableGaussian(OperatorKernel):
 
     def gram(self, xs) -> np.ndarray:
         return np.kron(self.scalar_gram(xs), self.structure)
-
-    def _gram_apply(self, scalar, coeffs) -> np.ndarray:
-        # (S ⊗ J) vec(C) is S C J
-        return (scalar @ coeffs) @ self.structure
 
     def diag_operator_norm(self, x) -> float:
         return self._diag_norm
@@ -327,10 +316,13 @@ class NonSeparablePoly(OperatorKernel):
         # K(x_i, x) = mu p_i ONES + (1 - mu) p_i^2 I reads p_i itself
         return row
 
-    def row_expansion(self, row, coeffs, sums) -> np.ndarray:
-        return self.mu * float(row @ sums) * np.ones(self.dim) + (
-            1.0 - self.mu
-        ) * ((row * row) @ coeffs)
+    def row_expansion(self, scalars, coeffs, sums, scratch=None, out=None) -> np.ndarray:
+        # the coupled part first: the squares may overwrite the scalars
+        coupled = self.mu * (scalars @ sums)
+        squares = np.multiply(scalars, scalars, out=scratch)
+        out = np.multiply(squares @ coeffs, 1.0 - self.mu, out=out)
+        out += coupled[..., None]
+        return out
 
     def row_cross(self, row, coeffs, sums, a) -> np.ndarray:
         return self.mu * float(np.sum(a)) * (row * sums) + (
@@ -341,13 +333,6 @@ class NonSeparablePoly(OperatorKernel):
         dot = float(x @ x)
         total = float(np.sum(a))
         return self.mu * dot * total * total + (1.0 - self.mu) * dot * dot * float(a @ a)
-
-    def batch_row_expansion(self, rows, coeffs, sums, scratch, out) -> np.ndarray:
-        coupled = self.mu * (rows @ sums)
-        squares = np.multiply(rows, rows, out=scratch)
-        np.multiply(squares @ coeffs, 1.0 - self.mu, out=out)
-        out += coupled[:, None]
-        return out
 
     def gram(self, xs) -> np.ndarray:
         """The td x td block Gram ``mu P ⊗ ONES + (1 - mu) (P∘P) ⊗ I``, P the inner products.
@@ -371,11 +356,6 @@ class NonSeparablePoly(OperatorKernel):
         for a in range(d):
             blocks[:, a, :, a] += squares
         return out
-
-    def _gram_apply(self, scalar, coeffs) -> np.ndarray:
-        # block (i, k) maps c_k to mu p_ik sum(c_k) ones + (1 - mu) p_ik^2 c_k
-        coupled = self.mu * (scalar @ coeffs.sum(axis=1))
-        return coupled[:, None] + ((1.0 - self.mu) * scalar * scalar) @ coeffs
 
     def to_dict(self) -> dict:
         return {"family": self.family, "mu": self.mu, "dim": self.dim}

@@ -241,8 +241,9 @@ class _ExpansionState:
                 hi = min(lo + block, n)
                 rows = sweep(queries[lo:hi], shared[: hi - lo])
                 for j, other in others:
-                    other.batch_row_expansion(rows, raw, sums, scratch[: hi - lo], gs[j][lo:hi])
-                kernel.batch_row_expansion(rows, raw, sums, rows, gs[last][lo:hi])
+                    buf = scratch[: hi - lo]
+                    other.row_expansion(other.scalars(rows, buf), raw, sums, buf, gs[j][lo:hi])
+                kernel.row_expansion(kernel.scalars(rows, rows), raw, sums, rows, gs[last][lo:hi])
         for g in gs:
             g *= self.scale
         return gs
@@ -493,7 +494,8 @@ class _OnlineLearner:
         if len(self._state) == 0:
             return 0.0
         kernel, coeffs = self._state.kernels[j], self._state.coeffs
-        applied = kernel._gram_apply(kernel.scalar_gram(self._state.support), coeffs)
+        scalar = kernel.scalar_gram(self._state.support)
+        applied = kernel.row_expansion(scalar, coeffs, coeffs.sum(axis=1), scratch=scalar)
         return float(np.sum(coeffs * applied))
 
     def _step(self, x: np.ndarray, y: np.ndarray) -> StepResult:

@@ -230,6 +230,52 @@ def test_rejects_incomplete_archive(tmp_path):
         load_model(path)
 
 
+def tampered_copy(source, path, field, value):
+    """Rewrite ``source`` into ``path`` with one array entry or meta field set to ``value``."""
+    with np.load(source) as zf:
+        arrays = {name: zf[name] for name in zf.files}
+    meta = json.loads(str(arrays.pop("meta")))
+    if field in arrays:
+        arrays[field] = arrays[field].copy()
+        arrays[field].flat[-1] = value
+    elif isinstance(meta[field], list):
+        meta[field][-1] = value
+    else:
+        meta[field] = value
+    np.savez(path, meta=np.array(json.dumps(meta)), **arrays)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "kind, field",
+    [
+        ("onorma", "support"),
+        ("onorma", "coeffs"),
+        ("onorma", "norm_sq"),
+        ("monorma", "support"),
+        ("monorma", "gamma"),
+        ("monorma", "delta"),
+        ("batch", "support"),
+        ("batch", "coeffs"),
+        ("batch", "norm_sq"),
+    ],
+)
+def test_rejects_non_finite_values(tmp_path, kind, field, value):
+    xs, ys = stream(12, 20)
+    kernels = [SeparableGaussian(mu=1.0, dim=2), NonSeparablePoly(mu=0.4, dim=2)]
+    if kind == "batch":
+        model = fit(kernels[0], xs, ys, lam=0.5)
+    else:
+        model = ONORMA(kernels[0], lam=0.1) if kind == "onorma" else MONORMA(kernels, lam=0.1)
+        model.fit(xs, ys)
+    saved, path = tmp_path / "saved.npz", tmp_path / "tampered.npz"
+    save_model(saved, model)
+    load_model(saved)  # the untouched file loads
+    tampered_copy(saved, path, field, value)
+    with pytest.raises(DataError, match=f"non-finite {field}"):
+        load_model(path)
+
+
 def test_save_rejects_other_objects(tmp_path):
     with pytest.raises(TypeError):
         save_model(tmp_path / "no.npz", object())

@@ -127,10 +127,34 @@ def test_row_methods_match_kernel_matrices():
         queries = rng.normal(size=(3, 3))
         rows = sibling.row_sweep(support)(queries, np.empty((3, len(support))))
         kept = rows.copy()
-        batch = k.batch_row_expansion(rows, coeffs, sums, None, np.empty((3, dim)))
+        batch = k.row_expansion(k.scalars(rows), coeffs, sums, None, np.empty((3, dim)))
         assert np.array_equal(rows, kept)  # scratch=None leaves the shared rows intact
         naive = [sum(k(xi, q) @ ci for xi, ci in zip(support, coeffs)) for q in queries]
         assert np.allclose(batch, naive, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4, 7])
+@pytest.mark.parametrize("s", [1, 7, 350])
+def test_row_expansion_keeps_the_point_forms(dim, s):
+    # one query's expansion has the floats of each family's point form, and
+    # a one-row block those of the query: the step's bits do not depend on
+    # the expansion also serving blocks
+    rng = np.random.default_rng(dim * 1000 + s)
+    scalars = rng.uniform(-1.0, 1.0, size=s)
+    coeffs = rng.normal(size=(s, dim))
+    sums = coeffs.sum(axis=1)
+    gaussian = SeparableGaussian(mu=1.3, dim=dim, structure=default_structure(dim))
+    poly = NonSeparablePoly(mu=0.3, dim=dim)
+    J, w, mu = gaussian.structure, scalars, poly.mu
+    point_forms = [
+        (gaussian, J @ (w @ coeffs)),
+        (poly, mu * (w @ sums) * np.ones(dim) + (1.0 - mu) * ((w * w) @ coeffs)),
+    ]
+    for kernel, point in point_forms:
+        one = kernel.row_expansion(scalars, coeffs, sums)
+        assert one.shape == (dim,) and np.array_equal(one, point)
+        block = kernel.row_expansion(scalars[None], coeffs, sums, out=np.empty((1, dim)))
+        assert np.array_equal(block[0], one)
 
 
 def test_expansion_matches_naive_sum():
@@ -230,6 +254,13 @@ def test_operator_norm_bound():
 def test_structure_validation():
     with pytest.raises(ConfigError):
         SeparableGaussian(mu=1.0, dim=2, structure=np.array([[1.0, 0.2], [0.1, 1.0]]))
+    # an asymmetry far below allclose's default rtol still breaks K(x, x') == K(x', x)^T
+    for off in (4e-6, 1e-11):
+        with pytest.raises(ConfigError, match="symmetric"):
+            SeparableGaussian(mu=1.0, dim=2, structure=np.array([[1.0, 0.2], [0.2 + off, 1.0]]))
+    # relative to max|J|: rounding-level asymmetry of a large J passes
+    big = 1e6 * np.array([[1.0, 0.2], [0.2 + 2e-16, 1.0]])
+    assert SeparableGaussian(mu=1.0, dim=2, structure=big).structure[0, 1] == big[0, 1]
     with pytest.raises(ConfigError):
         # eigenvalues 3 and -1: symmetric but indefinite
         SeparableGaussian(mu=1.0, dim=2, structure=np.array([[1.0, 2.0], [2.0, 1.0]]))
