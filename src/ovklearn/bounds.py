@@ -230,29 +230,22 @@ def check_hypotheses(kernel, xs, ys, lam: float, loss) -> HypothesisReport:
     c_y = float(np.max(np.linalg.norm(ys, axis=1))) if len(ys) else 0.0
 
     if isinstance(loss, EpsilonInsensitive):
-        return HypothesisReport(
-            kappa_sq=kappa_sq,
-            c_y=c_y,
-            branch="sigma_admissible",
-            loss_name=loss.name(),
-            sigma_admissible=True,
-            c_lip=loss.lipschitz,
-            lambda_margin=None,
-            passes=kappa_sq > 0,
-        )
-    if isinstance(loss, SquaredLoss):
-        margin = lam - 2.0 * kappa_sq
-        return HypothesisReport(
-            kappa_sq=kappa_sq,
-            c_y=c_y,
-            branch="least_squares",
-            loss_name=loss.name(),
-            sigma_admissible=False,
-            c_lip=None,
-            lambda_margin=margin,
-            passes=margin > 0 and kappa_sq > 0,
-        )
-    raise ValueError(f"unrecognised loss {loss!r}")
+        branch, margin, passes = "sigma_admissible", None, kappa_sq > 0
+    elif isinstance(loss, SquaredLoss):
+        branch, margin = "least_squares", lam - 2.0 * kappa_sq
+        passes = margin > 0 and kappa_sq > 0
+    else:
+        raise ValueError(f"unrecognised loss {loss!r}")
+    return HypothesisReport(
+        kappa_sq=kappa_sq,
+        c_y=c_y,
+        branch=branch,
+        loss_name=loss.name(),
+        sigma_admissible=branch == "sigma_admissible",
+        c_lip=loss.lipschitz,
+        lambda_margin=margin,
+        passes=passes,
+    )
 
 
 def coefficient_bound_ratios(run_log, consts: BoundConstants) -> np.ndarray:

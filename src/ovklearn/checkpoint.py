@@ -18,7 +18,7 @@ import numpy as np
 from .batch import BatchModel
 from .exceptions import DataError, OvkError
 from .kernels import kernel_from_dict
-from .losses import EpsilonInsensitive, loss_from_name
+from .losses import loss_from_name
 from .monorma import MONORMA
 from .onorma import ONORMA, TruncationSchedule
 
@@ -31,13 +31,6 @@ FORMAT_VERSION = 1
 _READ_ERRORS = (OSError, EOFError, ValueError, KeyError, TypeError, zipfile.BadZipFile)
 
 
-def _loss_spec(loss) -> str:
-    # repr keeps epsilon exact; name() formats it for display
-    if isinstance(loss, EpsilonInsensitive):
-        return f"eps({loss.epsilon!r})"
-    return loss.name()
-
-
 def save_model(path, model) -> None:
     """Write an ONORMA, MONORMA, or BatchModel checkpoint."""
     if isinstance(model, (ONORMA, MONORMA)):
@@ -46,7 +39,7 @@ def save_model(path, model) -> None:
         tr = model.truncation
         meta = {
             "format_version": FORMAT_VERSION,
-            "loss": _loss_spec(model.loss),
+            "loss": model.loss.name(),
             "lam": model.lam,
             "eta0": model.eta0,
             "truncation": None if tr is None else {"t0": tr.t0, "epsilon": tr.epsilon},
@@ -85,7 +78,8 @@ def load_model(path):
 
     Every failure to read it, from a missing or non-npz file to an
     archive without the expected entries, raises DataError; so does a NaN
-    or inf in the stored terms, norms or kernel weights.
+    or inf in the stored terms, norms or kernel weights, and a step count,
+    norm or weight no run reaches (see ``_check_state``).
     """
     try:
         # np.load can raise before its archive owns the handle; this closes it on every path
@@ -133,6 +127,7 @@ def _model_from(path, zf):
     )
     support, coeffs = zf["support"], zf["coeffs"]
     _check_finite(path, support=support, coeffs=coeffs, **tracked)
+    _check_state(path, meta["t"], learner.r, **tracked)
     learner.restore(support, coeffs, zf["times"], meta["input_dim"], meta["t"], norms, delta)
     return learner
 
@@ -146,3 +141,18 @@ def _check_finite(path, **fields) -> None:
     for name, values in fields.items():
         if not np.all(np.isfinite(np.asarray(values, dtype=float))):
             raise DataError(f"{path}: non-finite {name} in checkpoint")
+
+
+def _check_state(path, t, r, delta=None, **norms) -> None:
+    """DataError naming a step count, tracked norm or kernel weight no run reaches."""
+    if type(t) is not int or t < 0:
+        raise DataError(f"{path}: t must be an integer >= 0, got {t!r}")
+    for name, values in norms.items():
+        if np.any(np.asarray(values, dtype=float) < 0):
+            raise DataError(f"{path}: negative {name} in checkpoint")
+    if delta is not None:
+        delta = np.asarray(delta, dtype=float)
+        if not (np.all(delta >= 0) and abs(np.sum(delta**r) - 1) <= 1e-12):
+            raise DataError(
+                f"{path}: delta must be >= 0 with sum(delta**r) = 1, got {delta.tolist()}"
+            )

@@ -1,8 +1,8 @@
 """Command-line front end: generate, train, sweep, check-bounds.
 
-Exit codes: 0 on success, 2 for configuration or usage problems, 3 for
-numeric failures (solver breakdown, guarantee prerequisites or the
-verified inequality failing).
+Exit codes: 0 on success, 2 for configuration or usage problems and for
+paths that cannot be read or written, 3 for numeric failures (solver
+breakdown, guarantee prerequisites or the verified inequality failing).
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from .data import SynthSpec, gen_synthetic, save_csv
 from .exceptions import HypothesisViolation, NumericsError, OvkError
 from .experiments import (
     STABLE_STEP,
+    SWEEPABLE,
     bound_check,
     read_config,
     run_experiment,
@@ -57,9 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sw = subs.add_parser("sweep", help="repeat an experiment over a parameter grid")
     _add_config_args(sw)
-    sw.add_argument(
-        "--param", required=True, choices=("mu", "lambda", "eta0"), dest="parameter"
-    )
+    sw.add_argument("--param", required=True, choices=SWEEPABLE, dest="parameter")
     sw.add_argument(
         "--values", required=True, help="comma-separated list, e.g. 0.001,0.01,0.1"
     )
@@ -137,7 +136,7 @@ def main(argv=None) -> int:
     except (NumericsError, HypothesisViolation) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (OvkError, FileNotFoundError) as exc:
+    except (OvkError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -35,6 +35,7 @@ from .onorma import ONORMA, TruncationSchedule
 __all__ = [
     "KernelSpec",
     "ExperimentConfig",
+    "SWEEPABLE",
     "MetricsRecord",
     "parse_config_text",
     "read_config",
@@ -201,6 +202,31 @@ class ExperimentConfig:
         return MONORMA(kernels, r=self.r, **common)
 
 
+# the two ExperimentConfig fields whose config key is not the field name
+_KEYS = {"kernels": "kernel", "lam": "lambda"}
+
+# parse(value, key) per field annotation, which ``from __future__ import
+# annotations`` keeps as text; a field typed ``X | None`` parses as X
+_PARSERS = {
+    "str": lambda value, key: value,
+    "int": lambda value, key: int(value),
+    "float": lambda value, key: float(value),
+    "bool": _parse_bool,
+    "tuple[int, ...]": _parse_cols,
+    "tuple[KernelSpec, ...]": lambda value, key: tuple(map(KernelSpec.parse, value.split(","))),
+}
+
+# config key -> (field name, parser) in field order; built at import, so a
+# field whose annotation has no parser fails every test, not a user's run
+_FIELDS = {
+    _KEYS.get(f.name, f.name): (f.name, _PARSERS[f.type.removesuffix(" | None")])
+    for f in dataclasses.fields(ExperimentConfig)
+}
+
+# the parameters `sweep` varies: every kernel's mu, or the field of a config key
+SWEEPABLE = ("mu", "lambda", "eta0")
+
+
 def parse_config_text(text: str) -> dict[str, str]:
     """Flat ``key = value`` lines; '#' starts a comment; blanks ignored."""
     raw: dict[str, str] = {}
@@ -222,43 +248,17 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 def _build_config(raw: dict[str, str]) -> ExperimentConfig:
     kwargs = {}
-
-    def take(key, conv, field_name=None):
+    for key, (name, parse) in _FIELDS.items():
         if key in raw:
             value = raw.pop(key)
             try:
-                kwargs[field_name or key] = conv(value)
+                kwargs[name] = parse(value, key)
             except ConfigError:
                 raise
             except ValueError:
                 raise ConfigError(
                     f"config field {key!r}: cannot parse {value!r}"
                 ) from None
-
-    take("algorithm", str)
-    take("kernel", lambda v: tuple(KernelSpec.parse(p) for p in v.split(",")), "kernels")
-    take("loss", str)
-    take("lambda", float, "lam")
-    take("eta0", float)
-    take("r", float)
-    take("truncate", lambda v: _parse_bool(v, "truncate"))
-    take("t0", int)
-    take("epsilon", float)
-    take("seed", int)
-    take("train_fraction", float)
-    take("normalize", lambda v: _parse_bool(v, "normalize"))
-    take("data", str)
-    take("n_instances", int)
-    take("n_outputs", int)
-    take("csv_path", str)
-    take("input_cols", lambda v: _parse_cols(v, "input_cols"))
-    take("output_cols", lambda v: _parse_cols(v, "output_cols"))
-    take("header", lambda v: _parse_bool(v, "header"))
-    take("one_hot_classes", int)
-    take("structure", str)
-    take("metrics", str)
-    take("summary", str)
-    take("checkpoint", str)
     if raw:
         raise ConfigError(f"unknown config key {sorted(raw)[0]!r}")
     return ExperimentConfig(**kwargs)
@@ -531,14 +531,11 @@ def _guarantee(cfg: ExperimentConfig, kernel, train: Dataset, loss, run_log):
     return hyp, consts, report
 
 
-_SWEEPABLE = ("mu", "lambda", "eta0")
-
-
 def sweep(cfg: ExperimentConfig, parameter: str, values):
     """One run per value; returns [(value, summary)] sorted by value."""
-    if parameter not in _SWEEPABLE:
+    if parameter not in SWEEPABLE:
         raise ConfigError(
-            f"sweep parameter must be one of {_SWEEPABLE}, got {parameter!r}"
+            f"sweep parameter must be one of {SWEEPABLE}, got {parameter!r}"
         )
     try:
         values = [float(v) for v in values]
@@ -550,16 +547,10 @@ def sweep(cfg: ExperimentConfig, parameter: str, values):
     rows = []
     for value in sorted(values):
         if parameter == "mu":
-            point = dataclasses.replace(
-                base,
-                kernels=tuple(
-                    dataclasses.replace(s, mu=value) for s in base.kernels
-                ),
-            )
-        elif parameter == "lambda":
-            point = dataclasses.replace(base, lam=value)
+            kernels = tuple(dataclasses.replace(s, mu=value) for s in base.kernels)
+            point = dataclasses.replace(base, kernels=kernels)
         else:
-            point = dataclasses.replace(base, eta0=value)
+            point = dataclasses.replace(base, **{_FIELDS[parameter][0]: value})
         _, summary = run_experiment(point)
         rows.append((value, summary))
     return rows

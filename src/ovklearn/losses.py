@@ -88,7 +88,8 @@ class EpsilonInsensitive:
         return value, r / n
 
     def name(self) -> str:
-        return f"eps({self.epsilon:g})"
+        # repr keeps epsilon exact, so the name parses back to the same loss
+        return f"eps({self.epsilon!r})"
 
 
 def loss_from_name(name: str):

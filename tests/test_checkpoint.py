@@ -1,5 +1,6 @@
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -322,7 +323,8 @@ def v1_monorma_meta(t, support, coeffs):
         "r": 1.5,
         "truncation": {"t0": 5, "epsilon": 0.25},
         "t": t,
-        "delta": [0.8, 0.5],
+        # weights on the boundary sum(delta**r) = 1, where every run keeps them
+        "delta": [0.8, 0.4325261336522499],
         "gamma": gammas,
         "input_dim": 3,
     }
@@ -373,6 +375,51 @@ def test_format_v1_monorma_archive_loads(tmp_path):
     probes = v1_terms(23, range(5))[0]
     naive_preds = np.array([naive.predict(x) for x in probes])
     assert np.max(np.abs(back.predict(probes) - naive_preds)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "kind, field, value, message",
+    [
+        ("onorma", "t", -5, "t must be an integer >= 0, got -5"),
+        ("onorma", "t", "7", "t must be an integer >= 0, got '7'"),
+        ("onorma", "t", 2.5, "t must be an integer >= 0, got 2.5"),
+        ("onorma", "t", True, "t must be an integer >= 0, got True"),
+        ("onorma", "norm_sq", -1, "negative norm_sq"),
+        ("monorma", "gamma", [-1, 2], "negative gamma"),
+        ("monorma", "delta", [-3, 5], "delta must be >= 0 with sum(delta**r) = 1"),
+        ("monorma", "delta", [0.8, 0.5], "delta must be >= 0 with sum(delta**r) = 1"),
+    ],
+    ids=[
+        "t-negative",
+        "t-string",
+        "t-fraction",
+        "t-bool",
+        "norm_sq-negative",
+        "gamma-negative",
+        "delta-negative",
+        "delta-off-boundary",
+    ],
+)
+def test_rejects_impossible_meta(tmp_path, kind, field, value, message):
+    support, coeffs, stamps = v1_terms(25, range(1, 9))
+    if kind == "onorma":
+        meta = v1_onorma_meta(GAUSS_V1, None, 8, support, coeffs)
+    else:
+        meta = v1_monorma_meta(8, support, coeffs)
+    path = tmp_path / "v1.npz"
+    write_v1(path, meta, support, coeffs, stamps)
+    load_model(path)  # the archive before the edit loads
+    write_v1(path, {**meta, field: value}, support, coeffs, stamps)
+    with pytest.raises(DataError, match=re.escape(message)):
+        load_model(path)
+
+
+def test_zero_kernel_weight_loads(tmp_path):
+    # the weight update underflows small weights to exactly 0 (seen at r = 0.5)
+    support, coeffs, stamps = v1_terms(26, range(1, 9))
+    meta = {**v1_monorma_meta(8, support, coeffs), "delta": [0.0, 1.0]}
+    write_v1(tmp_path / "v1.npz", meta, support, coeffs, stamps)
+    assert load_model(tmp_path / "v1.npz").delta.tolist() == [0.0, 1.0]
 
 
 def test_save_model_writes_format_v1_fields(tmp_path):

@@ -62,6 +62,24 @@ def test_missing_config_file(tmp_path, capsys):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "settings",
+    [
+        ["structure={dir}"],
+        ["data=csv", "csv_path={dir}", "input_cols=0", "output_cols=1"],
+        ["metrics={dir}"],
+    ],
+    ids=["structure", "csv_path", "metrics"],
+)
+def test_directory_as_file_path_exits_2(tmp_path, capsys, settings):
+    argv = ["train", "--config", BOUND_CONFIG]
+    for item in settings:
+        argv += ["--set", item.format(dir=tmp_path)]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2
+    assert err.startswith("error: ") and str(tmp_path) in err
+
+
 def test_bad_algorithm_exits_2(capsys):
     code, _, err = run_cli(["train", "--set", "algorithm=magic"], capsys)
     assert code == 2

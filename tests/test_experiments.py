@@ -1,4 +1,6 @@
 import dataclasses
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -109,6 +111,30 @@ def test_read_config_rejects_unknown_and_unparsable():
         read_config(None, ["lambda=abc"])
     with pytest.raises(ConfigError, match="expected true/false"):
         read_config(None, ["truncate=maybe"])
+
+
+def readme_config_keys():
+    """Every key in the first cells of README's "Config keys" table."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("## Config keys\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1] for line in table.splitlines() if line.startswith("|")]
+    return [key for cell in rows for key in re.findall(r"`([^`]+)`", cell)]
+
+
+def read_config_accepts(key):
+    try:
+        read_config(None, [f"{key}=?"])
+    except ConfigError as exc:
+        return not str(exc).startswith("unknown config key")
+    return True
+
+
+def test_readme_lists_exactly_the_accepted_config_keys():
+    documented = readme_config_keys()
+    fields = [f.name for f in dataclasses.fields(ExperimentConfig)]
+    accepted = [key for key in sorted(set(documented + fields)) if read_config_accepts(key)]
+    assert len(accepted) == len(fields)
+    assert sorted(documented) == accepted
 
 
 def test_column_spec_parsing():

@@ -163,3 +163,9 @@ def test_dimension_mismatch():
 def test_names():
     assert SquaredLoss().name() == "squared"
     assert EpsilonInsensitive(epsilon=0.25).name() == "eps(0.25)"
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.1234567, 1e-7, 3.0])
+def test_epsilon_name_parses_back_exactly(epsilon):
+    loss = EpsilonInsensitive(epsilon=epsilon)
+    assert loss_from_name(loss.name()) == loss
