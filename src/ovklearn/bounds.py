@@ -41,9 +41,26 @@ __all__ = [
     "check_cumulative_bound",
     "check_hypotheses",
     "coefficient_bound_ratios",
+    "key_value_text",
 ]
 
 KAPPA_NOTE = "empirical max over the dataset; a lower bound of the true sup"
+
+
+def key_value_text(values: dict) -> str:
+    """``key = value`` lines in config syntax, without a final newline.
+
+    Bools are lower-case and floats their ``repr``, which round-trips and
+    is identical across runs; anything else, ``None`` included, is ``str``.
+    """
+    lines = []
+    for key, value in values.items():
+        if isinstance(value, bool):
+            value = str(value).lower()
+        elif isinstance(value, float):
+            value = repr(float(value))
+        lines.append(f"{key} = {value}")
+    return "\n".join(lines)
 
 
 @dataclass(frozen=True)
@@ -69,19 +86,20 @@ class BoundConstants:
         return eta_t * self.c_lip
 
     def to_text(self) -> str:
-        lines = [
-            f"branch = {self.branch}",
-            f"truncated = {str(self.truncated).lower()}",
-            f"kappa = {self.kappa!r}",
-            f"c_y = {self.c_y!r}",
-            f"c_lip = {self.c_lip!r}",
-            f"u = {self.u!r}",
-            f"alpha = {self.alpha!r}",
-            f"beta = {self.beta!r}",
-            f"eta0 = {self.eta0!r}",
-            f"lambda = {self.lam!r}",
-        ]
-        return "\n".join(lines)
+        return key_value_text(
+            {
+                "branch": self.branch,
+                "truncated": self.truncated,
+                "kappa": self.kappa,
+                "c_y": self.c_y,
+                "c_lip": self.c_lip,
+                "u": self.u,
+                "alpha": self.alpha,
+                "beta": self.beta,
+                "eta0": self.eta0,
+                "lambda": self.lam,
+            }
+        )
 
 
 def compute_constants(
@@ -154,17 +172,16 @@ class BoundReport:
         return bool(self.slack >= -1e-9)
 
     def to_text(self) -> str:
-        lines = [
-            f"m = {self.m}",
-            f"lhs_mean_inst_risk = {self.lhs!r}",
-            f"batch_risk = {self.batch_risk!r}",
-            f"rhs = {self.rhs!r}",
-            f"slack = {self.slack!r}",
-            f"holds = {str(self.holds).lower()}",
-            self.constants.to_text(),
-            f"kappa_note = {KAPPA_NOTE}",
-        ]
-        return "\n".join(lines)
+        own = {
+            "m": self.m,
+            "lhs_mean_inst_risk": self.lhs,
+            "batch_risk": self.batch_risk,
+            "rhs": self.rhs,
+            "slack": self.slack,
+            "holds": self.holds,
+        }
+        note = key_value_text({"kappa_note": KAPPA_NOTE})
+        return "\n".join([key_value_text(own), self.constants.to_text(), note])
 
 
 def check_cumulative_bound(run_log, batch_risk: float, consts: BoundConstants, m: int) -> BoundReport:
@@ -200,18 +217,19 @@ class HypothesisReport:
     passes: bool
 
     def to_text(self) -> str:
-        lines = [
-            f"kappa_sq = {self.kappa_sq!r}",
-            f"kappa_note = {KAPPA_NOTE}",
-            f"c_y = {self.c_y!r}",
-            f"branch = {self.branch}",
-            f"loss = {self.loss_name}",
-            f"sigma_admissible = {str(self.sigma_admissible).lower()}",
-            f"c_lip = {self.c_lip!r}",
-            f"lambda_margin = {self.lambda_margin!r}",
-            f"hypotheses_pass = {str(self.passes).lower()}",
-        ]
-        return "\n".join(lines)
+        return key_value_text(
+            {
+                "kappa_sq": self.kappa_sq,
+                "kappa_note": KAPPA_NOTE,
+                "c_y": self.c_y,
+                "branch": self.branch,
+                "loss": self.loss_name,
+                "sigma_admissible": self.sigma_admissible,
+                "c_lip": self.c_lip,
+                "lambda_margin": self.lambda_margin,
+                "hypotheses_pass": self.passes,
+            }
+        )
 
 
 def check_hypotheses(kernel, xs, ys, lam: float, loss) -> HypothesisReport:

@@ -168,14 +168,18 @@ def load_csv(
     """Read a comma-separated file into a Dataset.
 
     ``input_cols`` and ``output_cols`` are disjoint 0-based column index
-    sequences.  With ``one_hot_classes`` set, the single output column
-    must hold integer class indices, expanded to indicator vectors; the
-    resulting dataset is tagged as classification.
+    sequences; a negative index raises ``ConfigError``.  With
+    ``one_hot_classes`` set, the single output column must hold integer
+    class indices, expanded to indicator vectors; the resulting dataset is
+    tagged as classification.
     """
     input_cols = [int(j) for j in input_cols]
     output_cols = [int(j) for j in output_cols]
     if not input_cols or not output_cols:
         raise ConfigError("input_cols and output_cols must be non-empty")
+    for key, cols in (("input_cols", input_cols), ("output_cols", output_cols)):
+        if min(cols) < 0:
+            raise ConfigError(f"{key}: column index {min(cols)} is negative")
     clash = set(input_cols) & set(output_cols)
     if clash:
         raise ConfigError(f"input and output columns overlap: {sorted(clash)}")

@@ -24,7 +24,7 @@ import numpy as np
 
 from .batch import fit as batch_fit
 from .batch import regularized_risk
-from .bounds import check_cumulative_bound, check_hypotheses, compute_constants
+from .bounds import check_cumulative_bound, check_hypotheses, compute_constants, key_value_text
 from .data import Dataset, SynthSpec, gen_synthetic, load_csv, split_and_normalize
 from .exceptions import ConfigError, DataError, check_positive
 from .kernels import NonSeparablePoly, SeparableGaussian
@@ -36,6 +36,7 @@ __all__ = [
     "KernelSpec",
     "ExperimentConfig",
     "SWEEPABLE",
+    "SUMMARY_KEYS",
     "MetricsRecord",
     "parse_config_text",
     "read_config",
@@ -106,16 +107,14 @@ def _parse_cols(value: str, key: str) -> tuple[int, ...]:
         if not part:
             continue
         m = re.match(r"^(\d+)\s*-\s*(\d+)$", part)
+        if m:
+            lo, hi = int(m.group(1)), int(m.group(2))
+            if hi < lo:
+                raise ConfigError(f"config field {key!r}: empty range {part!r}")
+            cols.extend(range(lo, hi + 1))
+            continue
         try:
-            if m:
-                lo, hi = int(m.group(1)), int(m.group(2))
-                if hi < lo:
-                    raise ConfigError(
-                        f"config field {key!r}: empty range {part!r}"
-                    )
-                cols.extend(range(lo, hi + 1))
-            else:
-                cols.append(int(part))
+            cols.append(int(part))
         except ValueError:
             raise ConfigError(
                 f"config field {key!r}: bad column index {part!r}"
@@ -226,6 +225,20 @@ _FIELDS = {
 # the parameters `sweep` varies: every kernel's mu, or the field of a config key
 SWEEPABLE = ("mu", "lambda", "eta0")
 
+# every key a run summary can carry, in the order it is written; README's
+# "Summary keys" table says which runs carry each.  delta_<j> stands for
+# MONORMA's kernel weights delta_1..delta_m.
+SUMMARY_KEYS = (
+    "algorithm", "dataset", "task", "n_train", "n_test", "input_dim", "output_dim",
+    "kernel", "loss", "lambda", "eta0", "seed", "train_fraction", "normalize",
+    "truncate", "t0", "epsilon", "r", "test_protocol",
+    "fit_time_s", "train_time_s", "final_cum_mse", "support_size", "max_eff_step", "delta_<j>",
+    "test_mse", "test_misclass",
+    "hyp_kappa_sq", "hyp_c_y", "hyp_lambda_margin", "hyp_passes",
+    "bound_u", "bound_alpha", "bound_beta", "bound_lhs", "bound_batch_risk",
+    "bound_rhs", "bound_slack", "bound_holds",
+)
+
 
 def parse_config_text(text: str) -> dict[str, str]:
     """Flat ``key = value`` lines; '#' starts a comment; blanks ignored."""
@@ -323,15 +336,7 @@ def write_metrics(path, records) -> None:
 
 def summary_text(summary: dict) -> str:
     """Flat ``key = value`` block mirroring the config format."""
-    lines = []
-    for key, value in summary.items():
-        if isinstance(value, bool):
-            lines.append(f"{key} = {str(value).lower()}")
-        elif isinstance(value, float):
-            lines.append(f"{key} = {_f(value)}")
-        else:
-            lines.append(f"{key} = {value}")
-    return "\n".join(lines) + "\n"
+    return key_value_text(summary) + "\n"
 
 
 def load_dataset(cfg: ExperimentConfig) -> Dataset:
@@ -384,38 +389,25 @@ def run_experiment(cfg: ExperimentConfig):
     kernels = cfg.build_kernels(train.output_dim)
     loss = cfg.build_loss()
 
-    summary: dict = {
-        "algorithm": cfg.algorithm,
-        "dataset": dataset.name,
-        "task": dataset.task,
-        "n_train": len(train),
-        "n_test": len(test),
-        "input_dim": train.input_dim,
-        "output_dim": train.output_dim,
-        "kernel": ",".join(s.text() for s in cfg.kernels),
-        "loss": cfg.loss,
-        "lambda": cfg.lam,
-        "eta0": cfg.eta0,
-        "seed": cfg.seed,
-        "train_fraction": cfg.train_fraction,
-        "normalize": cfg.normalize,
-        "truncate": cfg.truncate,
-    }
-    if cfg.truncate:
-        summary["t0"] = cfg.t0
-        summary["epsilon"] = cfg.epsilon
-    if cfg.algorithm == "monorma":
-        summary["r"] = cfg.r
-    summary["test_protocol"] = "frozen-after-training"
+    # each section writes its values in any order; SUMMARY_KEYS orders them
+    values: dict = {key: getattr(cfg, _FIELDS[key][0]) for key in SUMMARY_KEYS if key in _FIELDS}
+    values["kernel"] = ",".join(s.text() for s in cfg.kernels)
+    if not cfg.truncate:
+        del values["t0"], values["epsilon"]
+    if cfg.algorithm != "monorma":
+        del values["r"]
+    values.update(
+        dataset=dataset.name, task=dataset.task, n_train=len(train), n_test=len(test),
+        input_dim=train.input_dim, output_dim=train.output_dim, test_protocol="frozen-after-training"
+    )
 
     records: list[MetricsRecord] = []
     step_results = []
     if cfg.algorithm == "batch":
         start = time.perf_counter()
         model = batch_fit(kernels[0], train.xs, train.ys, cfg.lam)
-        summary["fit_time_s"] = time.perf_counter() - start
-        summary["support_size"] = len(train)
-        predict = model.predict
+        values["fit_time_s"] = time.perf_counter() - start
+        values["support_size"] = len(train)
     else:
         model = cfg.build_learner(kernels, loss)
         sq_sum = 0.0
@@ -437,33 +429,29 @@ def run_experiment(cfg: ExperimentConfig):
                 )
             )
             step_results.append(res)
-        summary["train_time_s"] = time.perf_counter() - start
-        summary["final_cum_mse"] = records[-1].cum_mse if records else 0.0
-        summary["support_size"] = model.support_size
+        values["train_time_s"] = time.perf_counter() - start
+        values["final_cum_mse"] = records[-1].cum_mse if records else 0.0
+        values["support_size"] = model.support_size
         if cfg.algorithm == "onorma":
-            summary["max_eff_step"] = _max_eff_step(model, train.xs)
-        predict = model.predict
-        if cfg.algorithm == "monorma":
-            for j, dj in enumerate(model.delta, start=1):
-                summary[f"delta_{j}"] = float(dj)
+            values["max_eff_step"] = _max_eff_step(model, train.xs)
+        else:
+            values.update((f"delta_{j}", float(dj)) for j, dj in enumerate(model.delta, start=1))
 
-    summary.update(_test_scores(predict, test))
+    values.update(_test_scores(model.predict, test))
 
     if cfg.algorithm == "onorma" and isinstance(loss, SquaredLoss):
         hyp, consts, report = _guarantee(cfg, kernels[0], train, loss, lambda: step_results)
-        summary["hyp_kappa_sq"] = hyp.kappa_sq
-        summary["hyp_c_y"] = hyp.c_y
-        summary["hyp_lambda_margin"] = hyp.lambda_margin
-        summary["hyp_passes"] = hyp.passes
-        if report is not None:
-            summary["bound_u"] = consts.u
-            summary["bound_alpha"] = consts.alpha
-            summary["bound_beta"] = consts.beta
-            summary["bound_lhs"] = report.lhs
-            summary["bound_batch_risk"] = report.batch_risk
-            summary["bound_rhs"] = report.rhs
-            summary["bound_slack"] = report.slack
-            summary["bound_holds"] = report.holds
+        # hyp_<field> and bound_<field> read the report or constants field named
+        for key in SUMMARY_KEYS:
+            prefix, _, field = key.partition("_")
+            if prefix == "hyp":
+                values[key] = getattr(hyp, field)
+            elif prefix == "bound" and report is not None:
+                values[key] = getattr(report if hasattr(report, field) else consts, field)
+
+    # sorted is stable, so delta_1..delta_m keep their order; an undeclared key raises
+    rank = {key: SUMMARY_KEYS.index(re.sub(r"^delta_\d+$", "delta_<j>", key)) for key in values}
+    summary = {key: values[key] for key in sorted(values, key=rank.get)}
 
     if cfg.metrics is not None:
         write_metrics(cfg.metrics, records)

@@ -10,8 +10,11 @@ distances, the poly kernels their inner products) gives every g_j(x_t),
 each squared norm ``gamma_j = ||g_j||^2`` is refreshed by an O(d^2)
 recursion (no re-expansion of g_j), and the weights are then recomputed
 in closed form (:func:`delta_update`) on the constraint set
-``{delta_j > 0, sum_j delta_j^r <= 1}``.  The weight update always lands
-exactly on the boundary ``sum_j delta_j^r = 1``.
+``{delta_j >= 0, sum_j delta_j^r <= 1}``.  The weight update always lands
+exactly on the boundary ``sum_j delta_j^r = 1``.  It raises the old weight
+to the power 2/(r+1), so for r <= 1 one kernel can take all the weight.
+A weight that reaches exactly 0 (small weights underflow) stays 0 for the
+rest of the run, because its ``T_j = delta_j^2 gamma_j`` is 0.
 
 Truncation drops a term from every g_j at once.  Each stored term keeps
 its cross sums with the later terms, one per kernel, so every gamma_j is

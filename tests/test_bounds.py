@@ -9,6 +9,7 @@ from ovklearn.bounds import (
     check_hypotheses,
     coefficient_bound_ratios,
     compute_constants,
+    key_value_text,
 )
 from ovklearn.exceptions import HypothesisViolation
 from ovklearn.kernels import NonSeparablePoly, SeparableGaussian, operator_norm_bound
@@ -212,3 +213,10 @@ def test_reports_flag_empirical_kappa():
     )
     assert KAPPA_NOTE in hyp.to_text()
     assert "hypotheses_pass = true" in hyp.to_text()
+
+
+def test_key_value_text_formats():
+    text = key_value_text(
+        {"a": True, "b": False, "c": 0.1, "d": np.float64(2.0), "e": None, "f": 3, "g": "x"}
+    )
+    assert text == "a = true\nb = false\nc = 0.1\nd = 2.0\ne = None\nf = 3\ng = x"

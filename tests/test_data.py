@@ -13,6 +13,7 @@ from ovklearn.data import (
     split_and_normalize,
     synthetic_weights,
 )
+from ovklearn.cli import main
 from ovklearn.exceptions import ConfigError, DataError
 
 
@@ -132,6 +133,38 @@ def test_load_csv_column_spec_validation(tmp_path):
         load_csv(path, [0, 1], [1], header=False)
     with pytest.raises(ConfigError):
         load_csv(path, [], [2], header=False)
+
+
+@pytest.mark.parametrize(
+    "input_cols, output_cols, message",
+    [
+        ([0, 1], [-1], "output_cols: column index -1 is negative"),
+        ([-1, 0, 1], [2], "input_cols: column index -1 is negative"),
+    ],
+)
+def test_load_csv_rejects_negative_columns(tmp_path, input_cols, output_cols, message):
+    path = tmp_path / "ok.csv"
+    path.write_text("1,2,3\n4,5,6\n")
+    with pytest.raises(ConfigError, match=message):
+        load_csv(path, input_cols, output_cols, header=False)
+
+
+@pytest.mark.parametrize(
+    "cols, message",
+    [
+        (["input_cols=0-19", "output_cols=-1"], "output_cols: column index -1 is negative"),
+        (["input_cols=-1,0-19", "output_cols=20"], "input_cols: column index -1 is negative"),
+    ],
+    ids=["last-column-as-output", "label-as-input"],
+)
+def test_train_rejects_negative_columns(tmp_path, capsys, cols, message):
+    path = tmp_path / "data.csv"
+    save_csv(path, gen_synthetic(SynthSpec(10, 1, seed=0)))
+    argv = ["train", "--set", "data=csv", "--set", f"csv_path={path}"]
+    for setting in cols:
+        argv += ["--set", setting]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_load_csv_one_hot(tmp_path):

@@ -9,6 +9,7 @@ from ovklearn.checkpoint import load_model
 from ovklearn.data import SynthSpec, gen_synthetic, save_csv
 from ovklearn.exceptions import ConfigError
 from ovklearn.experiments import (
+    SUMMARY_KEYS,
     ExperimentConfig,
     KernelSpec,
     MetricsRecord,
@@ -113,12 +114,17 @@ def test_read_config_rejects_unknown_and_unparsable():
         read_config(None, ["truncate=maybe"])
 
 
+def readme_rows(section):
+    """(keys in the first cell, stripped other cells) per row of a README table."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split(f"## {section}\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1:-1] for line in table.splitlines() if line.startswith("|")]
+    return [(re.findall(r"`([^`]+)`", row[0]), [c.strip() for c in row[1:]]) for row in rows[2:]]
+
+
 def readme_config_keys():
     """Every key in the first cells of README's "Config keys" table."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    table = readme.split("## Config keys\n", 1)[1].split("\n## ", 1)[0]
-    rows = [line.split("|")[1] for line in table.splitlines() if line.startswith("|")]
-    return [key for cell in rows for key in re.findall(r"`([^`]+)`", cell)]
+    return [key for keys, _ in readme_rows("Config keys") for key in keys]
 
 
 def read_config_accepts(key):
@@ -152,6 +158,15 @@ def test_column_spec_parsing():
     for bad in ["input_cols=3-1", "input_cols=x", "input_cols="]:
         with pytest.raises(ConfigError, match="input_cols"):
             read_config(None, [bad, "data=csv", "csv_path=w", "output_cols=6"])
+
+
+def test_column_range_errors_name_the_problem():
+    with pytest.raises(ConfigError) as info:
+        read_config(None, ["input_cols=5-2"])
+    assert str(info.value) == "config field 'input_cols': empty range '5-2'"
+    with pytest.raises(ConfigError) as info:
+        read_config(None, ["output_cols=0,x"])
+    assert str(info.value) == "config field 'output_cols': bad column index 'x'"
 
 
 def test_config_validation():
@@ -386,3 +401,75 @@ def test_bound_check_eps_loss_diagnostics_only():
     assert hyp.passes
     assert hyp.branch != "least_squares"
     assert consts is None and report is None
+
+
+def test_readme_lists_the_summary_keys_in_order():
+    documented = [key for keys, _ in readme_rows("Summary keys") for key in keys]
+    assert documented == list(SUMMARY_KEYS)
+
+
+# each condition of README's "Runs" column, as a test of (config, hypotheses pass)
+RUN_CONDITIONS = {
+    "all": lambda cfg, passes: True,
+    "`onorma`": lambda cfg, passes: cfg.algorithm == "onorma",
+    "`monorma`": lambda cfg, passes: cfg.algorithm == "monorma",
+    "`batch`": lambda cfg, passes: cfg.algorithm == "batch",
+    "`truncate = true`": lambda cfg, passes: cfg.truncate,
+    "classification": lambda cfg, passes: cfg.one_hot_classes is not None,
+    "squared loss": lambda cfg, passes: cfg.loss == "squared",
+    "hypotheses pass": lambda cfg, passes: passes,
+}
+
+
+def readme_summary_keys_for(cfg, passes):
+    """SUMMARY_KEYS a run should carry by README's "Runs" column, delta_<j> expanded."""
+    keys = []
+    for row_keys, (runs, _) in readme_rows("Summary keys"):
+        # "+" joins conditions that must all hold; ", " joins alternatives
+        terms = [term.split(", ") for term in runs.split(" + ")]
+        if all(any(RUN_CONDITIONS[alt](cfg, passes) for alt in term) for term in terms):
+            keys += row_keys
+    deltas = [f"delta_{j}" for j in range(1, len(cfg.kernels) + 1)]
+    return [k for key in keys for k in (deltas if key == "delta_<j>" else [key])]
+
+
+@pytest.fixture(scope="module")
+def matrix_data(tmp_path_factory):
+    """A regression CSV and a one-hot classification CSV, 40 rows each."""
+    root = tmp_path_factory.mktemp("matrix")
+    save_csv(root / "reg.csv", gen_synthetic(SynthSpec(40, 2, seed=11)))
+    rng = np.random.default_rng(21)
+    rows = ["f1,f2,label"] + [f"{a},{b},{i % 3}" for i, (a, b) in enumerate(rng.uniform(size=(40, 2)))]
+    (root / "cls.csv").write_text("\n".join(rows) + "\n")
+    return {
+        "reg": [f"csv_path={root / 'reg.csv'}", "input_cols=0-19", "output_cols=20-21"],
+        "cls": [f"csv_path={root / 'cls.csv'}", "input_cols=0-1", "output_cols=2", "one_hot_classes=3"],
+    }
+
+
+MATRIX = [
+    (algorithm, truncate, loss, data, "3")
+    for algorithm in ("onorma", "monorma", "batch")
+    for truncate in ("false", "true")
+    for loss in ("squared", "eps(0.25)")
+    for data in ("reg", "cls")
+] + [("onorma", "false", "squared", "reg", "0.01")]
+
+
+@pytest.mark.parametrize(
+    "algorithm, truncate, loss, data, lam", MATRIX, ids=["-".join(case) for case in MATRIX]
+)
+def test_summary_carries_the_readme_keys_in_order(
+    tmp_path, matrix_data, algorithm, truncate, loss, data, lam
+):
+    kernel = "gaussian(mu=1),gaussian(mu=3)" if algorithm == "monorma" else "gaussian(mu=1)"
+    settings = [f"algorithm={algorithm}", f"kernel={kernel}", f"truncate={truncate}", "t0=5"]
+    settings += [f"loss={loss}", f"lambda={lam}", "eta0=0.3", "data=csv"] + matrix_data[data]
+    cfg = read_config(None, settings + [f"summary={tmp_path / 'summary.txt'}"])
+    # lambda = 3 clears 2 kappa^2 (2.2 and 2.4 on these datasets); lambda = 0.01 does not
+    passes = lam == "3"
+    _, summary = run_experiment(cfg)
+    assert list(summary) == readme_summary_keys_for(cfg, passes)
+    assert list(parse_config_text((tmp_path / "summary.txt").read_text())) == list(summary)
+    if "hyp_passes" in summary:
+        assert summary["hyp_passes"] is passes

@@ -90,6 +90,18 @@ def test_delta_degenerate_inputs_keep_previous_weights():
     assert np.array_equal(tiny, prev)
 
 
+@pytest.mark.parametrize("r", [0.5, 1.0, 2.0, 4.0])
+def test_delta_zero_weight_stays_zero(r):
+    # T_j = delta_j^2 gamma_j is 0, however large gamma_j grows
+    delta = np.array([0.0, 0.5, 0.5])
+    delta[1:] /= np.sum(delta[1:] ** r) ** (1.0 / r)
+    for gamma in ([1e6, 1.0, 2.0], [5.0, 0.1, 3.0], [1e300, 1e-3, 1e-3]):
+        delta = delta_update(delta, np.array(gamma), r)
+        assert delta[0] == 0.0
+        assert np.all(delta[1:] > 0.0)
+        assert np.sum(delta**r) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_delta_single_kernel_pinned_at_one():
     for gamma in (0.0, 1e-12, 5.0):
         out = delta_update(np.array([0.7]), np.array([gamma]), r=3.0)
