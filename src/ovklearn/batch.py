@@ -9,18 +9,22 @@ Gram matrix.  Which solve runs depends on the kernel:
   ``G = S ⊗ J``, with S the t x t scalar Gram.  With ``J = U diag(l) U^T``
   the system splits into d independent t x t Cholesky systems
   ``(l_j S + lambda t I) c_j = (Y U)_j`` and ``C = [c_j] U^T``:
-  d t^3 / 3 flops and O(t^2) memory, and G is never formed.
+  d t^3 / 3 flops and O(t^2) memory, and G is never formed.  Directions
+  whose eigenvalues compare equal share one factor.
 * :class:`~ovklearn.kernels.NonSeparablePoly` factors the dense block
   system by one Cholesky: (td)^3 / 3 flops.  The system is written into
   one td x td buffer from the t x t inner products and factored in place,
   so it is the only td x td array of the fit.
 
-Both retry a failed factor once with the same diagonal jitter.  The
-relative residual and ``||h||^2`` are then computed in the original basis
-from ``G vec(C)``, the kernel's ``row_expansion`` over the t x t scalar
-Gram (the same expansion a prediction evaluates): ``S C J^T`` or
-``mu (P s) 1^T + (1 - mu) (P∘P) C`` with s the row sums of C, O(t^2 d)
-from t x t arrays alone.  The fitted model predicts through the online
+Both first check the t x t kernel values once and raise
+:class:`~ovklearn.exceptions.NumericsError` on an overflow (inputs near
+1e160), so the factors skip scipy's finiteness scans of the system; scipy
+itself is imported by the first fit.  Both retry a failed factor once with
+the same diagonal jitter.  The relative residual and ``||h||^2`` are then
+computed in the original basis from ``G vec(C)``, the kernel's
+``row_expansion`` over the t x t scalar Gram (the same expansion a
+prediction evaluates): ``S C J^T`` or ``mu (P s) 1^T + (1 - mu) (P∘P) C``
+with s the row sums of C, O(t^2 d) from t x t arrays alone.  The fitted model predicts through the online
 learners' expansion state, so its queries are checked and evaluated as
 theirs are.  This baseline exists to verify bounds and accuracy at desk
 scale, not to scale.
@@ -32,7 +36,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .exceptions import ConfigError, DimensionMismatch, NumericsError
 from .exceptions import check_examples, check_positive
@@ -77,8 +80,8 @@ class BatchModel:
 def fit(kernel, xs, ys, lam: float) -> BatchModel:
     """Solve the block ridge system for the given training set.
 
-    Raises :class:`NumericsError` when the (jittered) system cannot be
-    solved to a relative residual of 1e-8.
+    Raises :class:`NumericsError` when a kernel value overflows or the
+    (jittered) system cannot be solved to a relative residual of 1e-8.
     """
     xs, ys = check_examples(xs, ys, kernel.dim)
     t = len(xs)
@@ -90,6 +93,11 @@ def fit(kernel, xs, ys, lam: float) -> BatchModel:
     if not math.isfinite(ridge):
         raise NumericsError(f"lambda * t overflows: {lam!r} * {t}")
     scalar = kernel.scalar_gram(xs)
+    # min and max propagate NaN, and a poly system also holds their squares;
+    # the factors below then skip scipy's finiteness scans of the system
+    lo, hi = float(scalar.min()), float(scalar.max())
+    if not math.isfinite(lo * lo + hi * hi):
+        raise NumericsError("non-finite kernel values: the inputs' distances or products overflow")
     solve = _separable_solve if kernel.family == "gaussian" else _dense_solve
     coeffs, cond = solve(kernel, scalar, ys, ridge)
     # G vec(C) in the original basis from the t x t scalar Gram: O(t^2 d)
@@ -107,6 +115,8 @@ def _dense_solve(kernel, p, ys, ridge):
     reads the spectra of ``mu d P + (1 - mu) P∘P`` (the ones direction) and
     ``(1 - mu) P∘P`` (the d - 1 others), two t x t problems.
     """
+    import scipy.linalg  # about 0.2 s to import, so only a fit loads it
+
     t, d = ys.shape
     n = t * d
     system = np.empty((n, n))
@@ -126,8 +136,8 @@ def _dense_solve(kernel, p, ys, ridge):
             fill(jitter)
         # the system is symmetric, so its transpose is the Fortran-ordered
         # view LAPACK factors without a copy
-        factor = scipy.linalg.cho_factor(system.T, overwrite_a=True)
-        return scipy.linalg.cho_solve(factor, ys.ravel())
+        factor = scipy.linalg.cho_factor(system.T, overwrite_a=True, check_finite=False)
+        return scipy.linalg.cho_solve(factor, ys.ravel(), check_finite=False)
 
     def cond():
         squares = (1.0 - kernel.mu) * p * p
@@ -146,6 +156,8 @@ def _separable_solve(kernel, scalar, ys, ridge):
     rotated coefficients solves ``(l_j S + lambda t I) c_j = (Y U)_j``.
     The eigenvalues are used as computed (tiny negative ones included).
     """
+    import scipy.linalg  # about 0.2 s to import, so only a fit loads it
+
     t, d = ys.shape
     eigvals, eigvecs = kernel.structure_eig
     rotated = ys @ eigvecs
@@ -156,10 +168,13 @@ def _separable_solve(kernel, scalar, ys, ridge):
         # are symmetric, so the transposed view is the Fortran-ordered block
         block = np.empty_like(scalar)
         for j in range(d):
-            np.multiply(scalar, eigvals[j], out=block)
-            block.flat[:: t + 1] += ridge + jitter
-            factor = scipy.linalg.cho_factor(block.T, overwrite_a=True)
-            out[:, j] = scipy.linalg.cho_solve(factor, rotated[:, j])
+            # eigh sorts the eigenvalues, so equal ones are adjacent and
+            # share one factor
+            if j == 0 or eigvals[j] != eigvals[j - 1]:
+                np.multiply(scalar, eigvals[j], out=block)
+                block.flat[:: t + 1] += ridge + jitter
+                factor = scipy.linalg.cho_factor(block.T, overwrite_a=True, check_finite=False)
+            out[:, j] = scipy.linalg.cho_solve(factor, rotated[:, j], check_finite=False)
         return out @ eigvecs.T
 
     def cond():
@@ -182,10 +197,10 @@ def _solve_or_jitter(solve, jitter, cond):
     """``solve(0.0)``, or ``solve(jitter)`` when a factor is not positive definite."""
     try:
         return solve(0.0)
-    except scipy.linalg.LinAlgError:
+    except np.linalg.LinAlgError:
         try:
             return solve(jitter)
-        except scipy.linalg.LinAlgError as exc:
+        except np.linalg.LinAlgError as exc:
             raise NumericsError(
                 f"block system not positive definite even with jitter {jitter:.3e}; "
                 f"condition estimate {cond():.3e}"

@@ -17,10 +17,11 @@ for any points ``x_k`` and vectors ``y_k``,
 The kernels of one family share each support sweep (squared distances or
 inner products); see :class:`OperatorKernel`.  A sweep for many queries at
 once is one BLAS product of the queries with the support: the Gaussian
-family writes each squared distance in its centred GEMM form, clamped at
-0, whose predictions agree with the single-point sweep's within 1e-12
-relative.  Each family writes its expansion ``sum_i K(x_i, x) c_i`` once,
-in ``row_expansion``, for one query or a block of them; the online step,
+family writes each squared distance in its centred form, norms included,
+as one product with a factor built once per support, clamped at 0, whose
+predictions agree with the single-point sweep's within 1e-12 relative.
+Each family writes its expansion ``sum_i K(x_i, x) c_i`` once, in
+``row_expansion``, for one query or a block of them; the online step,
 every multi-row predict and the batch Gram product ``G vec(C)`` (the
 expansion over the t x t ``scalar_gram``) all call it.  A poly kernel also
 reads each term's coefficient sum, which the expansion state keeps, so no
@@ -222,26 +223,32 @@ class SeparableGaussian(OperatorKernel):
         # ||q - x_i||^2 = ||q - c||^2 + ||x_i - c||^2 - 2 <q - c, x_i - c> with c
         # the support mean: centred, the cancellation scales with the spread of
         # the inputs, not with their distance from the origin (uncentred,
-        # inputs shifted by 1e3 moved predictions by 7e-10 relative); rounding
-        # can leave it below 0
+        # inputs shifted by 1e3 moved predictions by 7e-10 relative).  All
+        # three terms are one product of a block's [q - c, 1, ||q - c||^2]
+        # with the (p + 2) x s right factor [-2 (x_i - c)^T; ||x_i - c||^2; 1],
+        # built once; rounding can leave it below 0
         centre = support.mean(axis=0)
         centred = support - centre
-        norms = np.einsum("ij,ij->i", centred, centred)
-        scaled = -2.0 * centred.T  # exact: a power of two
+        p = support.shape[1]
+        right = np.empty((p + 2, len(support)))
+        np.multiply(centred.T, -2.0, out=right[:p])  # exact: a power of two
+        np.einsum("ij,ij->i", centred, centred, out=right[p])
+        right[p + 1] = 1.0
 
         def rows(queries, out):
-            q = queries - centre
-            np.matmul(q, scaled, out=out)
-            out += norms
-            out += np.einsum("ij,ij->i", q, q)[:, None]
+            left = np.empty((len(queries), p + 2))
+            q = np.subtract(queries, centre, out=left[:, :p])
+            left[:, p] = 1.0
+            np.einsum("ij,ij->i", q, q, out=left[:, p + 1])
+            np.matmul(left, right, out=out)
             return np.maximum(out, 0.0, out=out)
 
         return rows
 
     def scalars(self, row, out=None) -> np.ndarray:
-        # w_i = exp(-||x_i - x||^2 / mu), so K(x_i, x) = w_i J
-        w = np.negative(row, out=out)
-        w /= self.mu
+        # w_i = exp(-||x_i - x||^2 / mu), so K(x_i, x) = w_i J; IEEE division
+        # rounds symmetrically about 0, so row / -mu has the bits of -row / mu
+        w = np.divide(row, -self.mu, out=out)
         return np.exp(w, out=w)
 
     def row_expansion(self, scalars, coeffs, sums, scratch=None, out=None) -> np.ndarray:
@@ -325,13 +332,13 @@ class NonSeparablePoly(OperatorKernel):
         return out
 
     def row_cross(self, row, coeffs, sums, a) -> np.ndarray:
-        return self.mu * float(np.sum(a)) * (row * sums) + (
+        return self.mu * float(a.sum()) * (row * sums) + (
             1.0 - self.mu
         ) * ((row * row) * (coeffs @ a))
 
     def quad(self, x, a) -> float:
         dot = float(x @ x)
-        total = float(np.sum(a))
+        total = float(a.sum())
         return self.mu * dot * total * total + (1.0 - self.mu) * dot * dot * float(a @ a)
 
     def gram(self, xs) -> np.ndarray:

@@ -204,17 +204,24 @@ class _ExpansionState:
 
         The one query path of every model: checks the shape, the input
         width once it is fixed and finiteness, then runs :meth:`expand` or
-        :meth:`expand_rows`.
+        :meth:`expand_rows`.  Each output is checked once: a kernel value
+        or an expansion that overflows (inputs near 1e160) raises
+        NumericsError instead of returning NaN or inf.
         """
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
-            return self.expand(self.check_input(x))[1]
-        if x.ndim != 2:
-            raise DimensionMismatch("query points", x.shape, "(n, p)")
-        if self.input_dim is not None and x.shape[1] != self.input_dim:
-            raise DimensionMismatch("query points", x.shape[1], self.input_dim)
-        check_finite("query rows", x)
-        return self.expand_rows(x)
+            gs = self.expand(self.check_input(x))[1]
+        else:
+            if x.ndim != 2:
+                raise DimensionMismatch("query points", x.shape, "(n, p)")
+            if self.input_dim is not None and x.shape[1] != self.input_dim:
+                raise DimensionMismatch("query points", x.shape[1], self.input_dim)
+            check_finite("query rows", x)
+            gs = self.expand_rows(x)
+        for g in gs:
+            if not np.all(np.isfinite(g)):
+                raise NumericsError("non-finite prediction: a kernel value or the expansion overflowed")
+        return gs
 
     def expand_rows(self, queries) -> list:
         """``g_j`` at each of the (n, p) queries, swept in blocks of rows.
@@ -276,8 +283,8 @@ class _ExpansionState:
             for j, kernel in enumerate(self.kernels):
                 self._C[live, j] += kernel.row_cross(rows[j], raw, sums, raw_coeff)
         self._C[i] = 0.0
-        self._Q[i] = quads
-        self._Q[i] /= self.scale * self.scale
+        s2 = self.scale * self.scale
+        self._Q[i] = [q / s2 for q in quads]
 
     def _compact_or_grow(self) -> None:
         n = len(self)
@@ -360,15 +367,16 @@ class _ExpansionState:
             self.cross_terms = True
             self.restore(self.support, self.coeffs, self.times, self.input_dim)
             lo, i = 0, i - lo
+        # Python floats beat array calls for a few kernels; each operation is
+        # the elementwise one, in the same order, so the bits are the same
         s2 = self.scale * self.scale
-        for k in range(lo, i):
-            norms_sq -= s2 * (2.0 * self._C[k] + self._Q[k])
+        norms = norms_sq.tolist()
+        for c, q in zip(self._C[lo:i].tolist(), self._Q[lo:i].tolist()):
+            norms = [n - s2 * (2.0 * cj + qj) for n, cj, qj in zip(norms, c, q)]
         self.start = i
-        clips = 0
-        for j in range(len(norms_sq)):
-            if norms_sq[j] < 0.0:
-                norms_sq[j] = 0.0
-                clips += 1
+        # NaN < 0 is False: a NaN norm is neither clamped nor counted
+        clips = sum(n < 0.0 for n in norms)
+        norms_sq[:] = [0.0 if n < 0.0 else n for n in norms]
         return clips
 
 

@@ -311,6 +311,56 @@ def test_dense_retry_factors_a_freshly_built_system(monkeypatch):
     assert np.array_equal(model.coeffs, expected)
 
 
+@pytest.mark.parametrize(
+    "structure, factors",
+    [("identity", 1), ("two-pairs", 2), ("psd", 4), ("default", None)],
+)
+def test_separable_fit_factors_once_per_distinct_eigenvalue(structure, factors, monkeypatch):
+    rng = np.random.default_rng(76)
+    t, d, lam = 60, 4, 0.05
+    if structure == "two-pairs":
+        J = np.diag([2.0, 0.5, 0.5, 2.0])
+    else:
+        J = random_structure(rng, structure, d)
+    kernel = SeparableGaussian(mu=1.5, dim=d, structure=J)
+    xs = rng.normal(size=(t, 5))
+    ys = rng.normal(size=(t, d))
+    eigvals, eigvecs = kernel.structure_eig
+    # the default J's three eigenvalues near 0.9 compare equal only if eigh
+    # rounds them alike, which depends on the LAPACK build
+    distinct = len(np.unique(eigvals))
+    assert factors in (None, distinct)
+    # the reference factors every direction afresh
+    scalar, rotated = kernel.scalar_gram(xs), ys @ eigvecs
+    columns = []
+    for j in range(d):
+        block = scalar * eigvals[j]
+        block.flat[:: t + 1] += lam * t
+        columns.append(scipy.linalg.cho_solve(scipy.linalg.cho_factor(block.T), rotated[:, j]))
+    expected = np.column_stack(columns) @ eigvecs.T
+    real = scipy.linalg.cho_factor
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "cho_factor", counting)
+    model = fit(kernel, xs, ys, lam)
+    assert len(calls) == distinct
+    assert np.array_equal(model.coeffs, expected)
+
+
+@pytest.mark.parametrize("kernel", [SeparableGaussian(mu=1.0, dim=2), NonSeparablePoly(mu=0.2, dim=2)])
+def test_fit_on_inputs_whose_kernel_values_overflow_raises_numerics_error(kernel):
+    # the Gaussian's centred product reaches inf - inf, the poly's inner products inf
+    xs = np.random.default_rng(0).standard_normal((40, 3)) * 1e160
+    ys = np.random.default_rng(1).standard_normal((40, 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericsError, match="non-finite kernel values"):
+            fit(kernel, xs, ys, 3.0)
+
+
 def _peak_bytes(call):
     tracemalloc.start()
     try:

@@ -196,6 +196,21 @@ def test_singular_poly_batch_system_exits_3(tmp_path, capsys):
     assert "condition estimate" in err
 
 
+@pytest.mark.parametrize("kernel", ["gaussian(mu=1)", "poly(mu=0.2)"])
+def test_batch_fit_on_inputs_whose_kernel_values_overflow_exits_3(kernel, tmp_path, capsys):
+    data = tmp_path / "huge.csv"
+    xs = np.random.default_rng(0).standard_normal((40, 3)) * 1e160
+    ys = np.random.default_rng(1).standard_normal((40, 2))
+    np.savetxt(data, np.hstack([xs, ys]), delimiter=",")
+    argv = ["train", "--config", BOUND_CONFIG, "--set", "algorithm=batch", "--set", "data=csv"]
+    argv += ["--set", f"csv_path={data}", "--set", "input_cols=0-2", "--set", "output_cols=3-4"]
+    argv += ["--set", "normalize=false", "--set", f"kernel={kernel}"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, _, err = run_cli(argv, capsys)
+    assert code == 3
+    assert err.startswith("numeric failure: non-finite kernel values")
+
+
 def summary_value(out, key):
     (line,) = [line for line in out.splitlines() if line.startswith(f"{key} = ")]
     return float(line.split(" = ")[1])

@@ -133,6 +133,21 @@ def test_row_methods_match_kernel_matrices():
         assert np.allclose(batch, naive, rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("mu", [1e-3, 0.7, 1.0, 3.0])
+def test_gaussian_scalars_keep_the_bits_of_the_negated_quotient(mu):
+    # row / -mu rounds as -row / mu does; a multiply by 1 / mu would not
+    rng = np.random.default_rng(31)
+    row = np.concatenate(
+        [[0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e300], rng.uniform(0.0, 40.0 * mu, 500)]
+    )
+    kernel = SeparableGaussian(mu=mu, dim=2)
+    expected = np.exp(np.negative(row) / mu)
+    assert np.array_equal(kernel.scalars(row), expected)
+    buf = row.copy()
+    assert kernel.scalars(buf, out=buf) is buf
+    assert np.array_equal(buf, expected)
+
+
 @pytest.mark.parametrize("dim", [1, 2, 4, 7])
 @pytest.mark.parametrize("s", [1, 7, 350])
 def test_row_expansion_keeps_the_point_forms(dim, s):

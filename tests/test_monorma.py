@@ -65,6 +65,38 @@ def test_delta_simplex_property(seed, r):
     assert abs(np.sum(new**r) - 1.0) <= 1e-10
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    log_gamma=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=6),
+    r=st.floats(1.5, 4.0),
+)
+def test_delta_update_reaches_the_fixed_point_for_r_above_1(log_gamma, r):
+    # delta^(r+1) ∝ delta^2 gamma at the fixed point, so delta ∝ gamma^(1/(r-1))
+    gamma = 10.0 ** np.array(log_gamma)
+    m = len(gamma)
+    delta = np.full(m, m ** (-1.0 / r))
+    for _ in range(200):
+        delta = delta_update(delta, gamma, r)
+    star = gamma ** (1.0 / (r - 1.0))
+    star /= np.sum(star**r) ** (1.0 / r)
+    assert np.max(np.abs(delta - star)) <= 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    terms=st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(0.05, 1.0)), min_size=2, max_size=6),
+    r=st.floats(1.5, 4.0),
+    log_c=st.floats(-5.0, 5.0),
+)
+def test_delta_update_ignores_the_scale_of_gamma(terms, r, log_c):
+    gamma = 10.0 ** np.array([g for g, _ in terms])
+    prev = np.array([w for _, w in terms])
+    prev /= np.sum(prev**r) ** (1.0 / r)
+    base = delta_update(prev, gamma, r)
+    scaled = delta_update(prev, 10.0**log_c * gamma, r)
+    assert np.all(np.abs(scaled - base) <= 1e-12 * base)
+
+
 def test_delta_scale_invariance():
     rng = np.random.default_rng(52)
     prev = rng.uniform(0.1, 1.0, size=3)

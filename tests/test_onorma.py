@@ -12,6 +12,7 @@ from ovklearn.losses import EpsilonInsensitive, SquaredLoss
 from ovklearn.onorma import (
     ONORMA,
     TruncationSchedule,
+    _ExpansionState,
     norm_recursion,
     truncation_window,
 )
@@ -84,6 +85,23 @@ def test_negative_norm_recursion_is_clamped_and_counted():
         assert np.all(np.asarray(norms) == 0.0)
         clips = model.gamma_clips if isinstance(model, MONORMA) else model.norm_clips
         assert clips == len(norms)
+
+
+def test_dropped_terms_clamp_norms_below_zero_and_leave_nan():
+    # each dropped term subtracts scale^2 (2 C + Q); a norm left below 0 is
+    # clamped and counted, and a NaN one is neither
+    k = SeparableGaussian(mu=1.0, dim=2)
+    xs, ys = stream(81, 6, d=2)
+    state = _ExpansionState([k, k, k], cross_terms=True)
+    state.restore(xs, ys, range(1, 7), xs.shape[1])
+    shares = 2.0 * state._C[:2] + state._Q[:2]
+    norms = np.array([np.nan, -1.0, 1.0]) + shares.sum(axis=0)
+    expected = norms.copy()
+    for share in shares:
+        expected -= share
+    assert state.drop_expired(2, norms) == 1
+    assert np.isnan(norms[0]) and norms[1] == 0.0 and norms[2] == expected[2]
+    assert len(state) == 4
 
 
 def test_first_step():

@@ -12,6 +12,7 @@ import ovklearn
 import ovklearn.onorma
 from conftest import block_gram, naive_expansion
 from ovklearn.batch import BatchModel
+from ovklearn.exceptions import NumericsError
 from ovklearn.kernels import NonSeparablePoly, SeparableGaussian
 from ovklearn.monorma import MONORMA
 from ovklearn.onorma import ONORMA
@@ -102,11 +103,45 @@ def test_scalar_gram_matches_kernel_calls(kernel, shift):
         assert_close(np.diag(scalar), np.ones(len(xs)))
 
 
-def test_import_leaves_scipy_spatial_unloaded():
-    # scipy.spatial alone costs about 0.1 s of the package's import time
+def test_rows_whose_distances_overflow_raise_numerics_error():
+    # inputs near 1e160 overflow the centred product to inf - inf; the point
+    # path's distances overflow to inf, whose kernel value is 0
+    xs = np.random.default_rng(0).standard_normal((30, 3)) * 1e160
+    ys = np.random.default_rng(1).standard_normal((30, D))
+    model = ONORMA(SeparableGaussian(mu=1.0, dim=D), lam=0.1, eta0=0.5)
+    with np.errstate(over="ignore", invalid="ignore"):
+        model.fit(xs[:20], ys[:20])
+        assert np.array_equal(model.predict(xs[25]), np.zeros(D))
+        with pytest.raises(NumericsError, match="non-finite prediction"):
+            model.predict(xs[25:27])
+
+
+def test_every_model_raises_on_predictions_that_overflow():
+    support, coeffs, queries = case("plain")
+    for model, kernels, _ in models(1e160 * support, coeffs):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericsError):
+            model.predict(1e160 * queries)
+        if any(kernel.family == "poly" for kernel in kernels):
+            # one point's inner products overflow to inf as well
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericsError):
+                model.predict(1e160 * queries[0])
+
+
+def imports_module(name):
+    """Whether ``import ovklearn`` loads the module ``name``, in a fresh interpreter."""
     src = str(Path(ovklearn.__file__).resolve().parents[1])
-    code = "import sys, ovklearn; print('scipy.spatial' in sys.modules)"
+    code = f"import sys, ovklearn; print({name!r} in sys.modules)"
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    return done.stdout.strip() == "True"
+
+
+def test_import_leaves_scipy_spatial_unloaded():
+    # scipy.spatial alone costs about 0.1 s of the package's import time
+    assert not imports_module("scipy.spatial")
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    # scipy.linalg costs 0.17-0.35 s of import time; only a batch fit loads it
+    assert not imports_module("scipy.linalg")
