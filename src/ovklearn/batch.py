@@ -9,8 +9,7 @@ Gram matrix.  Which solve runs depends on the kernel:
   ``G = S ⊗ J``, with S the t x t scalar Gram.  With ``J = U diag(l) U^T``
   the system splits into d independent t x t Cholesky systems
   ``(l_j S + lambda t I) c_j = (Y U)_j`` and ``C = [c_j] U^T``:
-  d t^3 / 3 flops and O(t^2) memory, and G is never formed.  Directions
-  whose eigenvalues compare equal share one factor.
+  d t^3 / 3 flops and O(t^2) memory, and G is never formed.
 * :class:`~ovklearn.kernels.NonSeparablePoly` factors the dense block
   system by one Cholesky: (td)^3 / 3 flops.  The system is written into
   one td x td buffer from the t x t inner products and factored in place,
@@ -24,10 +23,12 @@ the same diagonal jitter.  The relative residual and ``||h||^2`` are then
 computed in the original basis from ``G vec(C)``, the kernel's
 ``row_expansion`` over the t x t scalar Gram (the same expansion a
 prediction evaluates): ``S C J^T`` or ``mu (P s) 1^T + (1 - mu) (P∘P) C``
-with s the row sums of C, O(t^2 d) from t x t arrays alone.  The fitted model predicts through the online
-learners' expansion state, so its queries are checked and evaluated as
-theirs are.  This baseline exists to verify bounds and accuracy at desk
-scale, not to scale.
+with s the row sums of C, O(t^2 d) from t x t arrays alone.  The fitted
+model predicts through the online learners' expansion state, so its
+queries are checked and evaluated as theirs are, and any predict whose
+output is not finite raises :class:`~ovklearn.exceptions.NumericsError`.
+This baseline exists to verify bounds and accuracy at desk scale, not to
+scale.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ def fit(kernel, xs, ys, lam: float) -> BatchModel:
     # min and max propagate NaN, and a poly system also holds their squares;
     # the factors below then skip scipy's finiteness scans of the system
     lo, hi = float(scalar.min()), float(scalar.max())
-    if not math.isfinite(lo * lo + hi * hi):
+    if not math.isfinite(max(lo * lo, hi * hi)):
         raise NumericsError("non-finite kernel values: the inputs' distances or products overflow")
     solve = _separable_solve if kernel.family == "gaussian" else _dense_solve
     coeffs, cond = solve(kernel, scalar, ys, ridge)
@@ -168,12 +169,9 @@ def _separable_solve(kernel, scalar, ys, ridge):
         # are symmetric, so the transposed view is the Fortran-ordered block
         block = np.empty_like(scalar)
         for j in range(d):
-            # eigh sorts the eigenvalues, so equal ones are adjacent and
-            # share one factor
-            if j == 0 or eigvals[j] != eigvals[j - 1]:
-                np.multiply(scalar, eigvals[j], out=block)
-                block.flat[:: t + 1] += ridge + jitter
-                factor = scipy.linalg.cho_factor(block.T, overwrite_a=True, check_finite=False)
+            np.multiply(scalar, eigvals[j], out=block)
+            block.flat[:: t + 1] += ridge + jitter
+            factor = scipy.linalg.cho_factor(block.T, overwrite_a=True, check_finite=False)
             out[:, j] = scipy.linalg.cho_solve(factor, rotated[:, j], check_finite=False)
         return out @ eigvecs.T
 
