@@ -124,7 +124,7 @@ def _dense_solve(kernel, p, ys, ridge):
 
     def fill(jitter=0.0):
         """Write ``G + (lambda t + jitter) I`` into the buffer; returns the trace of G."""
-        kernel._fill_gram(p, system)
+        kernel.fill_gram(p, system)
         trace = np.trace(system)
         system.flat[:: n + 1] += ridge
         if jitter:

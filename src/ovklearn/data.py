@@ -163,7 +163,6 @@ def load_csv(
     header: bool = True,
     *,
     one_hot_classes: int | None = None,
-    name: str | None = None,
 ) -> Dataset:
     """Read a comma-separated file into a Dataset.
 
@@ -225,7 +224,7 @@ def load_csv(
         labels = ys[:, 0]
         coded = np.empty((len(labels), one_hot_classes))
         for i, v in enumerate(labels):
-            if v != int(v):
+            if not float(v).is_integer():
                 raise DataError(f"{path}: class label {v} at data row {i + 1} is not an integer")
             try:
                 coded[i] = encode_labels(int(v), one_hot_classes)
@@ -233,18 +232,17 @@ def load_csv(
                 raise DataError(f"{path}: data row {i + 1}: {exc}") from None
         ys = coded
         task = "classification"
-    return Dataset(xs, ys, name=name if name is not None else str(path), task=task)
+    return Dataset(xs, ys, name=str(path), task=task)
 
 
-def save_csv(path, dataset: Dataset, header: bool = True) -> None:
-    """Write x1..xp,y1..yd rows; %.17g so values round-trip exactly."""
+def save_csv(path, dataset: Dataset) -> None:
+    """Write a header row and x1..xp,y1..yd rows; %.17g so values round-trip exactly."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        if header:
-            writer.writerow(
-                [f"x{i + 1}" for i in range(dataset.input_dim)]
-                + [f"y{i + 1}" for i in range(dataset.output_dim)]
-            )
+        writer.writerow(
+            [f"x{i + 1}" for i in range(dataset.input_dim)]
+            + [f"y{i + 1}" for i in range(dataset.output_dim)]
+        )
         for x, y in zip(dataset.xs, dataset.ys):
             writer.writerow([f"{v:.17g}" for v in x] + [f"{v:.17g}" for v in y])
 

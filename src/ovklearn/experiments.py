@@ -27,7 +27,7 @@ from .batch import regularized_risk
 from .bounds import check_cumulative_bound, check_hypotheses, compute_constants, key_value_text
 from .data import Dataset, SynthSpec, gen_synthetic, load_csv, split_and_normalize
 from .exceptions import ConfigError, DataError, check_positive
-from .kernels import NonSeparablePoly, SeparableGaussian
+from .kernels import FAMILIES, NonSeparablePoly, SeparableGaussian
 from .losses import SquaredLoss, loss_from_name
 from .monorma import MONORMA
 from .onorma import ONORMA, TruncationSchedule
@@ -52,7 +52,7 @@ __all__ = [
 # the squared loss's curvature threshold for the effective step eta_t ||K(x, x)||
 STABLE_STEP = 2.0
 
-_KERNEL_RE = re.compile(r"^(gaussian|poly)\(\s*mu\s*=\s*([^)]+?)\s*\)$")
+_KERNEL_RE = re.compile(rf"^({'|'.join(FAMILIES)})\(\s*mu\s*=\s*([^)]+?)\s*\)$")
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,7 @@ class KernelSpec:
     mu: float
 
     def __post_init__(self):
-        if self.family not in ("gaussian", "poly"):
+        if self.family not in FAMILIES:
             raise ConfigError(f"unknown kernel family {self.family!r}")
 
     @classmethod
@@ -72,7 +72,7 @@ class KernelSpec:
         if not m:
             raise ConfigError(
                 f"bad kernel spec {text!r}; expected family(mu=value) with "
-                f"family in {{gaussian, poly}}"
+                f"family in {{{', '.join(FAMILIES)}}}"
             )
         try:
             mu = float(m.group(2))

@@ -1,14 +1,16 @@
 """Operator-valued kernels on R^p with values in the d x d real matrices.
 
 A kernel K maps a pair of input points to a d x d matrix acting on the
-output space.  Two families are provided:
+output space.  Two families are provided, by name in :data:`FAMILIES`,
+each with its section norm ``||K(x, x)||_op`` in closed form:
 
 * :class:`SeparableGaussian` -- a Gaussian scalar kernel times a fixed
   symmetric PSD structure matrix J encoding output couplings,
-  ``K(x, x') = exp(-||x - x'||^2 / mu) * J``.
+  ``K(x, x') = exp(-||x - x'||^2 / mu) * J``; the norm is ``||J||``.
 * :class:`NonSeparablePoly` -- a convex mix of a rank-one coupling and an
   independent-outputs quadratic term,
-  ``K(x, x') = mu * <x, x'> * ONES + (1 - mu) * <x, x'>^2 * I``.
+  ``K(x, x') = mu * <x, x'> * ONES + (1 - mu) * <x, x'>^2 * I``; the norm
+  is ``mu d |x|^2 + (1 - mu) |x|^4``.
 
 Both are Hermitian (``K(x, x') == K(x', x).T``) and positive-definite:
 for any points ``x_k`` and vectors ``y_k``,
@@ -33,7 +35,7 @@ Kernel objects are immutable and safe to share between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -42,6 +44,7 @@ from .exceptions import ConfigError, DimensionMismatch, check_positive
 __all__ = [
     "SeparableGaussian",
     "NonSeparablePoly",
+    "FAMILIES",
     "default_structure",
     "operator_norm_bound",
     "kernel_from_dict",
@@ -64,10 +67,10 @@ def _check_pair(x, x2):
 class OperatorKernel:
     """Common evaluation helpers; concrete families fill in the formulas.
 
-    Subclasses implement ``__call__`` (the d x d matrix), ``gram`` (the
-    stacked td x td block matrix with block (i, j) equal to ``K(x_i, x_j)``)
-    and the row methods below, from which every model evaluates its
-    expansion ``sum_i K(x_i, x) coeffs_i``.
+    Subclasses implement ``__call__`` (the d x d matrix, for the oracles
+    only), ``fill_gram`` (the td x td block Gram that :meth:`gram` returns),
+    the closed-form ``diag_operator_norm`` and the row methods below, from
+    which every model evaluates its expansion ``sum_i K(x_i, x) coeffs_i``.
 
     Both families write ``K(x_i, x)`` through one scalar per support term,
     ``r_i`` (Gaussian weight or inner product), and every kernel of a
@@ -94,10 +97,12 @@ class OperatorKernel:
     """
 
     family: str
+    mu: float
     dim: int
     reads_sums = False
 
     def __call__(self, x, x2) -> np.ndarray:
+        """The d x d matrix ``K(x, x2)``, which no library path builds."""
         raise NotImplementedError
 
     def row(self, support, x) -> np.ndarray:
@@ -141,14 +146,22 @@ class OperatorKernel:
         return self.scalars(row, out=row)
 
     def gram(self, xs) -> np.ndarray:
+        """The td x td block Gram, block (i, k) equal to ``K(x_i, x_k)``, in one array."""
+        scalar = self.scalar_gram(xs)
+        n = len(scalar) * self.dim
+        return self.fill_gram(scalar, np.empty((n, n)))
+
+    def fill_gram(self, scalar, out) -> np.ndarray:
+        """Write the block Gram of a t x t ``scalar_gram`` into the td x td ``out``; returns it."""
         raise NotImplementedError
 
     def diag_operator_norm(self, x) -> float:
-        """Spectral norm of K(x, x)."""
-        return float(np.max(np.abs(np.linalg.eigvalsh(self(x, x)))))
+        """Spectral norm of K(x, x), in each family's closed form."""
+        raise NotImplementedError
 
     def to_dict(self) -> dict:
-        raise NotImplementedError
+        """The constructor arguments as JSON values, ``family`` first."""
+        return {"family": self.family, "mu": self.mu, "dim": self.dim}
 
 
 @dataclass(frozen=True)
@@ -262,19 +275,17 @@ class SeparableGaussian(OperatorKernel):
         # exp(0) = 1, so K(x, x) == J for every x
         return float(a @ (self.structure @ a))
 
-    def gram(self, xs) -> np.ndarray:
-        return np.kron(self.scalar_gram(xs), self.structure)
+    def fill_gram(self, scalar, out) -> np.ndarray:
+        # S ⊗ J entry for entry: s_ik J_ab, the floats of np.kron
+        t, d = len(scalar), self.dim
+        np.multiply(scalar[:, None, :, None], self.structure[:, None, :], out=out.reshape(t, d, t, d))
+        return out
 
     def diag_operator_norm(self, x) -> float:
         return self._diag_norm
 
     def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "mu": self.mu,
-            "dim": self.dim,
-            "structure": self.structure.tolist(),
-        }
+        return {**super().to_dict(), "structure": self.structure.tolist()}
 
 
 @dataclass(frozen=True)
@@ -341,21 +352,9 @@ class NonSeparablePoly(OperatorKernel):
         total = float(a.sum())
         return self.mu * dot * total * total + (1.0 - self.mu) * dot * dot * float(a @ a)
 
-    def gram(self, xs) -> np.ndarray:
-        """The td x td block Gram ``mu P ⊗ ONES + (1 - mu) (P∘P) ⊗ I``, P the inner products.
-
-        Written by :meth:`_fill_gram` into one buffer, with no Kronecker terms.
-        """
-        p = self.scalar_gram(xs)
-        t = len(p)
-        return self._fill_gram(p, np.empty((t * self.dim, t * self.dim)))
-
-    def _fill_gram(self, p, out) -> np.ndarray:
-        """Write the block Gram of the t x t inner products ``p`` into the td x td ``out``.
-
-        mu p goes into every entry of each block and ``(1 - mu) p^2`` onto its
-        diagonal: entry for entry the floats of the Kronecker sum.
-        """
+    def fill_gram(self, p, out) -> np.ndarray:
+        # mu p into every entry of each block and (1 - mu) p^2 onto its diagonal:
+        # entry for entry the floats of mu P ⊗ ONES + (1 - mu) (P∘P) ⊗ I
         t, d = len(p), self.dim
         blocks = out.reshape(t, d, t, d)
         np.multiply(p[:, None, :, None], self.mu, out=blocks)
@@ -364,8 +363,10 @@ class NonSeparablePoly(OperatorKernel):
             blocks[:, a, :, a] += squares
         return out
 
-    def to_dict(self) -> dict:
-        return {"family": self.family, "mu": self.mu, "dim": self.dim}
+    def diag_operator_norm(self, x) -> float:
+        # eigenvalues mu d q + (1 - mu) q^2 (along ones) and (1 - mu) q^2, both >= 0
+        q = float(np.dot(x, x))
+        return self.mu * self.dim * q + (1.0 - self.mu) * q * q
 
 
 def operator_norm_bound(kernel: OperatorKernel, xs) -> float:
@@ -380,14 +381,15 @@ def operator_norm_bound(kernel: OperatorKernel, xs) -> float:
     return max(kernel.diag_operator_norm(x) for x in xs)
 
 
-def kernel_from_dict(spec: dict) -> OperatorKernel:
-    """Rebuild a kernel from its ``to_dict`` representation."""
-    family = spec.get("family")
-    if family == "gaussian":
-        structure = spec.get("structure")
-        if structure is not None:
-            structure = np.asarray(structure, dtype=float)
-        return SeparableGaussian(mu=spec["mu"], dim=spec["dim"], structure=structure)
-    if family == "poly":
-        return NonSeparablePoly(mu=spec["mu"], dim=spec["dim"])
-    raise ConfigError(f"unknown kernel family {family!r}")
+# every family by the name its specs and checkpoints carry
+FAMILIES = {cls.family: cls for cls in (SeparableGaussian, NonSeparablePoly)}
+
+
+def kernel_from_dict(spec) -> OperatorKernel:
+    """Rebuild a kernel from its ``to_dict`` dict; any other spec raises ``ConfigError``."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"kernel spec must be a dict, got {spec!r}")
+    cls = FAMILIES.get(spec.get("family"))
+    if cls is None:
+        raise ConfigError(f"unknown kernel family {spec.get('family')!r}")
+    return cls(**{f.name: spec[f.name] for f in fields(cls) if f.name in spec})

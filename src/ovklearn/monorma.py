@@ -12,7 +12,8 @@ recursion (no re-expansion of g_j), and the weights are then recomputed
 in closed form (:func:`delta_update`) on the constraint set
 ``{delta_j >= 0, sum_j delta_j^r <= 1}``.  The weight update always lands
 exactly on the boundary ``sum_j delta_j^r = 1``.  It raises the old weight
-to the power 2/(r+1), so for r <= 1 one kernel can take all the weight.
+to the power 2/(r+1): for r <= 1 one kernel can take all the weight, and
+for r > 1 fixed norms draw the weights to ``delta_j ∝ gamma_j^(1/(r-1))``.
 A weight that reaches exactly 0 (small weights underflow) stays 0 for the
 rest of the run, because its ``T_j = delta_j^2 gamma_j`` is 0.
 
@@ -81,7 +82,6 @@ class MONORMA(_OnlineLearner):
     def __init__(self, kernels, loss=None, lam=0.01, eta0=1.0, r=2.0, truncation=None):
         super().__init__(kernels, loss, lam, eta0, truncation, r)
         self.kernels = list(self._state.kernels)
-        self.m = len(self.kernels)
 
     @property
     def delta(self) -> np.ndarray:

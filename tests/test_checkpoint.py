@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import NaiveMultiKernelLearner, NaiveOnlineLearner, gram_norm_sq
 from ovklearn.batch import fit
 from ovklearn.checkpoint import load_model, save_model
-from ovklearn.exceptions import DataError
+from ovklearn.exceptions import ConfigError, DataError, OvkError
 from ovklearn.kernels import NonSeparablePoly, SeparableGaussian, kernel_from_dict
 from ovklearn.losses import EpsilonInsensitive
 from ovklearn.monorma import MONORMA
@@ -412,6 +412,17 @@ def test_rejects_impossible_meta(tmp_path, kind, field, value, message):
     write_v1(path, {**meta, field: value}, support, coeffs, stamps)
     with pytest.raises(DataError, match=re.escape(message)):
         load_model(path)
+
+
+@pytest.mark.parametrize("spec", [[1, 2], None, "gaussian"], ids=["list", "null", "string"])
+def test_rejects_a_kernel_spec_that_is_not_a_dict(tmp_path, spec):
+    with pytest.raises(ConfigError, match="kernel spec must be a dict"):
+        kernel_from_dict(spec)
+    support, coeffs, stamps = v1_terms(27, range(1, 9))
+    meta = {**v1_onorma_meta(GAUSS_V1, None, 8, support, coeffs), "kernel": spec}
+    write_v1(tmp_path / "v1.npz", meta, support, coeffs, stamps)
+    with pytest.raises(OvkError, match="kernel spec must be a dict"):
+        load_model(tmp_path / "v1.npz")
 
 
 def test_zero_kernel_weight_loads(tmp_path):

@@ -187,6 +187,18 @@ def test_load_csv_one_hot(tmp_path):
         load_csv(path, [0, 1], [2], one_hot_classes=1)
 
 
+@pytest.mark.parametrize("label", ["nan", "inf", "-inf"])
+def test_load_csv_non_finite_class_label(tmp_path, capsys, label):
+    path = tmp_path / "labels.csv"
+    path.write_text(f"f,label\n0.1,0\n0.2,{label}\n0.3,1\n")
+    with pytest.raises(DataError, match=f"class label {label} at data row 2 is not an integer"):
+        load_csv(path, [0], [1], one_hot_classes=2)
+    argv = ["train", "--set", "data=csv", "--set", f"csv_path={path}", "--set", "input_cols=0"]
+    argv += ["--set", "output_cols=1", "--set", "one_hot_classes=2"]
+    assert main(argv) == 2
+    assert "data row 2 is not an integer" in capsys.readouterr().err
+
+
 def test_split_even_halves():
     ds = gen_synthetic(SynthSpec(100, 2, seed=4))
     train, test, stats = split_and_normalize(ds, 0.5, seed=1)

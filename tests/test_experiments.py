@@ -203,6 +203,23 @@ def test_run_onorma_summary_and_bound():
     assert summary["bound_rhs"] >= summary["bound_lhs"]
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [[], ["kernel=poly(mu=0.2)", "lambda=300", "eta0=0.003"]],
+    ids=["gaussian", "poly"],
+)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_hypotheses_keep_the_effective_step_below_one_half(extra, seed):
+    # lambda > 2 kappa^2 and eta0 lambda < 1 give eta_t kappa^2 < eta0 lambda / 2 < 1/2,
+    # so a run whose hypotheses pass never warns about its effective step
+    config = Path(__file__).resolve().parents[1] / "configs" / "bound-check.cfg"
+    cfg = read_config(config, extra + [f"seed={seed}"])
+    _, summary = run_experiment(cfg)
+    assert summary["hyp_passes"] is True
+    assert summary["max_eff_step"] <= cfg.eta0 * summary["hyp_kappa_sq"] < cfg.eta0 * cfg.lam / 2
+    assert summary["max_eff_step"] < 0.5
+
+
 def test_cum_mse_recurrence():
     records, _ = run_experiment(small_cfg())
     for prev, rec in zip(records, records[1:]):

@@ -6,15 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import block_gram, power_iteration_norm
-from ovklearn.batch import BatchModel
+from ovklearn.batch import BatchModel, fit
+from ovklearn.checkpoint import load_model, save_model
+from ovklearn.cli import main
 from ovklearn.exceptions import ConfigError, DimensionMismatch
 from ovklearn.kernels import (
+    FAMILIES,
     NonSeparablePoly,
     SeparableGaussian,
     default_structure,
     kernel_from_dict,
     operator_norm_bound,
 )
+from ovklearn.monorma import MONORMA
+from ovklearn.onorma import ONORMA, TruncationSchedule
 
 
 def random_kernel(rng, dim):
@@ -222,6 +227,13 @@ def test_poly_gram_equals_the_kronecker_sum(mu, dim):
     assert np.array_equal(k.gram(xs), kron)
 
 
+@pytest.mark.parametrize("dim", [1, 4])
+def test_gaussian_gram_equals_the_kronecker_product(dim):
+    xs = np.random.default_rng(21).normal(size=(37, 5))
+    k = SeparableGaussian(mu=1.7, dim=dim, structure=default_structure(dim) + np.eye(dim) / 3)
+    assert np.array_equal(k.gram(xs), np.kron(k.scalar_gram(xs), k.structure))
+
+
 def test_gram_symmetric_psd():
     rng = np.random.default_rng(16)
     for _ in range(20):
@@ -347,3 +359,43 @@ def test_to_dict_round_trip():
         assert np.allclose(back(x, x2), k(x, x2), atol=1e-15)
     with pytest.raises(ConfigError):
         kernel_from_dict({"family": "laplace", "mu": 1.0, "dim": 2})
+
+
+def test_only_the_oracles_build_a_kernel_matrix(monkeypatch, tmp_path, capsys):
+    def oracle_only(self, x, x2):
+        raise AssertionError("the d x d kernel matrix is for the test oracles only")
+
+    for cls in FAMILIES.values():
+        monkeypatch.setattr(cls, "__call__", oracle_only)
+    small = ["--set", "n_instances=60", "--set", "n_outputs=2"]
+    poly = ["--set", "kernel=poly(mu=0.2)", "--set", "lambda=300", "--set", "eta0=0.003"]
+    for algorithm, kernel in [
+        ("onorma", "gaussian(mu=1)"),
+        ("onorma", "poly(mu=0.2)"),
+        ("monorma", "gaussian(mu=1),poly(mu=0.2)"),
+        ("batch", "gaussian(mu=1)"),
+        ("batch", "poly(mu=0.2)"),
+    ]:
+        argv = ["train", "--set", f"algorithm={algorithm}", "--set", f"kernel={kernel}"]
+        argv += ["--set", "lambda=3", "--set", "eta0=0.03"]
+        assert main(argv + small) == 0
+    assert main(["check-bounds", *small, *poly]) == 0
+    assert "result = bound holds" in capsys.readouterr().out
+
+    rng = np.random.default_rng(20)
+    xs, ys = rng.normal(size=(30, 3)), rng.normal(size=(30, 2))
+    gaussian, poly_kernel = SeparableGaussian(mu=1.0, dim=2), NonSeparablePoly(mu=0.2, dim=2)
+    truncated = TruncationSchedule(t0=5, epsilon=0.25)
+    online = [ONORMA(k, lam=0.3, eta0=0.05) for k in (gaussian, poly_kernel)]
+    online.append(MONORMA([gaussian, poly_kernel], lam=0.3, eta0=0.05, truncation=truncated))
+    for model in online:
+        model.fit(xs, ys)
+    batch = [fit(k, xs, ys, lam=0.5) for k in (gaussian, poly_kernel)]
+    for k in (gaussian, poly_kernel):
+        assert k.gram(xs).shape == (60, 60) and operator_norm_bound(k, xs) > 0
+    for i, model in enumerate(online + batch):
+        path = tmp_path / f"model{i}.npz"
+        save_model(path, model)
+        back = load_model(path)
+        assert np.allclose(back.predict(xs), model.predict(xs), rtol=1e-12, atol=1e-12)
+        assert np.allclose(back.predict(xs[0]), model.predict(xs[0]), rtol=1e-12, atol=1e-12)
