@@ -362,17 +362,20 @@ def _test_scores(predict, test: Dataset) -> dict:
     return out
 
 
-def _max_eff_step(model: ONORMA, xs) -> float:
-    """``max_t eta_t ||K(x_t, x_t)||_op`` over the inputs ``xs`` in stream order.
+def _max_eff_step(model, kernels, xs, weights) -> float:
+    """``max_t eta_t sum_j delta_j ||K_j(x_t, x_t)||_op`` over the inputs ``xs`` in stream order.
 
-    With squared loss a step above ``STABLE_STEP`` overshoots: the run is
-    then expected to diverge.
+    ``weights[t - 1]`` are the kernel weights held before step t, ``[1.0]``
+    for one kernel.  Over several kernels the sum is the triangle-inequality
+    bound of ``||sum_j delta_j K_j(x_t, x_t)||_op``.  With squared loss a
+    step above ``STABLE_STEP`` overshoots: the run is then expected to
+    diverge.
     """
     steps = (
-        model.learning_rate(t) * model.kernel.diag_operator_norm(x)
-        for t, x in enumerate(xs, start=1)
+        model.learning_rate(t) * sum(w * k.diag_operator_norm(x) for w, k in zip(ws, kernels))
+        for t, (x, ws) in enumerate(zip(xs, weights), start=1)
     )
-    return max(steps, default=0.0)
+    return float(max(steps, default=0.0))
 
 
 def run_experiment(cfg: ExperimentConfig):
@@ -410,6 +413,8 @@ def run_experiment(cfg: ExperimentConfig):
         values["support_size"] = len(train)
     else:
         model = cfg.build_learner(kernels, loss)
+        # the weights held before each step: the start, then each step's record
+        weights = [model.delta] if cfg.algorithm == "monorma" else [[1.0]]
         sq_sum = 0.0
         start = time.perf_counter()
         for i, (x, y) in enumerate(zip(train.xs, train.ys), start=1):
@@ -432,10 +437,12 @@ def run_experiment(cfg: ExperimentConfig):
         values["train_time_s"] = time.perf_counter() - start
         values["final_cum_mse"] = records[-1].cum_mse if records else 0.0
         values["support_size"] = model.support_size
-        if cfg.algorithm == "onorma":
-            values["max_eff_step"] = _max_eff_step(model, train.xs)
-        else:
+        if cfg.algorithm == "monorma":
+            weights += [record.deltas for record in records[:-1]]
             values.update((f"delta_{j}", float(dj)) for j, dj in enumerate(model.delta, start=1))
+        else:
+            weights *= len(records)
+        values["max_eff_step"] = _max_eff_step(model, kernels, train.xs, weights)
 
     values.update(_test_scores(model.predict, test))
 

@@ -28,14 +28,19 @@ every multi-row predict and the batch Gram product ``G vec(C)`` (the
 expansion over the t x t ``scalar_gram``) all call it.  A poly kernel also
 reads each term's coefficient sum, which the expansion state keeps, so no
 row method reduces over the support.  Every model, online or batch, feeds
-the row methods in one place, ``onorma._ExpansionState``.
+the row methods in one place, ``onorma._ExpansionState``, which evaluates
+the kernels of one family together through a :class:`KernelBank`: a bank
+of Gaussians maps the shared row to every member's scalars in one pass,
+once per distinct ``mu``, and makes one ``J`` product per distinct
+structure matrix, with the bits of each member's own row methods.
 
 Kernel objects are immutable and safe to share between threads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+import numbers
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -56,12 +61,146 @@ def default_structure(dim: int) -> np.ndarray:
     return 0.9 * np.eye(dim) + 0.1 * np.ones((dim, dim))
 
 
+def _check_fields(kernel) -> None:
+    """Raise ConfigError unless ``mu`` is a real number and ``dim`` an int >= 1 (bools are neither)."""
+    if isinstance(kernel.mu, bool) or not isinstance(kernel.mu, numbers.Real):
+        raise ConfigError(f"{kernel.family} kernel mu must be a real number, got {kernel.mu!r}")
+    dim = kernel.dim
+    if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim < 1:
+        raise ConfigError(f"output dimension must be an int >= 1, got {dim!r}")
+
+
 def _check_pair(x, x2):
     x = np.asarray(x, dtype=float)
     x2 = np.asarray(x2, dtype=float)
     if x.shape != x2.shape:
         raise DimensionMismatch("kernel inputs", x.shape[-1], x2.shape[-1])
     return x, x2
+
+
+class KernelBank:
+    """The kernels of one family, evaluated together at one point x.
+
+    ``sweep`` sweeps the support once for the family row and ``scalars``
+    maps a row to the bank's scalars, a list of arrays.  From them
+    ``expansions`` and ``quads`` give every member's ``row_expansion``
+    (times ``scale``) and ``quad``, as lists in member order, and
+    ``add_crosses`` adds every member's ``row_cross`` into column
+    ``columns[j]`` of a caller's array.  This base bank keeps one scalars
+    array per member and calls each member's own methods; a family whose
+    members share work overrides them and keeps the bits of those methods.
+    """
+
+    def __init__(self, kernels, columns=None):
+        self.kernels = tuple(kernels)
+        self.columns = tuple(range(len(self.kernels))) if columns is None else tuple(columns)
+        self.families = (self,)
+
+    def sweep(self, support, x) -> list:
+        return self.scalars(self.kernels[0].row(support, x))  # one row for every member
+
+    def scalars(self, row) -> list:
+        return [kernel.scalars(row) for kernel in self.kernels]
+
+    def expansions(self, scalars, scale, coeffs, sums) -> list:
+        return [scale * k.row_expansion(w, coeffs, sums) for k, w in zip(self.kernels, scalars)]
+
+    def quads(self, x, a) -> list:
+        return [kernel.quad(x, a) for kernel in self.kernels]
+
+    def add_crosses(self, out, scalars, coeffs, sums, a) -> None:
+        for j, kernel, w in zip(self.columns, self.kernels, scalars):
+            column = out[:, j]
+            np.add(column, kernel.row_cross(w, coeffs, sums, a), out=column)
+
+
+class _GaussianBank(KernelBank):
+    """Gaussians: one scalars pass for the bank, and J products shared per distinct J.
+
+    ``scalars`` divides the squared distances by the column of the distinct
+    ``-mu`` into one (u, s) buffer and takes ``exp`` in place, so members
+    with equal ``mu`` share a row: member j reads row ``row_index[j]``.
+    Members whose J are equal bit for bit share ``quad`` and the cross
+    vector ``C @ (J a)``, which ``row_cross`` scales by each member's
+    scalars.  Every result has the bits of the member's own method: IEEE
+    division and ``exp`` are elementwise.
+    """
+
+    def __init__(self, kernels, columns=None):
+        super().__init__(kernels, columns)
+        mus, structures = {}, {}
+        # member j reads its mu's scalars and the products of its J's group j_index[j]
+        self.row_index = [mus.setdefault(k.mu, len(mus)) for k in self.kernels]
+        j_index = [structures.setdefault(k.structure.tobytes(), len(structures)) for k in self.kernels]
+        # one mu divides by a float: a (1, 1) column costs more than the divide
+        self._negmu = -next(iter(mus)) if len(mus) == 1 else np.array([[-mu] for mu in mus])
+        self._factors = [(i, k.structure.T) for i, k in zip(self.row_index, self.kernels)]
+        self._crosses = list(zip(self.columns, self.row_index, j_index))
+        # the first member with each J makes that J's products; None when each J is its own
+        self._structure_kernels = [self.kernels[j_index.index(g)] for g in range(len(structures))]
+        self._j_index = None if len(structures) == len(self.kernels) else j_index
+
+    def scalars(self, row) -> list:
+        # one row of row / -mu per distinct mu, which rounds as each member's scalars does
+        w = np.divide(row, self._negmu)
+        np.exp(w, out=w)
+        return [w] if w.ndim == 1 else list(w)
+
+    def expansions(self, scalars, scale, coeffs, sums) -> list:
+        # the floats of each member's row_expansion, J (w C)
+        return [scale * ((scalars[i] @ coeffs) @ structure_t) for i, structure_t in self._factors]
+
+    def quads(self, x, a) -> list:
+        quads = [kernel.quad(x, a) for kernel in self._structure_kernels]
+        return quads if self._j_index is None else [quads[g] for g in self._j_index]
+
+    def add_crosses(self, out, scalars, coeffs, sums, a) -> None:
+        vs = [kernel.cross_vector(coeffs, a) for kernel in self._structure_kernels]
+        for j, i, g in self._crosses:
+            column = out[:, j]
+            np.add(column, scalars[i] * vs[g], out=column)
+
+
+class _MixedBank:
+    """Kernels of several families: one bank per family, results in kernel order."""
+
+    def __init__(self, kernels):
+        self.kernels = tuple(kernels)
+        groups = {}
+        for j, kernel in enumerate(self.kernels):
+            groups.setdefault(type(kernel), []).append(j)
+        self.families = tuple(
+            cls.bank([self.kernels[j] for j in js], js) for cls, js in groups.items()
+        )
+
+    def _gather(self, per_family) -> list:
+        out = [None] * len(self.kernels)
+        for bank, values in zip(self.families, per_family):
+            for j, value in zip(bank.columns, values):
+                out[j] = value
+        return out
+
+    def sweep(self, support, x) -> list:
+        return [bank.sweep(support, x) for bank in self.families]
+
+    def expansions(self, scalars, scale, coeffs, sums) -> list:
+        pairs = zip(self.families, scalars)
+        return self._gather([bank.expansions(w, scale, coeffs, sums) for bank, w in pairs])
+
+    def quads(self, x, a) -> list:
+        return self._gather([bank.quads(x, a) for bank in self.families])
+
+    def add_crosses(self, out, scalars, coeffs, sums, a) -> None:
+        for bank, w in zip(self.families, scalars):
+            bank.add_crosses(out, w, coeffs, sums, a)
+
+
+def kernel_bank(kernels):
+    """The bank of a learner's kernels: their family's, or one bank per family."""
+    kernels = tuple(kernels)
+    if len({type(kernel) for kernel in kernels}) == 1:
+        return type(kernels[0]).bank(kernels)
+    return _MixedBank(kernels)
 
 
 class OperatorKernel:
@@ -93,13 +232,15 @@ class OperatorKernel:
     read only by a kernel with ``reads_sums`` set (the poly family, whose
     all-ones block needs it), and ``None`` for a kernel without.
     The row methods trust their arguments; the caller, the expansion state
-    of :mod:`ovklearn.onorma`, checks them and keeps the sums.
+    of :mod:`ovklearn.onorma`, checks them and keeps the sums, and calls
+    them through the family's ``bank`` (see :class:`KernelBank`).
     """
 
     family: str
     mu: float
     dim: int
     reads_sums = False
+    bank = KernelBank
 
     def __call__(self, x, x2) -> np.ndarray:
         """The d x d matrix ``K(x, x2)``, which no library path builds."""
@@ -189,15 +330,18 @@ class SeparableGaussian(OperatorKernel):
     structure: np.ndarray = field(default=None)
 
     family = "gaussian"
+    bank = _GaussianBank
 
     def __post_init__(self):
+        _check_fields(self)
         check_positive("gaussian kernel mu", self.mu)
-        if self.dim < 1:
-            raise ConfigError(f"output dimension must be >= 1, got {self.dim}")
         J = self.structure
         if J is None:
             J = default_structure(self.dim)
-        J = np.array(J, dtype=float)
+        try:
+            J = np.array(J, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"structure matrix must be a d x d array of numbers: {exc}") from None
         if J.shape != (self.dim, self.dim):
             raise DimensionMismatch("structure matrix", J.shape, (self.dim, self.dim))
         if not np.all(np.isfinite(J)):
@@ -269,7 +413,11 @@ class SeparableGaussian(OperatorKernel):
         return np.matmul(scalars @ coeffs, self.structure.T, out=out)
 
     def row_cross(self, row, coeffs, sums, a) -> np.ndarray:
-        return row * (coeffs @ (self.structure @ a))
+        return row * self.cross_vector(coeffs, a)
+
+    def cross_vector(self, coeffs, a) -> np.ndarray:
+        """``<J a, coeffs_i>`` for every i, which ``row_cross`` scales by each scalar."""
+        return coeffs @ (self.structure @ a)
 
     def quad(self, x, a) -> float:
         # exp(0) = 1, so K(x, x) == J for every x
@@ -308,10 +456,9 @@ class NonSeparablePoly(OperatorKernel):
     reads_sums = True
 
     def __post_init__(self):
+        _check_fields(self)
         if not 0.0 <= self.mu <= 1.0:
             raise ConfigError(f"poly kernel requires mu in [0, 1], got {self.mu}")
-        if self.dim < 1:
-            raise ConfigError(f"output dimension must be >= 1, got {self.dim}")
 
     def __call__(self, x, x2) -> np.ndarray:
         x, x2 = _check_pair(x, x2)
@@ -389,7 +536,11 @@ def kernel_from_dict(spec) -> OperatorKernel:
     """Rebuild a kernel from its ``to_dict`` dict; any other spec raises ``ConfigError``."""
     if not isinstance(spec, dict):
         raise ConfigError(f"kernel spec must be a dict, got {spec!r}")
-    cls = FAMILIES.get(spec.get("family"))
+    family = spec.get("family")
+    cls = FAMILIES.get(family) if isinstance(family, str) else None
     if cls is None:
-        raise ConfigError(f"unknown kernel family {spec.get('family')!r}")
+        raise ConfigError(f"unknown kernel family {family!r}")
+    missing = [f.name for f in fields(cls) if f.name not in spec and f.default is MISSING]
+    if missing:
+        raise ConfigError(f"{family} kernel spec lacks {', '.join(missing)}")
     return cls(**{f.name: spec[f.name] for f in fields(cls) if f.name in spec})

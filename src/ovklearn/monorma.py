@@ -6,7 +6,8 @@ sequence; only the kernel differs.  This is the step of
 :class:`~ovklearn.onorma.ONORMA` over m kernels, and ONORMA is the case
 m = 1 (:class:`~ovklearn.onorma._OnlineLearner` runs both): one sweep of
 the s stored terms per kernel family (the Gaussians share their squared
-distances, the poly kernels their inner products) gives every g_j(x_t),
+distances, the poly kernels their inner products), one scalars pass for
+all the Gaussians and O(s d) per kernel give every g_j(x_t),
 each squared norm ``gamma_j = ||g_j||^2`` is refreshed by an O(d^2)
 recursion (no re-expansion of g_j), and the weights are then recomputed
 in closed form (:func:`delta_update`) on the constraint set
@@ -21,7 +22,8 @@ Truncation drops a term from every g_j at once.  Each stored term keeps
 its cross sums with the later terms, one per kernel, so every gamma_j is
 downdated exactly at O(m) per dropped term
 (``onorma._ExpansionState.drop_expired``); keeping those sums costs one
-O(s d) product per kernel and step.  No Gram matrix is formed and no
+O(s d) product per poly kernel or distinct Gaussian structure matrix and
+O(s) per kernel and step.  No Gram matrix is formed and no
 kernel is evaluated for a drop.
 """
 
@@ -66,9 +68,12 @@ class MONORMA(_OnlineLearner):
     for which that start underflows to 0 or misses the boundary by more
     than 1e-12 raises ``ConfigError``.  Kernels of one family share each
     support sweep, so a bank of many bandwidths, structure matrices or poly
-    mixes costs one sweep plus O(s d) per kernel and step; a poly kernel
-    reads each term's stored coefficient sum and makes no reduction over
-    the support.
+    mixes costs one sweep per family plus O(s d) per kernel and step.  The
+    Gaussians map the sweep to their scalars in one pass, once per distinct
+    bandwidth, and share each structure matrix's quadratic form and cross
+    vector; a poly kernel reads each term's stored coefficient sum and
+    makes no reduction over the support.  The weight update costs O(m)
+    and the combination of the g_j O(m d) per step.
 
     Truncation is supported as an extension (off by default).  A dropped
     term leaves every g_j, and each gamma_j is downdated by the exact

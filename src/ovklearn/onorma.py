@@ -12,10 +12,12 @@ The hypothesis after t steps is the kernel expansion
 The shrink is applied lazily through a single scale factor that folds
 into the stored coefficients when it underflows, so no step rewrites the
 coefficients.  With s stored terms in R^p and outputs in R^d, a step
-sweeps the support once per kernel family, O(s p) (the kernels of one
-family share their row, see :mod:`ovklearn.kernels`), which gives each
+sweeps the support once per kernel family, O(s p), and maps the row to
+the kernels' scalars, O(s) per Gaussian bandwidth; that gives each
 kernel's prediction, O(s d), and, under truncation, the new term's cross
-products with every stored term, O(s d).  A poly kernel also reads each
+products with every stored term, O(s d) per structure matrix plus O(s)
+per kernel (the kernels are evaluated as one bank, see
+:class:`ovklearn.kernels.KernelBank`).  A poly kernel also reads each
 term's coefficient sum, which is stored with the term, so no step reduces
 the stored coefficients.  The squared RKHS norm is
 tracked by an O(d^2) recursion.  Under truncation each stored term also
@@ -38,6 +40,7 @@ import numpy as np
 
 from .exceptions import ConfigError, DataError, DimensionMismatch, NumericsError
 from .exceptions import check_examples, check_finite, check_positive
+from .kernels import kernel_bank
 from .losses import SquaredLoss
 
 __all__ = ["ONORMA", "StepResult", "TruncationSchedule", "truncation_window"]
@@ -102,8 +105,9 @@ class StepResult:
 class _ExpansionState:
     """Support points and raw coefficients with a shared lazy scale.
 
-    Every kernel in ``kernels`` reads the same terms, and the kernels of
-    one family read them through one shared row (:meth:`_rows`).
+    Every kernel in ``kernels`` reads the same terms, through one
+    :func:`~ovklearn.kernels.kernel_bank` (``bank``), which sweeps them
+    once per family and shares the work its kernels have in common.
     :meth:`append` (or :meth:`restore`, for a whole saved support) is the
     only way a term comes in and :meth:`drop_expired` the only way one
     leaves: terms are appended at the back and dropped from the front;
@@ -131,10 +135,7 @@ class _ExpansionState:
         self.dim = self.kernels[0].dim
         self.cross_terms = cross_terms
         self.keeps_sums = any(kernel.reads_sums for kernel in self.kernels)
-        families = {}
-        for j, kernel in enumerate(self.kernels):
-            families.setdefault(kernel.family, []).append((j, kernel))
-        self._families = tuple(families.values())
+        self.bank = kernel_bank(self.kernels)
         self.restore((), (), (), None)
 
     def __len__(self) -> int:
@@ -178,26 +179,16 @@ class _ExpansionState:
     def times(self) -> np.ndarray:
         return self._T[self.start : self.end]
 
-    def _rows(self, x) -> list:
-        """Each kernel's scalars over the support at x: one ``row`` call per family."""
-        rows = [None] * len(self.kernels)
-        for family in self._families:
-            shared = family[0][1].row(self.support, x)  # the same for every member
-            for j, kernel in family:
-                rows[j] = kernel.scalars(shared)
-        return rows
-
     def expand(self, x):
-        """Each kernel's scalars over the support at x and ``g_j(x)``.
+        """The bank's scalars over the support at x and every ``g_j(x)``.
 
         One sweep of the support per family; the scalars are kept for
         :meth:`append`.  Returns ``(None, zeros)`` on an empty support.
         """
         if self.end == self.start:
             return None, [np.zeros(self.dim) for _ in self.kernels]
-        rows, raw, sums = self._rows(x), self.raw_coeffs, self.raw_sums
-        gs = [self.scale * k.row_expansion(r, raw, sums) for k, r in zip(self.kernels, rows)]
-        return rows, gs
+        rows = self.bank.sweep(self.support, x)
+        return rows, self.bank.expansions(rows, self.scale, self.raw_coeffs, self.raw_sums)
 
     def evaluate(self, x) -> list:
         """Each kernel's ``g_j`` at one point or at each of n rows; zeros on an empty support.
@@ -239,8 +230,8 @@ class _ExpansionState:
             return gs
         block = max(1, min(n, _BLOCK_BYTES // (8 * s)))  # float64 rows
         raw, sums = self.raw_coeffs, self.raw_sums
-        for family in self._families:
-            *others, (last, kernel) = family
+        for bank in self.bank.families:
+            *others, (last, kernel) = zip(bank.columns, bank.kernels)
             sweep = kernel.row_sweep(self.support)
             shared = np.empty((block, s))
             scratch = np.empty((block, s)) if others else None
@@ -259,7 +250,7 @@ class _ExpansionState:
         """Store a term x with coefficient ``scale * raw_coeff``.
 
         With cross terms on, ``rows`` are :meth:`expand`'s scalars at x and
-        ``quads[j]`` is ``<K_j(x, x) a, a>`` for the effective coefficient.
+        ``quads`` are the bank's ``quads`` at x for the effective coefficient.
         """
         if self.end == len(self._T):
             self._compact_or_grow()
@@ -280,8 +271,7 @@ class _ExpansionState:
             live = slice(self.start, i)
             raw = self._A[live]
             sums = None if self._S is None else self._S[live]
-            for j, kernel in enumerate(self.kernels):
-                self._C[live, j] += kernel.row_cross(rows[j], raw, sums, raw_coeff)
+            self.bank.add_crosses(self._C[live], rows, raw, sums, raw_coeff)
         self._C[i] = 0.0
         s2 = self.scale * self.scale
         self._Q[i] = [q / s2 for q in quads]
@@ -343,8 +333,7 @@ class _ExpansionState:
             for i in range(n):
                 self.end = i  # the support is the terms before i, as when i was appended
                 x, a = self._X[i], self._A[i]
-                quads = [kernel.quad(x, a) for kernel in self.kernels]
-                self._add_cross_sums(i, a, self._rows(x), quads)
+                self._add_cross_sums(i, a, self.bank.sweep(self.support, x), self.bank.quads(x, a))
         self.end = n
 
     def drop_expired(self, cutoff: int, norms_sq: np.ndarray) -> int:
@@ -396,12 +385,17 @@ _DEGENERATE_FLOOR = 1e-300
 
 
 def _reweight(delta_prev: np.ndarray, gamma: np.ndarray, r: float) -> np.ndarray:
-    """:func:`ovklearn.monorma.delta_update` for m >= 2, on trusted arrays."""
+    """:func:`ovklearn.monorma.delta_update` for m >= 2, on trusted arrays.
+
+    The array methods are the C reductions of ``np.all`` and ``np.sum``
+    without their Python wrappers.  The powers stay array powers: numpy's
+    vectorised ``power`` and ``math.pow`` differ in the last bit.
+    """
     terms = delta_prev * delta_prev * gamma
-    if np.all(terms <= _DEGENERATE_FLOOR):
+    if (terms <= _DEGENERATE_FLOOR).all():
         return delta_prev.copy()
     num = terms ** (1.0 / (r + 1.0))
-    den = np.sum(terms ** (r / (r + 1.0))) ** (1.0 / r)
+    den = (terms ** (r / (r + 1.0))).sum() ** (1.0 / r)
     return num / den
 
 
@@ -526,7 +520,7 @@ class _OnlineLearner:
         if state.input_dim is None:
             state.fix_width(x.shape[0])
 
-        quads = [kernel.quad(x, alpha) for kernel in state.kernels]
+        quads = state.bank.quads(x, alpha)
         clips = 0
         for j in range(len(quads)):
             new = norm_recursion(norms[j], float(gs[j] @ alpha), quads[j], decay)
@@ -550,15 +544,17 @@ class _OnlineLearner:
     def _combine(self, gs) -> np.ndarray:
         if len(gs) == 1:
             return gs[0]
-        f = np.zeros_like(gs[0])
-        for w, g in zip(self._delta, gs):
+        # from zeros, as 0.0 + (-0.0) is +0.0; the weights as Python floats
+        f = np.zeros(gs[0].shape)
+        for w, g in zip(self._delta.tolist(), gs):
             f += w * g
         return f
 
     def _penalty_norm_sq(self) -> float:
         if len(self._norms) == 1:
             return float(self._norms[0])
-        return float(np.sum(self._delta * self._delta * self._norms))
+        # the array method, not a float loop: np.sum pairs terms from 8 on
+        return float((self._delta * self._delta * self._norms).sum())
 
 
 class ONORMA(_OnlineLearner):

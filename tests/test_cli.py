@@ -232,6 +232,21 @@ def test_train_is_silent_when_the_effective_step_is_stable(capsys):
     assert err == ""
 
 
+def test_monorma_train_warns_when_its_effective_step_diverges(capsys):
+    # the weighted bound reads about 49 here; the run's cumulative MSE reaches 1e157
+    config = str(Path(BOUND_CONFIG).with_name("benchmark.cfg"))
+    argv = ["train", "--config", config, "--set", "algorithm=monorma"]
+    code, out, err = run_cli(argv + ["--set", "kernel=poly(mu=0.2),poly(mu=0.8)"], capsys)
+    assert code == 0
+    assert summary_value(out, "max_eff_step") > 2.0
+    assert err.startswith("warning: max_eff_step = ")
+    argv = ["train", "--config", BOUND_CONFIG, "--set", "algorithm=monorma"]
+    code, out, err = run_cli(argv + ["--set", "kernel=gaussian(mu=1),gaussian(mu=2)"], capsys)
+    assert code == 0
+    assert summary_value(out, "max_eff_step") <= 2.0
+    assert err == ""
+
+
 def stable_args(extra=()):
     base = [
         "check-bounds",

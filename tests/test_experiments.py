@@ -220,6 +220,29 @@ def test_hypotheses_keep_the_effective_step_below_one_half(extra, seed):
     assert summary["max_eff_step"] < 0.5
 
 
+def test_monorma_max_eff_step_reads_the_weights_held_before_each_step():
+    from ovklearn.data import split_and_normalize
+    from ovklearn.experiments import load_dataset
+
+    kernels = (KernelSpec("gaussian", 1.0), KernelSpec("poly", 0.2))
+    cfg = small_cfg(algorithm="monorma", kernels=kernels, lam=0.5, eta0=0.1)
+    records, summary = run_experiment(cfg)
+    train = split_and_normalize(load_dataset(cfg), cfg.train_fraction, cfg.seed, cfg.normalize)[0]
+    built = cfg.build_kernels(train.output_dim)
+    deltas = [np.full(2, 2 ** -0.5)] + [record.deltas for record in records[:-1]]
+    steps = [
+        cfg.eta0 / np.sqrt(t) * sum(w * k.diag_operator_norm(x) for w, k in zip(ws, built))
+        for t, (x, ws) in enumerate(zip(train.xs, deltas), start=1)
+    ]
+    assert abs(summary["max_eff_step"] - max(steps)) <= 1e-12 * max(steps)
+    # the weights move, so the bound is not the uniform start's
+    uniform = max(
+        cfg.eta0 / np.sqrt(t) * sum(2 ** -0.5 * k.diag_operator_norm(x) for k in built)
+        for t, x in enumerate(train.xs, start=1)
+    )
+    assert summary["max_eff_step"] != uniform
+
+
 def test_cum_mse_recurrence():
     records, _ = run_experiment(small_cfg())
     for prev, rec in zip(records, records[1:]):

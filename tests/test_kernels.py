@@ -153,6 +153,79 @@ def test_gaussian_scalars_keep_the_bits_of_the_negated_quotient(mu):
     assert np.array_equal(buf, expected)
 
 
+# the special squared distances of the scalars test above
+SPECIAL_ROW = [0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e300]
+
+
+def test_gaussian_bank_shares_work_and_keeps_each_members_bits():
+    rng = np.random.default_rng(37)
+    root = rng.normal(size=(3, 3))
+    psd = root @ root.T
+    kernels = [
+        SeparableGaussian(mu=0.5, dim=3),
+        SeparableGaussian(mu=1.0, dim=3, structure=np.eye(3)),
+        SeparableGaussian(mu=1.0, dim=3, structure=psd),  # equal mu, its own J
+        SeparableGaussian(mu=2.0, dim=3),  # the default J again
+        SeparableGaussian(mu=0.7, dim=3, structure=psd.copy()),  # an equal J, another array
+    ]
+    xs, ys = rng.uniform(size=(220, 4)), 0.5 * rng.normal(size=(220, 3))
+    model = MONORMA(kernels, lam=0.1, eta0=0.5, truncation=TruncationSchedule(t0=60, epsilon=0.25))
+    model.fit(xs[:200], ys[:200])
+    state = model._state
+    bank = state.bank
+    # one scalars row per distinct mu, one J product per distinct J
+    assert bank.row_index == [0, 1, 1, 2, 3]
+    assert len(bank._structure_kernels) == 3
+
+    support, coeffs, sums = state.support, state.raw_coeffs, state.raw_sums
+    for x in xs[200:]:
+        a = rng.normal(size=3)
+        row = kernels[0].row(support, x)
+        for special in (row, np.concatenate([SPECIAL_ROW, rng.uniform(0.0, 10.0, 300)])):
+            shared = bank.scalars(special)
+            assert len(shared) == 4
+            for j, kernel in enumerate(kernels):
+                assert np.array_equal(shared[bank.row_index[j]], kernel.scalars(special))
+        scalars = bank.sweep(support, x)
+        out = np.zeros((len(support), len(kernels)))
+        bank.add_crosses(out, scalars, coeffs, sums, a)
+        gs = bank.expansions(scalars, state.scale, coeffs, sums)
+        for j, (kernel, quad) in enumerate(zip(kernels, bank.quads(x, a))):
+            own = kernel.scalars(row)
+            assert np.array_equal(scalars[bank.row_index[j]], own)
+            assert quad == kernel.quad(x, a)
+            assert np.array_equal(out[:, j], kernel.row_cross(own, coeffs, sums, a))
+            assert np.array_equal(gs[j], state.scale * kernel.row_expansion(own, coeffs, sums))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: kernel_from_dict({"family": ["x"]}), "unknown kernel family"),
+        (lambda: kernel_from_dict({"family": None, "mu": 1.0, "dim": 2}), "unknown kernel family"),
+        (lambda: kernel_from_dict({"family": "poly", "mu": 0.5}), "lacks dim"),
+        (lambda: kernel_from_dict({"family": "gaussian", "dim": 2}), "lacks mu"),
+        (lambda: kernel_from_dict({"family": "gaussian", "mu": "abc", "dim": 2}), "real number"),
+        (lambda: kernel_from_dict({"family": "poly", "mu": None, "dim": 2}), "real number"),
+        (lambda: kernel_from_dict({"family": "gaussian", "mu": 1.0, "dim": "2"}), "int >= 1"),
+        (lambda: SeparableGaussian(mu=True, dim=2), "real number"),
+        (lambda: NonSeparablePoly(mu=0.5, dim=2.5), "int >= 1"),
+        (lambda: NonSeparablePoly(mu=0.5, dim=True), "int >= 1"),
+        (lambda: SeparableGaussian(mu=1.0, dim=2.0), "int >= 1"),
+        (lambda: SeparableGaussian(mu=1.0, dim=2, structure="abc"), "d x d array of numbers"),
+    ],
+)
+def test_malformed_kernel_arguments_raise_config_error(build, message):
+    with pytest.raises(ConfigError, match=message):
+        build()
+
+
+def test_kernel_arguments_accept_numpy_numbers():
+    k = SeparableGaussian(mu=np.float64(0.5), dim=np.int64(3))
+    assert k.structure.shape == (3, 3)
+    assert NonSeparablePoly(mu=np.float32(0.25), dim=np.int32(2)).dim == 2
+
+
 @pytest.mark.parametrize("dim", [1, 2, 4, 7])
 @pytest.mark.parametrize("s", [1, 7, 350])
 def test_row_expansion_keeps_the_point_forms(dim, s):

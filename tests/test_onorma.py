@@ -476,24 +476,54 @@ def test_same_family_bank_sweeps_once_per_step_predict_and_replay(monkeypatch, t
     from ovklearn.checkpoint import load_model, save_model
 
     J = np.array([[1.0, 0.3], [0.3, 0.5]])
+    # each bank with the Gaussian work one step does: scalars rows, quads, cross vectors
     banks = [
-        [
-            SeparableGaussian(mu=0.5, dim=2),
-            SeparableGaussian(mu=1.0, dim=2, structure=J),
-            SeparableGaussian(mu=2.0, dim=2, structure=np.eye(2)),
-            SeparableGaussian(mu=4.0, dim=2),
-        ],
-        [NonSeparablePoly(mu=mu, dim=2) for mu in (0.1, 0.5, 0.9)],
+        (
+            [
+                SeparableGaussian(mu=0.5, dim=2),
+                SeparableGaussian(mu=1.0, dim=2, structure=J),
+                SeparableGaussian(mu=2.0, dim=2, structure=np.eye(2)),
+                SeparableGaussian(mu=4.0, dim=2),
+            ],
+            (4, 3, 3),
+        ),
+        ([NonSeparablePoly(mu=mu, dim=2) for mu in (0.1, 0.5, 0.9)], (0, 0, 0)),
+        # equal mu, different J: one scalars pass
+        ([SeparableGaussian(mu=1.0, dim=2, structure=J), SeparableGaussian(mu=1.0, dim=2)], (1, 2, 2)),
+        # equal J: one quad and one cross vector
+        ([SeparableGaussian(mu=mu, dim=2, structure=J) for mu in (0.5, 1.0, 3.0)], (3, 1, 1)),
     ]
     xs, ys = stream(46, 60, d=2)
     counter = RowCounter(monkeypatch, SeparableGaussian, NonSeparablePoly)
-    for kernels in banks:
+    work = {"rows": 0, "quad": 0, "cross_vector": 0}
+    bank_scalars = SeparableGaussian.bank.scalars
+
+    def counted_scalars(bank, row):
+        out = bank_scalars(bank, row)
+        work["rows"] += len(out)
+        return out
+
+    monkeypatch.setattr(SeparableGaussian.bank, "scalars", counted_scalars)
+    for name in ("quad", "cross_vector"):
+
+        def counted(kernel, *args, _name=name, _original=getattr(SeparableGaussian, name)):
+            work[_name] += 1
+            return _original(kernel, *args)
+
+        monkeypatch.setattr(SeparableGaussian, name, counted)
+    for kernels, (rows, quads, crosses) in banks:
         for truncation in (None, TruncationSchedule(t0=10, epsilon=0.25)):
             model = MONORMA(kernels, lam=0.1, eta0=0.5, truncation=truncation)
             for x, y in zip(xs, ys):
                 before_rows, before_size = counter.calls, model.support_size
+                before = dict(work)
                 model.step(x, y)
                 assert counter.calls - before_rows == (1 if before_size else 0)
+                # an empty support has no scalars and no terms to cross
+                assert work["rows"] - before["rows"] == (rows if before_size else 0)
+                assert work["quad"] - before["quad"] == quads
+                made = crosses if before_size and truncation else 0
+                assert work["cross_vector"] - before["cross_vector"] == made
             for queries in (xs[:7], xs[0]):
                 before_rows = counter.calls
                 model.predict(queries)
