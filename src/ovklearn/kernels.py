@@ -20,19 +20,39 @@ The kernels of one family share each support sweep (squared distances or
 inner products); see :class:`OperatorKernel`.  A sweep for many queries at
 once is one BLAS product of the queries with the support: the Gaussian
 family writes each squared distance in its centred form, norms included,
-as one product with a factor built once per support, clamped at 0, whose
-predictions agree with the single-point sweep's within 1e-12 relative.
-Each family writes its expansion ``sum_i K(x_i, x) c_i`` once, in
-``row_expansion``, for one query or a block of them; the online step,
-every multi-row predict and the batch Gram product ``G vec(C)`` (the
-expansion over the t x t ``scalar_gram``) all call it.  A poly kernel also
-reads each term's coefficient sum, which the expansion state keeps, so no
-row method reduces over the support.  Every model, online or batch, feeds
-the row methods in one place, ``onorma._ExpansionState``, which evaluates
-the kernels of one family together through a :class:`KernelBank`: a bank
-of Gaussians maps the shared row to every member's scalars in one pass,
-once per distinct ``mu``, and makes one ``J`` product per distinct
-structure matrix, with the bits of each member's own row methods.
+as one product with a factor built once per support.  Each family writes
+its expansion ``sum_i K(x_i, x) c_i`` once, in ``row_expansion``, for one
+query or a block of them; the online step, a swept multi-row predict and
+the batch Gram product ``G vec(C)`` (the expansion over the t x t
+``scalar_gram``) all call it.  A poly kernel also reads each term's
+coefficient sum, which the expansion state keeps, so no row method reduces
+over the support.  Every model, online or batch, feeds the row methods in
+one place, ``onorma._ExpansionState``, which evaluates the kernels of one
+family together through a :class:`KernelBank`: a bank of Gaussians maps
+the shared row to every member's scalars in one pass, once per distinct
+``mu``, and makes one ``J`` product per distinct structure matrix, with the
+bits of each member's own row methods.
+
+A predict on n rows over s terms in R^p with d outputs takes one of two
+paths per family (``KernelBank.expand_rows``):
+
+* *Sweep*, O(n s (p + 2d)): the Gaussian family and a poly bank with few
+  rows or wide inputs.  Blocks of rows are swept over the support.  A
+  Gaussian block folds ``-1 / mu`` of the bank's last kernel into the
+  product's right factor, clamps at 0 from above and takes ``exp`` in
+  place; the other kernels multiply by ``mu_last / mu_j``, so no block
+  divides.
+* *Feature sums*, O((s + n) p^2 d): a poly bank when
+  ``n s (p + 2d) > (s + n) p^2 d``.  The poly kernel has a finite feature
+  map, so the bank sums ``v = sum_i S_i x_i`` and
+  ``M_k = sum_i c_ik x_i x_i^T`` once (:class:`_PolyBank`) and each row
+  reads ``mu (q . v) + (1 - mu) q^T M_k q``, for every kernel of the bank.
+
+The rule reads the shapes alone.  Both paths round differently from the
+step's one-point sweep: multi-row predictions agree with one-point
+predictions within 1e-12 relative, and moved by at most about 1e-14
+relative when these paths replaced a sweep that divided by ``-mu``.  The
+step, ``scalar_gram`` and the batch Gram product keep their floats.
 
 Kernel objects are immutable and safe to share between threads.
 """
@@ -79,7 +99,7 @@ def _check_pair(x, x2):
 
 
 class KernelBank:
-    """The kernels of one family, evaluated together at one point x.
+    """The kernels of one family, evaluated together at one point x or at many rows.
 
     ``sweep`` sweeps the support once for the family row and ``scalars``
     maps a row to the bank's scalars, a list of arrays.  From them
@@ -89,6 +109,13 @@ class KernelBank:
     ``columns[j]`` of a caller's array.  This base bank keeps one scalars
     array per member and calls each member's own methods; a family whose
     members share work overrides them and keeps the bits of those methods.
+
+    ``expand_rows`` writes every member's expansion at many query rows.
+    This base bank sweeps them in blocks: one ``block_sweep`` per support
+    writes each block's family rows into one buffer, ``block_scalars``
+    turns them into each member's scalars (the last member's in place, the
+    others' in a second buffer) and each member's ``row_expansion`` reads
+    them.
     """
 
     def __init__(self, kernels, columns=None):
@@ -113,6 +140,36 @@ class KernelBank:
             column = out[:, j]
             np.add(column, kernel.row_cross(w, coeffs, sums, a), out=column)
 
+    def expand_rows(self, support, queries, coeffs, sums, block_bytes, outs) -> None:
+        """Write member j's ``sum_i K_j(x_i, q) coeffs_i`` at the (n, p) queries into ``outs[j]``.
+
+        The queries go in blocks whose (B, s) rows take about ``block_bytes``,
+        so the sweep holds at most two such buffers and no n x s array.
+        """
+        n, s = len(queries), len(support)
+        block = max(1, min(n, block_bytes // (8 * s)))  # float64 rows
+        *others, last = range(len(self.kernels))
+        sweep = self.block_sweep(support)
+        shared = np.empty((block, s))
+        scratch = np.empty((block, s)) if others else None
+        for lo in range(0, n, block):
+            hi = min(lo + block, n)
+            rows = sweep(queries[lo:hi], shared[: hi - lo])
+            for j in others:
+                buf = scratch[: hi - lo]
+                w = self.block_scalars(j, rows, buf)
+                self.kernels[j].row_expansion(w, coeffs, sums, buf, outs[j][lo:hi])
+            w = self.block_scalars(last, rows, rows)
+            self.kernels[last].row_expansion(w, coeffs, sums, rows, outs[last][lo:hi])
+
+    def block_sweep(self, support):
+        """``rows(queries, out)`` for :meth:`expand_rows`: the family's ``row_sweep``."""
+        return self.kernels[-1].row_sweep(support)
+
+    def block_scalars(self, j, rows, out) -> np.ndarray:
+        """Member j's scalars of a block's swept ``rows``, into ``out`` (which may be ``rows``)."""
+        return self.kernels[j].scalars(rows, out)
+
 
 class _GaussianBank(KernelBank):
     """Gaussians: one scalars pass for the bank, and J products shared per distinct J.
@@ -124,6 +181,12 @@ class _GaussianBank(KernelBank):
     vector ``C @ (J a)``, which ``row_cross`` scales by each member's
     scalars.  Every result has the bits of the member's own method: IEEE
     division and ``exp`` are elementwise.
+
+    A block of query rows divides nothing: its sweep folds ``-1 / mu`` of
+    the last member into the product's right factor, so the swept rows are
+    that member's exponents, and the other members multiply them by
+    ``mu_last / mu_j``.  These exponents round differently from the
+    quotients of the point path, by a few ulps.
     """
 
     def __init__(self, kernels, columns=None):
@@ -139,6 +202,8 @@ class _GaussianBank(KernelBank):
         # the first member with each J makes that J's products; None when each J is its own
         self._structure_kernels = [self.kernels[j_index.index(g)] for g in range(len(structures))]
         self._j_index = None if len(structures) == len(self.kernels) else j_index
+        last = self.kernels[-1].mu
+        self._ratios = [last / k.mu for k in self.kernels]
 
     def scalars(self, row) -> list:
         # one row of row / -mu per distinct mu, which rounds as each member's scalars does
@@ -159,6 +224,68 @@ class _GaussianBank(KernelBank):
         for j, i, g in self._crosses:
             column = out[:, j]
             np.add(column, scalars[i] * vs[g], out=column)
+
+    def block_sweep(self, support):
+        # the rows are -||q - x_i||^2 / mu_last, clamped at 0 from above
+        last = self.kernels[-1]
+        return last.row_sweep(support, -1.0 / last.mu)
+
+    def block_scalars(self, j, rows, out) -> np.ndarray:
+        # the last member's exponents are the rows themselves
+        w = rows if out is rows else np.multiply(rows, self._ratios[j], out=out)
+        return np.exp(w, out=w)
+
+
+class _PolyBank(KernelBank):
+    """Poly kernels: many query rows read through feature sums when they cost less.
+
+    ``K(x_i, q) c_i = mu <x_i, q> S_i ones + (1 - mu) <x_i, q>^2 c_i`` with
+    ``S_i = sum_k c_ik``, so ``sum_i K(x_i, q) c_i`` is
+    ``mu (q . v) ones + (1 - mu) (q^T M_k q)_k`` with ``v = sum_i S_i x_i``
+    and ``M_k = sum_i c_ik x_i x_i^T``.  :meth:`feature_sums` builds v and
+    the M_k once per multi-row query, in O(s p^2 d), for every member of the
+    bank, and each row reads them in O(p^2 d), against O(s (p + 2d)) for its
+    sweep of the support.  :meth:`expand_rows` takes the cheaper of the two
+    from the shapes alone.
+    """
+
+    def expand_rows(self, support, queries, coeffs, sums, block_bytes, outs) -> None:
+        n, (s, p), d = len(queries), support.shape, coeffs.shape[1]
+        if n * s * (p + 2 * d) <= (s + n) * p * p * d:
+            return super().expand_rows(support, queries, coeffs, sums, block_bytes, outs)
+        features = self.feature_sums(support, coeffs, sums, block_bytes)
+        # the queries' inner products with the 1 + p d feature sums, a family
+        # sweep whose support is the feature sums instead of the s terms
+        sweep = self.kernels[0].row_sweep(features)
+        block = max(1, min(n, block_bytes // (8 * len(features))))
+        shared = np.empty((block, len(features)))
+        for lo in range(0, n, block):
+            hi = min(lo + block, n)
+            q = queries[lo:hi]
+            rows = sweep(q, shared[: hi - lo])
+            linear = rows[:, 0]
+            # (q^T M_k q)_k: row 1 + k p + b of the sums is column b of M_k
+            quadratic = np.matmul(rows[:, 1:].reshape(hi - lo, d, p), q[:, :, None])[:, :, 0]
+            for kernel, out in zip(self.kernels, outs):
+                out = np.multiply(quadratic, 1.0 - kernel.mu, out=out[lo:hi])
+                out += (kernel.mu * linear)[:, None]
+
+    @staticmethod
+    def feature_sums(support, coeffs, sums, block_bytes) -> np.ndarray:
+        """The (1 + p d, p) rows ``[v; M_1; ...; M_d]`` (see the class), from the raw terms.
+
+        Summed over blocks of support rows whose (B, p) products take
+        about ``block_bytes``.
+        """
+        (s, p), d = support.shape, coeffs.shape[1]
+        columns = np.zeros((p, 1 + p * d))
+        block = max(1, block_bytes // (8 * p))
+        for lo in range(0, s, block):
+            x, c = support[lo : lo + block], coeffs[lo : lo + block]
+            columns[:, 0] += x.T @ sums[lo : lo + block]
+            for k in range(d):
+                columns[:, 1 + k * p : 1 + (k + 1) * p] += (x * c[:, k, None]).T @ x
+        return columns.T
 
 
 class _MixedBank:
@@ -221,7 +348,9 @@ class OperatorKernel:
     ``row_sweep(support)``, which does the per-support work once and
     returns a function writing the (B, s) family rows of a block of B
     queries into a caller's buffer with one BLAS product; over the support
-    itself it gives ``scalar_gram``.  ``row_expansion`` and ``row_cross``
+    itself it gives ``scalar_gram``, and a poly bank also sweeps many
+    queries over its feature sums with it (see :class:`_PolyBank`).
+    ``row_expansion`` and ``row_cross``
     read the scalars: one query's expansion is
     ``row_expansion(scalars(row(support, x)), coeffs, sums)``, a block's
     takes its (B, s) scalars, and over the t x t ``scalar_gram`` it is the
@@ -376,21 +505,29 @@ class SeparableGaussian(OperatorKernel):
         diffs = support - x
         return np.einsum("ij,ij->i", diffs, diffs)
 
-    def row_sweep(self, support):
+    def row_sweep(self, support, factor=1.0):
+        """``rows(queries, out)``: ``factor`` times the squared distances, clamped at 0.
+
+        A negative ``factor`` (``-1 / mu``) gives a kernel's exponents with
+        no divide; the default gives the family rows themselves.
+        """
         # ||q - x_i||^2 = ||q - c||^2 + ||x_i - c||^2 - 2 <q - c, x_i - c> with c
         # the support mean: centred, the cancellation scales with the spread of
         # the inputs, not with their distance from the origin (uncentred,
         # inputs shifted by 1e3 moved predictions by 7e-10 relative).  All
         # three terms are one product of a block's [q - c, 1, ||q - c||^2]
         # with the (p + 2) x s right factor [-2 (x_i - c)^T; ||x_i - c||^2; 1],
-        # built once; rounding can leave it below 0
+        # built once and scaled by the factor (exact at 1); rounding can
+        # leave the product on the wrong side of 0
         centre = support.mean(axis=0)
         centred = support - centre
         p = support.shape[1]
         right = np.empty((p + 2, len(support)))
-        np.multiply(centred.T, -2.0, out=right[:p])  # exact: a power of two
+        np.multiply(centred.T, -2.0 * factor, out=right[:p])
         np.einsum("ij,ij->i", centred, centred, out=right[p])
-        right[p + 1] = 1.0
+        right[p] *= factor
+        right[p + 1] = factor
+        clamp = np.maximum if factor > 0.0 else np.minimum
 
         def rows(queries, out):
             left = np.empty((len(queries), p + 2))
@@ -398,7 +535,7 @@ class SeparableGaussian(OperatorKernel):
             left[:, p] = 1.0
             np.einsum("ij,ij->i", q, q, out=left[:, p + 1])
             np.matmul(left, right, out=out)
-            return np.maximum(out, 0.0, out=out)
+            return clamp(out, 0.0, out=out)
 
         return rows
 
@@ -454,6 +591,7 @@ class NonSeparablePoly(OperatorKernel):
 
     family = "poly"
     reads_sums = True
+    bank = _PolyBank
 
     def __post_init__(self):
         _check_fields(self)

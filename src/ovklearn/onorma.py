@@ -215,33 +215,20 @@ class _ExpansionState:
         return gs
 
     def expand_rows(self, queries) -> list:
-        """``g_j`` at each of the (n, p) queries, swept in blocks of rows.
+        """``g_j`` at each of the (n, p) queries, with no n x s array.
 
-        Each family does its per-support work once (``row_sweep``) and
-        writes each block's rows into one buffer of about ``_BLOCK_BYTES``.
-        The family's last kernel turns that buffer into its scalars in
-        place and the others share a second one, so the sweep holds at most
-        two such buffers and no n x s array.  Each kernel writes its block
-        of ``g_j`` into its (n, d) output.
+        Each family's bank writes its members' outputs
+        (:meth:`~ovklearn.kernels.KernelBank.expand_rows`) from buffers of
+        about ``_BLOCK_BYTES``, and the lazy scale multiplies them once.
         """
-        n, s = len(queries), len(self)
+        n = len(queries)
         gs = [np.zeros((n, self.dim)) for _ in self.kernels]
-        if s == 0:
+        if len(self) == 0:
             return gs
-        block = max(1, min(n, _BLOCK_BYTES // (8 * s)))  # float64 rows
         raw, sums = self.raw_coeffs, self.raw_sums
         for bank in self.bank.families:
-            *others, (last, kernel) = zip(bank.columns, bank.kernels)
-            sweep = kernel.row_sweep(self.support)
-            shared = np.empty((block, s))
-            scratch = np.empty((block, s)) if others else None
-            for lo in range(0, n, block):
-                hi = min(lo + block, n)
-                rows = sweep(queries[lo:hi], shared[: hi - lo])
-                for j, other in others:
-                    buf = scratch[: hi - lo]
-                    other.row_expansion(other.scalars(rows, buf), raw, sums, buf, gs[j][lo:hi])
-                kernel.row_expansion(kernel.scalars(rows, rows), raw, sums, rows, gs[last][lo:hi])
+            outs = [gs[j] for j in bank.columns]
+            bank.expand_rows(self.support, queries, raw, sums, _BLOCK_BYTES, outs)
         for g in gs:
             g *= self.scale
         return gs

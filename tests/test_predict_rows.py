@@ -15,7 +15,7 @@ from ovklearn.batch import BatchModel
 from ovklearn.exceptions import NumericsError
 from ovklearn.kernels import NonSeparablePoly, SeparableGaussian
 from ovklearn.monorma import MONORMA
-from ovklearn.onorma import ONORMA
+from ovklearn.onorma import ONORMA, TruncationSchedule
 
 RTOL = 1e-12
 P, D = 3, 2
@@ -43,10 +43,49 @@ def models(support, coeffs):
         SeparableGaussian(mu=2.0, dim=D, structure=np.eye(D)),
     ]
     delta = np.array([0.6, 0.5, np.sqrt(1.0 - 0.36 - 0.25)])
-    mixed = MONORMA(bank, lam=0.1, eta0=0.5)
-    mixed.restore(support, coeffs, times, P, s, np.zeros(3), delta)
-    out.append((mixed, bank, delta))
+    # a mixed bank, and one bank per family: the Gaussians' bandwidths are not
+    # all powers of two, and the poly kernels share one set of feature sums
+    for kernels in (
+        bank,
+        [SeparableGaussian(mu=mu, dim=D) for mu in (0.5, 0.7, 3.0)],
+        [NonSeparablePoly(mu=mu, dim=D) for mu in (0.0, 0.3, 1.0)],
+    ):
+        learner = MONORMA(kernels, lam=0.1, eta0=0.5)
+        learner.restore(support, coeffs, times, P, s, np.zeros(3), delta)
+        out.append((learner, kernels, delta))
     return out
+
+
+class PolyPaths:
+    """Records which path each multi-row poly query takes while installed.
+
+    ``paths`` gets ``"features"`` for a query read through the bank's feature
+    sums and ``"sweep"`` for one swept over the support; ``sweeps`` counts
+    every poly ``row_sweep`` call.  ``take`` returns both and clears them.
+    """
+
+    def __init__(self, monkeypatch):
+        self.paths, self.sweeps = [], 0
+        bank = NonSeparablePoly.bank
+        feature_sums, row_sweep = bank.feature_sums, NonSeparablePoly.row_sweep
+
+        def counted_sums(*args):
+            self.paths.append("features")
+            return feature_sums(*args)
+
+        def counted_sweep(kernel, support):
+            self.sweeps += 1
+            if support.shape[0] != 1 + support.shape[1] * kernel.dim:
+                self.paths.append("sweep")
+            return row_sweep(kernel, support)
+
+        monkeypatch.setattr(bank, "feature_sums", staticmethod(counted_sums))
+        monkeypatch.setattr(NonSeparablePoly, "row_sweep", counted_sweep)
+
+    def take(self):
+        taken = (self.paths, self.sweeps)
+        self.paths, self.sweeps = [], 0
+        return taken
 
 
 def near(rows, rng):
@@ -116,15 +155,90 @@ def test_rows_whose_distances_overflow_raise_numerics_error():
             model.predict(xs[25:27])
 
 
-def test_every_model_raises_on_predictions_that_overflow():
+def test_every_model_raises_on_predictions_that_overflow(monkeypatch):
     support, coeffs, queries = case("plain")
+    paths = PolyPaths(monkeypatch)
     for model, kernels, _ in models(1e160 * support, coeffs):
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericsError):
-            model.predict(1e160 * queries)
-        if any(kernel.family == "poly" for kernel in kernels):
+        poly = any(kernel.family == "poly" for kernel in kernels)
+        # a poly bank sweeps two rows over the nine terms and reads seven
+        # through its feature sums, whose M_k overflow
+        for rows, path in ((queries[:2], "sweep"), (queries, "features")):
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericsError):
+                model.predict(1e160 * rows)
+            assert paths.take() == (([path], 1) if poly else ([], 0))
+        if poly:
             # one point's inner products overflow to inf as well
             with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericsError):
                 model.predict(1e160 * queries[0])
+
+
+def trained_poly_models(mu, d, p=3):
+    """Poly models whose support is not a plain restore: (model, kernels, weights)."""
+    rng = np.random.default_rng(63 + d)
+    xs, ys = rng.uniform(-1.0, 1.0, size=(90, p)), rng.normal(size=(90, d))
+    kernel = NonSeparablePoly(mu=mu, dim=d)
+    truncated = ONORMA(kernel, lam=0.1, eta0=0.5, truncation=TruncationSchedule(t0=20, epsilon=0.25))
+    truncated.fit(xs, ys)
+    # the lazy scale is not folded and the front of the support was dropped
+    assert truncated._state.scale != 1.0 and truncated._state.times[0] > 1
+    batch = BatchModel(kernel, xs[:50], 0.1 * ys[:50], lam=0.1, norm_sq=0.0)
+    bank = [kernel, NonSeparablePoly(mu=0.5, dim=d), NonSeparablePoly(mu=1.0 - mu, dim=d)]
+    learner = MONORMA(bank, lam=0.1, eta0=0.5)
+    learner.fit(xs[:70], ys[:70])
+    weights = learner._delta.copy()
+    return [(truncated, [kernel], [1.0]), (batch, [kernel], [1.0]), (learner, bank, weights)]
+
+
+@pytest.mark.parametrize("d", [1, 4])
+@pytest.mark.parametrize("mu", [0.0, 0.3, 1.0])
+def test_poly_feature_sums_match_the_per_term_oracle_and_the_point_path(mu, d, monkeypatch):
+    queries = np.random.default_rng(64).uniform(-1.0, 1.0, size=(40, 3))
+    paths = PolyPaths(monkeypatch)
+    for model, kernels, weights in trained_poly_models(mu, d):
+        state = model._state
+        gs = state.evaluate(queries)
+        # one set of feature sums read by every kernel of the bank, and no other sweep
+        assert paths.take() == (["features"], 1)
+        for kernel, g in zip(kernels, gs):
+            naive = [naive_expansion(kernel, state.support, state.coeffs, q) for q in queries]
+            assert_close(g, np.array(naive))
+        got = model.predict(queries)
+        assert_close(got, sum(w * g for w, g in zip(weights, gs)))
+        assert_close(got, np.array([model.predict(q) for q in queries]))
+        paths.take()
+
+
+def poly_model(s, p, d, rng):
+    support, coeffs = rng.normal(size=(s, p)), rng.normal(size=(s, d))
+    model = MONORMA([NonSeparablePoly(mu=mu, dim=d) for mu in (0.2, 0.7)], lam=0.1, eta0=0.5)
+    model.restore(support, coeffs, np.arange(1, s + 1), p, s, np.zeros(2), [0.6, 0.8])
+    return model
+
+
+@pytest.mark.parametrize("s, p, d", [(9, 3, 2), (60, 4, 2), (200, 20, 4)])
+def test_poly_paths_agree_at_the_crossover(s, p, d, monkeypatch):
+    # the feature sums pay from n s (p + 2d) > (s + n) p^2 d on; at (200, 20, 4)
+    # the two sides are equal at n = 80
+    n = s * p * p * d // (s * (p + 2 * d) - p * p * d) + 1
+    rng = np.random.default_rng(65)
+    model = poly_model(s, p, d, rng)
+    queries = rng.normal(size=(n, p))
+    paths = PolyPaths(monkeypatch)
+    below = model.predict(queries[:-1])
+    assert paths.take() == (["sweep"], 1)
+    at = model.predict(queries)
+    assert paths.take() == (["features"], 1)
+    assert_close(below, at[:-1])
+
+
+@pytest.mark.parametrize("s, p, d, n", [(9, 3, 2, 3), (200, 20, 4, 1), (200, 20, 4, 80), (30, 40, 2, 500)])
+def test_few_rows_or_wide_inputs_sweep_the_support_once(s, p, d, n, monkeypatch):
+    # with 40 columns the feature sums cost more than the sweep at any n
+    rng = np.random.default_rng(66)
+    model = poly_model(s, p, d, rng)
+    paths = PolyPaths(monkeypatch)
+    model.predict(rng.normal(size=(n, p)))
+    assert paths.take() == (["sweep"], 1)
 
 
 def imports_module(name):
