@@ -4,9 +4,10 @@
 For growing stream lengths, fits the batch regularized-least-squares
 model and runs the online learner over the same examples, then compares
 held-out MSE and wall time.  The kernel is a separable Gaussian, so the
-batch fit solves d = 4 independent t x t Cholesky systems in the structure
-matrix's eigenbasis (d t^3 / 3 flops) rather than one dense td x td system
-((td)^3 / 3).  The online pass trades a little accuracy for a much flatter
+batch fit solves d = 4 independent t x t systems in the structure matrix's
+eigenbasis rather than one dense td x td system ((td)^3 / 3 flops).  The
+default structure matrix has two distinct eigenvalues, so the four systems
+share two Cholesky factors (2 t^3 / 3 flops).  The online pass trades a little accuracy for a much flatter
 cost curve: the solve is cubic in the number of examples, one online sweep
 is quadratic.
 """

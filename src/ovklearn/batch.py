@@ -7,9 +7,11 @@ Gram matrix.  Which solve runs depends on the kernel:
 
 * :class:`~ovklearn.kernels.SeparableGaussian` (``K = k(x, x') J``) has
   ``G = S ⊗ J``, with S the t x t scalar Gram.  With ``J = U diag(l) U^T``
-  the system splits into d independent t x t Cholesky systems
-  ``(l_j S + lambda t I) c_j = (Y U)_j`` and ``C = [c_j] U^T``:
-  d t^3 / 3 flops and O(t^2) memory, and G is never formed.
+  the system splits into d independent t x t systems
+  ``(l_j S + lambda t I) c_j = (Y U)_j`` and ``C = [c_j] U^T``.  Directions
+  with equal eigenvalues share one Cholesky factor, so a fit takes one
+  t^3 / 3 factor per distinct eigenvalue of J (two for the default J, one
+  for the identity) and O(t^2) memory, and G is never formed.
 * :class:`~ovklearn.kernels.NonSeparablePoly` factors the dense block
   system by one Cholesky: (td)^3 / 3 flops.  The system is written into
   one td x td buffer from the t x t inner products and factored in place,
@@ -150,11 +152,15 @@ def _dense_solve(kernel, p, ys, ridge):
 
 
 def _separable_solve(kernel, scalar, ys, ridge):
-    """Coefficients and a condition estimate for ``K = k(x, x') J``, a t x t factor per direction.
+    """Coefficients and a condition estimate for ``K = k(x, x') J``, a t x t factor per eigenvalue group.
 
     With ``J = U diag(l) U^T`` the block Gram ``S ⊗ J`` becomes
     ``S ⊗ diag(l)`` in the rotated outputs ``Y U``; column j of the
     rotated coefficients solves ``(l_j S + lambda t I) c_j = (Y U)_j``.
+    The directions of one of ``kernel.structure_groups``, whose eigenvalues
+    agree to a few ulps of ``||J||``, share the system of the group's
+    first eigenvalue ``l_g`` and solve their columns ``(Y U)_g`` as one
+    right-hand side; a group of one direction is that direction's system.
     The eigenvalues are used as computed (tiny negative ones included).
     """
     import scipy.linalg  # about 0.2 s to import, so only a fit loads it
@@ -168,11 +174,11 @@ def _separable_solve(kernel, scalar, ys, ridge):
         # one t x t buffer for every block, factored in place: the blocks
         # are symmetric, so the transposed view is the Fortran-ordered block
         block = np.empty_like(scalar)
-        for j in range(d):
-            np.multiply(scalar, eigvals[j], out=block)
+        for value, cols in kernel.structure_groups:
+            np.multiply(scalar, value, out=block)
             block.flat[:: t + 1] += ridge + jitter
             factor = scipy.linalg.cho_factor(block.T, overwrite_a=True, check_finite=False)
-            out[:, j] = scipy.linalg.cho_solve(factor, rotated[:, j], check_finite=False)
+            out[:, cols] = scipy.linalg.cho_solve(factor, rotated[:, cols], check_finite=False)
         return out @ eigvecs.T
 
     def cond():

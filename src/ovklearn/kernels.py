@@ -178,9 +178,9 @@ class _GaussianBank(KernelBank):
     ``-mu`` into one (u, s) buffer and takes ``exp`` in place, so members
     with equal ``mu`` share a row: member j reads row ``row_index[j]``.
     Members whose J are equal bit for bit share ``quad`` and the cross
-    vector ``C @ (J a)``, which ``row_cross`` scales by each member's
-    scalars.  Every result has the bits of the member's own method: IEEE
-    division and ``exp`` are elementwise.
+    vector ``C @ (J a)`` (``cross_vector``), which ``add_crosses`` scales
+    by each member's scalars.  Every result has the bits of the member's
+    own methods: IEEE division and ``exp`` are elementwise.
 
     A block of query rows divides nothing: its sweep folds ``-1 / mu`` of
     the last member into the product's right factor, so the swept rows are
@@ -356,7 +356,8 @@ class OperatorKernel:
     takes its (B, s) scalars, and over the t x t ``scalar_gram`` it is the
     block Gram product ``G vec(coeffs)`` of the batch solves and the norm
     oracle, with G never formed.  The same scalars give every cross
-    product ``<K(x_i, x) a, coeffs_i>``.
+    product ``<K(x_i, x) a, coeffs_i>``: the base bank's ``row_cross``, or
+    a Gaussian bank's scalars times ``cross_vector``.
     ``sums`` holds each term's coefficient sum ``sum_k coeffs[i, k]``,
     read only by a kernel with ``reads_sums`` set (the poly family, whose
     all-ones block needs it), and ``None`` for a kernel without.
@@ -434,6 +435,23 @@ class OperatorKernel:
         return {"family": self.family, "mu": self.mu, "dim": self.dim}
 
 
+# eigh splits a repeated eigenvalue by a few ulps of ||J|| (the default J's
+# triple 0.9 at d = 4 by 1-7, a rotated diagonal at d = 512 by under 30);
+# eigenvalues within this many ulps of ||J|| count as equal
+_EIG_GROUP_ULPS = 64
+
+
+def _eigen_groups(eigvals, norm) -> tuple:
+    """``(l_g, slice)`` per run of the ascending ``eigvals`` within tolerance of its first, ``l_g``."""
+    tol = _EIG_GROUP_ULPS * np.finfo(float).eps * norm
+    groups, lo = [], 0
+    for j in range(1, len(eigvals) + 1):
+        if j == len(eigvals) or eigvals[j] - eigvals[lo] > tol:
+            groups.append((float(eigvals[lo]), slice(lo, j)))
+            lo = j
+    return tuple(groups)
+
+
 @dataclass(frozen=True)
 class SeparableGaussian(OperatorKernel):
     """Gaussian scalar kernel times a fixed structure matrix.
@@ -451,7 +469,10 @@ class SeparableGaussian(OperatorKernel):
     The block Gram of t points is ``S ⊗ J`` with S the t x t scalar Gram
     (:meth:`scalar_gram`).  ``structure_eig`` holds J's eigenpairs
     ``(l, U)``, ``J = U diag(l) U^T``, which split a batch ridge solve
-    into d independent t x t systems (see :mod:`ovklearn.batch`).
+    into d independent t x t systems, and ``structure_groups`` one
+    ``(l_g, slice)`` per run of equal eigenvalues, whose systems share a
+    factor (see :mod:`ovklearn.batch`): two for the default J, one for
+    the identity.
     """
 
     mu: float
@@ -490,10 +511,12 @@ class SeparableGaussian(OperatorKernel):
         pairs = np.linalg.eigh(J)
         for arr in (J, *pairs):
             arr.setflags(write=False)
+        # exp(0) = 1, so K(x, x) == J for every x: its spectral norm is fixed
+        norm = float(np.max(np.abs(eigs)))
         object.__setattr__(self, "structure", J)
         object.__setattr__(self, "structure_eig", tuple(pairs))
-        # exp(0) = 1, so K(x, x) == J for every x: its spectral norm is fixed
-        object.__setattr__(self, "_diag_norm", float(np.max(np.abs(eigs))))
+        object.__setattr__(self, "structure_groups", _eigen_groups(pairs[0], norm))
+        object.__setattr__(self, "_diag_norm", norm)
 
     def __call__(self, x, x2) -> np.ndarray:
         x, x2 = _check_pair(x, x2)
@@ -549,11 +572,8 @@ class SeparableGaussian(OperatorKernel):
         # row b is J (w_b C) for any J; one query's floats are those of J @ (w @ C)
         return np.matmul(scalars @ coeffs, self.structure.T, out=out)
 
-    def row_cross(self, row, coeffs, sums, a) -> np.ndarray:
-        return row * self.cross_vector(coeffs, a)
-
     def cross_vector(self, coeffs, a) -> np.ndarray:
-        """``<J a, coeffs_i>`` for every i, which ``row_cross`` scales by each scalar."""
+        """``<J a, coeffs_i>`` for every i; times each term's scalar it is the cross product."""
         return coeffs @ (self.structure @ a)
 
     def quad(self, x, a) -> float:

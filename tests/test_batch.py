@@ -245,7 +245,12 @@ def test_gaussian_fit_never_forms_the_block_gram(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "kernel", [SeparableGaussian(mu=1.0, dim=2), NonSeparablePoly(mu=0.3, dim=2)]
+    "kernel",
+    [
+        SeparableGaussian(mu=1.0, dim=2),
+        NonSeparablePoly(mu=0.3, dim=2),
+        SeparableGaussian(mu=1.0, dim=2, structure=np.eye(2)),  # one shared factor
+    ],
 )
 def test_jittered_retry_solves_a_singular_consistent_system(kernel):
     # a duplicated input with a duplicated target: the Gram is singular but
@@ -311,23 +316,9 @@ def test_dense_retry_factors_a_freshly_built_system(monkeypatch):
     assert np.array_equal(model.coeffs, expected)
 
 
-@pytest.mark.parametrize("structure", ["psd", "default"])
-def test_separable_fit_factors_each_direction_once(structure, monkeypatch):
-    rng = np.random.default_rng(76)
-    t, d, lam = 60, 4, 0.05
-    kernel = SeparableGaussian(mu=1.5, dim=d, structure=random_structure(rng, structure, d))
-    xs = rng.normal(size=(t, 5))
-    ys = rng.normal(size=(t, d))
-    eigvals, eigvecs = kernel.structure_eig
-    # the reference factors every direction afresh, with scipy's finiteness
-    # checks left on
-    scalar, rotated = kernel.scalar_gram(xs), ys @ eigvecs
-    columns = []
-    for j in range(d):
-        block = scalar * eigvals[j]
-        block.flat[:: t + 1] += lam * t
-        columns.append(scipy.linalg.cho_solve(scipy.linalg.cho_factor(block.T), rotated[:, j]))
-    expected = np.column_stack(columns) @ eigvecs.T
+@pytest.fixture
+def factor_calls(monkeypatch):
+    """The list that gets one entry per ``scipy.linalg.cho_factor`` call."""
     real = scipy.linalg.cho_factor
     calls = []
 
@@ -336,9 +327,57 @@ def test_separable_fit_factors_each_direction_once(structure, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(scipy.linalg, "cho_factor", counting)
+    return calls
+
+
+def rotated_diagonal(rng, diagonal):
+    """``Q diag(diagonal) Q^T`` for a random orthogonal Q: repeated values split by rounding."""
+    q, _ = np.linalg.qr(rng.normal(size=(len(diagonal), len(diagonal))))
+    return (q * diagonal) @ q.T
+
+
+@pytest.mark.parametrize(
+    "structure, groups, exact",
+    [
+        ("psd", 4, True),
+        ("default", 2, False),  # 0.9 three times, split by eigh, and 1.3
+        ("identity", 1, True),  # eigh returns four exact 1s
+        ([1.0, 1.0, 2.0, 2.0], 2, False),
+        ([1.0, 1.0 + 1e-9, 2.0, 3.0], 4, True),  # 1e-9 apart stays apart
+    ],
+    ids=["psd", "default", "identity", "rotated", "close"],
+)
+def test_separable_fit_factors_once_per_eigenvalue_group(structure, groups, exact, factor_calls):
+    rng = np.random.default_rng(76)
+    t, d, lam = 60, 4, 0.05
+    if isinstance(structure, list):
+        structure = rotated_diagonal(rng, structure)
+    else:
+        structure = random_structure(rng, structure, d)
+    kernel = SeparableGaussian(mu=1.5, dim=d, structure=structure)
+    xs = rng.normal(size=(t, 5))
+    ys = rng.normal(size=(t, d))
+    eigvals, eigvecs = kernel.structure_eig
+    # the reference factors every direction afresh with its own eigenvalue,
+    # with scipy's finiteness checks left on
+    scalar, rotated = kernel.scalar_gram(xs), ys @ eigvecs
+    columns = []
+    for j in range(d):
+        block = scalar * eigvals[j]
+        block.flat[:: t + 1] += lam * t
+        columns.append(scipy.linalg.cho_solve(scipy.linalg.cho_factor(block.T), rotated[:, j]))
+    expected = np.column_stack(columns) @ eigvecs.T
+    factor_calls.clear()
     model = fit(kernel, xs, ys, lam)
-    assert len(calls) == d
-    assert np.array_equal(model.coeffs, expected)
+    assert len(kernel.structure_groups) == groups
+    assert len(factor_calls) == groups
+    if exact:
+        assert np.array_equal(model.coeffs, expected)
+    else:
+        # a group shares the system of its first eigh value, which the
+        # others differ from by a few ulps
+        gap = np.max(np.abs(model.coeffs - expected))
+        assert gap <= 1e-14 * np.max(np.abs(expected))
 
 
 @pytest.mark.parametrize("kernel", [SeparableGaussian(mu=1.0, dim=2), NonSeparablePoly(mu=0.2, dim=2)])

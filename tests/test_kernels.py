@@ -120,12 +120,17 @@ def test_row_methods_match_kernel_matrices():
         support = rng.normal(size=(int(rng.integers(1, 8)), 3))
         coeffs = rng.normal(size=(len(support), dim))
         x, a = rng.normal(size=3), rng.normal(size=dim)
-        row = k.scalars(sibling.row(support, x))
+        family_row = sibling.row(support, x)
+        row = k.scalars(family_row)
         expansion = sum(k(xi, x) @ ci for xi, ci in zip(support, coeffs))
         cross = [float(ci @ (k(xi, x) @ a)) for xi, ci in zip(support, coeffs)]
         sums = coeffs.sum(axis=1)
         assert np.allclose(k.row_expansion(row, coeffs, sums), expansion, rtol=1e-12, atol=1e-12)
-        assert np.allclose(k.row_cross(row, coeffs, sums, a), cross, rtol=1e-12, atol=1e-12)
+        # the cross products as the step adds them, through the family's bank
+        bank = type(k).bank([k])
+        crosses = np.zeros((len(support), 1))
+        bank.add_crosses(crosses, bank.scalars(family_row), coeffs, sums, a)
+        assert np.allclose(crosses[:, 0], cross, rtol=1e-12, atol=1e-12)
         quad = float(a @ (k(x, x) @ a))
         assert abs(k.quad(x, a) - quad) <= 1e-12 * max(1.0, abs(quad))
 
@@ -194,7 +199,7 @@ def test_gaussian_bank_shares_work_and_keeps_each_members_bits():
             own = kernel.scalars(row)
             assert np.array_equal(scalars[bank.row_index[j]], own)
             assert quad == kernel.quad(x, a)
-            assert np.array_equal(out[:, j], kernel.row_cross(own, coeffs, sums, a))
+            assert np.array_equal(out[:, j], own * kernel.cross_vector(coeffs, a))
             assert np.array_equal(gs[j], state.scale * kernel.row_expansion(own, coeffs, sums))
 
 
