@@ -16,25 +16,26 @@ Both are Hermitian (``K(x, x') == K(x', x).T``) and positive-definite:
 for any points ``x_k`` and vectors ``y_k``,
 ``sum_{k,l} <K(x_k, x_l) y_l, y_k> >= 0``.
 
-The kernels of one family share each support sweep (squared distances or
-inner products); see :class:`OperatorKernel`.  A sweep for many queries at
-once is one BLAS product of the queries with the support: the Gaussian
-family writes each squared distance in its centred form, norms included,
-as one product with a factor built once per support.  Each family writes
-its expansion ``sum_i K(x_i, x) c_i`` once, in ``row_expansion``, for one
-query or a block of them; the online step, a swept multi-row predict and
-the batch Gram product ``G vec(C)`` (the expansion over the t x t
-``scalar_gram``) all call it.  A poly kernel also reads each term's
-coefficient sum, which the expansion state keeps, so no row method reduces
-over the support.  Every model, online or batch, feeds the row methods in
-one place, ``onorma._ExpansionState``, which evaluates the kernels of one
-family together through a :class:`KernelBank`: a bank of Gaussians maps
-the shared row to every member's scalars in one pass, once per distinct
-``mu``, and makes one ``J`` product per distinct structure matrix, with the
-bits of each member's own row methods.
+Each kernel states its family's expansion ``sum_i K(x_i, x) c_i`` once,
+in ``row_expansion``, from per-term scalars of the family row (squared
+distances or inner products); see :class:`OperatorKernel`.  A swept block
+of predict rows, a poly step and the batch Gram product ``G vec(C)`` (the
+expansion over the t x t ``scalar_gram``) call it; a Gaussian step makes
+its floats, ``J (w C)``, with the J products shared.  A sweep for many
+queries at once is one BLAS product of the queries with the support: the
+Gaussian family writes each squared distance in its centred form, norms
+included, as one product with a factor built once per support.
+
+A learner evaluates its kernels through one bank per family, the family's
+step code (:class:`KernelBank`), which writes each result at its kernel's
+place in the learner's kernel order.  A Gaussian bank maps the shared row
+to its scalars once per distinct ``mu`` and makes one ``J`` product per
+distinct structure matrix, with the bits of each member's one-kernel forms
+(:class:`_GaussianBank`); a poly bank reads each term's coefficient sum,
+which the expansion state keeps for it (:class:`_PolyBank`).
 
 A predict on n rows over s terms in R^p with d outputs takes one of two
-paths per family (``KernelBank.expand_rows``):
+paths per family (each bank's ``expand_rows``):
 
 * *Sweep*, O(n s (p + 2d)): the Gaussian family and a poly bank with few
   rows or wide inputs.  Blocks of rows are swept over the support.  A
@@ -99,56 +100,50 @@ def _check_pair(x, x2):
 
 
 class KernelBank:
-    """The kernels of one family, evaluated together at one point x or at many rows.
+    """The kernels of one family, at ``columns`` of a learner's kernel list.
 
-    ``sweep`` sweeps the support once for the family row and ``scalars``
-    maps a row to the bank's scalars, a list of arrays.  From them
-    ``expansions`` and ``quads`` give every member's ``row_expansion``
-    (times ``scale``) and ``quad``, as lists in member order, and
-    ``add_crosses`` adds every member's ``row_cross`` into column
-    ``columns[j]`` of a caller's array.  This base bank keeps one scalars
-    array per member and calls each member's own methods; a family whose
-    members share work overrides them and keeps the bits of those methods.
+    A bank is its family's step code.  Each method reads the terms
+    (``support``, ``raw_coeffs``, ``raw_sums``, ``scale``) from the
+    expansion state it is handed, shares the work its members have in
+    common and writes member j's result at ``columns[j]`` of a list or
+    array in the learner's kernel order:
 
-    ``expand_rows`` writes every member's expansion at many query rows.
-    This base bank sweeps them in blocks: one ``block_sweep`` per support
-    writes each block's family rows into one buffer, ``block_scalars``
-    turns them into each member's scalars (the last member's in place, the
-    others' in a second buffer) and each member's ``row_expansion`` reads
-    them.
+    * ``sweep(state, x)`` sweeps the support once for the family row at one
+      point x and returns the bank's scalars;
+    * ``expand(state, x, gs)`` sweeps and writes every ``scale * g_j(x)``
+      into ``gs``; it returns the scalars for ``add_crosses``;
+    * ``quads(x, a, out)`` writes every ``<K_j(x, x) a, a>``;
+    * ``add_crosses(state, scalars, a, out)`` adds every
+      ``<K_j(x_i, x) a, raw_i>`` into column j of the (s, m) ``out``;
+    * ``expand_rows(state, queries, block_bytes, gs)`` writes every
+      ``sum_i K_j(x_i, q) raw_i`` at many query rows into the (n, d)
+      ``gs[j]``.
+
+    ``reads_sums`` tells the state to keep each term's coefficient sum.
+    The block sweep of ``expand_rows`` is written here once: one
+    ``block_sweep`` per support writes each block's family rows into one
+    buffer, ``block_scalars`` turns them into each member's scalars (the
+    last member's in place, the others' in a second buffer) and each
+    member's ``row_expansion`` reads them.
     """
 
-    def __init__(self, kernels, columns=None):
+    reads_sums = False
+
+    def __init__(self, kernels, columns):
         self.kernels = tuple(kernels)
-        self.columns = tuple(range(len(self.kernels))) if columns is None else tuple(columns)
-        self.families = (self,)
+        self.columns = tuple(columns)
 
-    def sweep(self, support, x) -> list:
-        return self.scalars(self.kernels[0].row(support, x))  # one row for every member
-
-    def scalars(self, row) -> list:
-        return [kernel.scalars(row) for kernel in self.kernels]
-
-    def expansions(self, scalars, scale, coeffs, sums) -> list:
-        return [scale * k.row_expansion(w, coeffs, sums) for k, w in zip(self.kernels, scalars)]
-
-    def quads(self, x, a) -> list:
-        return [kernel.quad(x, a) for kernel in self.kernels]
-
-    def add_crosses(self, out, scalars, coeffs, sums, a) -> None:
-        for j, kernel, w in zip(self.columns, self.kernels, scalars):
-            column = out[:, j]
-            np.add(column, kernel.row_cross(w, coeffs, sums, a), out=column)
-
-    def expand_rows(self, support, queries, coeffs, sums, block_bytes, outs) -> None:
-        """Write member j's ``sum_i K_j(x_i, q) coeffs_i`` at the (n, p) queries into ``outs[j]``.
+    def expand_rows(self, state, queries, block_bytes, gs) -> None:
+        """Write member j's ``sum_i K_j(x_i, q) raw_i`` at the (n, p) queries into ``gs[columns[j]]``.
 
         The queries go in blocks whose (B, s) rows take about ``block_bytes``,
         so the sweep holds at most two such buffers and no n x s array.
         """
+        support, raw, sums = state.support, state.raw_coeffs, state.raw_sums
         n, s = len(queries), len(support)
         block = max(1, min(n, block_bytes // (8 * s)))  # float64 rows
         *others, last = range(len(self.kernels))
+        outs = [gs[j] for j in self.columns]
         sweep = self.block_sweep(support)
         shared = np.empty((block, s))
         scratch = np.empty((block, s)) if others else None
@@ -158,9 +153,9 @@ class KernelBank:
             for j in others:
                 buf = scratch[: hi - lo]
                 w = self.block_scalars(j, rows, buf)
-                self.kernels[j].row_expansion(w, coeffs, sums, buf, outs[j][lo:hi])
+                self.kernels[j].row_expansion(w, raw, sums, buf, outs[j][lo:hi])
             w = self.block_scalars(last, rows, rows)
-            self.kernels[last].row_expansion(w, coeffs, sums, rows, outs[last][lo:hi])
+            self.kernels[last].row_expansion(w, raw, sums, rows, outs[last][lo:hi])
 
     def block_sweep(self, support):
         """``rows(queries, out)`` for :meth:`expand_rows`: the family's ``row_sweep``."""
@@ -172,15 +167,16 @@ class KernelBank:
 
 
 class _GaussianBank(KernelBank):
-    """Gaussians: one scalars pass for the bank, and J products shared per distinct J.
+    """Gaussians ``exp(-||x_i - x||^2 / mu) J``: one scalars pass, J products per distinct J.
 
     ``scalars`` divides the squared distances by the column of the distinct
     ``-mu`` into one (u, s) buffer and takes ``exp`` in place, so members
     with equal ``mu`` share a row: member j reads row ``row_index[j]``.
-    Members whose J are equal bit for bit share ``quad`` and the cross
-    vector ``C @ (J a)`` (``cross_vector``), which ``add_crosses`` scales
-    by each member's scalars.  Every result has the bits of the member's
-    own methods: IEEE division and ``exp`` are elementwise.
+    Members whose J are equal bit for bit share :meth:`quad` and
+    :meth:`cross_vector`, which ``add_crosses`` scales by each member's
+    scalars.  Every result has the bits of the member's own one-kernel
+    forms (``exp(row / -mu)``, ``J (w C)``, ``<J a, a>``, ``w (C J a)``):
+    IEEE division and ``exp`` are elementwise.
 
     A block of query rows divides nothing: its sweep folds ``-1 / mu`` of
     the last member into the product's right factor, so the swept rows are
@@ -189,7 +185,7 @@ class _GaussianBank(KernelBank):
     quotients of the point path, by a few ulps.
     """
 
-    def __init__(self, kernels, columns=None):
+    def __init__(self, kernels, columns):
         super().__init__(kernels, columns)
         mus, structures = {}, {}
         # member j reads its mu's scalars and the products of its J's group j_index[j]
@@ -197,13 +193,17 @@ class _GaussianBank(KernelBank):
         j_index = [structures.setdefault(k.structure.tobytes(), len(structures)) for k in self.kernels]
         # one mu divides by a float: a (1, 1) column costs more than the divide
         self._negmu = -next(iter(mus)) if len(mus) == 1 else np.array([[-mu] for mu in mus])
-        self._factors = [(i, k.structure.T) for i, k in zip(self.row_index, self.kernels)]
-        self._crosses = list(zip(self.columns, self.row_index, j_index))
-        # the first member with each J makes that J's products; None when each J is its own
-        self._structure_kernels = [self.kernels[j_index.index(g)] for g in range(len(structures))]
-        self._j_index = None if len(structures) == len(self.kernels) else j_index
+        # the first member with each J gives that J's products
+        self._structures = [self.kernels[j_index.index(g)].structure for g in range(len(structures))]
+        transposes = [k.structure.T for k in self.kernels]
+        self._members = list(zip(self.columns, self.row_index, j_index, transposes))
         last = self.kernels[-1].mu
         self._ratios = [last / k.mu for k in self.kernels]
+
+    def sweep(self, state, x) -> list:
+        # ||x_i - x||^2: the same for every mu and J
+        diffs = state.support - x
+        return self.scalars(np.einsum("ij,ij->i", diffs, diffs))
 
     def scalars(self, row) -> list:
         # one row of row / -mu per distinct mu, which rounds as each member's scalars does
@@ -211,19 +211,35 @@ class _GaussianBank(KernelBank):
         np.exp(w, out=w)
         return [w] if w.ndim == 1 else list(w)
 
-    def expansions(self, scalars, scale, coeffs, sums) -> list:
-        # the floats of each member's row_expansion, J (w C)
-        return [scale * ((scalars[i] @ coeffs) @ structure_t) for i, structure_t in self._factors]
+    def expand(self, state, x, gs) -> list:
+        scalars = self.sweep(state, x)
+        raw, scale = state.raw_coeffs, state.scale
+        for j, i, _, structure_t in self._members:
+            # the floats of J (w C), as each member's row_expansion gives them
+            gs[j] = scale * ((scalars[i] @ raw) @ structure_t)
+        return scalars
 
-    def quads(self, x, a) -> list:
-        quads = [kernel.quad(x, a) for kernel in self._structure_kernels]
-        return quads if self._j_index is None else [quads[g] for g in self._j_index]
+    def quads(self, x, a, out) -> None:
+        quads = [self.quad(structure, a) for structure in self._structures]
+        for j, _, g, _ in self._members:
+            out[j] = quads[g]
 
-    def add_crosses(self, out, scalars, coeffs, sums, a) -> None:
-        vs = [kernel.cross_vector(coeffs, a) for kernel in self._structure_kernels]
-        for j, i, g in self._crosses:
+    def add_crosses(self, state, scalars, a, out) -> None:
+        raw = state.raw_coeffs
+        vs = [self.cross_vector(structure, raw, a) for structure in self._structures]
+        for j, i, g, _ in self._members:
             column = out[:, j]
             np.add(column, scalars[i] * vs[g], out=column)
+
+    @staticmethod
+    def quad(structure, a) -> float:
+        """``<J a, a>``, which is ``<K(x, x) a, a>`` for every x as exp(0) = 1."""
+        return float(a @ (structure @ a))
+
+    @staticmethod
+    def cross_vector(structure, coeffs, a) -> np.ndarray:
+        """``<J a, coeffs_i>`` for every i; times each term's scalar it is the cross product."""
+        return coeffs @ (structure @ a)
 
     def block_sweep(self, support):
         # the rows are -||q - x_i||^2 / mu_last, clamped at 0 from above
@@ -237,23 +253,56 @@ class _GaussianBank(KernelBank):
 
 
 class _PolyBank(KernelBank):
-    """Poly kernels: many query rows read through feature sums when they cost less.
+    """Poly kernels ``mu <x_i, x> ONES + (1 - mu) <x_i, x>^2 I``, read through one row.
 
-    ``K(x_i, q) c_i = mu <x_i, q> S_i ones + (1 - mu) <x_i, q>^2 c_i`` with
-    ``S_i = sum_k c_ik``, so ``sum_i K(x_i, q) c_i`` is
-    ``mu (q . v) ones + (1 - mu) (q^T M_k q)_k`` with ``v = sum_i S_i x_i``
-    and ``M_k = sum_i c_ik x_i x_i^T``.  :meth:`feature_sums` builds v and
-    the M_k once per multi-row query, in O(s p^2 d), for every member of the
-    bank, and each row reads them in O(p^2 d), against O(s (p + 2d)) for its
-    sweep of the support.  :meth:`expand_rows` takes the cheaper of the two
-    from the shapes alone.
+    Every member's scalars are the inner products ``p_i = <x_i, x>``
+    themselves, so the point sweep gives one row for the whole bank.
+    ``ONES @ a == sum(a) * ones``, so every product costs O(d) per term
+    given each term's coefficient sum ``S_i = sum_k c_ik``, which the
+    state keeps for this bank (``reads_sums``).
+
+    ``K(x_i, q) c_i = mu <x_i, q> S_i ones + (1 - mu) <x_i, q>^2 c_i``, so
+    ``sum_i K(x_i, q) c_i`` is ``mu (q . v) ones + (1 - mu) (q^T M_k q)_k``
+    with ``v = sum_i S_i x_i`` and ``M_k = sum_i c_ik x_i x_i^T``.
+    :meth:`feature_sums` builds v and the M_k once per multi-row query, in
+    O(s p^2 d), for every member of the bank, and each row reads them in
+    O(p^2 d), against O(s (p + 2d)) for its sweep of the support.
+    :meth:`expand_rows` takes the cheaper of the two from the shapes alone.
     """
 
-    def expand_rows(self, support, queries, coeffs, sums, block_bytes, outs) -> None:
-        n, (s, p), d = len(queries), support.shape, coeffs.shape[1]
+    reads_sums = True
+
+    def sweep(self, state, x) -> np.ndarray:
+        # p_i = <x_i, x>: the same for every mu
+        return state.support @ x
+
+    def expand(self, state, x, gs) -> np.ndarray:
+        p = self.sweep(state, x)
+        raw, sums, scale = state.raw_coeffs, state.raw_sums, state.scale
+        for j, kernel in zip(self.columns, self.kernels):
+            gs[j] = scale * kernel.row_expansion(p, raw, sums)
+        return p
+
+    def quads(self, x, a, out) -> None:
+        dot, total, squares = float(x @ x), float(a.sum()), float(a @ a)
+        for j, kernel in zip(self.columns, self.kernels):
+            mu = kernel.mu
+            out[j] = mu * dot * total * total + (1.0 - mu) * dot * dot * squares
+
+    def add_crosses(self, state, p, a, out) -> None:
+        raw, sums = state.raw_coeffs, state.raw_sums
+        total = float(a.sum())
+        coupled, uncoupled = p * sums, (p * p) * (raw @ a)
+        for j, kernel in zip(self.columns, self.kernels):
+            column = out[:, j]
+            mu = kernel.mu
+            np.add(column, mu * total * coupled + (1.0 - mu) * uncoupled, out=column)
+
+    def expand_rows(self, state, queries, block_bytes, gs) -> None:
+        n, (s, p), d = len(queries), state.support.shape, state.dim
         if n * s * (p + 2 * d) <= (s + n) * p * p * d:
-            return super().expand_rows(support, queries, coeffs, sums, block_bytes, outs)
-        features = self.feature_sums(support, coeffs, sums, block_bytes)
+            return super().expand_rows(state, queries, block_bytes, gs)
+        features = self.feature_sums(state, block_bytes)
         # the queries' inner products with the 1 + p d feature sums, a family
         # sweep whose support is the feature sums instead of the s terms
         sweep = self.kernels[0].row_sweep(features)
@@ -266,17 +315,18 @@ class _PolyBank(KernelBank):
             linear = rows[:, 0]
             # (q^T M_k q)_k: row 1 + k p + b of the sums is column b of M_k
             quadratic = np.matmul(rows[:, 1:].reshape(hi - lo, d, p), q[:, :, None])[:, :, 0]
-            for kernel, out in zip(self.kernels, outs):
-                out = np.multiply(quadratic, 1.0 - kernel.mu, out=out[lo:hi])
+            for j, kernel in zip(self.columns, self.kernels):
+                out = np.multiply(quadratic, 1.0 - kernel.mu, out=gs[j][lo:hi])
                 out += (kernel.mu * linear)[:, None]
 
     @staticmethod
-    def feature_sums(support, coeffs, sums, block_bytes) -> np.ndarray:
+    def feature_sums(state, block_bytes) -> np.ndarray:
         """The (1 + p d, p) rows ``[v; M_1; ...; M_d]`` (see the class), from the raw terms.
 
         Summed over blocks of support rows whose (B, p) products take
         about ``block_bytes``.
         """
+        support, coeffs, sums = state.support, state.raw_coeffs, state.raw_sums
         (s, p), d = support.shape, coeffs.shape[1]
         columns = np.zeros((p, 1 + p * d))
         block = max(1, block_bytes // (8 * p))
@@ -288,96 +338,45 @@ class _PolyBank(KernelBank):
         return columns.T
 
 
-class _MixedBank:
-    """Kernels of several families: one bank per family, results in kernel order."""
-
-    def __init__(self, kernels):
-        self.kernels = tuple(kernels)
-        groups = {}
-        for j, kernel in enumerate(self.kernels):
-            groups.setdefault(type(kernel), []).append(j)
-        self.families = tuple(
-            cls.bank([self.kernels[j] for j in js], js) for cls, js in groups.items()
-        )
-
-    def _gather(self, per_family) -> list:
-        out = [None] * len(self.kernels)
-        for bank, values in zip(self.families, per_family):
-            for j, value in zip(bank.columns, values):
-                out[j] = value
-        return out
-
-    def sweep(self, support, x) -> list:
-        return [bank.sweep(support, x) for bank in self.families]
-
-    def expansions(self, scalars, scale, coeffs, sums) -> list:
-        pairs = zip(self.families, scalars)
-        return self._gather([bank.expansions(w, scale, coeffs, sums) for bank, w in pairs])
-
-    def quads(self, x, a) -> list:
-        return self._gather([bank.quads(x, a) for bank in self.families])
-
-    def add_crosses(self, out, scalars, coeffs, sums, a) -> None:
-        for bank, w in zip(self.families, scalars):
-            bank.add_crosses(out, w, coeffs, sums, a)
-
-
-def kernel_bank(kernels):
-    """The bank of a learner's kernels: their family's, or one bank per family."""
-    kernels = tuple(kernels)
-    if len({type(kernel) for kernel in kernels}) == 1:
-        return type(kernels[0]).bank(kernels)
-    return _MixedBank(kernels)
-
-
 class OperatorKernel:
     """Common evaluation helpers; concrete families fill in the formulas.
 
     Subclasses implement ``__call__`` (the d x d matrix, for the oracles
     only), ``fill_gram`` (the td x td block Gram that :meth:`gram` returns),
-    the closed-form ``diag_operator_norm`` and the row methods below, from
-    which every model evaluates its expansion ``sum_i K(x_i, x) coeffs_i``.
+    the closed-form ``diag_operator_norm`` and the row methods below, which
+    state the family's expansion ``sum_i K(x_i, x) coeffs_i`` once for the
+    batch fits, the multi-row predicts and the step.
 
     Both families write ``K(x_i, x)`` through one scalar per support term,
     ``r_i`` (Gaussian weight or inner product), and every kernel of a
-    ``family`` derives it from the same family row: the squared distances
-    ``||x_i - x||^2`` or the inner products ``<x_i, x>``.  ``row`` sweeps
-    the support once for that row and ``scalars`` maps it elementwise to
-    the kernel's own ``r_i``, so a bank of kernels sweeps its support once
-    per family, not once per kernel.  Many queries are swept through
-    ``row_sweep(support)``, which does the per-support work once and
-    returns a function writing the (B, s) family rows of a block of B
-    queries into a caller's buffer with one BLAS product; over the support
-    itself it gives ``scalar_gram``, and a poly bank also sweeps many
-    queries over its feature sums with it (see :class:`_PolyBank`).
-    ``row_expansion`` and ``row_cross``
-    read the scalars: one query's expansion is
-    ``row_expansion(scalars(row(support, x)), coeffs, sums)``, a block's
-    takes its (B, s) scalars, and over the t x t ``scalar_gram`` it is the
-    block Gram product ``G vec(coeffs)`` of the batch solves and the norm
-    oracle, with G never formed.  The same scalars give every cross
-    product ``<K(x_i, x) a, coeffs_i>``: the base bank's ``row_cross``, or
-    a Gaussian bank's scalars times ``cross_vector``.
-    ``sums`` holds each term's coefficient sum ``sum_k coeffs[i, k]``,
-    read only by a kernel with ``reads_sums`` set (the poly family, whose
-    all-ones block needs it), and ``None`` for a kernel without.
-    The row methods trust their arguments; the caller, the expansion state
-    of :mod:`ovklearn.onorma`, checks them and keeps the sums, and calls
-    them through the family's ``bank`` (see :class:`KernelBank`).
+    family derives it from the same family row: the squared distances
+    ``||x_i - x||^2`` or the inner products ``<x_i, x>``.
+    ``row_sweep(support)`` does the per-support work once and returns a
+    function writing the (B, s) family rows of a block of B queries into a
+    caller's buffer with one BLAS product; over the support itself it gives
+    ``scalar_gram``, and a poly bank also sweeps many queries over its
+    feature sums with it (see :class:`_PolyBank`).  ``scalars`` maps a row
+    elementwise to the kernel's own ``r_i`` and ``row_expansion`` reads
+    them: a block's expansion takes its (B, s) scalars, one query's its
+    (s,) ones, and over the t x t ``scalar_gram`` it is the block Gram
+    product ``G vec(coeffs)`` of the batch solves and the norm oracle, with
+    G never formed.  ``sums`` holds each term's coefficient sum
+    ``sum_k coeffs[i, k]``, which the poly family's all-ones block reads
+    and a Gaussian ignores.
+
+    The row methods trust their arguments.  A learner's kernels are
+    evaluated through their family's ``bank`` (see :class:`KernelBank`),
+    which the expansion state of :mod:`ovklearn.onorma` builds and feeds
+    with checked terms.
     """
 
     family: str
     mu: float
     dim: int
-    reads_sums = False
-    bank = KernelBank
+    bank: type  # the family's KernelBank
 
     def __call__(self, x, x2) -> np.ndarray:
         """The d x d matrix ``K(x, x2)``, which no library path builds."""
-        raise NotImplementedError
-
-    def row(self, support, x) -> np.ndarray:
-        """The family row of one point x over the support, (s,)."""
         raise NotImplementedError
 
     def row_sweep(self, support):
@@ -400,14 +399,6 @@ class OperatorKernel:
         ``scratch``: the scalars are overwritten only when ``scratch`` is
         ``scalars``, and ``None`` allocates.
         """
-        raise NotImplementedError
-
-    def row_cross(self, row, coeffs, sums, a) -> np.ndarray:
-        """``<K(x_i, x) a, coeffs_i>`` for every i, from the scalars of x."""
-        raise NotImplementedError
-
-    def quad(self, x, a) -> float:
-        """``<K(x, x) a, a>`` without forming the d x d matrix."""
         raise NotImplementedError
 
     def scalar_gram(self, xs) -> np.ndarray:
@@ -523,11 +514,6 @@ class SeparableGaussian(OperatorKernel):
         d = x - x2
         return float(np.exp(-np.dot(d, d) / self.mu)) * self.structure
 
-    def row(self, support, x) -> np.ndarray:
-        # ||x_i - x||^2: the same for every mu and J
-        diffs = support - x
-        return np.einsum("ij,ij->i", diffs, diffs)
-
     def row_sweep(self, support, factor=1.0):
         """``rows(queries, out)``: ``factor`` times the squared distances, clamped at 0.
 
@@ -572,14 +558,6 @@ class SeparableGaussian(OperatorKernel):
         # row b is J (w_b C) for any J; one query's floats are those of J @ (w @ C)
         return np.matmul(scalars @ coeffs, self.structure.T, out=out)
 
-    def cross_vector(self, coeffs, a) -> np.ndarray:
-        """``<J a, coeffs_i>`` for every i; times each term's scalar it is the cross product."""
-        return coeffs @ (self.structure @ a)
-
-    def quad(self, x, a) -> float:
-        # exp(0) = 1, so K(x, x) == J for every x
-        return float(a @ (self.structure @ a))
-
     def fill_gram(self, scalar, out) -> np.ndarray:
         # S ⊗ J entry for entry: s_ik J_ab, the floats of np.kron
         t, d = len(scalar), self.dim
@@ -602,15 +580,14 @@ class NonSeparablePoly(OperatorKernel):
     the uncoupled quadratic one.
 
     The coupled part ``ONES @ c_i`` is ``sum(c_i) * ones``, so the row
-    methods read the stored terms' coefficient sums (``reads_sums``)
-    instead of reducing the coefficients on every call.
+    methods read the stored terms' coefficient sums instead of reducing
+    the coefficients on every call.
     """
 
     mu: float
     dim: int
 
     family = "poly"
-    reads_sums = True
     bank = _PolyBank
 
     def __post_init__(self):
@@ -623,12 +600,6 @@ class NonSeparablePoly(OperatorKernel):
         dot = float(np.dot(x, x2))
         d = self.dim
         return self.mu * dot * np.ones((d, d)) + (1.0 - self.mu) * dot * dot * np.eye(d)
-
-    # ONES @ a == sum(a) * ones, so every product below costs O(d) per term
-
-    def row(self, support, x) -> np.ndarray:
-        # p_i = <x_i, x>: the same for every mu
-        return support @ x
 
     def row_sweep(self, support):
         # over the support itself this is a matrix times its own transpose,
@@ -646,16 +617,6 @@ class NonSeparablePoly(OperatorKernel):
         out = np.multiply(squares @ coeffs, 1.0 - self.mu, out=out)
         out += coupled[..., None]
         return out
-
-    def row_cross(self, row, coeffs, sums, a) -> np.ndarray:
-        return self.mu * float(a.sum()) * (row * sums) + (
-            1.0 - self.mu
-        ) * ((row * row) * (coeffs @ a))
-
-    def quad(self, x, a) -> float:
-        dot = float(x @ x)
-        total = float(a.sum())
-        return self.mu * dot * total * total + (1.0 - self.mu) * dot * dot * float(a @ a)
 
     def fill_gram(self, p, out) -> np.ndarray:
         # mu p into every entry of each block and (1 - mu) p^2 onto its diagonal:

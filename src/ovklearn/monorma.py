@@ -4,10 +4,12 @@ The hypothesis is ``f_t = sum_j delta_j g_j`` where every per-kernel
 expansion ``g_j = sum_i K_j(x_i, .) a_i`` shares one coefficient
 sequence; only the kernel differs.  This is the step of
 :class:`~ovklearn.onorma.ONORMA` over m kernels, and ONORMA is the case
-m = 1 (:class:`~ovklearn.onorma._OnlineLearner` runs both): one sweep of
-the s stored terms per kernel family (the Gaussians share their squared
-distances, the poly kernels their inner products), one scalars pass for
-all the Gaussians and O(s d) per kernel give every g_j(x_t),
+m = 1 (:class:`~ovklearn.onorma._OnlineLearner` runs both).  The kernels
+of one family are evaluated together by that family's bank
+(:class:`~ovklearn.kernels.KernelBank`): one sweep of the s stored terms
+per family (the Gaussians share their squared distances, the poly kernels
+their inner products), one scalars pass for all the Gaussians and O(s d)
+per kernel give every g_j(x_t),
 each squared norm ``gamma_j = ||g_j||^2`` is refreshed by an O(d^2)
 recursion (no re-expansion of g_j), and the weights are then recomputed
 in closed form (:func:`delta_update`) on the constraint set
@@ -22,7 +24,7 @@ Truncation drops a term from every g_j at once.  Each stored term keeps
 its cross sums with the later terms, one per kernel, so every gamma_j is
 downdated exactly at O(m) per dropped term
 (``onorma._ExpansionState.drop_expired``); keeping those sums costs one
-O(s d) product per poly kernel or distinct Gaussian structure matrix and
+O(s d) product per poly bank or distinct Gaussian structure matrix and
 O(s) per kernel and step.  No Gram matrix is formed and no
 kernel is evaluated for a drop.
 """

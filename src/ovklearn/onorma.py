@@ -15,11 +15,12 @@ coefficients.  With s stored terms in R^p and outputs in R^d, a step
 sweeps the support once per kernel family, O(s p), and maps the row to
 the kernels' scalars, O(s) per Gaussian bandwidth; that gives each
 kernel's prediction, O(s d), and, under truncation, the new term's cross
-products with every stored term, O(s d) per structure matrix plus O(s)
-per kernel (the kernels are evaluated as one bank, see
-:class:`ovklearn.kernels.KernelBank`).  A poly kernel also reads each
-term's coefficient sum, which is stored with the term, so no step reduces
-the stored coefficients.  The squared RKHS norm is
+products with every stored term, O(s d) per structure matrix or poly bank
+plus O(s) per kernel.  Each family's kernels are evaluated by one bank,
+the family's step code (:class:`ovklearn.kernels.KernelBank`), which
+writes their results in kernel order.  A poly bank also reads each
+term's coefficient sum, which the state stores with the term, so no step
+reduces the stored coefficients.  The squared RKHS norm is
 tracked by an O(d^2) recursion.  Under truncation each stored term also
 keeps its cross sum with the later terms, so
 :meth:`_ExpansionState.drop_expired` downdates the norm exactly for a
@@ -34,13 +35,13 @@ weight is pinned at exactly 1.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import ConfigError, DataError, DimensionMismatch, NumericsError
 from .exceptions import check_examples, check_finite, check_positive
-from .kernels import kernel_bank
 from .losses import SquaredLoss
 
 __all__ = ["ONORMA", "StepResult", "TruncationSchedule", "truncation_window"]
@@ -105,16 +106,19 @@ class StepResult:
 class _ExpansionState:
     """Support points and raw coefficients with a shared lazy scale.
 
-    Every kernel in ``kernels`` reads the same terms, through one
-    :func:`~ovklearn.kernels.kernel_bank` (``bank``), which sweeps them
-    once per family and shares the work its kernels have in common.
+    Every kernel in ``kernels`` reads the same terms, through ``banks``:
+    one :class:`~ovklearn.kernels.KernelBank` per family, in the order the
+    families first appear.  A bank sweeps the terms once, shares the work
+    its kernels have in common and writes each kernel's result at that
+    kernel's index, so the state hands every bank the same kernel-ordered
+    list or array and never gathers.
     :meth:`append` (or :meth:`restore`, for a whole saved support) is the
     only way a term comes in and :meth:`drop_expired` the only way one
     leaves: terms are appended at the back and dropped from the front;
     buffers grow by doubling and compact when the front offset gets large.
     Effective coefficients are ``scale * raw``.
 
-    When a kernel ``reads_sums`` (the poly family), term i also keeps its
+    When a bank ``reads_sums`` (the poly family's), term i also keeps its
     raw coefficient sum ``S[i] = sum_k raw[i, k]`` (:attr:`raw_sums`),
     written by :meth:`append` and :meth:`restore` and
     recomputed from the folded coefficients by :meth:`decay`; a state of
@@ -134,8 +138,11 @@ class _ExpansionState:
         self.kernels = tuple(kernels)
         self.dim = self.kernels[0].dim
         self.cross_terms = cross_terms
-        self.keeps_sums = any(kernel.reads_sums for kernel in self.kernels)
-        self.bank = kernel_bank(self.kernels)
+        columns = {}
+        for j, kernel in enumerate(self.kernels):
+            columns.setdefault(kernel.bank, []).append(j)
+        self.banks = tuple(bank([self.kernels[j] for j in js], js) for bank, js in columns.items())
+        self.keeps_sums = any(bank.reads_sums for bank in self.banks)
         self.restore((), (), (), None)
 
     def __len__(self) -> int:
@@ -167,7 +174,7 @@ class _ExpansionState:
 
     @property
     def raw_sums(self):
-        """Each term's raw coefficient sum, or None when no kernel reads them."""
+        """Each term's raw coefficient sum, or None when no bank reads them."""
         return None if self._S is None else self._S[self.start : self.end]
 
     @property
@@ -180,15 +187,22 @@ class _ExpansionState:
         return self._T[self.start : self.end]
 
     def expand(self, x):
-        """The bank's scalars over the support at x and every ``g_j(x)``.
+        """Each bank's scalars over the support at x and every ``g_j(x)``.
 
         One sweep of the support per family; the scalars are kept for
         :meth:`append`.  Returns ``(None, zeros)`` on an empty support.
         """
         if self.end == self.start:
             return None, [np.zeros(self.dim) for _ in self.kernels]
-        rows = self.bank.sweep(self.support, x)
-        return rows, self.bank.expansions(rows, self.scale, self.raw_coeffs, self.raw_sums)
+        gs = [None] * len(self.kernels)
+        return [bank.expand(self, x, gs) for bank in self.banks], gs
+
+    def quads(self, x, a) -> list:
+        """Every ``<K_j(x, x) a, a>``, in kernel order."""
+        quads = [None] * len(self.kernels)
+        for bank in self.banks:
+            bank.quads(x, a, quads)
+        return quads
 
     def evaluate(self, x) -> list:
         """Each kernel's ``g_j`` at one point or at each of n rows; zeros on an empty support.
@@ -225,10 +239,8 @@ class _ExpansionState:
         gs = [np.zeros((n, self.dim)) for _ in self.kernels]
         if len(self) == 0:
             return gs
-        raw, sums = self.raw_coeffs, self.raw_sums
-        for bank in self.bank.families:
-            outs = [gs[j] for j in bank.columns]
-            bank.expand_rows(self.support, queries, raw, sums, _BLOCK_BYTES, outs)
+        for bank in self.banks:
+            bank.expand_rows(self, queries, _BLOCK_BYTES, gs)
         for g in gs:
             g *= self.scale
         return gs
@@ -237,7 +249,7 @@ class _ExpansionState:
         """Store a term x with coefficient ``scale * raw_coeff``.
 
         With cross terms on, ``rows`` are :meth:`expand`'s scalars at x and
-        ``quads`` are the bank's ``quads`` at x for the effective coefficient.
+        ``quads`` are :meth:`quads` at x for the effective coefficient.
         """
         if self.end == len(self._T):
             self._compact_or_grow()
@@ -253,12 +265,14 @@ class _ExpansionState:
 
     def _add_cross_sums(self, i: int, raw_coeff, rows, quads) -> None:
         """Add term i's products to the C of the terms before it, whose scalars
-        at term i's input are ``rows``, and set term i's own C and Q."""
+        at term i's input are ``rows``, and set term i's own C and Q.
+
+        The terms before i are the state's live terms: i is ``end``.
+        """
         if i > self.start:
-            live = slice(self.start, i)
-            raw = self._A[live]
-            sums = None if self._S is None else self._S[live]
-            self.bank.add_crosses(self._C[live], rows, raw, sums, raw_coeff)
+            crosses = self._C[self.start : i]
+            for bank, w in zip(self.banks, rows):
+                bank.add_crosses(self, w, raw_coeff, crosses)
         self._C[i] = 0.0
         s2 = self.scale * self.scale
         self._Q[i] = [q / s2 for q in quads]
@@ -303,7 +317,7 @@ class _ExpansionState:
         Copies them into buffers sized for them and reduces every term's
         coefficient sum at once.  With cross terms on, it then replays each
         term's cross sums with the terms before it as :meth:`append` would
-        (one ``row`` call per family and term), which rebuilds C and Q in
+        (one bank ``sweep`` per family and term), which rebuilds C and Q in
         O(s^2).
         """
         n, m = len(support), len(self.kernels)
@@ -320,7 +334,8 @@ class _ExpansionState:
             for i in range(n):
                 self.end = i  # the support is the terms before i, as when i was appended
                 x, a = self._X[i], self._A[i]
-                self._add_cross_sums(i, a, self.bank.sweep(self.support, x), self.bank.quads(x, a))
+                rows = [bank.sweep(self, x) for bank in self.banks]
+                self._add_cross_sums(i, a, rows, self.quads(x, a))
         self.end = n
 
     def drop_expired(self, cutoff: int, norms_sq: np.ndarray) -> int:
@@ -478,8 +493,12 @@ class _OnlineLearner:
         """||g_j||^2 recomputed as ``sum(C ∘ G vec(C))`` from the kernel's t x t scalar Gram.
 
         Independent of the tracked norms; O(s^2 (p + d)) time and O(s^2)
-        memory, with the (sd) x (sd) block Gram never formed.
+        memory, with the (sd) x (sd) block Gram never formed.  A ``j``
+        outside ``[0, m)`` raises ConfigError, also on an empty support.
         """
+        m = len(self._state.kernels)
+        if isinstance(j, bool) or not isinstance(j, numbers.Integral) or not 0 <= j < m:
+            raise ConfigError(f"kernel index must be an int in [0, {m}), got {j!r}")
         if len(self._state) == 0:
             return 0.0
         kernel, coeffs = self._state.kernels[j], self._state.coeffs
@@ -507,7 +526,7 @@ class _OnlineLearner:
         if state.input_dim is None:
             state.fix_width(x.shape[0])
 
-        quads = state.bank.quads(x, alpha)
+        quads = state.quads(x, alpha)
         clips = 0
         for j in range(len(quads)):
             new = norm_recursion(norms[j], float(gs[j] @ alpha), quads[j], decay)

@@ -1,9 +1,13 @@
-"""Shared test oracles.
+"""Shared test oracles and bit references.
 
-Everything here is deliberately naive: explicit Python loops, per-step
-coefficient multiplies, full Gram recomputation.  The oracles must stay
+The oracles are deliberately naive: explicit Python loops, per-step
+coefficient multiplies, full Gram recomputation.  They must stay
 independent of the optimised code paths they are used to cross-check, so
 they only call each kernel's ``__call__`` and the loss objects.
+
+The bit references are the one-kernel point forms of the step, written
+out with the operations a kernel bank must reproduce bit for bit: a bank
+shares work between its kernels, never the floats of any one of them.
 """
 
 import numpy as np
@@ -37,6 +41,43 @@ def gram_norm_sq(kernel, support, coeffs):
         for j in range(len(support)):
             total += float(coeffs[i] @ (kernel(support[i], support[j]) @ coeffs[j]))
     return total
+
+
+def squared_distances(support, x):
+    """The Gaussian family row ``||x_i - x||^2`` of one point."""
+    diffs = support - x
+    return np.einsum("ij,ij->i", diffs, diffs)
+
+
+def gaussian_scalars(row, mu):
+    """``exp(row / -mu)``: a Gaussian's weights from its family row."""
+    return np.exp(np.divide(row, -mu))
+
+
+def gaussian_expansion(w, coeffs, structure):
+    """``J (w C)``: a Gaussian's expansion at one point from its weights."""
+    return structure @ (w @ coeffs)
+
+
+def gaussian_quad(structure, a):
+    """``<J a, a>``, which is ``<K(x, x) a, a>`` for a Gaussian at every x."""
+    return float(a @ (structure @ a))
+
+
+def gaussian_cross(w, coeffs, structure, a):
+    """``w * (C J a)``: every ``<K(x_i, x) a, c_i>`` of a Gaussian."""
+    return w * (coeffs @ (structure @ a))
+
+
+def poly_cross(p, coeffs, sums, mu, a):
+    """Every ``<K(x_i, x) a, c_i>`` of a poly kernel, from ``p_i = <x_i, x>``."""
+    return mu * float(a.sum()) * (p * sums) + (1.0 - mu) * ((p * p) * (coeffs @ a))
+
+
+def poly_quad(x, mu, a):
+    """``<K(x, x) a, a>`` of a poly kernel."""
+    dot, total = float(x @ x), float(a.sum())
+    return mu * dot * total * total + (1.0 - mu) * dot * dot * float(a @ a)
 
 
 def power_iteration_norm(mat, max_iters=2_000_000, seed=0):

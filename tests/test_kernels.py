@@ -5,7 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import block_gram, power_iteration_norm
+from conftest import (
+    block_gram,
+    gaussian_cross,
+    gaussian_expansion,
+    gaussian_quad,
+    gaussian_scalars,
+    poly_cross,
+    poly_quad,
+    power_iteration_norm,
+    squared_distances,
+)
 from ovklearn.batch import BatchModel, fit
 from ovklearn.checkpoint import load_model, save_model
 from ovklearn.cli import main
@@ -19,7 +29,7 @@ from ovklearn.kernels import (
     operator_norm_bound,
 )
 from ovklearn.monorma import MONORMA
-from ovklearn.onorma import ONORMA, TruncationSchedule
+from ovklearn.onorma import ONORMA, TruncationSchedule, _ExpansionState
 
 
 def random_kernel(rng, dim):
@@ -111,7 +121,7 @@ def test_gaussian_axioms_property(mu, seed):
 
 def test_row_methods_match_kernel_matrices():
     # the online step's per-term products, checked against K(x_i, x) itself;
-    # the family row comes from another kernel of the family, as in a bank
+    # the kernel shares its family's bank with a sibling, as in a learner
     rng = np.random.default_rng(15)
     for _ in range(50):
         dim = int(rng.integers(1, 5))
@@ -120,19 +130,31 @@ def test_row_methods_match_kernel_matrices():
         support = rng.normal(size=(int(rng.integers(1, 8)), 3))
         coeffs = rng.normal(size=(len(support), dim))
         x, a = rng.normal(size=3), rng.normal(size=dim)
-        family_row = sibling.row(support, x)
-        row = k.scalars(family_row)
+        state = _ExpansionState([sibling, k])
+        state.restore(support, coeffs, range(1, len(support) + 1), 3)
+        (bank,) = state.banks
         expansion = sum(k(xi, x) @ ci for xi, ci in zip(support, coeffs))
         cross = [float(ci @ (k(xi, x) @ a)) for xi, ci in zip(support, coeffs)]
-        sums = coeffs.sum(axis=1)
-        assert np.allclose(k.row_expansion(row, coeffs, sums), expansion, rtol=1e-12, atol=1e-12)
-        # the cross products as the step adds them, through the family's bank
-        bank = type(k).bank([k])
-        crosses = np.zeros((len(support), 1))
-        bank.add_crosses(crosses, bank.scalars(family_row), coeffs, sums, a)
-        assert np.allclose(crosses[:, 0], cross, rtol=1e-12, atol=1e-12)
+        rows, gs = state.expand(x)
+        assert np.allclose(gs[1], expansion, rtol=1e-12, atol=1e-12)
+        # the cross products as the step adds them
+        crosses = np.zeros((len(support), 2))
+        bank.add_crosses(state, rows[0], a, crosses)
+        assert np.allclose(crosses[:, 1], cross, rtol=1e-12, atol=1e-12)
         quad = float(a @ (k(x, x) @ a))
-        assert abs(k.quad(x, a) - quad) <= 1e-12 * max(1.0, abs(quad))
+        assert abs(state.quads(x, a)[1] - quad) <= 1e-12 * max(1.0, abs(quad))
+        # and bit for bit the kernel's one-member point forms
+        sums = coeffs.sum(axis=1)
+        if k.family == "poly":
+            p = support @ x
+            assert np.array_equal(gs[1], k.row_expansion(p, coeffs, sums))
+            assert np.array_equal(crosses[:, 1], poly_cross(p, coeffs, sums, k.mu, a))
+            assert state.quads(x, a)[1] == poly_quad(x, k.mu, a)
+        else:
+            w, J = gaussian_scalars(squared_distances(support, x), k.mu), k.structure
+            assert np.array_equal(gs[1], gaussian_expansion(w, coeffs, J))
+            assert np.array_equal(crosses[:, 1], gaussian_cross(w, coeffs, J, a))
+            assert state.quads(x, a)[1] == gaussian_quad(J, a)
 
         queries = rng.normal(size=(3, 3))
         rows = sibling.row_sweep(support)(queries, np.empty((3, len(support))))
@@ -177,30 +199,31 @@ def test_gaussian_bank_shares_work_and_keeps_each_members_bits():
     model = MONORMA(kernels, lam=0.1, eta0=0.5, truncation=TruncationSchedule(t0=60, epsilon=0.25))
     model.fit(xs[:200], ys[:200])
     state = model._state
-    bank = state.bank
+    (bank,) = state.banks
     # one scalars row per distinct mu, one J product per distinct J
     assert bank.row_index == [0, 1, 1, 2, 3]
-    assert len(bank._structure_kernels) == 3
+    assert len(bank._structures) == 3
 
-    support, coeffs, sums = state.support, state.raw_coeffs, state.raw_sums
+    support, coeffs = state.support, state.raw_coeffs
     for x in xs[200:]:
         a = rng.normal(size=3)
-        row = kernels[0].row(support, x)
+        row = squared_distances(support, x)
         for special in (row, np.concatenate([SPECIAL_ROW, rng.uniform(0.0, 10.0, 300)])):
             shared = bank.scalars(special)
             assert len(shared) == 4
             for j, kernel in enumerate(kernels):
-                assert np.array_equal(shared[bank.row_index[j]], kernel.scalars(special))
-        scalars = bank.sweep(support, x)
+                assert np.array_equal(shared[bank.row_index[j]], gaussian_scalars(special, kernel.mu))
+        gs, quads = [None] * len(kernels), [None] * len(kernels)
+        scalars = bank.expand(state, x, gs)
         out = np.zeros((len(support), len(kernels)))
-        bank.add_crosses(out, scalars, coeffs, sums, a)
-        gs = bank.expansions(scalars, state.scale, coeffs, sums)
-        for j, (kernel, quad) in enumerate(zip(kernels, bank.quads(x, a))):
-            own = kernel.scalars(row)
+        bank.add_crosses(state, scalars, a, out)
+        bank.quads(x, a, quads)
+        for j, kernel in enumerate(kernels):
+            own, J = gaussian_scalars(row, kernel.mu), kernel.structure
             assert np.array_equal(scalars[bank.row_index[j]], own)
-            assert quad == kernel.quad(x, a)
-            assert np.array_equal(out[:, j], own * kernel.cross_vector(coeffs, a))
-            assert np.array_equal(gs[j], state.scale * kernel.row_expansion(own, coeffs, sums))
+            assert quads[j] == gaussian_quad(J, a)
+            assert np.array_equal(out[:, j], gaussian_cross(own, coeffs, J, a))
+            assert np.array_equal(gs[j], state.scale * gaussian_expansion(own, coeffs, J))
 
 
 @pytest.mark.parametrize(

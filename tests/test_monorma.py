@@ -8,7 +8,7 @@ from ovklearn.exceptions import ConfigError, DimensionMismatch
 from ovklearn.kernels import NonSeparablePoly, SeparableGaussian
 from ovklearn.losses import EpsilonInsensitive
 from ovklearn.monorma import MONORMA, delta_update
-from ovklearn.onorma import ONORMA, TruncationSchedule
+from ovklearn.onorma import ONORMA, TruncationSchedule, _ExpansionState
 
 
 def stream(seed, n, p=4, d=3, scale=0.5):
@@ -304,6 +304,70 @@ def test_per_kernel_norm_sq_matches_gram_oracle(case):
             oracle = gram_norm_sq(kernels[1], list(state.support), list(state.coeffs))
             assert abs(single.hypothesis_norm_sq() - oracle) <= 1e-12 * oracle
     assert (folds >= 1) == case.get("folds", False)
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_per_kernel_norm_sq_rejects_an_index_outside_the_kernels(m):
+    kernels = kernel_trio(3)[:m]
+    xs, ys = stream(63, 20)
+    models = [MONORMA(kernels, lam=0.1, eta0=0.5) for _ in range(2)]
+    if m == 1:
+        models += [ONORMA(kernels[0], lam=0.1, eta0=0.5) for _ in range(2)]
+    for model in models[1::2]:
+        model.fit(xs, ys)
+    for model in models:
+        # checked before the empty support's shortcut; -1 is no alias of m - 1
+        for j in (-1, -m, m, m + 1, 1.0, True, None):
+            with pytest.raises(ConfigError, match="kernel index"):
+                model.per_kernel_norm_sq(j)
+        state = model._state
+        for j, kernel in enumerate(kernels):
+            oracle = gram_norm_sq(kernel, list(state.support), list(state.coeffs))
+            assert abs(model.per_kernel_norm_sq(j) - oracle) <= 1e-12 * oracle
+            assert (model.per_kernel_norm_sq(j) == 0.0) == (len(state) == 0)
+        if isinstance(model, ONORMA):
+            assert model.hypothesis_norm_sq() == model.per_kernel_norm_sq(0)
+
+
+def test_interleaved_families_keep_kernel_order_under_truncation():
+    # the families alternate, so each bank writes columns that are not
+    # contiguous; lam = eta0 = 0.9 folds the lazy scale
+    J = np.array([[1.0, 0.3, 0.1], [0.3, 0.7, 0.0], [0.1, 0.0, 0.5]])
+    kernels = [
+        NonSeparablePoly(mu=0.2, dim=3),
+        SeparableGaussian(mu=1.0, dim=3),
+        NonSeparablePoly(mu=0.7, dim=3),
+        SeparableGaussian(mu=0.5, dim=3, structure=J),
+    ]
+    schedule = TruncationSchedule(t0=15, epsilon=0.25)
+    model = MONORMA(kernels, lam=0.9, eta0=0.9, truncation=schedule)
+    xs, ys = stream(61, 200)
+    folds = 0
+    for t, (x, y) in enumerate(zip(xs, ys), start=1):
+        before = model._state.scale
+        model.step(x, y)
+        folds += model._state.scale > before
+        if t % 20 == 0:
+            state = model._state
+            for j, k in enumerate(kernels):
+                oracle = gram_norm_sq(k, list(state.support), list(state.coeffs))
+                assert abs(model.gamma[j] - oracle) <= 1e-10 * oracle
+    assert folds >= 1 and model.support_size == schedule.window(200)
+
+    # restored, every g_j and its cross sums have the bits of a one-kernel
+    # state over the same terms; the bandwidths 1 and 1/2 fold exactly into
+    # the multi-row sweep, so its rows share those bits too
+    arrays = model.to_arrays()
+    back = MONORMA(kernels, lam=0.9, eta0=0.9, truncation=schedule)
+    back.restore(*arrays, model.t, model.gamma, model.delta)
+    probes = np.random.default_rng(62).uniform(0.0, 1.0, size=(7, 4))
+    for j, kernel in enumerate(kernels):
+        alone = _ExpansionState([kernel], cross_terms=True)
+        alone.restore(*arrays)
+        for q in (probes[0], probes):
+            assert np.array_equal(back._state.evaluate(q)[j], alone.evaluate(q)[0])
+        assert np.array_equal(back._state._C[:, j], alone._C[:, 0])
+        assert np.array_equal(back._state._Q[:, j], alone._Q[:, 0])
 
 
 def test_risk_decomposition():

@@ -402,20 +402,20 @@ def test_truncated_norm_tracker_matches_gram_oracle(family):
 class RowCounter:
     """Counts a kernel family's support sweeps while installed.
 
-    A sweep is a ``row`` call (one point) or a ``row_sweep`` call (the set-up
-    of every block of a multi-row query).
+    A sweep is a call of the family bank's ``sweep`` (one point) or of the
+    kernel's ``row_sweep`` (the set-up of every block of a multi-row query).
     """
 
     def __init__(self, monkeypatch, *families):
         self.calls = 0
         for cls in families:
-            for name in ("row", "row_sweep"):
+            for owner, name in ((cls.bank, "sweep"), (cls, "row_sweep")):
 
-                def counted(kernel, *args, _original=getattr(cls, name)):
+                def counted(obj, *args, _original=getattr(owner, name)):
                     self.calls += 1
-                    return _original(kernel, *args)
+                    return _original(obj, *args)
 
-                monkeypatch.setattr(cls, name, counted)
+                monkeypatch.setattr(owner, name, counted)
 
 
 def test_truncated_step_computes_one_row_per_kernel(monkeypatch):
@@ -506,11 +506,11 @@ def test_same_family_bank_sweeps_once_per_step_predict_and_replay(monkeypatch, t
     monkeypatch.setattr(SeparableGaussian.bank, "scalars", counted_scalars)
     for name in ("quad", "cross_vector"):
 
-        def counted(kernel, *args, _name=name, _original=getattr(SeparableGaussian, name)):
+        def counted(*args, _name=name, _original=getattr(SeparableGaussian.bank, name)):
             work[_name] += 1
-            return _original(kernel, *args)
+            return _original(*args)
 
-        monkeypatch.setattr(SeparableGaussian, name, counted)
+        monkeypatch.setattr(SeparableGaussian.bank, name, staticmethod(counted))
     for kernels, (rows, quads, crosses) in banks:
         for truncation in (None, TruncationSchedule(t0=10, epsilon=0.25)):
             model = MONORMA(kernels, lam=0.1, eta0=0.5, truncation=truncation)
@@ -532,7 +532,7 @@ def test_same_family_bank_sweeps_once_per_step_predict_and_replay(monkeypatch, t
             save_model(tmp_path / "bank.npz", model)
             before_rows = counter.calls
             back = load_model(tmp_path / "bank.npz")
-            # a truncated restore replays each term's row; a plain one needs none
+            # a truncated restore replays each term's sweep; a plain one needs none
             assert counter.calls - before_rows == (model.support_size if truncation else 0)
             assert np.allclose(back.predict(xs[:7]), model.predict(xs[:7]), rtol=1e-12, atol=0)
 
