@@ -91,6 +91,7 @@ def fit(kernel, xs, ys, lam: float) -> BatchModel:
     if t < 1:
         raise ConfigError("batch fit needs at least one example")
     check_positive("lambda", lam)
+    lam = float(lam)  # as a learner's: double precision, and a JSON number
 
     ridge = lam * t
     if not math.isfinite(ridge):

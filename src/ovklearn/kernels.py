@@ -17,14 +17,15 @@ for any points ``x_k`` and vectors ``y_k``,
 ``sum_{k,l} <K(x_k, x_l) y_l, y_k> >= 0``.
 
 Each kernel states its family's expansion ``sum_i K(x_i, x) c_i`` once,
-in ``row_expansion``, from per-term scalars of the family row (squared
-distances or inner products); see :class:`OperatorKernel`.  A swept block
-of predict rows, a poly step and the batch Gram product ``G vec(C)`` (the
-expansion over the t x t ``scalar_gram``) call it; a Gaussian step makes
-its floats, ``J (w C)``, with the J products shared.  A sweep for many
-queries at once is one BLAS product of the queries with the support: the
-Gaussian family writes each squared distance in its centred form, norms
-included, as one product with a factor built once per support.
+in ``row_expansion``, from per-term scalars of the kernel's rows (a
+Gaussian's exponents ``-||x_i - x||^2 / mu``, a poly kernel's inner
+products); see :class:`OperatorKernel`.  A swept block of predict rows, a
+poly step and the batch Gram product ``G vec(C)`` (the expansion over the
+t x t ``scalar_gram``) call it; a Gaussian step makes its floats,
+``J (w C)``, with the J products shared.  A sweep for many queries at once
+is one BLAS product of the queries with the support: a Gaussian writes
+each exponent in its centred form, norms included and ``-1 / mu`` folded
+in, as one product with a factor built once per support.
 
 A learner evaluates its kernels through one bank per family, the family's
 step code (:class:`KernelBank`), which writes each result at its kernel's
@@ -39,21 +40,20 @@ paths per family (each bank's ``expand_rows``):
 
 * *Sweep*, O(n s (p + 2d)): the Gaussian family and a poly bank with few
   rows or wide inputs.  Blocks of rows are swept over the support.  A
-  Gaussian block folds ``-1 / mu`` of the bank's last kernel into the
-  product's right factor, clamps at 0 from above and takes ``exp`` in
-  place; the other kernels multiply by ``mu_last / mu_j``, so no block
-  divides.
+  Gaussian block is the exponents of the bank's last kernel, whose ``exp``
+  is taken in place; the other kernels multiply by ``mu_last / mu_j``, so
+  no block divides.
 * *Feature sums*, O((s + n) p^2 d): a poly bank when
   ``n s (p + 2d) > (s + n) p^2 d``.  The poly kernel has a finite feature
   map, so the bank sums ``v = sum_i S_i x_i`` and
   ``M_k = sum_i c_ik x_i x_i^T`` once (:class:`_PolyBank`) and each row
   reads ``mu (q . v) + (1 - mu) q^T M_k q``, for every kernel of the bank.
 
-The rule reads the shapes alone.  Both paths round differently from the
-step's one-point sweep: multi-row predictions agree with one-point
-predictions within 1e-12 relative, and moved by at most about 1e-14
-relative when these paths replaced a sweep that divided by ``-mu``.  The
-step, ``scalar_gram`` and the batch Gram product keep their floats.
+The rule reads the shapes alone.  Both paths, and ``scalar_gram`` (the
+sweep over the support itself), round differently from the step's
+one-point sweep, which divides each squared distance by ``-mu``
+(:class:`_GaussianBank`): multi-row predictions agree with one-point
+predictions within 1e-12 relative.
 
 Kernel objects are immutable and safe to share between threads.
 """
@@ -76,6 +76,9 @@ __all__ = [
     "kernel_from_dict",
 ]
 
+# a block of queries' rows takes about this many bytes, so it stays in cache
+_BLOCK_BYTES = 1 << 20
+
 
 def default_structure(dim: int) -> np.ndarray:
     """Structure matrix with 1 on the diagonal and 1/10 elsewhere."""
@@ -89,6 +92,9 @@ def _check_fields(kernel) -> None:
     dim = kernel.dim
     if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim < 1:
         raise ConfigError(f"output dimension must be an int >= 1, got {dim!r}")
+    # Python numbers: a numpy float32 mu rounds to single precision, and is no JSON number
+    object.__setattr__(kernel, "mu", float(kernel.mu))
+    object.__setattr__(kernel, "dim", int(dim))
 
 
 def _check_pair(x, x2):
@@ -115,16 +121,16 @@ class KernelBank:
     * ``quads(x, a, out)`` writes every ``<K_j(x, x) a, a>``;
     * ``add_crosses(state, scalars, a, out)`` adds every
       ``<K_j(x_i, x) a, raw_i>`` into column j of the (s, m) ``out``;
-    * ``expand_rows(state, queries, block_bytes, gs)`` writes every
+    * ``expand_rows(state, queries, gs)`` writes every
       ``sum_i K_j(x_i, q) raw_i`` at many query rows into the (n, d)
       ``gs[j]``.
 
     ``reads_sums`` tells the state to keep each term's coefficient sum.
-    The block sweep of ``expand_rows`` is written here once: one
-    ``block_sweep`` per support writes each block's family rows into one
-    buffer, ``block_scalars`` turns them into each member's scalars (the
-    last member's in place, the others' in a second buffer) and each
-    member's ``row_expansion`` reads them.
+    The block sweep of ``expand_rows`` is written here once: the last
+    member's ``row_sweep`` writes each block's rows into one buffer,
+    ``block_scalars`` turns them into each member's scalars (the last
+    member's in place, the others' in a second buffer) and each member's
+    ``row_expansion`` reads them.
     """
 
     reads_sums = False
@@ -133,18 +139,18 @@ class KernelBank:
         self.kernels = tuple(kernels)
         self.columns = tuple(columns)
 
-    def expand_rows(self, state, queries, block_bytes, gs) -> None:
+    def expand_rows(self, state, queries, gs) -> None:
         """Write member j's ``sum_i K_j(x_i, q) raw_i`` at the (n, p) queries into ``gs[columns[j]]``.
 
-        The queries go in blocks whose (B, s) rows take about ``block_bytes``,
+        The queries go in blocks whose (B, s) rows take about ``_BLOCK_BYTES``,
         so the sweep holds at most two such buffers and no n x s array.
         """
         support, raw, sums = state.support, state.raw_coeffs, state.raw_sums
         n, s = len(queries), len(support)
-        block = max(1, min(n, block_bytes // (8 * s)))  # float64 rows
+        block = max(1, min(n, _BLOCK_BYTES // (8 * s)))  # float64 rows
         *others, last = range(len(self.kernels))
         outs = [gs[j] for j in self.columns]
-        sweep = self.block_sweep(support)
+        sweep = self.kernels[last].row_sweep(support)
         shared = np.empty((block, s))
         scratch = np.empty((block, s)) if others else None
         for lo in range(0, n, block):
@@ -157,10 +163,6 @@ class KernelBank:
             w = self.block_scalars(last, rows, rows)
             self.kernels[last].row_expansion(w, raw, sums, rows, outs[last][lo:hi])
 
-    def block_sweep(self, support):
-        """``rows(queries, out)`` for :meth:`expand_rows`: the family's ``row_sweep``."""
-        return self.kernels[-1].row_sweep(support)
-
     def block_scalars(self, j, rows, out) -> np.ndarray:
         """Member j's scalars of a block's swept ``rows``, into ``out`` (which may be ``rows``)."""
         return self.kernels[j].scalars(rows, out)
@@ -169,20 +171,20 @@ class KernelBank:
 class _GaussianBank(KernelBank):
     """Gaussians ``exp(-||x_i - x||^2 / mu) J``: one scalars pass, J products per distinct J.
 
-    ``scalars`` divides the squared distances by the column of the distinct
-    ``-mu`` into one (u, s) buffer and takes ``exp`` in place, so members
-    with equal ``mu`` share a row: member j reads row ``row_index[j]``.
-    Members whose J are equal bit for bit share :meth:`quad` and
-    :meth:`cross_vector`, which ``add_crosses`` scales by each member's
-    scalars.  Every result has the bits of the member's own one-kernel
-    forms (``exp(row / -mu)``, ``J (w C)``, ``<J a, a>``, ``w (C J a)``):
-    IEEE division and ``exp`` are elementwise.
+    The step's point sweep gives the squared distances, and ``scalars``
+    divides them by the column of the distinct ``-mu`` into one (u, s)
+    buffer and takes ``exp`` in place, so members with equal ``mu`` share a
+    row: member j reads row ``row_index[j]``.  Members whose J are equal bit
+    for bit share :meth:`quad` and :meth:`cross_vector`, which
+    ``add_crosses`` scales by each member's scalars.  Every result has the
+    bits of the member's own one-point forms (``exp(row / -mu)``,
+    ``J (w C)``, ``<J a, a>``, ``w (C J a)``): IEEE division and ``exp``
+    are elementwise.
 
-    A block of query rows divides nothing: its sweep folds ``-1 / mu`` of
-    the last member into the product's right factor, so the swept rows are
-    that member's exponents, and the other members multiply them by
-    ``mu_last / mu_j``.  These exponents round differently from the
-    quotients of the point path, by a few ulps.
+    A block of query rows divides nothing: it is the last member's
+    ``row_sweep``, whose rows are that member's exponents, and the other
+    members multiply them by ``mu_last / mu_j``.  These exponents round
+    differently from the quotients of the point path, by a few ulps.
     """
 
     def __init__(self, kernels, columns):
@@ -241,13 +243,8 @@ class _GaussianBank(KernelBank):
         """``<J a, coeffs_i>`` for every i; times each term's scalar it is the cross product."""
         return coeffs @ (structure @ a)
 
-    def block_sweep(self, support):
-        # the rows are -||q - x_i||^2 / mu_last, clamped at 0 from above
-        last = self.kernels[-1]
-        return last.row_sweep(support, -1.0 / last.mu)
-
     def block_scalars(self, j, rows, out) -> np.ndarray:
-        # the last member's exponents are the rows themselves
+        # the rows are the last member's exponents, and member j's are mu_last / mu_j times them
         w = rows if out is rows else np.multiply(rows, self._ratios[j], out=out)
         return np.exp(w, out=w)
 
@@ -298,15 +295,15 @@ class _PolyBank(KernelBank):
             mu = kernel.mu
             np.add(column, mu * total * coupled + (1.0 - mu) * uncoupled, out=column)
 
-    def expand_rows(self, state, queries, block_bytes, gs) -> None:
+    def expand_rows(self, state, queries, gs) -> None:
         n, (s, p), d = len(queries), state.support.shape, state.dim
         if n * s * (p + 2 * d) <= (s + n) * p * p * d:
-            return super().expand_rows(state, queries, block_bytes, gs)
-        features = self.feature_sums(state, block_bytes)
+            return super().expand_rows(state, queries, gs)
+        features = self.feature_sums(state)
         # the queries' inner products with the 1 + p d feature sums, a family
         # sweep whose support is the feature sums instead of the s terms
         sweep = self.kernels[0].row_sweep(features)
-        block = max(1, min(n, block_bytes // (8 * len(features))))
+        block = max(1, min(n, _BLOCK_BYTES // (8 * len(features))))
         shared = np.empty((block, len(features)))
         for lo in range(0, n, block):
             hi = min(lo + block, n)
@@ -320,16 +317,16 @@ class _PolyBank(KernelBank):
                 out += (kernel.mu * linear)[:, None]
 
     @staticmethod
-    def feature_sums(state, block_bytes) -> np.ndarray:
+    def feature_sums(state) -> np.ndarray:
         """The (1 + p d, p) rows ``[v; M_1; ...; M_d]`` (see the class), from the raw terms.
 
         Summed over blocks of support rows whose (B, p) products take
-        about ``block_bytes``.
+        about ``_BLOCK_BYTES``.
         """
         support, coeffs, sums = state.support, state.raw_coeffs, state.raw_sums
         (s, p), d = support.shape, coeffs.shape[1]
         columns = np.zeros((p, 1 + p * d))
-        block = max(1, block_bytes // (8 * p))
+        block = max(1, _BLOCK_BYTES // (8 * p))
         for lo in range(0, s, block):
             x, c = support[lo : lo + block], coeffs[lo : lo + block]
             columns[:, 0] += x.T @ sums[lo : lo + block]
@@ -348,15 +345,15 @@ class OperatorKernel:
     batch fits, the multi-row predicts and the step.
 
     Both families write ``K(x_i, x)`` through one scalar per support term,
-    ``r_i`` (Gaussian weight or inner product), and every kernel of a
-    family derives it from the same family row: the squared distances
-    ``||x_i - x||^2`` or the inner products ``<x_i, x>``.
-    ``row_sweep(support)`` does the per-support work once and returns a
-    function writing the (B, s) family rows of a block of B queries into a
-    caller's buffer with one BLAS product; over the support itself it gives
-    ``scalar_gram``, and a poly bank also sweeps many queries over its
-    feature sums with it (see :class:`_PolyBank`).  ``scalars`` maps a row
-    elementwise to the kernel's own ``r_i`` and ``row_expansion`` reads
+    ``r_i`` (Gaussian weight or inner product), which each kernel derives
+    from its rows: the exponents ``-||x_i - x||^2 / mu`` or the inner
+    products ``<x_i, x>``.  ``row_sweep(support)`` does the per-support work
+    once and returns a function writing the (B, s) rows of a block of B
+    queries into a caller's buffer with one BLAS product; over the support
+    itself it gives ``scalar_gram``, and a poly bank also sweeps many
+    queries over its feature sums with it (see :class:`_PolyBank`).
+    ``scalars`` maps those rows elementwise to ``r_i`` (``exp`` or the
+    identity) and ``row_expansion`` reads
     them: a block's expansion takes its (B, s) scalars, one query's its
     (s,) ones, and over the t x t ``scalar_gram`` it is the block Gram
     product ``G vec(coeffs)`` of the batch solves and the norm oracle, with
@@ -380,7 +377,7 @@ class OperatorKernel:
         raise NotImplementedError
 
     def row_sweep(self, support):
-        """``rows(queries, out)``: the family rows of (B, p) queries, written into (B, s) ``out``.
+        """``rows(queries, out)``: the kernel's rows of (B, p) queries, written into (B, s) ``out``.
 
         The work that depends on the support alone is done here, once for
         every block of queries swept over it.
@@ -388,7 +385,7 @@ class OperatorKernel:
         raise NotImplementedError
 
     def scalars(self, row, out=None) -> np.ndarray:
-        """The per-term scalars ``r_i`` of ``K(x_i, x)``, elementwise from the family row."""
+        """The per-term scalars ``r_i`` of ``K(x_i, x)``, elementwise from a ``row_sweep`` row."""
         raise NotImplementedError
 
     def row_expansion(self, scalars, coeffs, sums, scratch=None, out=None) -> np.ndarray:
@@ -402,7 +399,7 @@ class OperatorKernel:
         raise NotImplementedError
 
     def scalar_gram(self, xs) -> np.ndarray:
-        """The t x t matrix of per-term scalars ``r(x_i, x_k)``, from the family rows."""
+        """The t x t matrix of per-term scalars ``r(x_i, x_k)``, from the kernel's rows."""
         xs = np.asarray(xs, dtype=float)
         row = self.row_sweep(xs)(xs, np.empty((len(xs), len(xs))))
         return self.scalars(row, out=row)
@@ -514,29 +511,25 @@ class SeparableGaussian(OperatorKernel):
         d = x - x2
         return float(np.exp(-np.dot(d, d) / self.mu)) * self.structure
 
-    def row_sweep(self, support, factor=1.0):
-        """``rows(queries, out)``: ``factor`` times the squared distances, clamped at 0.
-
-        A negative ``factor`` (``-1 / mu``) gives a kernel's exponents with
-        no divide; the default gives the family rows themselves.
-        """
+    def row_sweep(self, support):
+        """``rows(queries, out)``: the exponents ``-||q - x_i||^2 / mu``, clamped at 0 from above."""
         # ||q - x_i||^2 = ||q - c||^2 + ||x_i - c||^2 - 2 <q - c, x_i - c> with c
         # the support mean: centred, the cancellation scales with the spread of
         # the inputs, not with their distance from the origin (uncentred,
         # inputs shifted by 1e3 moved predictions by 7e-10 relative).  All
         # three terms are one product of a block's [q - c, 1, ||q - c||^2]
         # with the (p + 2) x s right factor [-2 (x_i - c)^T; ||x_i - c||^2; 1],
-        # built once and scaled by the factor (exact at 1); rounding can
-        # leave the product on the wrong side of 0
+        # built once and scaled by -1 / mu, so no block divides; rounding can
+        # leave the product above 0
+        scale = -1.0 / self.mu
         centre = support.mean(axis=0)
         centred = support - centre
         p = support.shape[1]
         right = np.empty((p + 2, len(support)))
-        np.multiply(centred.T, -2.0 * factor, out=right[:p])
+        np.multiply(centred.T, -2.0 * scale, out=right[:p])
         np.einsum("ij,ij->i", centred, centred, out=right[p])
-        right[p] *= factor
-        right[p + 1] = factor
-        clamp = np.maximum if factor > 0.0 else np.minimum
+        right[p] *= scale
+        right[p + 1] = scale
 
         def rows(queries, out):
             left = np.empty((len(queries), p + 2))
@@ -544,15 +537,13 @@ class SeparableGaussian(OperatorKernel):
             left[:, p] = 1.0
             np.einsum("ij,ij->i", q, q, out=left[:, p + 1])
             np.matmul(left, right, out=out)
-            return clamp(out, 0.0, out=out)
+            return np.minimum(out, 0.0, out=out)
 
         return rows
 
     def scalars(self, row, out=None) -> np.ndarray:
-        # w_i = exp(-||x_i - x||^2 / mu), so K(x_i, x) = w_i J; IEEE division
-        # rounds symmetrically about 0, so row / -mu has the bits of -row / mu
-        w = np.divide(row, -self.mu, out=out)
-        return np.exp(w, out=w)
+        # w_i = exp(r_i) of the exponents r_i = -||x_i - x||^2 / mu, so K(x_i, x) = w_i J
+        return np.exp(row, out=out)
 
     def row_expansion(self, scalars, coeffs, sums, scratch=None, out=None) -> np.ndarray:
         # row b is J (w_b C) for any J; one query's floats are those of J @ (w @ C)

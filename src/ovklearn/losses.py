@@ -11,7 +11,7 @@ which is what an online step calls.
 from __future__ import annotations
 
 import math
-
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,9 +70,13 @@ class EpsilonInsensitive:
     lipschitz = 1.0
 
     def __post_init__(self):
+        eps = self.epsilon
+        real = isinstance(eps, numbers.Real) and not isinstance(eps, bool)
         # NaN passes `epsilon < 0` and makes every loss max(0.0, nan) = 0.0
-        if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
-            raise ConfigError(f"epsilon must be finite and >= 0, got {self.epsilon}")
+        if not (real and math.isfinite(eps) and eps >= 0):
+            raise ConfigError(f"epsilon must be a finite real number >= 0, got {eps!r}")
+        # a Python float, whose repr in name() parses back (a numpy scalar's does not)
+        object.__setattr__(self, "epsilon", float(eps))
 
     def value(self, z, y) -> float:
         return self.evaluate(_residual(z, y))[0]

@@ -51,9 +51,6 @@ RENORM_THRESHOLD = 1e-6
 
 _INITIAL_CAPACITY = 64
 
-# a block of queries' family rows takes about this many bytes, so it stays in cache
-_BLOCK_BYTES = 1 << 20
-
 
 def truncation_window(t: int, t0: int, epsilon: float) -> int:
     """Number of most recent expansion terms kept at step t.
@@ -83,7 +80,11 @@ class TruncationSchedule:
     epsilon: float = 0.25
 
     def __post_init__(self):
+        if isinstance(self.t0, bool) or not isinstance(self.t0, numbers.Integral):
+            raise ConfigError(f"truncation t0 must be an int, got {self.t0!r}")
         truncation_window(0, self.t0, self.epsilon)  # validates both fields
+        object.__setattr__(self, "t0", int(self.t0))
+        object.__setattr__(self, "epsilon", float(self.epsilon))
 
     def window(self, t: int) -> int:
         return truncation_window(t, self.t0, self.epsilon)
@@ -114,8 +115,9 @@ class _ExpansionState:
     list or array and never gathers.
     :meth:`append` (or :meth:`restore`, for a whole saved support) is the
     only way a term comes in and :meth:`drop_expired` the only way one
-    leaves: terms are appended at the back and dropped from the front;
-    buffers grow by doubling and compact when the front offset gets large.
+    leaves: terms are appended at the back and dropped from the front, and
+    full buffers move the live terms into fresh ones of twice as many rows
+    (at least 64), so a truncated support keeps at most twice its peak.
     Effective coefficients are ``scale * raw``.
 
     When a bank ``reads_sums`` (the poly family's), term i also keeps its
@@ -232,15 +234,15 @@ class _ExpansionState:
         """``g_j`` at each of the (n, p) queries, with no n x s array.
 
         Each family's bank writes its members' outputs
-        (:meth:`~ovklearn.kernels.KernelBank.expand_rows`) from buffers of
-        about ``_BLOCK_BYTES``, and the lazy scale multiplies them once.
+        (:meth:`~ovklearn.kernels.KernelBank.expand_rows`) in blocks of
+        queries, and the lazy scale multiplies them once.
         """
         n = len(queries)
         gs = [np.zeros((n, self.dim)) for _ in self.kernels]
         if len(self) == 0:
             return gs
         for bank in self.banks:
-            bank.expand_rows(self, queries, _BLOCK_BYTES, gs)
+            bank.expand_rows(self, queries, gs)
         for g in gs:
             g *= self.scale
         return gs
@@ -278,22 +280,16 @@ class _ExpansionState:
         self._Q[i] = [q / s2 for q in quads]
 
     def _compact_or_grow(self) -> None:
+        # as many free rows as live terms: each copy is paid for by the appends that fill them
         n = len(self)
+        cap = max(2 * n, _INITIAL_CAPACITY)
         live = slice(self.start, self.end)
-        if self.start > len(self._T) // 2:
-            # plenty of dead space at the front: shift instead of growing
-            for name in self._BUFFERS:
-                buf = getattr(self, name)
-                if buf is not None:
-                    buf[:n] = buf[live]
-        else:
-            cap = max(2 * len(self._T), _INITIAL_CAPACITY)
-            for name in self._BUFFERS:
-                old = getattr(self, name)
-                if old is not None:
-                    new = np.empty((cap,) + old.shape[1:], dtype=old.dtype)
-                    new[:n] = old[live]
-                    setattr(self, name, new)
+        for name in self._BUFFERS:
+            old = getattr(self, name)
+            if old is not None:
+                new = np.empty((cap,) + old.shape[1:], dtype=old.dtype)
+                new[:n] = old[live]
+                setattr(self, name, new)
         self.start = 0
         self.end = n
 
@@ -420,12 +416,14 @@ class _OnlineLearner:
             raise ConfigError(f"kernels disagree on output dimension: {sorted(dims)}")
         check_positive("lambda", lam)
         check_positive("eta0", eta0)
+        check_positive("constraint exponent r", r)
+        # Python floats, as a kernel's mu: a numpy float32 would round every step
+        lam, eta0, r = float(lam), float(eta0), float(r)
         if eta0 * lam >= 1:
             raise ConfigError(
                 f"need eta0 * lambda < 1 for a contracting update, "
                 f"got {eta0} * {lam} = {eta0 * lam}"
             )
-        check_positive("constraint exponent r", r)
         m = len(kernels)
         self._delta = np.full(m, m ** (-1.0 / r))
         # an extreme r rounds the uniform start to 0 or off the boundary

@@ -316,6 +316,22 @@ def test_dense_retry_factors_a_freshly_built_system(monkeypatch):
     assert np.array_equal(model.coeffs, expected)
 
 
+@pytest.mark.parametrize("kernel", [SeparableGaussian(mu=1.0, dim=3), NonSeparablePoly(mu=0.3, dim=3)])
+def test_a_failed_jittered_retry_names_the_jitter_and_the_condition(kernel, monkeypatch):
+    calls = []
+
+    def always_fail(*args, **kwargs):
+        calls.append(1)
+        raise scipy.linalg.LinAlgError("forced failure")
+
+    rng = np.random.default_rng(74)
+    xs, ys = rng.normal(size=(12, 4)), rng.normal(size=(12, 3))
+    monkeypatch.setattr(scipy.linalg, "cho_factor", always_fail)
+    with pytest.raises(NumericsError, match=r"even with jitter \d\.\d{3}e[-+]\d+; condition estimate \d"):
+        fit(kernel, xs, ys, 0.05)
+    assert len(calls) == 2  # the plain factor and the jittered retry
+
+
 @pytest.fixture
 def factor_calls(monkeypatch):
     """The list that gets one entry per ``scipy.linalg.cho_factor`` call."""

@@ -158,6 +158,58 @@ def test_epsilon_survives_exactly(tmp_path):
     assert back.loss.epsilon == eps
 
 
+# each builds a trained model from settings that ``num`` passes through: the
+# numpy scalars themselves, or their Python values
+NUMPY_SETTINGS = {
+    "float32-mu": lambda num: ONORMA(SeparableGaussian(num(np.float32(0.3)), 2), lam=0.1),
+    "int64-dim": lambda num: ONORMA(SeparableGaussian(1.0, num(np.int64(2))), lam=0.1),
+    "float32-lam": lambda num: ONORMA(SeparableGaussian(1.0, 2), lam=num(np.float32(0.1))),
+    "float64-epsilon": lambda num: ONORMA(
+        SeparableGaussian(1.0, 2), loss=EpsilonInsensitive(num(np.float64(0.25))), lam=0.1
+    ),
+    "monorma": lambda num: MONORMA(
+        [SeparableGaussian(num(np.float32(0.7)), 2), NonSeparablePoly(num(np.float32(0.2)), 2)],
+        lam=num(np.float32(0.1)),
+        eta0=num(np.float64(0.5)),
+        r=num(np.float32(1.5)),
+        truncation=TruncationSchedule(num(np.int64(10)), num(np.float32(0.25))),
+    ),
+    "batch": lambda num: fit(
+        SeparableGaussian(num(np.float32(0.3)), 2), *stream(33, 20), lam=num(np.float32(0.1))
+    ),
+}
+
+
+@pytest.mark.parametrize("name", NUMPY_SETTINGS)
+def test_numpy_scalar_settings_round_trip(tmp_path, name):
+    # numpy scalars give the learner of their Python values, which a checkpoint restores
+    model, plain = NUMPY_SETTINGS[name](lambda v: v), NUMPY_SETTINGS[name](lambda v: v.item())
+    xs, ys = stream(34, 40)
+    online = not hasattr(model, "coeffs")
+    if online:
+        model.fit(xs[:30], ys[:30])
+        plain.fit(xs[:30], ys[:30])
+    path = tmp_path / "numpy.npz"
+    save_model(path, model)
+    back = load_model(path)
+    # the plain learner's bits; the reloaded one's to 1e-12, as every checkpoint's
+    probes = probe_points(35, 6)
+    if online:
+        assert back.loss == model.loss
+        for x, y in zip(xs[30:], ys[30:]):
+            expected, again, got = model.step(x, y), plain.step(x, y), back.step(x, y)
+            assert np.array_equal(again.prediction, expected.prediction)
+            assert np.allclose(got.prediction, expected.prediction, rtol=1e-12, atol=1e-12)
+    assert np.array_equal(plain.predict(probes), model.predict(probes))
+    assert np.allclose(back.predict(probes), model.predict(probes), rtol=1e-12, atol=1e-12)
+
+
+def test_epsilon_is_a_real_number():
+    assert EpsilonInsensitive(np.float64(0.25)).name() == "eps(0.25)"
+    with pytest.raises(ConfigError, match="real number"):
+        EpsilonInsensitive(True)
+
+
 def test_empty_model_round_trip(tmp_path):
     model = ONORMA(SeparableGaussian(mu=1.0, dim=3), lam=0.1)
     path = tmp_path / "fresh.npz"

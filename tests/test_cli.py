@@ -1,8 +1,10 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ovklearn.cli
 from ovklearn.cli import main
 
 BOUND_CONFIG = str(Path(__file__).resolve().parents[1] / "configs" / "bound-check.cfg")
@@ -279,6 +281,20 @@ def test_check_bounds_hypothesis_failure(capsys):
     code, out, _ = run_cli(stable_args(["--set", "lambda=0.01"]), capsys)
     assert code == 3
     assert "result = hypotheses failed; no guarantee to check" in out
+
+
+def test_check_bounds_violation_exits_3(monkeypatch, capsys):
+    real = ovklearn.cli.bound_check
+
+    def violated(cfg):
+        hyp, consts, report = real(cfg)
+        return hyp, consts, dataclasses.replace(report, rhs=report.lhs - 1.0, slack=-1.0)
+
+    monkeypatch.setattr(ovklearn.cli, "bound_check", violated)
+    code, out, _ = run_cli(stable_args(), capsys)
+    assert code == 3
+    assert "holds = false" in out
+    assert out.endswith("result = bound violated\n")
 
 
 def test_check_bounds_eps_loss_diagnostics(capsys):

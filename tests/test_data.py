@@ -126,6 +126,13 @@ def test_load_csv_error_reporting(tmp_path):
         load_csv(tmp_path / "missing.csv", [0], [1])
 
 
+def test_load_csv_names_the_column_index_without_a_header(tmp_path):
+    path = tmp_path / "plain.csv"
+    path.write_text("1,2,3\n1,2,oops\n")
+    with pytest.raises(DataError, match=r"plain\.csv:2: non-numeric value 'oops' in column 2$"):
+        load_csv(path, [0, 1], [2], header=False)
+
+
 def test_load_csv_column_spec_validation(tmp_path):
     path = tmp_path / "ok.csv"
     path.write_text("1,2,3\n")

@@ -398,6 +398,21 @@ def test_sweep_sorted_and_consistent(tmp_path):
     assert lines[1].startswith("2.5,")
 
 
+def test_sweep_over_mu_sets_every_kernel():
+    cfg = small_cfg(
+        algorithm="monorma",
+        kernels=(KernelSpec("gaussian", 1.0), KernelSpec("gaussian", 3.0)),
+        lam=0.3,
+        eta0=0.5,
+    )
+    rows = sweep(cfg, "mu", [2.0, 0.5])
+    assert [v for v, _ in rows] == [0.5, 2.0]
+    for value, summary in rows:
+        assert summary["kernel"].split(",") == [KernelSpec("gaussian", value).text()] * 2
+    point = dataclasses.replace(cfg, kernels=(KernelSpec("gaussian", 2.0),) * 2)
+    assert rows[1][1]["test_mse"] == run_experiment(point)[1]["test_mse"]
+
+
 def test_sweep_errors():
     cfg = small_cfg()
     with pytest.raises(ConfigError, match="sweep parameter"):

@@ -157,7 +157,7 @@ def test_row_methods_match_kernel_matrices():
             assert state.quads(x, a)[1] == gaussian_quad(J, a)
 
         queries = rng.normal(size=(3, 3))
-        rows = sibling.row_sweep(support)(queries, np.empty((3, len(support))))
+        rows = k.row_sweep(support)(queries, np.empty((3, len(support))))
         kept = rows.copy()
         batch = k.row_expansion(k.scalars(rows), coeffs, sums, None, np.empty((3, dim)))
         assert np.array_equal(rows, kept)  # scratch=None leaves the shared rows intact
@@ -167,15 +167,17 @@ def test_row_methods_match_kernel_matrices():
 
 @pytest.mark.parametrize("mu", [1e-3, 0.7, 1.0, 3.0])
 def test_gaussian_scalars_keep_the_bits_of_the_negated_quotient(mu):
-    # row / -mu rounds as -row / mu does; a multiply by 1 / mu would not
+    # the step's row / -mu rounds as -row / mu does; a multiply by 1 / mu would not
     rng = np.random.default_rng(31)
     row = np.concatenate(
         [[0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e300], rng.uniform(0.0, 40.0 * mu, 500)]
     )
     kernel = SeparableGaussian(mu=mu, dim=2)
     expected = np.exp(np.negative(row) / mu)
-    assert np.array_equal(kernel.scalars(row), expected)
-    buf = row.copy()
+    (shared,) = kernel.bank([kernel], [0]).scalars(row)
+    assert np.array_equal(shared, expected)
+    # the kernel's own scalars take exp of its exponents, in place
+    buf = np.negative(row) / mu
     assert kernel.scalars(buf, out=buf) is buf
     assert np.array_equal(buf, expected)
 

@@ -47,6 +47,12 @@ def test_truncation_window_validation():
         TruncationSchedule(t0=10, epsilon=0.6)
 
 
+@pytest.mark.parametrize("t0", [10.5, True])
+def test_truncation_t0_must_be_an_int(t0):
+    with pytest.raises(ConfigError, match="t0 must be an int"):
+        TruncationSchedule(t0=t0)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     t=st.integers(0, 5000),
@@ -459,6 +465,23 @@ def test_truncation_switched_on_after_construction():
     assert model.support_size == model.truncation.window(150)
     oracle = gram_norm_sq(k, list(model._state.support), list(model._state.coeffs))
     assert abs(model.norm_sq - oracle) <= 1e-10 * oracle
+
+
+def test_truncated_buffers_stay_within_twice_the_live_terms():
+    # the benchmark's truncated Gaussian stream keeps 593 live terms after 4000 steps
+    model = ONORMA(
+        SeparableGaussian(mu=1.0, dim=4),
+        lam=0.1,
+        eta0=0.5,
+        truncation=TruncationSchedule(t0=100, epsilon=0.25),
+    )
+    xs, ys = stream(47, 4000, p=20, d=4)
+    peak = 0
+    for x, y in zip(xs, ys):
+        model.step(x, y)
+        peak = max(peak, model.support_size)
+        assert len(model._state._T) <= 2 * max(peak, 64)
+    assert model.support_size == 593
 
 
 def test_lazy_scale_folds_on_an_empty_support():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import ovklearn
-import ovklearn.onorma
+import ovklearn.kernels
 from conftest import block_gram, naive_expansion
 from ovklearn.batch import BatchModel
 from ovklearn.exceptions import NumericsError
@@ -115,7 +115,7 @@ def test_rows_match_the_per_term_oracle_and_the_point_path(name, blocks, monkeyp
     support, coeffs, queries = case(name)
     if blocks == "several":
         # two query rows per block: seven queries take three full blocks and one partial
-        monkeypatch.setattr(ovklearn.onorma, "_BLOCK_BYTES", 2 * 8 * len(support))
+        monkeypatch.setattr(ovklearn.kernels, "_BLOCK_BYTES", 2 * 8 * len(support))
     for model, kernels, weights in models(support, coeffs):
         gs = model._state.evaluate(queries)
         for kernel, g in zip(kernels, gs):
