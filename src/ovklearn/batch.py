@@ -90,8 +90,8 @@ def fit(kernel, xs, ys, lam: float) -> BatchModel:
     t = len(xs)
     if t < 1:
         raise ConfigError("batch fit needs at least one example")
-    check_positive("lambda", lam)
-    lam = float(lam)  # as a learner's: double precision, and a JSON number
+    # a Python float, as a learner's: double precision, and a JSON number
+    lam = check_positive("lambda", lam)
 
     ridge = lam * t
     if not math.isfinite(ridge):

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import HypothesisViolation
+from .exceptions import ConfigError, HypothesisViolation, check_positive, check_real
 from .kernels import operator_norm_bound
 from .losses import EpsilonInsensitive, SquaredLoss
 
@@ -115,10 +115,12 @@ def compute_constants(
     """Derive U, alpha, beta for the chosen branch.
 
     Raises :class:`HypothesisViolation` naming the failing inequality if
-    the branch prerequisites do not hold.
+    the branch prerequisites do not hold, and ConfigError for any other bad argument.
     """
     if branch not in ("least_squares", "sigma_admissible"):
-        raise ValueError(f"unknown branch {branch!r}")
+        raise ConfigError(f"unknown branch {branch!r}")
+    kappa = check_real("kappa", kappa)
+    eta0, lam = check_positive("eta0", eta0), check_positive("lambda", lam)
     if kappa <= 0:
         raise HypothesisViolation(f"kappa > 0 fails: kappa = {kappa}")
     if not eta0 * lam < 1:
@@ -126,16 +128,14 @@ def compute_constants(
             f"eta * lambda < 1 fails: {eta0} * {lam} = {eta0 * lam}"
         )
     if branch == "least_squares":
-        if c_y is None:
-            raise ValueError("least_squares branch needs c_y")
+        c_y = check_real("least_squares branch's c_y", c_y)
         if not lam > 2.0 * kappa * kappa:
             raise HypothesisViolation(
                 f"lambda > 2 kappa^2 fails: {lam} <= {2.0 * kappa * kappa}"
             )
         u = max(c_y / kappa, 2.0 * c_y / lam)
     else:
-        if c_lip is None:
-            raise ValueError("sigma_admissible branch needs c_lip")
+        c_lip = check_real("sigma_admissible branch's c_lip", c_lip)
         u = c_lip * kappa / lam
     eta_lam = eta0 * lam
     factor = 10.0 if truncated else 2.0
@@ -193,9 +193,9 @@ def check_cumulative_bound(run_log, batch_risk: float, consts: BoundConstants, m
     minimiser on the same m examples with the same kernel and lambda.
     """
     if m != len(run_log):
-        raise ValueError(f"m = {m} but run log has {len(run_log)} steps")
+        raise ConfigError(f"m = {m} but run log has {len(run_log)} steps")
     if m < 1:
-        raise ValueError("need at least one step")
+        raise ConfigError("need at least one step")
     lhs = float(np.mean([r.instantaneous_risk for r in run_log]))
     rhs = batch_risk + consts.alpha / math.sqrt(m) + consts.beta / m
     return BoundReport(
@@ -243,7 +243,8 @@ def check_hypotheses(kernel, xs, ys, lam: float, loss) -> HypothesisReport:
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if len(xs) == 0:
-        raise ValueError("check_hypotheses needs a non-empty dataset")
+        raise ConfigError("check_hypotheses needs a non-empty dataset")
+    lam = check_positive("lambda", lam)
     kappa_sq = operator_norm_bound(kernel, xs)
     c_y = float(np.max(np.linalg.norm(ys, axis=1))) if len(ys) else 0.0
 
@@ -253,7 +254,7 @@ def check_hypotheses(kernel, xs, ys, lam: float, loss) -> HypothesisReport:
         branch, margin = "least_squares", lam - 2.0 * kappa_sq
         passes = margin > 0 and kappa_sq > 0
     else:
-        raise ValueError(f"unrecognised loss {loss!r}")
+        raise ConfigError(f"unrecognised loss {loss!r}")
     return HypothesisReport(
         kappa_sq=kappa_sq,
         c_y=c_y,

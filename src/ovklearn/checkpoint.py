@@ -16,7 +16,7 @@ import zipfile
 import numpy as np
 
 from .batch import BatchModel
-from .exceptions import DataError, OvkError
+from .exceptions import DataError, OvkError, check_finite
 from .kernels import kernel_from_dict
 from .losses import loss_from_name
 from .monorma import MONORMA
@@ -139,8 +139,7 @@ def _check_finite(path, **fields) -> None:
     turn every later prediction or risk into NaN without an error.
     """
     for name, values in fields.items():
-        if not np.all(np.isfinite(np.asarray(values, dtype=float))):
-            raise DataError(f"{path}: non-finite {name} in checkpoint")
+        check_finite(f"{name} in checkpoint {path}", np.asarray(values, dtype=float))
 
 
 def _check_state(path, t, r, delta=None, **norms) -> None:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ConfigError, DataError
+from .exceptions import ConfigError, DataError, check_int, check_real
 from .losses import encode_labels
 
 __all__ = [
@@ -90,19 +90,15 @@ class Dataset:
 
 @dataclass(frozen=True)
 class SynthSpec:
-    """Shape and seed of a synthetic dataset draw."""
+    """Shape and seed of a synthetic dataset draw: ints >= 1, 1 and 0."""
 
     n_instances: int
     n_outputs: int
     seed: int
 
     def __post_init__(self):
-        if self.n_instances < 1:
-            raise ConfigError(f"n_instances must be >= 1, got {self.n_instances}")
-        if self.n_outputs < 1:
-            raise ConfigError(f"n_outputs must be >= 1, got {self.n_outputs}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        for name, low in (("n_instances", 1), ("n_outputs", 1), ("seed", 0)):
+            object.__setattr__(self, name, check_int(name, getattr(self, name), low))
 
 
 def feature_map(xs) -> np.ndarray:
@@ -167,13 +163,13 @@ def load_csv(
     """Read a comma-separated file into a Dataset.
 
     ``input_cols`` and ``output_cols`` are disjoint 0-based column index
-    sequences; a negative index raises ``ConfigError``.  With
-    ``one_hot_classes`` set, the single output column must hold integer
-    class indices, expanded to indicator vectors; the resulting dataset is
-    tagged as classification.
+    sequences of ints; any other index raises ``ConfigError``.  With
+    ``one_hot_classes`` (an int >= 2) set, the single output column must
+    hold integer class indices, expanded to indicator vectors; the
+    resulting dataset is tagged as classification.
     """
-    input_cols = [int(j) for j in input_cols]
-    output_cols = [int(j) for j in output_cols]
+    input_cols = [check_int("input_cols column index", j) for j in input_cols]
+    output_cols = [check_int("output_cols column index", j) for j in output_cols]
     if not input_cols or not output_cols:
         raise ConfigError("input_cols and output_cols must be non-empty")
     for key, cols in (("input_cols", input_cols), ("output_cols", output_cols)):
@@ -185,8 +181,7 @@ def load_csv(
     if one_hot_classes is not None:
         if len(output_cols) != 1:
             raise ConfigError("one-hot expansion needs exactly one output column")
-        if one_hot_classes < 2:
-            raise ConfigError(f"need >= 2 classes, got {one_hot_classes}")
+        one_hot_classes = check_int("one_hot_classes", one_hot_classes, 2)
     needed = max(max(input_cols), max(output_cols))
 
     header_row = None
@@ -263,6 +258,7 @@ def split_and_normalize(
     Returns (train, test, stats).  Standard deviations of constant
     features are replaced by 1 so z-scoring never divides by zero.
     """
+    train_fraction = check_real("train_fraction", train_fraction)
     if not 0.0 < train_fraction < 1.0:
         raise ConfigError(f"train_fraction must be in (0, 1), got {train_fraction}")
     n = len(dataset)
@@ -271,7 +267,7 @@ def split_and_normalize(
         raise DataError(
             f"degenerate split: {n_train} train / {n - n_train} test from {n} rows"
         )
-    perm = np.random.default_rng(seed).permutation(n)
+    perm = np.random.default_rng(check_int("seed", seed, 0)).permutation(n)
     train = dataset.take(perm[:n_train], name=f"{dataset.name}-train")
     test = dataset.take(perm[n_train:], name=f"{dataset.name}-test")
     if not normalize:

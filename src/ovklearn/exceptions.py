@@ -1,6 +1,14 @@
-"""Exception types shared across the package, and the shared value checks."""
+"""Exception types shared across the package, and the shared value checks.
+
+A numeric setting (mu, dim, lambda, eta0, r, t0, epsilon, a seed, ...) is a
+finite real number or an int, never a bool, Python's or numpy's.  It passes
+:func:`check_real`, :func:`check_positive` or :func:`check_int`, which raise
+ConfigError or return a Python ``float``/``int``: a numpy scalar computes in
+double precision and saves as a JSON number.  A caller keeps its own range check.
+"""
 
 import math
+import numbers
 
 import numpy as np
 
@@ -37,14 +45,38 @@ class DataError(OvkError, ValueError):
     """Malformed dataset file or inconsistent dataset contents."""
 
 
-def check_positive(name: str, value) -> None:
-    """Raise ConfigError unless ``value`` is a finite number > 0.
+def _real(name: str, value, test, rule: str) -> float:
+    """``value`` as a Python float; ConfigError unless it is a real number that passes ``test``."""
+    # a bool is an int, and np.bool_ no numbers.Real
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a real number, got {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:  # an int past the float range
+        value = math.inf
+    if not test(value):
+        raise ConfigError(f"{name} must be {rule}, got {value}")
+    return value
 
-    Written as ``not value > 0`` so that NaN, for which every comparison
-    is False, is rejected too.
-    """
-    if not (math.isfinite(value) and value > 0):
-        raise ConfigError(f"{name} must be finite and > 0, got {value}")
+
+def check_real(name: str, value) -> float:
+    """``value`` as a Python float; ConfigError unless it is a finite real number."""
+    return _real(name, value, math.isfinite, "finite")
+
+
+def check_positive(name: str, value) -> float:
+    """``value`` as a Python float; ConfigError unless it is a finite real number > 0."""
+    return _real(name, value, lambda v: math.isfinite(v) and v > 0, "finite and > 0")
+
+
+def check_int(name: str, value, low: int | None = None) -> int:
+    """``value`` as a Python int; ConfigError unless it is an integer (>= ``low`` unless None)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        bound = "" if low is None else f" >= {low}"
+        raise ConfigError(f"{name} must be an int{bound}, got {value!r}")
+    if low is not None and value < low:
+        raise ConfigError(f"{name} must be >= {low}, got {value}")
+    return int(value)
 
 
 def check_finite(name: str, values) -> None:

@@ -165,8 +165,6 @@ class ExperimentConfig:
                 f"config field 'kernel': {self.algorithm} takes exactly one "
                 f"kernel, got {len(self.kernels)}"
             )
-        if self.seed < 0:
-            raise ConfigError(f"config field 'seed': must be >= 0, got {self.seed}")
         if self.data not in ("synthetic", "csv"):
             raise ConfigError(f"config field 'data': unknown source {self.data!r}")
         if self.data == "csv":
@@ -484,8 +482,7 @@ def bound_check(cfg: ExperimentConfig):
             "config field 'algorithm': bound checking needs onorma "
             f"(got {cfg.algorithm!r})"
         )
-    # the hypothesis test compares lambda before any learner validates it
-    check_positive("lambda", cfg.lam)
+    # eta0 reaches compute_constants only when the hypotheses pass
     check_positive("eta0", cfg.eta0)
     loss = cfg.build_loss()
     dataset = load_dataset(cfg)

@@ -60,12 +60,11 @@ Kernel objects are immutable and safe to share between threads.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
-from .exceptions import ConfigError, DimensionMismatch, check_positive
+from .exceptions import ConfigError, DimensionMismatch, check_int, check_positive, check_real
 
 __all__ = [
     "SeparableGaussian",
@@ -83,18 +82,6 @@ _BLOCK_BYTES = 1 << 20
 def default_structure(dim: int) -> np.ndarray:
     """Structure matrix with 1 on the diagonal and 1/10 elsewhere."""
     return 0.9 * np.eye(dim) + 0.1 * np.ones((dim, dim))
-
-
-def _check_fields(kernel) -> None:
-    """Raise ConfigError unless ``mu`` is a real number and ``dim`` an int >= 1 (bools are neither)."""
-    if isinstance(kernel.mu, bool) or not isinstance(kernel.mu, numbers.Real):
-        raise ConfigError(f"{kernel.family} kernel mu must be a real number, got {kernel.mu!r}")
-    dim = kernel.dim
-    if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim < 1:
-        raise ConfigError(f"output dimension must be an int >= 1, got {dim!r}")
-    # Python numbers: a numpy float32 mu rounds to single precision, and is no JSON number
-    object.__setattr__(kernel, "mu", float(kernel.mu))
-    object.__setattr__(kernel, "dim", int(dim))
 
 
 def _check_pair(x, x2):
@@ -275,9 +262,10 @@ class _PolyBank(KernelBank):
 
     def expand(self, state, x, gs) -> np.ndarray:
         p = self.sweep(state, x)
-        raw, sums, scale = state.raw_coeffs, state.raw_sums, state.scale
+        # each member's row_expansion, whose two products every member shares
+        linear, quadratic = p @ state.raw_sums, (p * p) @ state.raw_coeffs
         for j, kernel in zip(self.columns, self.kernels):
-            gs[j] = scale * kernel.row_expansion(p, raw, sums)
+            gs[j] = state.scale * ((1.0 - kernel.mu) * quadratic + kernel.mu * linear)
         return p
 
     def quads(self, x, a, out) -> None:
@@ -471,8 +459,8 @@ class SeparableGaussian(OperatorKernel):
     bank = _GaussianBank
 
     def __post_init__(self):
-        _check_fields(self)
-        check_positive("gaussian kernel mu", self.mu)
+        object.__setattr__(self, "mu", check_positive("gaussian kernel mu", self.mu))
+        object.__setattr__(self, "dim", check_int("output dimension", self.dim, 1))
         J = self.structure
         if J is None:
             J = default_structure(self.dim)
@@ -582,7 +570,8 @@ class NonSeparablePoly(OperatorKernel):
     bank = _PolyBank
 
     def __post_init__(self):
-        _check_fields(self)
+        object.__setattr__(self, "mu", check_real("poly kernel mu", self.mu))
+        object.__setattr__(self, "dim", check_int("output dimension", self.dim, 1))
         if not 0.0 <= self.mu <= 1.0:
             raise ConfigError(f"poly kernel requires mu in [0, 1], got {self.mu}")
 
@@ -634,7 +623,7 @@ def operator_norm_bound(kernel: OperatorKernel, xs) -> float:
     """
     xs = np.asarray(xs, dtype=float)
     if len(xs) == 0:
-        raise ValueError("operator_norm_bound needs a non-empty dataset")
+        raise ConfigError("operator_norm_bound needs a non-empty dataset")
     return max(kernel.diag_operator_norm(x) for x in xs)
 
 

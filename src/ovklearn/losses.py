@@ -11,12 +11,11 @@ which is what an online step calls.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ConfigError, DimensionMismatch
+from .exceptions import ConfigError, DimensionMismatch, check_int, check_real
 
 __all__ = [
     "SquaredLoss",
@@ -70,13 +69,10 @@ class EpsilonInsensitive:
     lipschitz = 1.0
 
     def __post_init__(self):
-        eps = self.epsilon
-        real = isinstance(eps, numbers.Real) and not isinstance(eps, bool)
-        # NaN passes `epsilon < 0` and makes every loss max(0.0, nan) = 0.0
-        if not (real and math.isfinite(eps) and eps >= 0):
-            raise ConfigError(f"epsilon must be a finite real number >= 0, got {eps!r}")
         # a Python float, whose repr in name() parses back (a numpy scalar's does not)
-        object.__setattr__(self, "epsilon", float(eps))
+        object.__setattr__(self, "epsilon", check_real("epsilon", self.epsilon))
+        if self.epsilon < 0:
+            raise ConfigError(f"epsilon must be >= 0, got {self.epsilon!r}")
 
     def value(self, z, y) -> float:
         return self.evaluate(_residual(z, y))[0]
@@ -111,8 +107,9 @@ def loss_from_name(name: str):
 
 def encode_labels(class_index: int, d: int) -> np.ndarray:
     """One-hot encoding of a class index into a length-d target vector."""
-    if not 0 <= class_index < d:
-        raise ValueError(f"class index {class_index} out of range [0, {d})")
+    d = check_int("class count", d, 1)
+    if not check_int("class index", class_index, 0) < d:
+        raise ConfigError(f"class index {class_index} out of range [0, {d})")
     out = np.zeros(d)
     out[class_index] = 1.0
     return out

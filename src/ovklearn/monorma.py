@@ -53,7 +53,7 @@ def delta_update(delta_prev, gamma, r) -> np.ndarray:
     gamma = np.asarray(gamma, dtype=float)
     if delta_prev.shape != gamma.shape:
         raise DimensionMismatch("weight/norm lists", delta_prev.shape[0], gamma.shape[0])
-    check_positive("constraint exponent r", r)
+    r = check_positive("constraint exponent r", r)
     if delta_prev.shape[0] == 1:
         # one kernel: the simplex pins the weight at exactly 1
         return np.ones(1)

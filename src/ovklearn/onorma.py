@@ -35,13 +35,12 @@ weight is pinned at exactly 1.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import ConfigError, DataError, DimensionMismatch, NumericsError
-from .exceptions import check_examples, check_finite, check_positive
+from .exceptions import check_examples, check_finite, check_int, check_positive, check_real
 from .losses import SquaredLoss
 
 __all__ = ["ONORMA", "StepResult", "TruncationSchedule", "truncation_window"]
@@ -53,41 +52,35 @@ _INITIAL_CAPACITY = 64
 
 
 def truncation_window(t: int, t0: int, epsilon: float) -> int:
-    """Number of most recent expansion terms kept at step t.
-
-    ``min(t, t0)`` plus, once t exceeds t0, ``floor((t - t0)^(1/2 + epsilon))``
-    extra terms.  The window grows sublinearly, which is what makes the
-    truncated per-step cost sublinear in t.
-    """
-    if not 0.0 < epsilon < 0.5:
-        raise ConfigError(f"truncation epsilon must be in (0, 1/2), got {epsilon}")
-    if t0 <= 0:
-        raise ConfigError(f"truncation t0 must be > 0, got {t0}")
-    if t < 0:
-        raise ConfigError(f"step index must be >= 0, got {t}")
-    if t <= t0:
-        return t
-    x = (t - t0) ** (0.5 + epsilon)
-    # pow may land one ulp under an exact integer; nudge before flooring
-    return t0 + int(math.floor(x + 1e-9))
+    """``TruncationSchedule(t0, epsilon).window(t)``, after checking that t is an int >= 0."""
+    return TruncationSchedule(t0, epsilon).window(check_int("step index", t, 0))
 
 
 @dataclass(frozen=True)
 class TruncationSchedule:
-    """Truncation parameters: base window t0 and growth exponent offset."""
+    """Truncation parameters, checked once: window t0 >= 1 and growth offset epsilon in (0, 1/2)."""
 
     t0: int = 100
     epsilon: float = 0.25
 
     def __post_init__(self):
-        if isinstance(self.t0, bool) or not isinstance(self.t0, numbers.Integral):
-            raise ConfigError(f"truncation t0 must be an int, got {self.t0!r}")
-        truncation_window(0, self.t0, self.epsilon)  # validates both fields
-        object.__setattr__(self, "t0", int(self.t0))
-        object.__setattr__(self, "epsilon", float(self.epsilon))
+        object.__setattr__(self, "t0", check_int("truncation t0", self.t0, 1))
+        object.__setattr__(self, "epsilon", check_real("truncation epsilon", self.epsilon))
+        if not 0.0 < self.epsilon < 0.5:
+            raise ConfigError(f"truncation epsilon must be in (0, 1/2), got {self.epsilon}")
 
     def window(self, t: int) -> int:
-        return truncation_window(t, self.t0, self.epsilon)
+        """Number of most recent expansion terms kept at step t >= 0.
+
+        ``min(t, t0)`` plus, once t exceeds t0, ``floor((t - t0)^(1/2 + epsilon))``
+        extra terms.  The window grows sublinearly, which is what makes the
+        truncated per-step cost sublinear in t.  A step's call checks nothing.
+        """
+        if t <= self.t0:
+            return t
+        x = (t - self.t0) ** (0.5 + self.epsilon)
+        # pow may land one ulp under an exact integer; nudge before flooring
+        return self.t0 + math.floor(x + 1e-9)
 
 
 @dataclass
@@ -414,11 +407,9 @@ class _OnlineLearner:
         dims = {k.dim for k in kernels}
         if len(dims) != 1:
             raise ConfigError(f"kernels disagree on output dimension: {sorted(dims)}")
-        check_positive("lambda", lam)
-        check_positive("eta0", eta0)
-        check_positive("constraint exponent r", r)
-        # Python floats, as a kernel's mu: a numpy float32 would round every step
-        lam, eta0, r = float(lam), float(eta0), float(r)
+        self.lam = lam = check_positive("lambda", lam)
+        self.eta0 = eta0 = check_positive("eta0", eta0)
+        self.r = r = check_positive("constraint exponent r", r)
         if eta0 * lam >= 1:
             raise ConfigError(
                 f"need eta0 * lambda < 1 for a contracting update, "
@@ -430,11 +421,8 @@ class _OnlineLearner:
         if not (self._delta[0] > 0.0 and abs(np.sum(self._delta**r) - 1.0) <= 1e-12):
             raise ConfigError(f"constraint exponent r = {r!r} cannot weight {m} kernels")
         self.loss = loss if loss is not None else SquaredLoss()
-        self.lam = lam
-        self.eta0 = eta0
         self.truncation = truncation
         self.t = 0
-        self.r = r
         self._clips = 0
         # the cross terms only serve truncation's downdates
         self._state = _ExpansionState(kernels, cross_terms=truncation is not None)
@@ -495,7 +483,7 @@ class _OnlineLearner:
         outside ``[0, m)`` raises ConfigError, also on an empty support.
         """
         m = len(self._state.kernels)
-        if isinstance(j, bool) or not isinstance(j, numbers.Integral) or not 0 <= j < m:
+        if check_int("kernel index", j, 0) >= m:
             raise ConfigError(f"kernel index must be an int in [0, {m}), got {j!r}")
         if len(self._state) == 0:
             return 0.0

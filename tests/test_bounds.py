@@ -11,9 +11,9 @@ from ovklearn.bounds import (
     compute_constants,
     key_value_text,
 )
-from ovklearn.exceptions import HypothesisViolation
+from ovklearn.exceptions import ConfigError, HypothesisViolation
 from ovklearn.kernels import NonSeparablePoly, SeparableGaussian, operator_norm_bound
-from ovklearn.losses import EpsilonInsensitive, SquaredLoss
+from ovklearn.losses import EpsilonInsensitive, SquaredLoss, encode_labels
 from ovklearn.onorma import ONORMA, StepResult, TruncationSchedule
 
 
@@ -128,6 +128,38 @@ def test_check_hypotheses_rejects_unknown_loss():
 
 def fake_log(risks):
     return [StepResult(np.zeros(1), 0.0, r, 0.0) for r in risks]
+
+
+CONSTANTS = dict(eta0=0.1, lam=5.0)
+GAUSSIAN = SeparableGaussian(mu=1.0, dim=2)
+
+
+def least_squares():
+    return compute_constants(1.0, c_y=1.0, branch="least_squares", **CONSTANTS)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: compute_constants(1.0, c_y=1.0, branch="bogus", **CONSTANTS),
+        lambda: compute_constants(1.0, branch="least_squares", **CONSTANTS),
+        lambda: compute_constants(1.0, branch="sigma_admissible", **CONSTANTS),
+        lambda: compute_constants(1.0, c_y=1.0, eta0="0.1", lam=3.0, branch="least_squares"),
+        lambda: check_cumulative_bound(fake_log([1.0]), 0.0, least_squares(), 2),
+        lambda: check_cumulative_bound([], 0.0, least_squares(), 0),
+        lambda: check_hypotheses(GAUSSIAN, np.empty((0, 2)), np.empty((0, 2)), 1.0, SquaredLoss()),
+        lambda: check_hypotheses(GAUSSIAN, np.ones((2, 2)), np.ones((2, 2)), 1.0, loss=object()),
+        lambda: operator_norm_bound(GAUSSIAN, np.empty((0, 3))),
+        lambda: encode_labels(3, 3),
+    ],
+    ids=[
+        "unknown branch", "missing c_y", "missing c_lip", "text eta0", "m mismatch", "m < 1",
+        "empty data", "unknown loss", "empty kernel data", "class index out of range",
+    ],
+)
+def test_bound_tooling_and_label_coding_raise_config_errors(call):
+    with pytest.raises(ConfigError):
+        call()
 
 
 def test_check_cumulative_bound_report():

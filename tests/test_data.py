@@ -267,6 +267,12 @@ def test_dataset_validation():
         Dataset(np.ones((2, 2)), np.ones((2, 1)), task="ranking")
 
 
+def test_split_rejects_a_negative_seed():
+    # numpy's own error for a negative seed is a bare ValueError
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+        split_and_normalize(gen_synthetic(SynthSpec(10, 2, seed=4)), 0.5, -1)
+
+
 def test_dataset_immutability_and_take():
     ds = gen_synthetic(SynthSpec(10, 2, seed=4))
     with pytest.raises(ValueError):

@@ -227,6 +227,27 @@ def test_gaussian_bank_shares_work_and_keeps_each_members_bits():
             assert np.array_equal(out[:, j], gaussian_cross(own, coeffs, J, a))
             assert np.array_equal(gs[j], state.scale * gaussian_expansion(own, coeffs, J))
 
+    # a poly bank shares its inner products and the two products of its expansion
+    polys = [NonSeparablePoly(mu=mu, dim=3) for mu in (0.2, 0.7, 0.0)]
+    model = MONORMA(polys, lam=0.1, eta0=0.5)
+    model.fit(xs[:200], ys[:200])
+    state = model._state
+    (bank,) = state.banks
+    support, coeffs, sums = state.support, state.raw_coeffs, state.raw_sums
+    assert state.scale != 1.0
+    for x in xs[200:]:
+        a = rng.normal(size=3)
+        gs, quads = [None] * len(polys), [None] * len(polys)
+        p = bank.expand(state, x, gs)
+        out = np.zeros((len(support), len(polys)))
+        bank.add_crosses(state, p, a, out)
+        bank.quads(x, a, quads)
+        assert np.array_equal(p, support @ x)
+        for j, kernel in enumerate(polys):
+            assert np.array_equal(gs[j], state.scale * kernel.row_expansion(p, coeffs, sums))
+            assert np.array_equal(out[:, j], poly_cross(p, coeffs, sums, kernel.mu, a))
+            assert quads[j] == poly_quad(x, kernel.mu, a)
+
 
 @pytest.mark.parametrize(
     "build, message",
