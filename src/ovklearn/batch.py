@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConfigError, DimensionMismatch, NumericsError
-from .exceptions import check_examples, check_positive
+from .exceptions import check_examples, check_positive, check_real
 from .onorma import _ExpansionState
 
 __all__ = ["BatchModel", "fit", "regularized_risk"]
@@ -56,6 +56,8 @@ class BatchModel:
     ``predict`` reads a one-kernel :class:`~ovklearn.onorma._ExpansionState`
     built at construction from ``support`` and ``coeffs``; the fields are
     frozen so that a checkpoint always holds the terms ``predict`` reads.
+    ``lam`` and ``norm_sq`` are stored as the Python floats that passed the
+    numeric gate (``lam > 0``, ``norm_sq >= 0``).
     """
 
     kernel: object
@@ -65,6 +67,11 @@ class BatchModel:
     norm_sq: float
 
     def __post_init__(self):
+        object.__setattr__(self, "lam", check_positive("lambda", self.lam))
+        norm_sq = check_real("batch norm_sq", self.norm_sq)
+        if norm_sq < 0.0:
+            raise ConfigError(f"batch norm_sq must be >= 0, got {norm_sq}")
+        object.__setattr__(self, "norm_sq", norm_sq)
         support = np.asarray(self.support, dtype=float)
         coeffs = np.asarray(self.coeffs, dtype=float)
         t, d = len(support), self.kernel.dim

@@ -26,7 +26,7 @@ from .batch import fit as batch_fit
 from .batch import regularized_risk
 from .bounds import check_cumulative_bound, check_hypotheses, compute_constants, key_value_text
 from .data import Dataset, SynthSpec, gen_synthetic, load_csv, split_and_normalize
-from .exceptions import ConfigError, DataError, check_positive
+from .exceptions import ConfigError, DataError, check_positive, check_real
 from .kernels import FAMILIES, NonSeparablePoly, SeparableGaussian
 from .losses import SquaredLoss, loss_from_name
 from .monorma import MONORMA
@@ -529,10 +529,16 @@ def sweep(cfg: ExperimentConfig, parameter: str, values):
         raise ConfigError(
             f"sweep parameter must be one of {SWEEPABLE}, got {parameter!r}"
         )
-    try:
-        values = [float(v) for v in values]
-    except ValueError as exc:
-        raise ConfigError(f"sweep values must be numbers: {exc}") from None
+    numbers = []
+    for value in values:
+        # the CLI's values are strings; any other value passes the numeric gate as it is
+        if isinstance(value, str):
+            try:
+                value = float(value)
+            except ValueError as exc:
+                raise ConfigError(f"sweep values must be numbers: {exc}") from None
+        numbers.append(check_real(f"sweep value of {parameter}", value))
+    values = numbers
     if not values:
         raise ConfigError("sweep needs at least one value")
     base = dataclasses.replace(cfg, metrics=None, summary=None, checkpoint=None)

@@ -29,11 +29,16 @@ in, as one product with a factor built once per support.
 
 A learner evaluates its kernels through one bank per family, the family's
 step code (:class:`KernelBank`), which writes each result at its kernel's
-place in the learner's kernel order.  A Gaussian bank maps the shared row
-to its scalars once per distinct ``mu`` and makes one ``J`` product per
-distinct structure matrix, with the bits of each member's one-kernel forms
-(:class:`_GaussianBank`); a poly bank reads each term's coefficient sum,
-which the expansion state keeps for it (:class:`_PolyBank`).
+place in the learner's kernel order.  A step calls each bank twice:
+``expand`` before the loss sweeps the support, predicts and keeps its
+sweep, and ``norm_terms`` after it writes the new coefficient's quadratic
+forms and cross products from that kept sweep, so each product is
+computed once.  A Gaussian bank maps the shared row to its scalars once
+per distinct ``mu`` and makes one ``J`` product per distinct structure
+matrix, with the bits of each member's one-kernel forms
+(:class:`_GaussianBank`); a poly bank keeps ``<x_i, x>`` and its square
+for both calls and reads each term's coefficient sum, which the
+expansion state keeps for it (:class:`_PolyBank`).
 
 A predict on n rows over s terms in R^p with d outputs takes one of two
 paths per family (each bank's ``expand_rows``):
@@ -66,6 +71,14 @@ import numpy as np
 
 from .exceptions import ConfigError, DimensionMismatch, check_int, check_positive, check_real
 
+try:
+    # np.einsum, at its default optimize=False, passes its operands to this C
+    # function; the step's point sweep calls it directly and skips about 1 us
+    # of Python dispatch with the same floats (numpy < 2 keeps the wrapper)
+    from numpy._core.multiarray import c_einsum as _einsum
+except ImportError:
+    _einsum = np.einsum
+
 __all__ = [
     "SeparableGaussian",
     "NonSeparablePoly",
@@ -95,26 +108,29 @@ def _check_pair(x, x2):
 class KernelBank:
     """The kernels of one family, at ``columns`` of a learner's kernel list.
 
-    A bank is its family's step code.  Each method reads the terms
-    (``support``, ``raw_coeffs``, ``raw_sums``, ``scale``) from the
-    expansion state it is handed, shares the work its members have in
-    common and writes member j's result at ``columns[j]`` of a list or
-    array in the learner's kernel order:
+    A bank is its family's step code.  Each method reads the stored terms
+    from ``terms = (support, raw, sums)``, the live views the expansion
+    state takes once per call (``sums``, each term's raw coefficient sum,
+    is None unless the bank ``reads_sums``), shares the work its members
+    have in common and writes member j's result at ``columns[j]`` of a list
+    or array in the learner's kernel order.  A step calls each bank twice:
 
-    * ``sweep(state, x)`` sweeps the support once for the family row at one
-      point x and returns the bank's scalars;
-    * ``expand(state, x, gs)`` sweeps and writes every ``scale * g_j(x)``
-      into ``gs``; it returns the scalars for ``add_crosses``;
-    * ``quads(x, a, out)`` writes every ``<K_j(x, x) a, a>``;
-    * ``add_crosses(state, scalars, a, out)`` adds every
-      ``<K_j(x_i, x) a, raw_i>`` into column j of the (s, m) ``out``;
-    * ``expand_rows(state, queries, gs)`` writes every
-      ``sum_i K_j(x_i, q) raw_i`` at many query rows into the (n, d)
-      ``gs[j]``.
+    * ``expand(terms, scale, x, gs)``, before the loss, writes every
+      ``scale * g_j(x)`` into ``gs`` and returns ``kept``, its one sweep
+      ``sweep(terms, x)``: the per-term scalars at x with the views read;
+    * ``norm_terms(kept, x_sq, a, a_sq, quads, cross)``, after the loss,
+      writes every ``<K_j(x, x) a, a>`` into ``quads`` from the step's
+      ``x_sq = <x, x>`` and ``a_sq = <a, a>``; given
+      ``cross = (crosses, raw_a, raw_sum)``, it also adds every
+      ``<K_j(x_i, x) raw_a, raw_i>`` into column j of the stored terms'
+      (s, m) ``crosses`` (``raw_sum`` is the sum of ``raw_a``, or None
+      unless the state keeps sums).  These read x, a and the raw terms
+      alone, so the shrink between the calls changes no result.
 
-    ``reads_sums`` tells the state to keep each term's coefficient sum.
-    The block sweep of ``expand_rows`` is written here once: the last
-    member's ``row_sweep`` writes each block's rows into one buffer,
+    ``expand_rows(terms, queries, gs)`` writes every
+    ``sum_i K_j(x_i, q) raw_i`` at many query rows into the (n, d)
+    ``gs[j]``.  Its block sweep is written here once: the last member's
+    ``row_sweep`` writes each block's rows into one buffer,
     ``block_scalars`` turns them into each member's scalars (the last
     member's in place, the others' in a second buffer) and each member's
     ``row_expansion`` reads them.
@@ -126,13 +142,13 @@ class KernelBank:
         self.kernels = tuple(kernels)
         self.columns = tuple(columns)
 
-    def expand_rows(self, state, queries, gs) -> None:
+    def expand_rows(self, terms, queries, gs) -> None:
         """Write member j's ``sum_i K_j(x_i, q) raw_i`` at the (n, p) queries into ``gs[columns[j]]``.
 
         The queries go in blocks whose (B, s) rows take about ``_BLOCK_BYTES``,
         so the sweep holds at most two such buffers and no n x s array.
         """
-        support, raw, sums = state.support, state.raw_coeffs, state.raw_sums
+        support, raw, sums = terms
         n, s = len(queries), len(support)
         block = max(1, min(n, _BLOCK_BYTES // (8 * s)))  # float64 rows
         *others, last = range(len(self.kernels))
@@ -161,10 +177,11 @@ class _GaussianBank(KernelBank):
     The step's point sweep gives the squared distances, and ``scalars``
     divides them by the column of the distinct ``-mu`` into one (u, s)
     buffer and takes ``exp`` in place, so members with equal ``mu`` share a
-    row: member j reads row ``row_index[j]``.  Members whose J are equal bit
-    for bit share :meth:`quad` and :meth:`cross_vector`, which
-    ``add_crosses`` scales by each member's scalars.  Every result has the
-    bits of the member's own one-point forms (``exp(row / -mu)``,
+    row: member j reads row ``row_index[j]``.  The sweep keeps those rows
+    and the raw coefficients for :meth:`norm_terms`.  Members whose J are
+    equal bit for bit share :meth:`quad` and :meth:`cross_vector`, which
+    :meth:`norm_terms` scales by each member's scalars.  Every result has
+    the bits of the member's own one-point forms (``exp(row / -mu)``,
     ``J (w C)``, ``<J a, a>``, ``w (C J a)``): IEEE division and ``exp``
     are elementwise.
 
@@ -177,22 +194,24 @@ class _GaussianBank(KernelBank):
     def __init__(self, kernels, columns):
         super().__init__(kernels, columns)
         mus, structures = {}, {}
-        # member j reads its mu's scalars and the products of its J's group j_index[j]
+        # member j reads the scalars row of its mu, row_index[j]
         self.row_index = [mus.setdefault(k.mu, len(mus)) for k in self.kernels]
-        j_index = [structures.setdefault(k.structure.tobytes(), len(structures)) for k in self.kernels]
         # one mu divides by a float: a (1, 1) column costs more than the divide
         self._negmu = -next(iter(mus)) if len(mus) == 1 else np.array([[-mu] for mu in mus])
-        # the first member with each J gives that J's products
-        self._structures = [self.kernels[j_index.index(g)].structure for g in range(len(structures))]
+        # per distinct J: the first member's J, whose products serve the
+        # (column, scalars row) of every member with that J
+        for j, i, k in zip(self.columns, self.row_index, self.kernels):
+            structures.setdefault(k.structure.tobytes(), (k.structure, []))[1].append((j, i))
+        self._structures = list(structures.values())
         transposes = [k.structure.T for k in self.kernels]
-        self._members = list(zip(self.columns, self.row_index, j_index, transposes))
+        self._members = list(zip(self.columns, self.row_index, transposes))
         last = self.kernels[-1].mu
         self._ratios = [last / k.mu for k in self.kernels]
 
-    def sweep(self, state, x) -> list:
-        # ||x_i - x||^2: the same for every mu and J
-        diffs = state.support - x
-        return self.scalars(np.einsum("ij,ij->i", diffs, diffs))
+    def sweep(self, terms, x) -> tuple:
+        # ||x_i - x||^2, the same for every mu and J, as scalars; with the raw terms
+        diffs = terms[0] - x
+        return self.scalars(_einsum("ij,ij->i", diffs, diffs)), terms[1]
 
     def scalars(self, row) -> list:
         # one row of row / -mu per distinct mu, which rounds as each member's scalars does
@@ -200,25 +219,26 @@ class _GaussianBank(KernelBank):
         np.exp(w, out=w)
         return [w] if w.ndim == 1 else list(w)
 
-    def expand(self, state, x, gs) -> list:
-        scalars = self.sweep(state, x)
-        raw, scale = state.raw_coeffs, state.scale
-        for j, i, _, structure_t in self._members:
+    def expand(self, terms, scale, x, gs) -> tuple:
+        kept = scalars, raw = self.sweep(terms, x)
+        for j, i, structure_t in self._members:
             # the floats of J (w C), as each member's row_expansion gives them
             gs[j] = scale * ((scalars[i] @ raw) @ structure_t)
-        return scalars
+        return kept
 
-    def quads(self, x, a, out) -> None:
-        quads = [self.quad(structure, a) for structure in self._structures]
-        for j, _, g, _ in self._members:
-            out[j] = quads[g]
-
-    def add_crosses(self, state, scalars, a, out) -> None:
-        raw = state.raw_coeffs
-        vs = [self.cross_vector(structure, raw, a) for structure in self._structures]
-        for j, i, g, _ in self._members:
-            column = out[:, j]
-            np.add(column, scalars[i] * vs[g], out=column)
+    def norm_terms(self, kept, x_sq, a, a_sq, quads, cross) -> None:
+        for structure, members in self._structures:
+            quad = self.quad(structure, a)
+            for j, _ in members:
+                quads[j] = quad
+        if cross is not None:
+            crosses, raw_a, _ = cross
+            scalars, raw = kept
+            for structure, members in self._structures:
+                v = self.cross_vector(structure, raw, raw_a)
+                for j, i in members:
+                    column = crosses[:, j]
+                    column += scalars[i] * v
 
     @staticmethod
     def quad(structure, a) -> float:
@@ -243,7 +263,8 @@ class _PolyBank(KernelBank):
     themselves, so the point sweep gives one row for the whole bank.
     ``ONES @ a == sum(a) * ones``, so every product costs O(d) per term
     given each term's coefficient sum ``S_i = sum_k c_ik``, which the
-    state keeps for this bank (``reads_sums``).
+    state keeps for this bank (``reads_sums``).  The sweep keeps ``p`` and
+    ``p * p`` for every member's expansion and cross sums.
 
     ``K(x_i, q) c_i = mu <x_i, q> S_i ones + (1 - mu) <x_i, q>^2 c_i``, so
     ``sum_i K(x_i, q) c_i`` is ``mu (q . v) ones + (1 - mu) (q^T M_k q)_k``
@@ -256,38 +277,39 @@ class _PolyBank(KernelBank):
 
     reads_sums = True
 
-    def sweep(self, state, x) -> np.ndarray:
-        # p_i = <x_i, x>: the same for every mu
-        return state.support @ x
+    def sweep(self, terms, x) -> tuple:
+        # p_i = <x_i, x>, the same for every mu, and p * p, with the raw terms
+        support, raw, sums = terms
+        p = support @ x
+        return p, p * p, raw, sums
 
-    def expand(self, state, x, gs) -> np.ndarray:
-        p = self.sweep(state, x)
+    def expand(self, terms, scale, x, gs) -> tuple:
+        kept = p, squares, raw, sums = self.sweep(terms, x)
         # each member's row_expansion, whose two products every member shares
-        linear, quadratic = p @ state.raw_sums, (p * p) @ state.raw_coeffs
+        linear, quadratic = p @ sums, squares @ raw
         for j, kernel in zip(self.columns, self.kernels):
-            gs[j] = state.scale * ((1.0 - kernel.mu) * quadratic + kernel.mu * linear)
-        return p
+            gs[j] = scale * ((1.0 - kernel.mu) * quadratic + kernel.mu * linear)
+        return kept
 
-    def quads(self, x, a, out) -> None:
-        dot, total, squares = float(x @ x), float(a.sum()), float(a @ a)
+    def norm_terms(self, kept, x_sq, a, a_sq, quads, cross) -> None:
+        total = float(np.add.reduce(a))
         for j, kernel in zip(self.columns, self.kernels):
             mu = kernel.mu
-            out[j] = mu * dot * total * total + (1.0 - mu) * dot * dot * squares
+            quads[j] = mu * x_sq * total * total + (1.0 - mu) * x_sq * x_sq * a_sq
+        if cross is not None:
+            crosses, raw_a, total = cross
+            p, squares, raw, sums = kept
+            coupled, uncoupled = p * sums, squares * (raw @ raw_a)
+            for j, kernel in zip(self.columns, self.kernels):
+                column = crosses[:, j]
+                column += kernel.mu * total * coupled + (1.0 - kernel.mu) * uncoupled
 
-    def add_crosses(self, state, p, a, out) -> None:
-        raw, sums = state.raw_coeffs, state.raw_sums
-        total = float(a.sum())
-        coupled, uncoupled = p * sums, (p * p) * (raw @ a)
-        for j, kernel in zip(self.columns, self.kernels):
-            column = out[:, j]
-            mu = kernel.mu
-            np.add(column, mu * total * coupled + (1.0 - mu) * uncoupled, out=column)
-
-    def expand_rows(self, state, queries, gs) -> None:
-        n, (s, p), d = len(queries), state.support.shape, state.dim
+    def expand_rows(self, terms, queries, gs) -> None:
+        support, raw, _ = terms
+        n, (s, p), d = len(queries), support.shape, raw.shape[1]
         if n * s * (p + 2 * d) <= (s + n) * p * p * d:
-            return super().expand_rows(state, queries, gs)
-        features = self.feature_sums(state)
+            return super().expand_rows(terms, queries, gs)
+        features = self.feature_sums(terms)
         # the queries' inner products with the 1 + p d feature sums, a family
         # sweep whose support is the feature sums instead of the s terms
         sweep = self.kernels[0].row_sweep(features)
@@ -305,13 +327,13 @@ class _PolyBank(KernelBank):
                 out += (kernel.mu * linear)[:, None]
 
     @staticmethod
-    def feature_sums(state) -> np.ndarray:
+    def feature_sums(terms) -> np.ndarray:
         """The (1 + p d, p) rows ``[v; M_1; ...; M_d]`` (see the class), from the raw terms.
 
         Summed over blocks of support rows whose (B, p) products take
         about ``_BLOCK_BYTES``.
         """
-        support, coeffs, sums = state.support, state.raw_coeffs, state.raw_sums
+        support, coeffs, sums = terms
         (s, p), d = support.shape, coeffs.shape[1]
         columns = np.zeros((p, 1 + p * d))
         block = max(1, _BLOCK_BYTES // (8 * p))

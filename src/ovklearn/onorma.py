@@ -18,11 +18,16 @@ kernel's prediction, O(s d), and, under truncation, the new term's cross
 products with every stored term, O(s d) per structure matrix or poly bank
 plus O(s) per kernel.  Each family's kernels are evaluated by one bank,
 the family's step code (:class:`ovklearn.kernels.KernelBank`), which
-writes their results in kernel order.  A poly bank also reads each
+writes their results in kernel order.  A step calls each bank twice:
+:meth:`_ExpansionState.expand`, before the loss, sweeps and predicts and
+keeps the sweep, and :meth:`_ExpansionState.update`, after it, writes
+the new coefficient's quadratic forms and cross products from that kept
+sweep, the step's ``<x, x>`` and ``<a, a>`` and the live views of the
+terms, so no product is formed twice.  A poly bank also reads each
 term's coefficient sum, which the state stores with the term, so no step
-reduces the stored coefficients.  The squared RKHS norm is
-tracked by an O(d^2) recursion.  Under truncation each stored term also
-keeps its cross sum with the later terms, so
+reduces the stored coefficients.  The squared RKHS norms are tracked by
+an O(d^2) recursion on Python floats.  Under truncation each stored term
+also keeps its cross sum with the later terms, so
 :meth:`_ExpansionState.drop_expired` downdates the norm exactly for a
 dropped term in O(1) per kernel, with no kernel evaluation.
 
@@ -105,8 +110,11 @@ class _ExpansionState:
     families first appear.  A bank sweeps the terms once, shares the work
     its kernels have in common and writes each kernel's result at that
     kernel's index, so the state hands every bank the same kernel-ordered
-    list or array and never gathers.
-    :meth:`append` (or :meth:`restore`, for a whole saved support) is the
+    list or array and never gathers.  Each call takes the live views of
+    the terms once (:meth:`terms`) and hands them to every bank.  A step
+    makes two: :meth:`expand` before the loss, whose kept sweeps and views
+    :meth:`update` reads after it.
+    :meth:`update` (or :meth:`restore`, for a whole saved support) is the
     only way a term comes in and :meth:`drop_expired` the only way one
     leaves: terms are appended at the back and dropped from the front, and
     full buffers move the live terms into fresh ones of twice as many rows
@@ -115,7 +123,7 @@ class _ExpansionState:
 
     When a bank ``reads_sums`` (the poly family's), term i also keeps its
     raw coefficient sum ``S[i] = sum_k raw[i, k]`` (:attr:`raw_sums`),
-    written by :meth:`append` and :meth:`restore` and
+    written by :meth:`update` and :meth:`restore` and
     recomputed from the folded coefficients by :meth:`decay`; a state of
     other kernels keeps none.
 
@@ -143,21 +151,28 @@ class _ExpansionState:
     def __len__(self) -> int:
         return self.end - self.start
 
-    def check_input(self, x) -> np.ndarray:
+    def check_input(self, x) -> tuple:
+        """The point as a float array, with its ``<x, x>`` as a Python float."""
         x = np.asarray(x, dtype=float)
         if x.ndim != 1:
             raise DimensionMismatch("input point", x.ndim, 1)
+        x_sq = float(x @ x)
         # a finite squared norm proves every entry finite; overflow alone is no error
-        if not math.isfinite(x @ x) and not np.all(np.isfinite(x)):
+        if not math.isfinite(x_sq) and not np.all(np.isfinite(x)):
             raise DataError(f"non-finite input point {x}")
         if self.input_dim is not None and x.shape[0] != self.input_dim:
             raise DimensionMismatch("input point", x.shape[0], self.input_dim)
-        return x
+        return x, x_sq
 
     def fix_width(self, p: int) -> None:
         """Set the input width of an empty state; the first committed step calls this."""
         self.input_dim = p
         self._X = np.empty((0, p))
+
+    def terms(self) -> tuple:
+        """The live views ``(support, raw_coeffs, raw_sums)`` that every bank reads."""
+        live = slice(self.start, self.end)
+        return self._X[live], self._A[live], None if self._S is None else self._S[live]
 
     @property
     def support(self) -> np.ndarray:
@@ -182,21 +197,48 @@ class _ExpansionState:
         return self._T[self.start : self.end]
 
     def expand(self, x):
-        """Each bank's scalars over the support at x and every ``g_j(x)``.
+        """Every ``g_j(x)``, in kernel order, and what :meth:`update` reads.
 
-        One sweep of the support per family; the scalars are kept for
-        :meth:`append`.  Returns ``(None, zeros)`` on an empty support.
+        One sweep of the support per family.  Returns ``(kept, gs)``, where
+        ``kept`` holds each bank's sweep, or ``(None, zeros)`` on an empty
+        support.
         """
         if self.end == self.start:
             return None, [np.zeros(self.dim) for _ in self.kernels]
-        gs = [None] * len(self.kernels)
-        return [bank.expand(self, x, gs) for bank in self.banks], gs
+        terms, gs = self.terms(), [None] * len(self.kernels)
+        return [bank.expand(terms, self.scale, x, gs) for bank in self.banks], gs
 
-    def quads(self, x, a) -> list:
-        """Every ``<K_j(x, x) a, a>``, in kernel order."""
-        quads = [None] * len(self.kernels)
-        for bank in self.banks:
-            bank.quads(x, a, quads)
+    def update(self, kept, x, x_sq, a, a_sq, t: int, store: bool) -> list:
+        """The step after :meth:`decay`: every ``<K_j(x, x) a, a>``, in kernel order.
+
+        ``kept`` is :meth:`expand`'s at x; ``x_sq`` and ``a_sq`` are
+        ``<x, x>`` and ``<a, a>``.  With ``store``, term x comes in at time
+        t with effective coefficient a; under cross terms its products go
+        into the C of the stored terms, and its quads over ``scale^2`` are
+        its Q.  One call per bank.
+        """
+        quads, cross = [None] * len(self.kernels), None
+        if store:
+            if self.end == len(self._T):
+                # kept's views go on reading the old buffers, whose live rows were copied
+                self._compact_or_grow()
+            i = self.end
+            raw = np.divide(a, self.scale, out=self._A[i])
+            raw_sum = None if self._S is None else float(np.add.reduce(raw))
+            if self.cross_terms and kept:
+                cross = (self._C[self.start : i], raw, raw_sum)
+        for bank, k in zip(self.banks, kept or (None,) * len(self.banks)):
+            bank.norm_terms(k, x_sq, a, a_sq, quads, cross)
+        if store:
+            self._X[i] = x
+            if raw_sum is not None:
+                self._S[i] = raw_sum
+            self._T[i] = t
+            if self.cross_terms:
+                self._C[i] = 0.0
+                s2 = self.scale * self.scale
+                self._Q[i] = [q / s2 for q in quads]
+            self.end = i + 1
         return quads
 
     def evaluate(self, x) -> list:
@@ -210,7 +252,7 @@ class _ExpansionState:
         """
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
-            gs = self.expand(self.check_input(x))[1]
+            gs = self.expand(self.check_input(x)[0])[1]
         else:
             if x.ndim != 2:
                 raise DimensionMismatch("query points", x.shape, "(n, p)")
@@ -234,43 +276,12 @@ class _ExpansionState:
         gs = [np.zeros((n, self.dim)) for _ in self.kernels]
         if len(self) == 0:
             return gs
+        terms = self.terms()
         for bank in self.banks:
-            bank.expand_rows(self, queries, gs)
+            bank.expand_rows(terms, queries, gs)
         for g in gs:
             g *= self.scale
         return gs
-
-    def append(self, x, raw_coeff, t: int, rows=None, quads=None) -> None:
-        """Store a term x with coefficient ``scale * raw_coeff``.
-
-        With cross terms on, ``rows`` are :meth:`expand`'s scalars at x and
-        ``quads`` are :meth:`quads` at x for the effective coefficient.
-        """
-        if self.end == len(self._T):
-            self._compact_or_grow()
-        i = self.end
-        if self.cross_terms:
-            self._add_cross_sums(i, raw_coeff, rows, quads)
-        self._X[i] = x
-        self._A[i] = raw_coeff
-        if self._S is not None:
-            self._S[i] = self._A[i].sum()
-        self._T[i] = t
-        self.end += 1
-
-    def _add_cross_sums(self, i: int, raw_coeff, rows, quads) -> None:
-        """Add term i's products to the C of the terms before it, whose scalars
-        at term i's input are ``rows``, and set term i's own C and Q.
-
-        The terms before i are the state's live terms: i is ``end``.
-        """
-        if i > self.start:
-            crosses = self._C[self.start : i]
-            for bank, w in zip(self.banks, rows):
-                bank.add_crosses(self, w, raw_coeff, crosses)
-        self._C[i] = 0.0
-        s2 = self.scale * self.scale
-        self._Q[i] = [q / s2 for q in quads]
 
     def _compact_or_grow(self) -> None:
         # as many free rows as live terms: each copy is paid for by the appends that fill them
@@ -304,10 +315,9 @@ class _ExpansionState:
         """Replace the terms by saved ones (effective coefficients, scale 1).
 
         Copies them into buffers sized for them and reduces every term's
-        coefficient sum at once.  With cross terms on, it then replays each
-        term's cross sums with the terms before it as :meth:`append` would
-        (one bank ``sweep`` per family and term), which rebuilds C and Q in
-        O(s^2).
+        coefficient sum at once.  With cross terms on, it then replays
+        :meth:`update` for each term over the terms before it (one bank
+        ``sweep`` per family and term), which rebuilds C and Q in O(s^2).
         """
         n, m = len(support), len(self.kernels)
         self.input_dim = input_dim
@@ -323,15 +333,17 @@ class _ExpansionState:
             for i in range(n):
                 self.end = i  # the support is the terms before i, as when i was appended
                 x, a = self._X[i], self._A[i]
-                rows = [bank.sweep(self, x) for bank in self.banks]
-                self._add_cross_sums(i, a, rows, self.quads(x, a))
+                terms = self.terms()
+                kept = [bank.sweep(terms, x) for bank in self.banks]
+                self.update(kept, x, float(x @ x), a, float(a @ a), self._T[i], True)
         self.end = n
 
-    def drop_expired(self, cutoff: int, norms_sq: np.ndarray) -> int:
+    def drop_expired(self, cutoff: int, norms_sq) -> int:
         """Pop every term with time <= cutoff, downdating each norm exactly.
 
-        ``norms_sq[j]`` tracks ``||g_j||^2`` for ``g_j = sum_i K_j(x_i, .) a_i``
-        over the stored terms.  Removing the oldest term changes it by
+        ``norms_sq[j]`` (a list or an array, updated in place) tracks
+        ``||g_j||^2`` for ``g_j = sum_i K_j(x_i, .) a_i`` over the stored
+        terms.  Removing the oldest term changes it by
         ``-2 <g_j(x_i), a_i> + <K_j(x_i, x_i) a_i, a_i>``; every other term
         is later, so this is ``-scale^2 (2 C[i, j] + Q[i, j])``.  A dropped
         term costs O(1) per kernel and no kernel evaluation.  Norms that
@@ -348,15 +360,20 @@ class _ExpansionState:
             self.restore(self.support, self.coeffs, self.times, self.input_dim)
             lo, i = 0, i - lo
         # Python floats beat array calls for a few kernels; each operation is
-        # the elementwise one, in the same order, so the bits are the same
+        # the elementwise one, in the same order, so the bits are the same.
+        # Past t0 the window grows by 0 or 1 a step, so this reads one row
         s2 = self.scale * self.scale
-        norms = norms_sq.tolist()
-        for c, q in zip(self._C[lo:i].tolist(), self._Q[lo:i].tolist()):
-            norms = [n - s2 * (2.0 * cj + qj) for n, cj, qj in zip(norms, c, q)]
+        for k in range(lo, i):
+            c, q = self._C[k].tolist(), self._Q[k].tolist()
+            for j in range(len(c)):
+                norms_sq[j] -= s2 * (2.0 * c[j] + q[j])
         self.start = i
-        # NaN < 0 is False: a NaN norm is neither clamped nor counted
-        clips = sum(n < 0.0 for n in norms)
-        norms_sq[:] = [0.0 if n < 0.0 else n for n in norms]
+        clips = 0
+        for j, n in enumerate(norms_sq):
+            # NaN < 0 is False: a NaN norm is neither clamped nor counted
+            if n < 0.0:
+                norms_sq[j] = 0.0
+                clips += 1
         return clips
 
 
@@ -445,10 +462,55 @@ class _OnlineLearner:
 
     def step(self, x, y) -> StepResult:
         """Consume one example: predict, then update the hypothesis."""
+        state = self._state
         y = np.asarray(y, dtype=float)
-        if y.shape != (self.dim,):
-            raise DimensionMismatch("target vector", y.shape, (self.dim,))
-        return self._step(self._state.check_input(x), y)
+        if y.shape != (state.dim,):
+            raise DimensionMismatch("target vector", y.shape, (state.dim,))
+        x, x_sq = state.check_input(x)
+        t = self.t + 1
+        eta = self.learning_rate(t)
+        decay = 1.0 - eta * self.lam
+
+        kept, gs = state.expand(x)
+        pred = self._combine(gs)
+        # the tracked norms as Python floats: one read and one write a step
+        norms = self._norms.tolist()
+        # ||f||^2 = sum_j delta_j^2 ||g_j||^2, the sum by the array method, not a
+        # float loop (np.sum pairs terms from 8 on); one kernel's weight is 1
+        if len(norms) == 1:
+            risk = 0.5 * self.lam * norms[0]
+        else:
+            risk = 0.5 * self.lam * float((self._delta * self._delta * self._norms).sum())
+        loss_value, grad = self.loss.evaluate(pred - y)
+        alpha = -eta * grad
+        alpha_sq = float(alpha @ alpha)
+        # a finite squared norm proves every entry finite; overflow alone is no error
+        if not math.isfinite(alpha_sq) and not np.all(np.isfinite(grad)):
+            raise NumericsError(f"non-finite loss gradient at step {t}")
+        # a rejected step leaves the count, every later rate and the input width as they were
+        self.t = t
+        if state.input_dim is None:
+            state.fix_width(x.shape[0])
+
+        # the quads and cross sums read x, alpha and the raw terms, which the shrink leaves
+        state.decay(decay)
+        coeff_norm = math.sqrt(alpha_sq)
+        # zero coefficients contribute nothing; keep the support minimal
+        quads = state.update(kept, x, x_sq, alpha, alpha_sq, t, coeff_norm > 0.0)
+        clips = 0
+        for j in range(len(norms)):
+            new = norm_recursion(norms[j], float(gs[j] @ alpha), quads[j], decay)
+            if new < 0.0:
+                new = 0.0
+                clips += 1
+            norms[j] = new
+        if self.truncation is not None:
+            clips += state.drop_expired(t - self.truncation.window(t), norms)
+        self._norms[:] = norms
+        self._clips += clips
+        if len(norms) > 1:
+            self._delta = _reweight(self._delta, self._norms, self.r)
+        return StepResult(pred, loss_value, loss_value + risk, coeff_norm)
 
     def fit(self, xs, ys) -> list[StepResult]:
         """Run one step per row of (xs, ys) in order; returns all results.
@@ -492,47 +554,6 @@ class _OnlineLearner:
         applied = kernel.row_expansion(scalar, coeffs, coeffs.sum(axis=1), scratch=scalar)
         return float(np.sum(coeffs * applied))
 
-    def _step(self, x: np.ndarray, y: np.ndarray) -> StepResult:
-        state, norms = self._state, self._norms
-        t = self.t + 1
-        eta = self.learning_rate(t)
-        decay = 1.0 - eta * self.lam
-
-        rows, gs = state.expand(x)
-        pred = self._combine(gs)
-        risk = 0.5 * self.lam * self._penalty_norm_sq()
-        loss_value, grad = self.loss.evaluate(pred - y)
-        alpha = -eta * grad
-        alpha_sq = float(alpha @ alpha)
-        # a finite squared norm proves every entry finite; overflow alone is no error
-        if not math.isfinite(alpha_sq) and not np.all(np.isfinite(grad)):
-            raise NumericsError(f"non-finite loss gradient at step {t}")
-        # a rejected step leaves the count, every later rate and the input width as they were
-        self.t = t
-        if state.input_dim is None:
-            state.fix_width(x.shape[0])
-
-        quads = state.quads(x, alpha)
-        clips = 0
-        for j in range(len(quads)):
-            new = norm_recursion(norms[j], float(gs[j] @ alpha), quads[j], decay)
-            if new < 0.0:
-                new = 0.0
-                clips += 1
-            norms[j] = new
-
-        state.decay(decay)
-        coeff_norm = math.sqrt(alpha_sq)
-        if coeff_norm > 0.0:
-            # zero coefficients contribute nothing; keep the support minimal
-            state.append(x, alpha / state.scale, t, rows, quads)
-        if self.truncation is not None:
-            clips += state.drop_expired(t - self.truncation.window(t), norms)
-        self._clips += clips
-        if len(norms) > 1:
-            self._delta = _reweight(self._delta, norms, self.r)
-        return StepResult(pred, loss_value, loss_value + risk, coeff_norm)
-
     def _combine(self, gs) -> np.ndarray:
         if len(gs) == 1:
             return gs[0]
@@ -541,12 +562,6 @@ class _OnlineLearner:
         for w, g in zip(self._delta.tolist(), gs):
             f += w * g
         return f
-
-    def _penalty_norm_sq(self) -> float:
-        if len(self._norms) == 1:
-            return float(self._norms[0])
-        # the array method, not a float loop: np.sum pairs terms from 8 on
-        return float((self._delta * self._delta * self._norms).sum())
 
 
 class ONORMA(_OnlineLearner):

@@ -411,6 +411,41 @@ def test_poly_train_numbers_pinned(capsys, extra, final_cum_mse, test_mse):
     assert float(values["test_mse"]) == pytest.approx(test_mse, rel=1e-12, abs=0.0)
 
 
+GAUSSIAN_BANK = "kernel=gaussian(mu=1),gaussian(mu=2)"
+MIXED_BANK = "kernel=gaussian(mu=1),poly(mu=0.2)"
+TRUNCATED = ["truncate=true", "t0=30"]
+
+
+@pytest.mark.parametrize(
+    "extra, final_cum_mse, test_mse",
+    [
+        (["lambda=0.1", "eta0=0.5"], 0.942652721492647, 0.7457017304057447),
+        (["lambda=0.1", "eta0=0.5", *TRUNCATED], 1.0806492916485941, 0.9413370838488174),
+        (
+            ["lambda=0.1", "eta0=0.5", "algorithm=monorma", GAUSSIAN_BANK, *TRUNCATED],
+            0.7771434744096227,
+            0.6541326607735009,
+        ),
+        (
+            ["lambda=0.01", "eta0=0.02", "algorithm=monorma", MIXED_BANK, *TRUNCATED],
+            0.45259300807164154,
+            0.3821432269592556,
+        ),
+    ],
+    ids=["onorma", "onorma-truncated", "monorma-gaussians-truncated", "monorma-mixed-truncated"],
+)
+def test_gaussian_and_mixed_train_numbers_pinned(capsys, extra, final_cum_mse, test_mse):
+    # the Gaussian and mixed banks' step code; these pin its results
+    argv = ["train", "--config", BOUND_CONFIG]
+    for setting in extra:
+        argv += ["--set", setting]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    values = dict(line.split(" = ", 1) for line in out.strip().split("\n"))
+    assert float(values["final_cum_mse"]) == pytest.approx(final_cum_mse, rel=1e-12, abs=0.0)
+    assert float(values["test_mse"]) == pytest.approx(test_mse, rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize(
     "contents, message",
     [

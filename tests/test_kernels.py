@@ -135,26 +135,26 @@ def test_row_methods_match_kernel_matrices():
         (bank,) = state.banks
         expansion = sum(k(xi, x) @ ci for xi, ci in zip(support, coeffs))
         cross = [float(ci @ (k(xi, x) @ a)) for xi, ci in zip(support, coeffs)]
-        rows, gs = state.expand(x)
+        kept, gs = state.expand(x)
         assert np.allclose(gs[1], expansion, rtol=1e-12, atol=1e-12)
-        # the cross products as the step adds them
-        crosses = np.zeros((len(support), 2))
-        bank.add_crosses(state, rows[0], a, crosses)
+        # the quads and the cross products as the step's post-loss bank call writes them
+        crosses, quads = np.zeros((len(support), 2)), [None, None]
+        bank.norm_terms(kept[0], float(x @ x), a, float(a @ a), quads, (crosses, a, float(a.sum())))
         assert np.allclose(crosses[:, 1], cross, rtol=1e-12, atol=1e-12)
         quad = float(a @ (k(x, x) @ a))
-        assert abs(state.quads(x, a)[1] - quad) <= 1e-12 * max(1.0, abs(quad))
+        assert abs(quads[1] - quad) <= 1e-12 * max(1.0, abs(quad))
         # and bit for bit the kernel's one-member point forms
         sums = coeffs.sum(axis=1)
         if k.family == "poly":
             p = support @ x
             assert np.array_equal(gs[1], k.row_expansion(p, coeffs, sums))
             assert np.array_equal(crosses[:, 1], poly_cross(p, coeffs, sums, k.mu, a))
-            assert state.quads(x, a)[1] == poly_quad(x, k.mu, a)
+            assert quads[1] == poly_quad(x, k.mu, a)
         else:
             w, J = gaussian_scalars(squared_distances(support, x), k.mu), k.structure
             assert np.array_equal(gs[1], gaussian_expansion(w, coeffs, J))
             assert np.array_equal(crosses[:, 1], gaussian_cross(w, coeffs, J, a))
-            assert state.quads(x, a)[1] == gaussian_quad(J, a)
+            assert quads[1] == gaussian_quad(J, a)
 
         queries = rng.normal(size=(3, 3))
         rows = k.row_sweep(support)(queries, np.empty((3, len(support))))
@@ -216,10 +216,9 @@ def test_gaussian_bank_shares_work_and_keeps_each_members_bits():
             for j, kernel in enumerate(kernels):
                 assert np.array_equal(shared[bank.row_index[j]], gaussian_scalars(special, kernel.mu))
         gs, quads = [None] * len(kernels), [None] * len(kernels)
-        scalars = bank.expand(state, x, gs)
+        kept = scalars, _ = bank.expand(state.terms(), state.scale, x, gs)
         out = np.zeros((len(support), len(kernels)))
-        bank.add_crosses(state, scalars, a, out)
-        bank.quads(x, a, quads)
+        bank.norm_terms(kept, float(x @ x), a, float(a @ a), quads, (out, a, None))
         for j, kernel in enumerate(kernels):
             own, J = gaussian_scalars(row, kernel.mu), kernel.structure
             assert np.array_equal(scalars[bank.row_index[j]], own)
@@ -238,10 +237,9 @@ def test_gaussian_bank_shares_work_and_keeps_each_members_bits():
     for x in xs[200:]:
         a = rng.normal(size=3)
         gs, quads = [None] * len(polys), [None] * len(polys)
-        p = bank.expand(state, x, gs)
+        kept = p, *_ = bank.expand(state.terms(), state.scale, x, gs)
         out = np.zeros((len(support), len(polys)))
-        bank.add_crosses(state, p, a, out)
-        bank.quads(x, a, quads)
+        bank.norm_terms(kept, float(x @ x), a, float(a @ a), quads, (out, a, float(a.sum())))
         assert np.array_equal(p, support @ x)
         for j, kernel in enumerate(polys):
             assert np.array_equal(gs[j], state.scale * kernel.row_expansion(p, coeffs, sums))

@@ -7,6 +7,7 @@ ConfigError and no other exception type, and once with a numpy scalar,
 whose result must equal, type included, the result for the Python number.
 """
 
+import json
 import math
 
 import numpy as np
@@ -15,7 +16,9 @@ import pytest
 from ovklearn import (
     MONORMA,
     ONORMA,
+    BatchModel,
     EpsilonInsensitive,
+    ExperimentConfig,
     NonSeparablePoly,
     SeparableGaussian,
     SynthSpec,
@@ -26,7 +29,10 @@ from ovklearn import (
     encode_labels,
     gen_synthetic,
     load_csv,
+    load_model,
+    save_model,
     split_and_normalize,
+    sweep,
     truncation_window,
 )
 from ovklearn.exceptions import ConfigError
@@ -62,6 +68,15 @@ SETTINGS = {
         "real", 0.25, lambda v, _: EpsilonInsensitive(v), lambda loss: loss.epsilon
     ),
     "batch_fit lam": ("real", 0.5, lambda v, _: batch_fit(KERNEL, XS, YS, v), lambda b: b.lam),
+    "BatchModel lam": (
+        "real", 0.5, lambda v, _: BatchModel(KERNEL, XS, YS, lam=v, norm_sq=0.25), lambda b: b.lam
+    ),
+    "BatchModel norm_sq": (
+        "real",
+        0.25,
+        lambda v, _: BatchModel(KERNEL, XS, YS, lam=0.5, norm_sq=v),
+        lambda b: b.norm_sq,
+    ),
     "delta_update r": (
         "real", 2.0, lambda v, _: delta_update([0.5, 0.5], [1.0, 2.0], v), lambda d: d.tolist()
     ),
@@ -138,3 +153,49 @@ def test_numeric_settings_pass_one_gate(name, label, tmp_path):
     want, got = stored(call(valid, path)), stored(call(scalar, path))
     assert type(want) in (float, int, list)
     assert got == want and type(got) is type(want)
+
+
+@pytest.mark.parametrize(
+    "lam, norm_sq",
+    [(0.0, 0.25), (-0.5, 0.25), (0.5, -0.25)],
+    ids=["lam-0", "lam-negative", "norm-negative"],
+)
+def test_batch_model_rejects_out_of_range_numbers(lam, norm_sq):
+    with pytest.raises(ConfigError):
+        BatchModel(KERNEL, XS, YS, lam=lam, norm_sq=norm_sq)
+
+
+def test_batch_checkpoint_with_a_string_lambda_is_a_config_error(tmp_path):
+    path = tmp_path / "batch.npz"
+    save_model(path, batch_fit(KERNEL, XS, YS, 0.5))
+    with np.load(path) as zf:
+        arrays = {name: zf[name] for name in zf.files}
+    meta = json.loads(str(arrays.pop("meta")))
+    meta["lam"] = "0.5"
+    np.savez(path, meta=np.array(json.dumps(meta)), **arrays)
+    with pytest.raises(ConfigError, match="lambda must be a real number"):
+        load_model(path)
+
+
+SWEEP_CONFIG = ExperimentConfig(n_instances=20, n_outputs=2, eta0=0.5)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [True, np.True_, None, math.nan, math.inf, "nan", "inf"],
+    ids=["True", "np.True_", "None", "nan", "inf", "'nan'", "'inf'"],
+)
+def test_sweep_values_pass_the_numeric_gate(value):
+    with pytest.raises(ConfigError):
+        sweep(SWEEP_CONFIG, "lambda", [0.5, value])
+
+
+def test_sweep_reads_numpy_scalars_and_strings_as_their_numbers():
+    # the CLI hands sweep strings; a numpy scalar runs as its Python number
+    want = sweep(SWEEP_CONFIG, "lambda", [0.5])
+    for value in (np.float32(0.5), "0.5"):
+        ((got_value, got),) = sweep(SWEEP_CONFIG, "lambda", [value])
+        assert type(got_value) is float and got_value == 0.5
+        assert {k: v for k, v in got.items() if not k.endswith("time_s")} == {
+            k: v for k, v in want[0][1].items() if not k.endswith("time_s")
+        }
