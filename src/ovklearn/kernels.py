@@ -71,10 +71,13 @@ import numpy as np
 
 from .exceptions import ConfigError, DimensionMismatch, check_int, check_positive, check_real
 
+# A step's products skip numpy's Python-level dispatch, which costs more
+# than their arithmetic on a few hundred terms: ``ndarray.dot`` makes the
+# BLAS call of ``@`` (the same floats) without the matmul ufunc's set-up,
+# about 0.4 us a call, and the point sweep calls the C function to which
+# np.einsum, at its default optimize=False, passes its operands (numpy < 2
+# keeps the wrapper)
 try:
-    # np.einsum, at its default optimize=False, passes its operands to this C
-    # function; the step's point sweep calls it directly and skips about 1 us
-    # of Python dispatch with the same floats (numpy < 2 keeps the wrapper)
     from numpy._core.multiarray import c_einsum as _einsum
 except ImportError:
     _einsum = np.einsum
@@ -215,7 +218,7 @@ class _GaussianBank(KernelBank):
 
     def scalars(self, row) -> list:
         # one row of row / -mu per distinct mu, which rounds as each member's scalars does
-        w = np.divide(row, self._negmu)
+        w = row / self._negmu
         np.exp(w, out=w)
         return [w] if w.ndim == 1 else list(w)
 
@@ -223,7 +226,7 @@ class _GaussianBank(KernelBank):
         kept = scalars, raw = self.sweep(terms, x)
         for j, i, structure_t in self._members:
             # the floats of J (w C), as each member's row_expansion gives them
-            gs[j] = scale * ((scalars[i] @ raw) @ structure_t)
+            gs[j] = scale * scalars[i].dot(raw).dot(structure_t)
         return kept
 
     def norm_terms(self, kept, x_sq, a, a_sq, quads, cross) -> None:
@@ -243,12 +246,12 @@ class _GaussianBank(KernelBank):
     @staticmethod
     def quad(structure, a) -> float:
         """``<J a, a>``, which is ``<K(x, x) a, a>`` for every x as exp(0) = 1."""
-        return float(a @ (structure @ a))
+        return float(a.dot(structure.dot(a)))
 
     @staticmethod
     def cross_vector(structure, coeffs, a) -> np.ndarray:
         """``<J a, coeffs_i>`` for every i; times each term's scalar it is the cross product."""
-        return coeffs @ (structure @ a)
+        return coeffs.dot(structure.dot(a))
 
     def block_scalars(self, j, rows, out) -> np.ndarray:
         # the rows are the last member's exponents, and member j's are mu_last / mu_j times them
@@ -280,13 +283,13 @@ class _PolyBank(KernelBank):
     def sweep(self, terms, x) -> tuple:
         # p_i = <x_i, x>, the same for every mu, and p * p, with the raw terms
         support, raw, sums = terms
-        p = support @ x
+        p = support.dot(x)
         return p, p * p, raw, sums
 
     def expand(self, terms, scale, x, gs) -> tuple:
         kept = p, squares, raw, sums = self.sweep(terms, x)
         # each member's row_expansion, whose two products every member shares
-        linear, quadratic = p @ sums, squares @ raw
+        linear, quadratic = p.dot(sums), squares.dot(raw)
         for j, kernel in zip(self.columns, self.kernels):
             gs[j] = scale * ((1.0 - kernel.mu) * quadratic + kernel.mu * linear)
         return kept
@@ -299,7 +302,7 @@ class _PolyBank(KernelBank):
         if cross is not None:
             crosses, raw_a, total = cross
             p, squares, raw, sums = kept
-            coupled, uncoupled = p * sums, squares * (raw @ raw_a)
+            coupled, uncoupled = p * sums, squares * raw.dot(raw_a)
             for j, kernel in zip(self.columns, self.kernels):
                 column = crosses[:, j]
                 column += kernel.mu * total * coupled + (1.0 - kernel.mu) * uncoupled

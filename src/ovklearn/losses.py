@@ -51,7 +51,7 @@ class SquaredLoss:
         return self.evaluate(_residual(z, y))[1]
 
     def evaluate(self, r) -> tuple[float, np.ndarray]:
-        return 0.5 * float(r @ r), r
+        return 0.5 * float(r.dot(r)), r
 
     def name(self) -> str:
         return "squared"
@@ -81,7 +81,7 @@ class EpsilonInsensitive:
         return self.evaluate(_residual(z, y))[1]
 
     def evaluate(self, r) -> tuple[float, np.ndarray]:
-        n = math.sqrt(float(r @ r))
+        n = math.sqrt(float(r.dot(r)))
         value = max(0.0, n - self.epsilon)
         if n <= self.epsilon or n == 0.0:
             return value, np.zeros_like(r)

@@ -156,7 +156,7 @@ class _ExpansionState:
         x = np.asarray(x, dtype=float)
         if x.ndim != 1:
             raise DimensionMismatch("input point", x.ndim, 1)
-        x_sq = float(x @ x)
+        x_sq = float(x.dot(x))
         # a finite squared norm proves every entry finite; overflow alone is no error
         if not math.isfinite(x_sq) and not np.all(np.isfinite(x)):
             raise DataError(f"non-finite input point {x}")
@@ -335,7 +335,7 @@ class _ExpansionState:
                 x, a = self._X[i], self._A[i]
                 terms = self.terms()
                 kept = [bank.sweep(terms, x) for bank in self.banks]
-                self.update(kept, x, float(x @ x), a, float(a @ a), self._T[i], True)
+                self.update(kept, x, float(x.dot(x)), a, float(a.dot(a)), self._T[i], True)
         self.end = n
 
     def drop_expired(self, cutoff: int, norms_sq) -> int:
@@ -483,7 +483,7 @@ class _OnlineLearner:
             risk = 0.5 * self.lam * float((self._delta * self._delta * self._norms).sum())
         loss_value, grad = self.loss.evaluate(pred - y)
         alpha = -eta * grad
-        alpha_sq = float(alpha @ alpha)
+        alpha_sq = float(alpha.dot(alpha))
         # a finite squared norm proves every entry finite; overflow alone is no error
         if not math.isfinite(alpha_sq) and not np.all(np.isfinite(grad)):
             raise NumericsError(f"non-finite loss gradient at step {t}")
@@ -499,7 +499,7 @@ class _OnlineLearner:
         quads = state.update(kept, x, x_sq, alpha, alpha_sq, t, coeff_norm > 0.0)
         clips = 0
         for j in range(len(norms)):
-            new = norm_recursion(norms[j], float(gs[j] @ alpha), quads[j], decay)
+            new = norm_recursion(norms[j], float(gs[j].dot(alpha)), quads[j], decay)
             if new < 0.0:
                 new = 0.0
                 clips += 1
