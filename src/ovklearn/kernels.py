@@ -201,13 +201,12 @@ class _GaussianBank(KernelBank):
         self.row_index = [mus.setdefault(k.mu, len(mus)) for k in self.kernels]
         # one mu divides by a float: a (1, 1) column costs more than the divide
         self._negmu = -next(iter(mus)) if len(mus) == 1 else np.array([[-mu] for mu in mus])
-        # per distinct J: the first member's J, whose products serve the
-        # (column, scalars row) of every member with that J
+        # per distinct J: the first member's J and its transpose, whose
+        # products serve the (column, scalars row) of every member with that J
         for j, i, k in zip(self.columns, self.row_index, self.kernels):
-            structures.setdefault(k.structure.tobytes(), (k.structure, []))[1].append((j, i))
+            J = k.structure
+            structures.setdefault(J.tobytes(), (J, J.T, []))[2].append((j, i))
         self._structures = list(structures.values())
-        transposes = [k.structure.T for k in self.kernels]
-        self._members = list(zip(self.columns, self.row_index, transposes))
         last = self.kernels[-1].mu
         self._ratios = [last / k.mu for k in self.kernels]
 
@@ -224,20 +223,21 @@ class _GaussianBank(KernelBank):
 
     def expand(self, terms, scale, x, gs) -> tuple:
         kept = scalars, raw = self.sweep(terms, x)
-        for j, i, structure_t in self._members:
-            # the floats of J (w C), as each member's row_expansion gives them
-            gs[j] = scale * scalars[i].dot(raw).dot(structure_t)
+        for _, structure_t, members in self._structures:
+            for j, i in members:
+                # the floats of J (w C), as each member's row_expansion gives them
+                gs[j] = scale * scalars[i].dot(raw).dot(structure_t)
         return kept
 
     def norm_terms(self, kept, x_sq, a, a_sq, quads, cross) -> None:
-        for structure, members in self._structures:
+        for structure, _, members in self._structures:
             quad = self.quad(structure, a)
             for j, _ in members:
                 quads[j] = quad
         if cross is not None:
             crosses, raw_a, _ = cross
             scalars, raw = kept
-            for structure, members in self._structures:
+            for structure, _, members in self._structures:
                 v = self.cross_vector(structure, raw, raw_a)
                 for j, i in members:
                     column = crosses[:, j]
