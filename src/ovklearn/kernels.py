@@ -300,12 +300,12 @@ class _PolyBank(KernelBank):
             mu = kernel.mu
             quads[j] = mu * x_sq * total * total + (1.0 - mu) * x_sq * x_sq * a_sq
         if cross is not None:
-            crosses, raw_a, total = cross
+            crosses, raw_a, raw_total = cross
             p, squares, raw, sums = kept
             coupled, uncoupled = p * sums, squares * raw.dot(raw_a)
             for j, kernel in zip(self.columns, self.kernels):
                 column = crosses[:, j]
-                column += kernel.mu * total * coupled + (1.0 - kernel.mu) * uncoupled
+                column += kernel.mu * raw_total * coupled + (1.0 - kernel.mu) * uncoupled
 
     def expand_rows(self, terms, queries, gs) -> None:
         support, raw, _ = terms
