@@ -33,10 +33,14 @@ place in the learner's kernel order.  A step calls each bank twice:
 ``expand`` before the loss sweeps the support, predicts and keeps its
 sweep, and ``norm_terms`` after it writes the new coefficient's quadratic
 forms and cross products from that kept sweep, so each product is
-computed once.  A Gaussian bank maps the shared row to its scalars once
-per distinct ``mu`` and makes one ``J`` product per distinct structure
-matrix, with the bits of each member's one-kernel forms
-(:class:`_GaussianBank`); a poly bank keeps ``<x_i, x>`` and its square
+computed once.  A Gaussian bank's point sweep is one BLAS product of a
+point's centred ``[-2 (x - c), 1, ||x - c||^2]`` with each term's centred
+row ``[x_i - c, ||x_i - c||^2, 1]``, which the expansion state keeps for
+it (:func:`centred_rows`); the bank maps those squared distances to its
+scalars once per distinct ``mu``, makes one ``w C`` product per distinct
+``mu`` and one ``J`` product per distinct structure matrix, with the bits
+of each member's one-kernel forms given the distances
+(:class:`_GaussianBank`).  A poly bank keeps ``<x_i, x>`` and its square
 for both calls and reads each term's coefficient sum, which the
 expansion state keeps for it (:class:`_PolyBank`).
 
@@ -56,15 +60,16 @@ paths per family (each bank's ``expand_rows``):
 
 The rule reads the shapes alone.  Both paths, and ``scalar_gram`` (the
 sweep over the support itself), round differently from the step's
-one-point sweep, which divides each squared distance by ``-mu``
-(:class:`_GaussianBank`): multi-row predictions agree with one-point
-predictions within 1e-12 relative.
+one-point sweep, whose centre is kept with the terms and which divides
+each squared distance by ``-mu`` (:class:`_GaussianBank`): multi-row
+predictions agree with one-point predictions within 1e-12 relative.
 
 Kernel objects are immutable and safe to share between threads.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
@@ -74,9 +79,9 @@ from .exceptions import ConfigError, DimensionMismatch, check_int, check_positiv
 # A step's products skip numpy's Python-level dispatch, which costs more
 # than their arithmetic on a few hundred terms: ``ndarray.dot`` makes the
 # BLAS call of ``@`` (the same floats) without the matmul ufunc's set-up,
-# about 0.4 us a call, and the point sweep calls the C function to which
-# np.einsum, at its default optimize=False, passes its operands (numpy < 2
-# keeps the wrapper)
+# about 0.4 us a call, and a stored term's centred norm calls the C
+# function to which np.einsum, at its default optimize=False, passes its
+# operands (numpy < 2 keeps the wrapper)
 try:
     from numpy._core.multiarray import c_einsum as _einsum
 except ImportError:
@@ -94,10 +99,37 @@ __all__ = [
 # a block of queries' rows takes about this many bytes, so it stays in cache
 _BLOCK_BYTES = 1 << 20
 
+# while every centred norm ||x_i - c||^2 and ||x - c||^2 is at most this, each
+# of the point sweep's p + 2 terms is at most 2^1001 in size, so none overflows
+_SAFE_NORM = 2.0**1000
+
 
 def default_structure(dim: int) -> np.ndarray:
     """Structure matrix with 1 on the diagonal and 1/10 elsewhere."""
     return 0.9 * np.eye(dim) + 0.1 * np.ones((dim, dim))
+
+
+def centred_rows(support, centre, out) -> float:
+    """Write ``[x_i - c, ||x_i - c||^2, 1]`` for each support row into the (s, p + 2) ``out``.
+
+    These are the rows the Gaussian point sweep reads
+    (:meth:`_GaussianBank.distances`), one per stored term.  Returns the
+    largest norm written (0 for none), which bounds the sweep's terms.
+    """
+    p = len(centre)
+    rows = np.subtract(support, centre, out=out[:, :p])
+    norms = np.einsum("ij,ij->i", rows, rows, out=out[:, p])
+    out[:, p + 1] = 1.0
+    return float(norms.max(initial=0.0))
+
+
+def centred_row(x, centre, out):
+    """:func:`centred_rows` of one point into the (p + 2,) ``out``, same floats; returns its norm."""
+    p = len(centre)
+    u = np.subtract(x, centre, out=out[:p])
+    out[p] = norm = _einsum("i,i->", u, u)
+    out[p + 1] = 1.0
+    return norm
 
 
 def _check_pair(x, x2):
@@ -112,11 +144,14 @@ class KernelBank:
     """The kernels of one family, at ``columns`` of a learner's kernel list.
 
     A bank is its family's step code.  Each method reads the stored terms
-    from ``terms = (support, raw, sums)``, the live views the expansion
-    state takes once per call (``sums``, each term's raw coefficient sum,
-    is None unless the bank ``reads_sums``), shares the work its members
-    have in common and writes member j's result at ``columns[j]`` of a list
-    or array in the learner's kernel order.  A step calls each bank twice:
+    from ``terms = (support, raw, sums, centred)``, the live views the
+    expansion state takes once per call (``sums``, each term's raw
+    coefficient sum, is None unless a bank ``reads_sums``, and ``centred``,
+    the rows of :func:`centred_rows` with their centre and a bound on their
+    norms, None unless a bank ``reads_centred``), shares the work its
+    members have in common and writes member j's result at ``columns[j]``
+    of a list or array in the learner's kernel order.  A step calls each
+    bank twice:
 
     * ``expand(terms, scale, x, gs)``, before the loss, writes every
       ``scale * g_j(x)`` into ``gs`` and returns ``kept``, its one sweep
@@ -140,6 +175,7 @@ class KernelBank:
     """
 
     reads_sums = False
+    reads_centred = False
 
     def __init__(self, kernels, columns):
         self.kernels = tuple(kernels)
@@ -151,7 +187,7 @@ class KernelBank:
         The queries go in blocks whose (B, s) rows take about ``_BLOCK_BYTES``,
         so the sweep holds at most two such buffers and no n x s array.
         """
-        support, raw, sums = terms
+        support, raw, sums, _ = terms
         n, s = len(queries), len(support)
         block = max(1, min(n, _BLOCK_BYTES // (8 * s)))  # float64 rows
         *others, last = range(len(self.kernels))
@@ -175,24 +211,36 @@ class KernelBank:
 
 
 class _GaussianBank(KernelBank):
-    """Gaussians ``exp(-||x_i - x||^2 / mu) J``: one scalars pass, J products per distinct J.
+    """Gaussians ``exp(-||x_i - x||^2 / mu) J``: one product for the distances, J products per J.
 
-    The step's point sweep gives the squared distances, and ``scalars``
-    divides them by the column of the distinct ``-mu`` into one (u, s)
-    buffer and takes ``exp`` in place, so members with equal ``mu`` share a
-    row: member j reads row ``row_index[j]``.  The sweep keeps those rows
-    and the raw coefficients for :meth:`norm_terms`.  Members whose J are
-    equal bit for bit share :meth:`quad` and :meth:`cross_vector`, which
-    :meth:`norm_terms` scales by each member's scalars.  Every result has
-    the bits of the member's own one-point forms (``exp(row / -mu)``,
-    ``J (w C)``, ``<J a, a>``, ``w (C J a)``): IEEE division and ``exp``
-    are elementwise.
+    The step's point sweep (:meth:`distances`) reads each term's centred
+    row ``[x_i - c, n_i, 1]``, ``n_i = ||x_i - c||^2``, which the expansion
+    state keeps for this bank (``reads_centred``): with ``u = x - c``, one
+    BLAS product of the rows with ``[-2 u, 1, ||u||^2]`` gives every
+    ``||x_i - x||^2 = n_i + ||u||^2 - 2 <x_i - c, u>``, clamped at 0,
+    within a small multiple of ``eps (n_i + ||u||^2)`` of the exact one.
+    Past a centred norm of 2^1000 the rows are centred at x and scaled by a
+    power of two, so a distance may overflow to inf (kernel value 0) but is
+    never NaN.
+
+    ``scalars`` divides the distances by the column of the distinct ``-mu``
+    into one (u, s) buffer and takes ``exp`` in place, so members with
+    equal ``mu`` share a row: member j reads row ``row_index[j]``.  The
+    sweep keeps those rows and the raw coefficients for :meth:`norm_terms`.
+    Members with equal ``mu`` share one :meth:`weighted_sum` ``w C``, and
+    members whose J are equal bit for bit share :meth:`quad` and
+    :meth:`cross_vector`, which :meth:`norm_terms` scales by each member's
+    scalars.  Given the distances, every result has the bits of the
+    member's own one-point forms (``exp(row / -mu)``, ``J (w C)``,
+    ``<J a, a>``, ``w (C J a)``): IEEE division and ``exp`` are elementwise.
 
     A block of query rows divides nothing: it is the last member's
     ``row_sweep``, whose rows are that member's exponents, and the other
     members multiply them by ``mu_last / mu_j``.  These exponents round
     differently from the quotients of the point path, by a few ulps.
     """
+
+    reads_centred = True
 
     def __init__(self, kernels, columns):
         super().__init__(kernels, columns)
@@ -210,10 +258,38 @@ class _GaussianBank(KernelBank):
         last = self.kernels[-1].mu
         self._ratios = [last / k.mu for k in self.kernels]
 
+    def distances(self, terms, x) -> np.ndarray:
+        """``||x_i - x||^2`` for every stored term: one product with the kept centred rows."""
+        rows, centre, peak = terms[3]
+        p = len(centre)
+        v = np.empty(p + 2)
+        u = np.subtract(x, centre, out=v[:p])
+        uu = float(u.dot(u))
+        e = 0
+        if not (uu <= _SAFE_NORM and peak <= _SAFE_NORM):
+            # out of range: the terms centred at x itself, so u = 0 and each row's
+            # norm is its distance, after an exact scaling by 2^-e that brings
+            # every entry under 2^480, so no square or sum overflows
+            support = terms[0]
+            top = max(float(np.abs(support).max(initial=0.0)), float(np.abs(x).max()))
+            e = max(math.frexp(top)[1] - 480, 0)
+            rows = np.empty_like(rows)
+            centred_rows(np.ldexp(support, -e), np.ldexp(x, -e), rows)
+            u[:] = 0.0
+            uu = 0.0
+        v[p] = 1.0
+        v[p + 1] = uu
+        u *= -2.0
+        row = rows.dot(v)
+        np.maximum(row, 0.0, out=row)
+        if e:
+            # back by 2^(2e): a distance may overflow to inf, never to NaN
+            np.ldexp(row, 2 * e, out=row)
+        return row
+
     def sweep(self, terms, x) -> tuple:
-        # ||x_i - x||^2, the same for every mu and J, as scalars; with the raw terms
-        diffs = terms[0] - x
-        return self.scalars(_einsum("ij,ij->i", diffs, diffs)), terms[1]
+        # the distances, the same for every mu and J, as scalars; with the raw terms
+        return self.scalars(self.distances(terms, x)), terms[1]
 
     def scalars(self, row) -> list:
         # one row of row / -mu per distinct mu, which rounds as each member's scalars does
@@ -223,10 +299,11 @@ class _GaussianBank(KernelBank):
 
     def expand(self, terms, scale, x, gs) -> tuple:
         kept = scalars, raw = self.sweep(terms, x)
+        sums = [self.weighted_sum(w, raw) for w in scalars]
         for _, structure_t, members in self._structures:
             for j, i in members:
                 # the floats of J (w C), as each member's row_expansion gives them
-                gs[j] = scale * scalars[i].dot(raw).dot(structure_t)
+                gs[j] = scale * sums[i].dot(structure_t)
         return kept
 
     def norm_terms(self, kept, x_sq, a, a_sq, quads, cross) -> None:
@@ -242,6 +319,11 @@ class _GaussianBank(KernelBank):
                 for j, i in members:
                     column = crosses[:, j]
                     column += scalars[i] * v
+
+    @staticmethod
+    def weighted_sum(w, coeffs) -> np.ndarray:
+        """``w C``: the coefficients weighted by one mu's scalars, for every member with that mu."""
+        return w.dot(coeffs)
 
     @staticmethod
     def quad(structure, a) -> float:
@@ -282,7 +364,7 @@ class _PolyBank(KernelBank):
 
     def sweep(self, terms, x) -> tuple:
         # p_i = <x_i, x>, the same for every mu, and p * p, with the raw terms
-        support, raw, sums = terms
+        support, raw, sums, _ = terms
         p = support.dot(x)
         return p, p * p, raw, sums
 
@@ -308,7 +390,7 @@ class _PolyBank(KernelBank):
                 column += kernel.mu * raw_total * coupled + (1.0 - kernel.mu) * uncoupled
 
     def expand_rows(self, terms, queries, gs) -> None:
-        support, raw, _ = terms
+        support, raw, _, _ = terms
         n, (s, p), d = len(queries), support.shape, raw.shape[1]
         if n * s * (p + 2 * d) <= (s + n) * p * p * d:
             return super().expand_rows(terms, queries, gs)
@@ -336,7 +418,7 @@ class _PolyBank(KernelBank):
         Summed over blocks of support rows whose (B, p) products take
         about ``_BLOCK_BYTES``.
         """
-        support, coeffs, sums = terms
+        support, coeffs, sums, _ = terms
         (s, p), d = support.shape, coeffs.shape[1]
         columns = np.zeros((p, 1 + p * d))
         block = max(1, _BLOCK_BYTES // (8 * p))

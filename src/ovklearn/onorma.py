@@ -25,7 +25,9 @@ the new coefficient's quadratic forms and cross products from that kept
 sweep, the step's ``<x, x>`` and ``<a, a>`` and the live views of the
 terms, so no product is formed twice.  A poly bank also reads each
 term's coefficient sum, which the state stores with the term, so no step
-reduces the stored coefficients.  The squared RKHS norms are tracked by
+reduces the stored coefficients, and a Gaussian bank each term's centred
+row, so its sweep is one BLAS product with no s x p elementwise pass.
+The squared RKHS norms are tracked by
 an O(d^2) recursion on Python floats.  Under truncation each stored term
 also keeps its cross sum with the later terms, so
 :meth:`_ExpansionState.drop_expired` downdates the norm exactly for a
@@ -46,6 +48,7 @@ import numpy as np
 
 from .exceptions import ConfigError, DataError, DimensionMismatch, NumericsError
 from .exceptions import check_examples, check_finite, check_int, check_positive, check_real
+from .kernels import centred_row, centred_rows
 from .losses import SquaredLoss
 
 __all__ = ["ONORMA", "StepResult", "TruncationSchedule", "truncation_window"]
@@ -122,10 +125,19 @@ class _ExpansionState:
     Effective coefficients are ``scale * raw``.
 
     When a bank ``reads_sums`` (the poly family's), term i also keeps its
-    raw coefficient sum ``S[i] = sum_k raw[i, k]`` (:attr:`raw_sums`),
-    written by :meth:`update` and :meth:`restore` and
-    recomputed from the folded coefficients by :meth:`decay`; a state of
-    other kernels keeps none.
+    raw coefficient sum ``S[i] = sum_k raw[i, k]``, written by
+    :meth:`update` and :meth:`restore` and recomputed from the folded
+    coefficients by :meth:`decay`; a state of other kernels keeps none.
+
+    When a bank ``reads_centred`` (the Gaussian family's), term i also
+    keeps its centred row ``R[i] = [x_i - c, ||x_i - c||^2, 1]``
+    (:func:`~ovklearn.kernels.centred_rows`), from which one product gives
+    every squared distance to a point.  :meth:`update` writes the row of a
+    term that comes in, and :meth:`restore` and each buffer move recompute
+    every live row around c, the mean of the live support (the first
+    term's point when none is live), so a drifting truncated stream is
+    re-centred at the cost of the copy the move makes anyway.  ``_peak``
+    bounds the live rows' norms.
 
     With ``cross_terms`` on, term i also keeps, for each kernel j, the raw
     sums ``C[i, j] = sum_{k > i} <K_j(x_i, x_k) a_k, a_i>`` over the later
@@ -135,6 +147,7 @@ class _ExpansionState:
     ``scale^2 (2 C[i, j] + Q[i, j])``.
     """
 
+    # the buffers a move copies; the centred rows R are recomputed instead
     _BUFFERS = ("_X", "_A", "_S", "_T", "_C", "_Q")
 
     def __init__(self, kernels, cross_terms: bool = False):
@@ -146,6 +159,7 @@ class _ExpansionState:
             columns.setdefault(kernel.bank, []).append(j)
         self.banks = tuple(bank([self.kernels[j] for j in js], js) for bank, js in columns.items())
         self.keeps_sums = any(bank.reads_sums for bank in self.banks)
+        self.keeps_centred = any(bank.reads_centred for bank in self.banks)
         self.restore((), (), (), None)
 
     def __len__(self) -> int:
@@ -166,13 +180,19 @@ class _ExpansionState:
 
     def fix_width(self, p: int) -> None:
         """Set the input width of an empty state; the first committed step calls this."""
-        self.input_dim = p
-        self._X = np.empty((0, p))
+        self.restore((), (), (), p)
 
     def terms(self) -> tuple:
-        """The live views ``(support, raw_coeffs, raw_sums)`` that every bank reads."""
+        """The live views ``(support, raw_coeffs, sums, centred)`` that every bank reads.
+
+        ``sums`` (each term's raw coefficient sum) is None unless a bank
+        reads sums, and ``centred``, the centred rows with their centre and
+        the bound on their norms, None unless a bank reads centred rows.
+        """
         live = slice(self.start, self.end)
-        return self._X[live], self._A[live], None if self._S is None else self._S[live]
+        sums = None if self._S is None else self._S[live]
+        centred = None if self._R is None else (self._R[live], self._centre, self._peak)
+        return self._X[live], self._A[live], sums, centred
 
     @property
     def support(self) -> np.ndarray:
@@ -181,11 +201,6 @@ class _ExpansionState:
     @property
     def raw_coeffs(self) -> np.ndarray:
         return self._A[self.start : self.end]
-
-    @property
-    def raw_sums(self):
-        """Each term's raw coefficient sum, or None when no bank reads them."""
-        return None if self._S is None else self._S[self.start : self.end]
 
     @property
     def coeffs(self) -> np.ndarray:
@@ -221,7 +236,7 @@ class _ExpansionState:
         if store:
             if self.end == len(self._T):
                 # kept's views go on reading the old buffers, whose live rows were copied
-                self._compact_or_grow()
+                self._compact_or_grow(x)
             i = self.end
             raw = np.divide(a, self.scale, out=self._A[i])
             raw_sum = None if self._S is None else float(np.add.reduce(raw))
@@ -233,6 +248,10 @@ class _ExpansionState:
             self._X[i] = x
             if raw_sum is not None:
                 self._S[i] = raw_sum
+            if self._R is not None:
+                norm = centred_row(x, self._centre, self._R[i])
+                if norm > self._peak:
+                    self._peak = float(norm)
             self._T[i] = t
             if self.cross_terms:
                 self._C[i] = 0.0
@@ -283,7 +302,7 @@ class _ExpansionState:
             g *= self.scale
         return gs
 
-    def _compact_or_grow(self) -> None:
+    def _compact_or_grow(self, x) -> None:
         # as many free rows as live terms: each copy is paid for by the appends that fill them
         n = len(self)
         cap = max(2 * n, _INITIAL_CAPACITY)
@@ -296,6 +315,19 @@ class _ExpansionState:
                 setattr(self, name, new)
         self.start = 0
         self.end = n
+        if self._R is not None:
+            self._R = np.empty((cap, self.input_dim + 2))
+            self._centre_rows(x)
+
+    def _centre_rows(self, empty) -> None:
+        """Recompute every live centred row and the bound on their norms.
+
+        The centre is the live support's mean, or the point ``empty`` (the
+        one about to come in) when no term is live.
+        """
+        support = self.support
+        self._centre = support.mean(axis=0) if len(support) else np.array(empty, dtype=float)
+        self._peak = centred_rows(support, self._centre, self._R[self.start : self.end])
 
     def decay(self, factor: float) -> None:
         self.scale *= factor
@@ -314,8 +346,9 @@ class _ExpansionState:
     def restore(self, support, coeffs, times, input_dim) -> None:
         """Replace the terms by saved ones (effective coefficients, scale 1).
 
-        Copies them into buffers sized for them and reduces every term's
-        coefficient sum at once.  With cross terms on, it then replays
+        Copies them into buffers sized for them, reduces every term's
+        coefficient sum at once and centres every term's row around the
+        support mean.  With cross terms on, it then replays
         :meth:`update` for each term over the terms before it (one bank
         ``sweep`` per family and term), which rebuilds C and Q in O(s^2).
         """
@@ -329,6 +362,12 @@ class _ExpansionState:
         self._Q = np.empty((n, m)) if self.cross_terms else None
         self.start = 0
         self.scale = 1.0
+        self._R = None
+        if self.keeps_centred:
+            p = input_dim or 0
+            self._R = np.empty((n, p + 2))
+            self.end = n
+            self._centre_rows(np.zeros(p))
         if self.cross_terms:
             for i in range(n):
                 self.end = i  # the support is the terms before i, as when i was appended
@@ -597,7 +636,3 @@ class ONORMA(_OnlineLearner):
     def norm_clips(self) -> int:
         """How often rounding pushed the tracked norm below zero (then clamped to 0)."""
         return self._clips
-
-    def hypothesis_norm_sq(self) -> float:
-        """||f_t||^2 recomputed from the kernel's scalar Gram; see :meth:`per_kernel_norm_sq`."""
-        return self.per_kernel_norm_sq(0)

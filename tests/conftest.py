@@ -10,6 +10,8 @@ out with the operations a kernel bank must reproduce bit for bit: a bank
 shares work between its kernels, never the floats of any one of them.
 """
 
+from fractions import Fraction
+
 import numpy as np
 
 from ovklearn.losses import SquaredLoss
@@ -47,6 +49,34 @@ def squared_distances(support, x):
     """The Gaussian family row ``||x_i - x||^2`` of one point."""
     diffs = support - x
     return np.einsum("ij,ij->i", diffs, diffs)
+
+
+def exact_sq_distances(support, x):
+    """Every ``||x_i - x||^2`` in exact rational arithmetic, as Fractions."""
+    x = [Fraction(v) for v in np.asarray(x, dtype=float).tolist()]
+    return [
+        sum((Fraction(a) - b) ** 2 for a, b in zip(row, x))
+        for row in np.asarray(support, dtype=float).tolist()
+    ]
+
+
+# unit roundoff of float64
+UNIT_ROUNDOFF = 2.0**-53
+
+
+def centred_distance_bound(norms, uu, p):
+    """Largest error allowed a distance of the centred point sweep, per term.
+
+    ``k u (n_i + ||u||^2)`` with u the unit roundoff and k = 5p + 16.  The
+    sweep's own error is at most (3p + 8) u (n_i + ||u||^2) to first
+    order: the rounded centred values give 4 u (n_i + ||u||^2), the norms
+    p u n_i and p u ||u||^2, and the product's p + 2 terms, whose absolute
+    sum is at most 2 (n_i + ||u||^2), 2 (p + 2) u (n_i + ||u||^2).  The
+    naive row ``squared_distances`` errs by at most 2 (p + 3) u times the
+    same sum, so the one bound serves against it and against the exact
+    distances alike, with room for second-order terms.
+    """
+    return (5 * p + 16) * UNIT_ROUNDOFF * (np.asarray(norms) + uu)
 
 
 def gaussian_scalars(row, mu):

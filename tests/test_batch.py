@@ -126,7 +126,7 @@ def test_minimality_against_online_final_hypothesis():
         online.fit(xs, ys)
         preds = online.predict(xs)
         data_term = 0.5 * float(np.mean(np.sum((preds - ys) ** 2, axis=1)))
-        online_risk = data_term + 0.5 * lam * online.hypothesis_norm_sq()
+        online_risk = data_term + 0.5 * lam * online.per_kernel_norm_sq(0)
         assert regularized_risk(batch, xs, ys) <= online_risk + 1e-9
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 
 from conftest import (
     block_gram,
+    centred_distance_bound,
+    exact_sq_distances,
     gaussian_cross,
     gaussian_expansion,
     gaussian_quad,
@@ -151,7 +154,8 @@ def test_row_methods_match_kernel_matrices():
             assert np.array_equal(crosses[:, 1], poly_cross(p, coeffs, sums, k.mu, a))
             assert quads[1] == poly_quad(x, k.mu, a)
         else:
-            w, J = gaussian_scalars(squared_distances(support, x), k.mu), k.structure
+            row = bank_row_within_bound(bank, state, x)
+            w, J = gaussian_scalars(row, k.mu), k.structure
             assert np.array_equal(gs[1], gaussian_expansion(w, coeffs, J))
             assert np.array_equal(crosses[:, 1], gaussian_cross(w, coeffs, J, a))
             assert quads[1] == gaussian_quad(J, a)
@@ -163,6 +167,19 @@ def test_row_methods_match_kernel_matrices():
         assert np.array_equal(rows, kept)  # scratch=None leaves the shared rows intact
         naive = [sum(k(xi, q) @ ci for xi, ci in zip(support, coeffs)) for q in queries]
         assert np.allclose(batch, naive, rtol=1e-12, atol=1e-12)
+
+
+def bank_row_within_bound(bank, state, x):
+    """The Gaussian bank's distance row at x, checked against the naive and the exact rows."""
+    terms = state.terms()
+    (rows, centre, _), support, p = terms[3], terms[0], len(x)
+    row = bank.distances(terms, x)
+    u = x - centre
+    bound = centred_distance_bound(rows[:, p], float(np.einsum("i,i->", u, u)), p)
+    assert np.all(np.abs(row - squared_distances(support, x)) <= bound)
+    exact = exact_sq_distances(support, x)
+    assert all(abs(Fraction(r) - e) <= b for r, e, b in zip(row.tolist(), exact, bound.tolist()))
+    return row
 
 
 @pytest.mark.parametrize("mu", [1e-3, 0.7, 1.0, 3.0])
@@ -209,7 +226,7 @@ def test_gaussian_bank_shares_work_and_keeps_each_members_bits():
     support, coeffs = state.support, state.raw_coeffs
     for x in xs[200:]:
         a = rng.normal(size=3)
-        row = squared_distances(support, x)
+        row = bank_row_within_bound(bank, state, x)
         for special in (row, np.concatenate([SPECIAL_ROW, rng.uniform(0.0, 10.0, 300)])):
             shared = bank.scalars(special)
             assert len(shared) == 4
@@ -232,7 +249,7 @@ def test_gaussian_bank_shares_work_and_keeps_each_members_bits():
     model.fit(xs[:200], ys[:200])
     state = model._state
     (bank,) = state.banks
-    support, coeffs, sums = state.support, state.raw_coeffs, state.raw_sums
+    support, coeffs, sums, _ = state.terms()
     assert state.scale != 1.0
     for x in xs[200:]:
         a = rng.normal(size=3)

@@ -3,7 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import NaiveOnlineLearner, gram_norm_sq
+from fractions import Fraction
+
+from conftest import (
+    NaiveOnlineLearner,
+    centred_distance_bound,
+    exact_sq_distances,
+    gram_norm_sq,
+    squared_distances,
+)
 from ovklearn.batch import fit as batch_fit
 from ovklearn.exceptions import ConfigError, DataError, DimensionMismatch, NumericsError
 from ovklearn.kernels import NonSeparablePoly, SeparableGaussian
@@ -193,11 +201,11 @@ def test_norm_tracker_matches_gram_oracle():
     for i, (x, y) in enumerate(zip(xs, ys), start=1):
         model.step(x, y)
         if i % 25 == 0:
-            exact = model.hypothesis_norm_sq()
+            exact = model.per_kernel_norm_sq(0)
             assert abs(model.norm_sq - exact) <= 1e-8 * max(1.0, exact)
     state = model._state
     oracle = gram_norm_sq(k, list(state.support), list(state.coeffs))
-    assert abs(model.hypothesis_norm_sq() - oracle) <= 1e-9 * max(1.0, oracle)
+    assert abs(model.per_kernel_norm_sq(0) - oracle) <= 1e-9 * max(1.0, oracle)
     assert abs(model.norm_sq - oracle) <= 1e-8 * max(1.0, oracle)
 
 
@@ -209,7 +217,7 @@ def test_norm_tracker_with_truncation_drops():
     for i, (x, y) in enumerate(zip(xs, ys), start=1):
         model.step(x, y)
         if i % 10 == 0:
-            exact = model.hypothesis_norm_sq()
+            exact = model.per_kernel_norm_sq(0)
             assert abs(model.norm_sq - exact) <= 1e-8 * max(1.0, exact)
     assert model.support_size < 120  # drops actually happened
 
@@ -499,7 +507,8 @@ def test_same_family_bank_sweeps_once_per_step_predict_and_replay(monkeypatch, t
     from ovklearn.checkpoint import load_model, save_model
 
     J = np.array([[1.0, 0.3], [0.3, 0.5]])
-    # each bank with the Gaussian work one step does: scalars rows, quads, cross vectors
+    # each bank with the Gaussian work one step does: scalars rows, quads,
+    # cross vectors and w C products
     banks = [
         (
             [
@@ -508,17 +517,20 @@ def test_same_family_bank_sweeps_once_per_step_predict_and_replay(monkeypatch, t
                 SeparableGaussian(mu=2.0, dim=2, structure=np.eye(2)),
                 SeparableGaussian(mu=4.0, dim=2),
             ],
-            (4, 3, 3),
+            (4, 3, 3, 4),
         ),
-        ([NonSeparablePoly(mu=mu, dim=2) for mu in (0.1, 0.5, 0.9)], (0, 0, 0)),
-        # equal mu, different J: one scalars pass
-        ([SeparableGaussian(mu=1.0, dim=2, structure=J), SeparableGaussian(mu=1.0, dim=2)], (1, 2, 2)),
+        ([NonSeparablePoly(mu=mu, dim=2) for mu in (0.1, 0.5, 0.9)], (0, 0, 0, 0)),
+        # equal mu, different J: one scalars pass and one w C product
+        (
+            [SeparableGaussian(mu=1.0, dim=2, structure=J), SeparableGaussian(mu=1.0, dim=2)],
+            (1, 2, 2, 1),
+        ),
         # equal J: one quad and one cross vector
-        ([SeparableGaussian(mu=mu, dim=2, structure=J) for mu in (0.5, 1.0, 3.0)], (3, 1, 1)),
+        ([SeparableGaussian(mu=mu, dim=2, structure=J) for mu in (0.5, 1.0, 3.0)], (3, 1, 1, 3)),
     ]
     xs, ys = stream(46, 60, d=2)
     counter = RowCounter(monkeypatch, SeparableGaussian, NonSeparablePoly)
-    work = {"rows": 0, "quad": 0, "cross_vector": 0}
+    work = {"rows": 0, "quad": 0, "cross_vector": 0, "weighted_sum": 0}
     bank_scalars = SeparableGaussian.bank.scalars
 
     def counted_scalars(bank, row):
@@ -527,14 +539,14 @@ def test_same_family_bank_sweeps_once_per_step_predict_and_replay(monkeypatch, t
         return out
 
     monkeypatch.setattr(SeparableGaussian.bank, "scalars", counted_scalars)
-    for name in ("quad", "cross_vector"):
+    for name in ("quad", "cross_vector", "weighted_sum"):
 
         def counted(*args, _name=name, _original=getattr(SeparableGaussian.bank, name)):
             work[_name] += 1
             return _original(*args)
 
         monkeypatch.setattr(SeparableGaussian.bank, name, staticmethod(counted))
-    for kernels, (rows, quads, crosses) in banks:
+    for kernels, (rows, quads, crosses, products) in banks:
         for truncation in (None, TruncationSchedule(t0=10, epsilon=0.25)):
             model = MONORMA(kernels, lam=0.1, eta0=0.5, truncation=truncation)
             for x, y in zip(xs, ys):
@@ -547,6 +559,8 @@ def test_same_family_bank_sweeps_once_per_step_predict_and_replay(monkeypatch, t
                 assert work["quad"] - before["quad"] == quads
                 made = crosses if before_size and truncation else 0
                 assert work["cross_vector"] - before["cross_vector"] == made
+                made = products if before_size else 0
+                assert work["weighted_sum"] - before["weighted_sum"] == made
             for queries in (xs[:7], xs[0]):
                 before_rows = counter.calls
                 model.predict(queries)
@@ -558,6 +572,65 @@ def test_same_family_bank_sweeps_once_per_step_predict_and_replay(monkeypatch, t
             # a truncated restore replays each term's sweep; a plain one needs none
             assert counter.calls - before_rows == (model.support_size if truncation else 0)
             assert np.allclose(back.predict(xs[:7]), model.predict(xs[:7]), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("truncated", [False, True], ids=["plain", "drifting-truncated"])
+@pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
+def test_point_sweep_distances_meet_the_centred_bound(offset, truncated, capsys):
+    # the Gaussian point sweep's distances, against the exact rational ones
+    # and the naive row, on inputs offset from the origin; the truncated
+    # stream drifts by 2 in every coordinate, so each buffer move re-centres
+    # its rows on a support that has left the old centre behind
+    rng = np.random.default_rng(71)
+    n, p, d = 240, 20, 2
+    xs = offset + 0.05 * rng.uniform(size=(n, p))
+    if truncated:
+        xs += np.linspace(0.0, 2.0, n)[:, None]
+    ys = rng.normal(size=(n, d))
+    kernel = SeparableGaussian(mu=0.01, dim=d)
+    schedule = TruncationSchedule(t0=20, epsilon=0.25) if truncated else None
+    model = ONORMA(kernel, lam=0.1, eta0=0.5, truncation=schedule)
+    naive = NaiveOnlineLearner(kernel, lam=0.1, eta0=0.5, truncation=schedule)
+    state = model._state
+    (bank,) = state.banks
+    worst = gap = 0.0
+    for t, (x, y) in enumerate(zip(xs, ys)):
+        if t % 20 == 19:
+            terms = state.terms()
+            rows, centre, _ = terms[3]
+            u = x - centre
+            bound = centred_distance_bound(rows[:, p], float(np.einsum("i,i->", u, u)), p)
+            row = bank.distances(terms, x)
+            exact = exact_sq_distances(terms[0], x)
+            errors = np.array([float(abs(Fraction(r) - e)) for r, e in zip(row.tolist(), exact)])
+            assert np.all(errors <= bound)
+            worst = max(worst, float(np.max(errors / bound)))
+            assert np.all(np.abs(row - squared_distances(terms[0], x)) <= bound)
+        got, want = model.step(x, y).prediction, naive.step(x, y)
+        gap = max(gap, float(np.max(np.abs(got - want)) / np.max(np.abs(want), initial=1e-300)))
+    assert model.support_size == len(naive.terms)
+    # a centre left where the stream began reads 1.7e-11 at offset 0 and 12.6 at 1e6
+    assert gap <= 5e-12
+    with capsys.disabled():
+        print(f"\noffset {offset:g}: distance error {worst:.3g} of the bound, gap {gap:.2e}")
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e300])
+def test_point_sweep_beyond_the_centred_range_matches_the_naive_learner(scale):
+    # centred norms above 2^1000 take the sweep's out-of-range branch: the
+    # distance between two points overflows to inf, never to NaN, and a
+    # stored point's distance to itself stays 0
+    rng = np.random.default_rng(72)
+    xs, ys = scale * rng.standard_normal((25, 3)), rng.normal(size=(25, 2))
+    kernel = SeparableGaussian(mu=1.0, dim=2)
+    model = ONORMA(kernel, lam=0.1, eta0=0.5)
+    naive = NaiveOnlineLearner(kernel, lam=0.1, eta0=0.5)
+    with np.errstate(over="ignore"):
+        for x, y in zip(xs[:20], ys[:20]):
+            assert np.array_equal(model.step(x, y).prediction, naive.step(x, y))
+        for x in xs:
+            assert np.allclose(model.predict(x), naive.predict(x), rtol=1e-12, atol=0.0)
+        assert np.any(model.predict(xs[3]) != 0.0)
 
 
 def test_rejected_step_leaves_the_step_count():

@@ -4,7 +4,11 @@ Property 1: along a random stream, every tracked norm equals the naive
 Gram oracle, and a checkpoint taken at a random step restores the same
 terms; a truncated learner rebuilds the same cross sums by replaying
 them, and a poly learner's per-term coefficient sums equal a fresh
-reduction of its coefficients.  Property 2: over random kernel banks, the
+reduction of its coefficients.  Property 3: through any mix of steps,
+lazy-scale folds, truncation drops, buffer moves, restores and a late
+switch to truncation, a Gaussian learner's kept centred rows are its
+support minus its centre, bit for bit, with their einsum norms.
+Property 2: over random kernel banks, the
 weights stay on the boundary ``sum_j delta_j^r = 1`` after every step, and
 the predictions and per-kernel norms equal the naive multi-kernel
 learner's.  Property 4: no ``--set`` value makes the CLI end other than
@@ -45,9 +49,86 @@ def tracked(model):
 
 def sums_hold(state, kind):
     # only a poly kernel reads the per-term coefficient sums; they must equal a fresh reduction
+    sums = state.terms()[2]
     if kind != "poly":
-        return state.raw_sums is None
-    return np.array_equal(state.raw_sums, state.raw_coeffs.sum(axis=1))
+        return sums is None
+    return np.array_equal(sums, state.raw_coeffs.sum(axis=1))
+
+
+def centred_rows_hold(state):
+    # only a Gaussian reads the centred rows [x_i - c, ||x_i - c||^2, 1]; each must
+    # equal a fresh subtraction and einsum, bit for bit, under the bound on its norm
+    centred = state.terms()[3]
+    if not any(kernel.family == "gaussian" for kernel in state.kernels):
+        return centred is None
+    rows, centre, peak = centred
+    p = state.input_dim or 0
+    diffs = rows[:, :p]
+    return (
+        rows.shape == (len(state), p + 2)
+        and np.array_equal(diffs, state.support - centre)
+        and np.array_equal(rows[:, p], np.einsum("ij,ij->i", diffs, diffs))
+        and bool(np.all(rows[:, p + 1] == 1.0))
+        and bool(np.all(rows[:, p] <= peak))
+    )
+
+
+CENTRED_LEARNERS = {
+    "gaussian": lambda d: [SeparableGaussian(mu=1.0, dim=d)],
+    "mixed": lambda d: [SeparableGaussian(mu=0.5, dim=d), NonSeparablePoly(mu=0.3, dim=d)],
+    "poly": lambda d: [NonSeparablePoly(mu=0.3, dim=d)],
+}
+# a run of steps, a checkpoint round trip, or a switch to truncation
+CENTRED_OPS = st.one_of(
+    st.tuples(st.just("steps"), st.integers(1, 70)),
+    st.tuples(st.just("checkpoint"), st.just(0)),
+    st.tuples(st.just("truncate"), st.integers(1, 30)),
+)
+
+
+@pytest.mark.parametrize("kind", list(CENTRED_LEARNERS))
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    ops=st.lists(CENTRED_OPS, min_size=1, max_size=6),
+    truncated=st.booleans(),
+    folds=st.booleans(),
+    drift=st.sampled_from([0.0, 1.0, 1e3]),
+    p=st.integers(1, 4),
+    d=st.integers(1, 3),
+)
+def test_kept_centred_rows_are_the_support_minus_the_centre(
+    tmp_path_factory, kind, seed, ops, truncated, folds, drift, p, d
+):
+    rng = np.random.default_rng(seed)
+    kernels = CENTRED_LEARNERS[kind](d)
+    # lambda = eta0 = 0.9 folds the lazy scale into the coefficients every few steps
+    lam, eta0 = (0.9, 0.9) if folds else (0.1, 0.5)
+    schedule = TruncationSchedule(t0=10, epsilon=0.25) if truncated else None
+    model = MONORMA(kernels, lam=lam, eta0=eta0, truncation=schedule)
+    state, moves, t = model._state, 0, 0
+    # a poly kernel diverges on inputs that drift far from the unit box
+    drift = drift if kind == "gaussian" else 0.0
+    assert centred_rows_hold(state)
+    for op, arg in ops:
+        if op == "steps":
+            for _ in range(arg):
+                # inputs that drift away from where the first terms were centred
+                t += 1
+                x = rng.uniform(-1.0, 1.0, size=p) + drift * t / 100.0
+                buffers = state._X
+                model.step(x, rng.normal(size=d))
+                moves += state._X is not buffers
+        elif op == "checkpoint":
+            path = tmp_path_factory.mktemp("centred") / "model.npz"
+            save_model(path, model)
+            model = load_model(path)
+            state = model._state
+        elif model.truncation is None:
+            model.truncation = TruncationSchedule(t0=arg, epsilon=0.25)
+        assert centred_rows_hold(state)
+    if t > 64:
+        assert moves >= 2
 
 
 def close(have, want, rel):
