@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ConfigError, HypothesisViolation, check_positive, check_real
+from .exceptions import ConfigError, HypothesisViolation, check_int, check_positive, check_real
 from .kernels import operator_norm_bound
 from .losses import EpsilonInsensitive, SquaredLoss
 
@@ -192,10 +192,10 @@ def check_cumulative_bound(run_log, batch_risk: float, consts: BoundConstants, m
     hypothesis; ``batch_risk`` is the regularised risk of the batch
     minimiser on the same m examples with the same kernel and lambda.
     """
+    batch_risk = check_real("batch risk", batch_risk)
+    m = check_int("m", m, 1)
     if m != len(run_log):
         raise ConfigError(f"m = {m} but run log has {len(run_log)} steps")
-    if m < 1:
-        raise ConfigError("need at least one step")
     lhs = float(np.mean([r.instantaneous_risk for r in run_log]))
     rhs = batch_risk + consts.alpha / math.sqrt(m) + consts.beta / m
     return BoundReport(

@@ -16,27 +16,18 @@ Both are Hermitian (``K(x, x') == K(x', x).T``) and positive-definite:
 for any points ``x_k`` and vectors ``y_k``,
 ``sum_{k,l} <K(x_k, x_l) y_l, y_k> >= 0``.
 
-Each kernel states its family's expansion ``sum_i K(x_i, x) c_i`` once,
-in ``row_expansion``, from per-term scalars of the kernel's rows (a
-Gaussian's exponents ``-||x_i - x||^2 / mu``, a poly kernel's inner
-products); see :class:`OperatorKernel`.  A swept block of predict rows, a
-poly step and the batch Gram product ``G vec(C)`` (the expansion over the
-t x t ``scalar_gram``) call it; a Gaussian step makes its floats,
-``J (w C)``, with the J products shared.  A sweep for many queries at once
-is one BLAS product of the queries with the support: a Gaussian writes
-each exponent in its centred form, norms included and ``-1 / mu`` folded
-in, as one product with a factor built once per support.
-
 A learner evaluates its kernels through one bank per family, the family's
 step code (:class:`KernelBank`), which writes each result at its kernel's
-place in the learner's kernel order.  A step calls each bank twice:
-``expand`` before the loss sweeps the support, predicts and keeps its
-sweep, and ``norm_terms`` after it writes the new coefficient's quadratic
-forms and cross products from that kept sweep, so each product is
-computed once.  A Gaussian bank's point sweep is one BLAS product of a
-point's centred ``[-2 (x - c), 1, ||x - c||^2]`` with each term's centred
-row ``[x_i - c, ||x_i - c||^2, 1]``, which the expansion state keeps for
-it (:func:`centred_rows`); the bank maps those squared distances to its
+place in the learner's kernel order.  A bank is the only code that
+evaluates an expansion ``sum_i K(x_i, x) c_i`` at query points, one point
+or a block of rows.  A step calls each bank twice: ``expand`` before the
+loss sweeps the support, predicts and keeps its sweep, and ``norm_terms``
+after it writes the new coefficient's quadratic forms and cross products
+from that kept sweep, so each product is computed once.  A Gaussian
+bank's point sweep is one BLAS product of a point's centred
+``[-2 (x - c), 1, ||x - c||^2]`` with each term's centred row
+``[x_i - c, ||x_i - c||^2, 1]``, which the expansion state keeps for it
+(:func:`centred_rows`); the bank maps those squared distances to its
 scalars once per distinct ``mu``, makes one ``w C`` product per distinct
 ``mu`` and one ``J`` product per distinct structure matrix, with the bits
 of each member's one-kernel forms given the distances
@@ -48,21 +39,28 @@ A predict on n rows over s terms in R^p with d outputs takes one of two
 paths per family (each bank's ``expand_rows``):
 
 * *Sweep*, O(n s (p + 2d)): the Gaussian family and a poly bank with few
-  rows or wide inputs.  Blocks of rows are swept over the support.  A
-  Gaussian block is the exponents of the bank's last kernel, whose ``exp``
-  is taken in place; the other kernels multiply by ``mu_last / mu_j``, so
-  no block divides.
+  rows or wide inputs.  Blocks of rows are swept over the support, with
+  the work its members share done once per block.  A Gaussian block reads
+  the kept centred rows: its exponents are one product of the rows with
+  the block's ``[-2 (q - c), 1, ||q - c||^2]``, scaled by ``-1 / mu`` of
+  the bank's last kernel, and every other distinct ``mu`` multiplies them
+  by ``mu_last / mu``, so no block divides; each distinct ``mu`` takes one
+  ``exp`` and one ``w C``, as a step does.  A poly block makes its inner
+  products, their squares and the two sums every member reads once.
 * *Feature sums*, O((s + n) p^2 d): a poly bank when
   ``n s (p + 2d) > (s + n) p^2 d``.  The poly kernel has a finite feature
   map, so the bank sums ``v = sum_i S_i x_i`` and
   ``M_k = sum_i c_ik x_i x_i^T`` once (:class:`_PolyBank`) and each row
   reads ``mu (q . v) + (1 - mu) q^T M_k q``, for every kernel of the bank.
 
-The rule reads the shapes alone.  Both paths, and ``scalar_gram`` (the
-sweep over the support itself), round differently from the step's
-one-point sweep, whose centre is kept with the terms and which divides
-each squared distance by ``-mu`` (:class:`_GaussianBank`): multi-row
-predictions agree with one-point predictions within 1e-12 relative.
+The rule reads the shapes alone.  Both paths, and ``scalar_gram`` (each
+family's t x t matrix of per-term scalars, the same exponent product over
+the points' own centred rows for a Gaussian), round differently from the
+step's one-point sweep, which divides each squared distance by ``-mu``
+(:class:`_GaussianBank`): multi-row predictions agree with one-point
+predictions within 1e-12 relative.  Each kernel keeps its family's
+expansion over a scalar Gram, ``row_expansion``, for the batch Gram
+product ``G vec(C)`` and the norm oracle.
 
 Kernel objects are immutable and safe to share between threads.
 """
@@ -132,6 +130,27 @@ def centred_row(x, centre, out):
     return norm
 
 
+def centred_exponents(rows, centre, queries, scale, out) -> np.ndarray:
+    """``scale * ||q - x_i||^2`` of (B, p) queries and :func:`centred_rows` ``rows``, into (B, s) ``out``.
+
+    One product of the rows with each query's ``[-2 (q - c), 1, ||q - c||^2]``
+    scaled by ``scale`` (``-1 / mu``), so nothing the size of ``out``
+    divides.  Centred, the cancellation scales with the spread of the
+    inputs, not with their distance from the origin (uncentred, inputs
+    shifted by 1e3 moved predictions by 7e-10 relative); rounding can leave
+    the product above 0, so it is clamped at 0 from above.
+    """
+    p = len(centre)
+    left = np.empty((len(queries), p + 2))
+    u = np.subtract(queries, centre, out=left[:, :p])
+    left[:, p] = scale
+    np.einsum("ij,ij->i", u, u, out=left[:, p + 1])
+    left[:, p + 1] *= scale
+    u *= -2.0 * scale
+    np.matmul(left, rows.T, out=out)
+    return np.minimum(out, 0.0, out=out)
+
+
 def _check_pair(x, x2):
     x = np.asarray(x, dtype=float)
     x2 = np.asarray(x2, dtype=float)
@@ -166,12 +185,10 @@ class KernelBank:
       alone, so the shrink between the calls changes no result.
 
     ``expand_rows(terms, queries, gs)`` writes every
-    ``sum_i K_j(x_i, q) raw_i`` at many query rows into the (n, d)
-    ``gs[j]``.  Its block sweep is written here once: the last member's
-    ``row_sweep`` writes each block's rows into one buffer,
-    ``block_scalars`` turns them into each member's scalars (the last
-    member's in place, the others' in a second buffer) and each member's
-    ``row_expansion`` reads them.
+    ``sum_i K_j(x_i, q) raw_i`` at the (n, p) query rows into the (n, d)
+    ``gs[j]``.  The queries go in blocks whose (B, s) rows take about
+    ``_BLOCK_BYTES`` (:func:`_block_size`), so no n x s array is formed, and
+    each block shares its members' work as the step does.
     """
 
     reads_sums = False
@@ -181,33 +198,10 @@ class KernelBank:
         self.kernels = tuple(kernels)
         self.columns = tuple(columns)
 
-    def expand_rows(self, terms, queries, gs) -> None:
-        """Write member j's ``sum_i K_j(x_i, q) raw_i`` at the (n, p) queries into ``gs[columns[j]]``.
 
-        The queries go in blocks whose (B, s) rows take about ``_BLOCK_BYTES``,
-        so the sweep holds at most two such buffers and no n x s array.
-        """
-        support, raw, sums, _ = terms
-        n, s = len(queries), len(support)
-        block = max(1, min(n, _BLOCK_BYTES // (8 * s)))  # float64 rows
-        *others, last = range(len(self.kernels))
-        outs = [gs[j] for j in self.columns]
-        sweep = self.kernels[last].row_sweep(support)
-        shared = np.empty((block, s))
-        scratch = np.empty((block, s)) if others else None
-        for lo in range(0, n, block):
-            hi = min(lo + block, n)
-            rows = sweep(queries[lo:hi], shared[: hi - lo])
-            for j in others:
-                buf = scratch[: hi - lo]
-                w = self.block_scalars(j, rows, buf)
-                self.kernels[j].row_expansion(w, raw, sums, buf, outs[j][lo:hi])
-            w = self.block_scalars(last, rows, rows)
-            self.kernels[last].row_expansion(w, raw, sums, rows, outs[last][lo:hi])
-
-    def block_scalars(self, j, rows, out) -> np.ndarray:
-        """Member j's scalars of a block's swept ``rows``, into ``out`` (which may be ``rows``)."""
-        return self.kernels[j].scalars(rows, out)
+def _block_size(n, width):
+    """The row count B of a block of queries whose (B, width) rows take about ``_BLOCK_BYTES``."""
+    return max(1, min(n, _BLOCK_BYTES // (8 * width)))  # float64 rows
 
 
 class _GaussianBank(KernelBank):
@@ -234,10 +228,14 @@ class _GaussianBank(KernelBank):
     member's own one-point forms (``exp(row / -mu)``, ``J (w C)``,
     ``<J a, a>``, ``w (C J a)``): IEEE division and ``exp`` are elementwise.
 
-    A block of query rows divides nothing: it is the last member's
-    ``row_sweep``, whose rows are that member's exponents, and the other
-    members multiply them by ``mu_last / mu_j``.  These exponents round
-    differently from the quotients of the point path, by a few ulps.
+    A block of query rows (:meth:`expand_rows`) reads the same kept rows
+    and divides nothing: :func:`centred_exponents` scales each query's
+    factor by ``-1 / mu`` of the last member, whose exponents the product
+    gives, and every other distinct ``mu`` multiplies them by
+    ``mu_last / mu``.  Each distinct ``mu`` then takes one ``exp`` and one
+    :meth:`weighted_sum`, and each member one ``J`` product, as in
+    :meth:`expand`.  These exponents round differently from the quotients
+    of the point path, by a few ulps.
     """
 
     reads_centred = True
@@ -255,8 +253,13 @@ class _GaussianBank(KernelBank):
             J = k.structure
             structures.setdefault(J.tobytes(), (J, J.T, []))[2].append((j, i))
         self._structures = list(structures.values())
+        # a block's exponents are the last member's; (scalars row, mu_last / mu)
+        # of every other distinct mu, then the last member's own row, whose
+        # exp is taken in place
         last = self.kernels[-1].mu
-        self._ratios = [last / k.mu for k in self.kernels]
+        self._block_scale = -1.0 / last
+        self._block_ratios = [(i, last / mu) for mu, i in mus.items() if mu != last]
+        self._block_ratios.append((mus[last], None))
 
     def distances(self, terms, x) -> np.ndarray:
         """``||x_i - x||^2`` for every stored term: one product with the kept centred rows."""
@@ -306,6 +309,23 @@ class _GaussianBank(KernelBank):
                 gs[j] = scale * sums[i].dot(structure_t)
         return kept
 
+    def expand_rows(self, terms, queries, gs) -> None:
+        raw, (rows, centre, _) = terms[1], terms[3]
+        n, s = len(queries), len(rows)
+        block = _block_size(n, s)
+        exponents = np.empty((block, s))
+        scratch = np.empty((block, s)) if len(self._block_ratios) > 1 else None
+        sums = [None] * len(self._block_ratios)
+        for lo in range(0, n, block):
+            hi = min(lo + block, n)
+            e = centred_exponents(rows, centre, queries[lo:hi], self._block_scale, exponents[: hi - lo])
+            for i, ratio in self._block_ratios:
+                w = e if ratio is None else np.multiply(e, ratio, out=scratch[: hi - lo])
+                sums[i] = self.weighted_sum(np.exp(w, out=w), raw)
+            for _, structure_t, members in self._structures:
+                for j, i in members:
+                    np.matmul(sums[i], structure_t, out=gs[j][lo:hi])
+
     def norm_terms(self, kept, x_sq, a, a_sq, quads, cross) -> None:
         for structure, _, members in self._structures:
             quad = self.quad(structure, a)
@@ -334,11 +354,6 @@ class _GaussianBank(KernelBank):
     def cross_vector(structure, coeffs, a) -> np.ndarray:
         """``<J a, coeffs_i>`` for every i; times each term's scalar it is the cross product."""
         return coeffs.dot(structure.dot(a))
-
-    def block_scalars(self, j, rows, out) -> np.ndarray:
-        # the rows are the last member's exponents, and member j's are mu_last / mu_j times them
-        w = rows if out is rows else np.multiply(rows, self._ratios[j], out=out)
-        return np.exp(w, out=w)
 
 
 class _PolyBank(KernelBank):
@@ -390,23 +405,26 @@ class _PolyBank(KernelBank):
                 column += kernel.mu * raw_total * coupled + (1.0 - kernel.mu) * uncoupled
 
     def expand_rows(self, terms, queries, gs) -> None:
-        support, raw, _, _ = terms
+        support, raw, sums, _ = terms
         n, (s, p), d = len(queries), support.shape, raw.shape[1]
-        if n * s * (p + 2 * d) <= (s + n) * p * p * d:
-            return super().expand_rows(terms, queries, gs)
-        features = self.feature_sums(terms)
-        # the queries' inner products with the 1 + p d feature sums, a family
-        # sweep whose support is the feature sums instead of the s terms
-        sweep = self.kernels[0].row_sweep(features)
-        block = max(1, min(n, _BLOCK_BYTES // (8 * len(features))))
-        shared = np.empty((block, len(features)))
+        # a sweep's rows are the inner products with the s terms, the feature
+        # path's with the 1 + p d feature sums
+        features = None if n * s * (p + 2 * d) <= (s + n) * p * p * d else self.feature_sums(terms)
+        right = support if features is None else features
+        block = _block_size(n, len(right))
+        buf = np.empty((block, len(right)))
         for lo in range(0, n, block):
             hi = min(lo + block, n)
             q = queries[lo:hi]
-            rows = sweep(q, shared[: hi - lo])
-            linear = rows[:, 0]
-            # (q^T M_k q)_k: row 1 + k p + b of the sums is column b of M_k
-            quadratic = np.matmul(rows[:, 1:].reshape(hi - lo, d, p), q[:, :, None])[:, :, 0]
+            rows = np.matmul(q, right.T, out=buf[: hi - lo])
+            if features is None:
+                # each member's expansion, whose two products every member shares
+                linear = rows.dot(sums)
+                quadratic = np.multiply(rows, rows, out=rows).dot(raw)
+            else:
+                linear = rows[:, 0]
+                # (q^T M_k q)_k: row 1 + k p + b of the sums is column b of M_k
+                quadratic = np.matmul(rows[:, 1:].reshape(hi - lo, d, p), q[:, :, None])[:, :, 0]
             for j, kernel in zip(self.columns, self.kernels):
                 out = np.multiply(quadratic, 1.0 - kernel.mu, out=gs[j][lo:hi])
                 out += (kernel.mu * linear)[:, None]
@@ -434,32 +452,21 @@ class OperatorKernel:
     """Common evaluation helpers; concrete families fill in the formulas.
 
     Subclasses implement ``__call__`` (the d x d matrix, for the oracles
-    only), ``fill_gram`` (the td x td block Gram that :meth:`gram` returns),
-    the closed-form ``diag_operator_norm`` and the row methods below, which
-    state the family's expansion ``sum_i K(x_i, x) coeffs_i`` once for the
-    batch fits, the multi-row predicts and the step.
+    only), ``scalar_gram``, ``row_expansion``, ``fill_gram`` (the td x td
+    block Gram that :meth:`gram` returns) and the closed-form
+    ``diag_operator_norm``.
 
-    Both families write ``K(x_i, x)`` through one scalar per support term,
-    ``r_i`` (Gaussian weight or inner product), which each kernel derives
-    from its rows: the exponents ``-||x_i - x||^2 / mu`` or the inner
-    products ``<x_i, x>``.  ``row_sweep(support)`` does the per-support work
-    once and returns a function writing the (B, s) rows of a block of B
-    queries into a caller's buffer with one BLAS product; over the support
-    itself it gives ``scalar_gram``, and a poly bank also sweeps many
-    queries over its feature sums with it (see :class:`_PolyBank`).
-    ``scalars`` maps those rows elementwise to ``r_i`` (``exp`` or the
-    identity) and ``row_expansion`` reads
-    them: a block's expansion takes its (B, s) scalars, one query's its
-    (s,) ones, and over the t x t ``scalar_gram`` it is the block Gram
-    product ``G vec(coeffs)`` of the batch solves and the norm oracle, with
-    G never formed.  ``sums`` holds each term's coefficient sum
-    ``sum_k coeffs[i, k]``, which the poly family's all-ones block reads
-    and a Gaussian ignores.
+    Both families write ``K(x_i, x_k)`` through one scalar per pair of
+    points, ``r_ik`` (Gaussian weight or inner product): ``scalar_gram``
+    gives the t x t matrix of them, and ``row_expansion`` reads it as the
+    block Gram product ``G vec(coeffs)`` of the batch solves and the norm
+    oracle, with G never formed.  ``sums`` holds each term's coefficient
+    sum ``sum_k coeffs[i, k]``, which the poly family's all-ones block
+    reads and a Gaussian ignores.
 
-    The row methods trust their arguments.  A learner's kernels are
-    evaluated through their family's ``bank`` (see :class:`KernelBank`),
-    which the expansion state of :mod:`ovklearn.onorma` builds and feeds
-    with checked terms.
+    A learner's kernels are evaluated at query points through their
+    family's ``bank`` (see :class:`KernelBank`), which the expansion state
+    of :mod:`ovklearn.onorma` builds and feeds with checked terms.
     """
 
     family: str
@@ -471,33 +478,19 @@ class OperatorKernel:
         """The d x d matrix ``K(x, x2)``, which no library path builds."""
         raise NotImplementedError
 
-    def row_sweep(self, support):
-        """``rows(queries, out)``: the kernel's rows of (B, p) queries, written into (B, s) ``out``.
-
-        The work that depends on the support alone is done here, once for
-        every block of queries swept over it.
-        """
-        raise NotImplementedError
-
-    def scalars(self, row, out=None) -> np.ndarray:
-        """The per-term scalars ``r_i`` of ``K(x_i, x)``, elementwise from a ``row_sweep`` row."""
+    def scalar_gram(self, xs) -> np.ndarray:
+        """The t x t matrix of per-pair scalars ``r(x_i, x_k)`` of the (t, p) points."""
         raise NotImplementedError
 
     def row_expansion(self, scalars, coeffs, sums, scratch=None, out=None) -> np.ndarray:
-        """``sum_i K(x_i, x) coeffs_i`` from the (s,) scalars of one x, or of B queries from (B, s).
+        """``sum_i K(x_i, x) coeffs_i`` from the (s,) scalars of one x, or of B points from (B, s).
 
         The result goes into ``out`` ((d,) or (B, d)), and ``None`` allocates.
         A kernel that needs a buffer the size of the scalars writes it into
         ``scratch``: the scalars are overwritten only when ``scratch`` is
-        ``scalars``, and ``None`` allocates.
+        ``scalars``, and ``None`` allocates.  It trusts its arguments.
         """
         raise NotImplementedError
-
-    def scalar_gram(self, xs) -> np.ndarray:
-        """The t x t matrix of per-term scalars ``r(x_i, x_k)``, from the kernel's rows."""
-        xs = np.asarray(xs, dtype=float)
-        row = self.row_sweep(xs)(xs, np.empty((len(xs), len(xs))))
-        return self.scalars(row, out=row)
 
     def gram(self, xs) -> np.ndarray:
         """The td x td block Gram, block (i, k) equal to ``K(x_i, x_k)``, in one array."""
@@ -606,39 +599,20 @@ class SeparableGaussian(OperatorKernel):
         d = x - x2
         return float(np.exp(-np.dot(d, d) / self.mu)) * self.structure
 
-    def row_sweep(self, support):
-        """``rows(queries, out)``: the exponents ``-||q - x_i||^2 / mu``, clamped at 0 from above."""
-        # ||q - x_i||^2 = ||q - c||^2 + ||x_i - c||^2 - 2 <q - c, x_i - c> with c
-        # the support mean: centred, the cancellation scales with the spread of
-        # the inputs, not with their distance from the origin (uncentred,
-        # inputs shifted by 1e3 moved predictions by 7e-10 relative).  All
-        # three terms are one product of a block's [q - c, 1, ||q - c||^2]
-        # with the (p + 2) x s right factor [-2 (x_i - c)^T; ||x_i - c||^2; 1],
-        # built once and scaled by -1 / mu, so no block divides; rounding can
-        # leave the product above 0
-        scale = -1.0 / self.mu
-        centre = support.mean(axis=0)
-        centred = support - centre
-        p = support.shape[1]
-        right = np.empty((p + 2, len(support)))
-        np.multiply(centred.T, -2.0 * scale, out=right[:p])
-        np.einsum("ij,ij->i", centred, centred, out=right[p])
-        right[p] *= scale
-        right[p + 1] = scale
-
-        def rows(queries, out):
-            left = np.empty((len(queries), p + 2))
-            q = np.subtract(queries, centre, out=left[:, :p])
-            left[:, p] = 1.0
-            np.einsum("ij,ij->i", q, q, out=left[:, p + 1])
-            np.matmul(left, right, out=out)
-            return np.minimum(out, 0.0, out=out)
-
-        return rows
-
-    def scalars(self, row, out=None) -> np.ndarray:
-        # w_i = exp(r_i) of the exponents r_i = -||x_i - x||^2 / mu, so K(x_i, x) = w_i J
-        return np.exp(row, out=out)
+    def scalar_gram(self, xs) -> np.ndarray:
+        # exp of the exponent product over the points' own rows, centred at their mean
+        xs = np.asarray(xs, dtype=float)
+        t, p = xs.shape
+        centre = xs.mean(axis=0)
+        rows = np.empty((t, p + 2))
+        centred_rows(xs, centre, rows)
+        w = centred_exponents(rows, centre, xs, -1.0 / self.mu, np.empty((t, t)))
+        # K(x_i, x_k) = J exactly wherever x_i = x_k, the diagonal included,
+        # where the product leaves a rounding residue; equal points' entries
+        # share one residue, so a diagonal alone would split a duplicate pair
+        _, point = np.unique(xs, axis=0, return_inverse=True)
+        w[point[:, None] == point[None, :]] = 0.0
+        return np.exp(w, out=w)
 
     def row_expansion(self, scalars, coeffs, sums, scratch=None, out=None) -> np.ndarray:
         # row b is J (w_b C) for any J; one query's floats are those of J @ (w @ C)
@@ -688,14 +662,11 @@ class NonSeparablePoly(OperatorKernel):
         d = self.dim
         return self.mu * dot * np.ones((d, d)) + (1.0 - self.mu) * dot * dot * np.eye(d)
 
-    def row_sweep(self, support):
-        # over the support itself this is a matrix times its own transpose,
-        # which numpy computes bitwise symmetric
-        return lambda queries, out: np.matmul(queries, support.T, out=out)
-
-    def scalars(self, row, out=None) -> np.ndarray:
-        # K(x_i, x) = mu p_i ONES + (1 - mu) p_i^2 I reads p_i itself
-        return row
+    def scalar_gram(self, xs) -> np.ndarray:
+        # the inner products: a matrix times its own transpose, which numpy
+        # computes bitwise symmetric
+        xs = np.asarray(xs, dtype=float)
+        return xs @ xs.T
 
     def row_expansion(self, scalars, coeffs, sums, scratch=None, out=None) -> np.ndarray:
         # the coupled part first: the squares may overwrite the scalars

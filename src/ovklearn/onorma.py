@@ -287,9 +287,9 @@ class _ExpansionState:
     def expand_rows(self, queries) -> list:
         """``g_j`` at each of the (n, p) queries, with no n x s array.
 
-        Each family's bank writes its members' outputs
-        (:meth:`~ovklearn.kernels.KernelBank.expand_rows`) in blocks of
-        queries, and the lazy scale multiplies them once.
+        Each family's bank writes its members' outputs in blocks of queries
+        (``expand_rows``, see :class:`~ovklearn.kernels.KernelBank`), and
+        the lazy scale multiplies them once.
         """
         n = len(queries)
         gs = [np.zeros((n, self.dim)) for _ in self.kernels]

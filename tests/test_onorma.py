@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from fractions import Fraction
 
+import ovklearn.kernels
 from conftest import (
     NaiveOnlineLearner,
     centred_distance_bound,
@@ -416,14 +417,14 @@ def test_truncated_norm_tracker_matches_gram_oracle(family):
 class RowCounter:
     """Counts a kernel family's support sweeps while installed.
 
-    A sweep is a call of the family bank's ``sweep`` (one point) or of the
-    kernel's ``row_sweep`` (the set-up of every block of a multi-row query).
+    A sweep is a call of the family bank's ``sweep`` (one point) or of its
+    ``expand_rows`` (every block of a multi-row query).
     """
 
     def __init__(self, monkeypatch, *families):
         self.calls = 0
         for cls in families:
-            for owner, name in ((cls.bank, "sweep"), (cls, "row_sweep")):
+            for owner, name in ((cls.bank, "sweep"), (cls.bank, "expand_rows")):
 
                 def counted(obj, *args, _original=getattr(owner, name)):
                     self.calls += 1
@@ -561,10 +562,14 @@ def test_same_family_bank_sweeps_once_per_step_predict_and_replay(monkeypatch, t
                 assert work["cross_vector"] - before["cross_vector"] == made
                 made = products if before_size else 0
                 assert work["weighted_sum"] - before["weighted_sum"] == made
-            for queries in (xs[:7], xs[0]):
-                before_rows = counter.calls
+            # two rows per block: seven multi-row queries take four blocks,
+            # each with one w C product per distinct mu, as one point takes
+            monkeypatch.setattr(ovklearn.kernels, "_BLOCK_BYTES", 2 * 8 * model.support_size)
+            for queries, blocks in ((xs[:7], 4), (xs[0], 1)):
+                before_rows, before = counter.calls, dict(work)
                 model.predict(queries)
                 assert counter.calls - before_rows == 1
+                assert work["weighted_sum"] - before["weighted_sum"] == blocks * products
 
             save_model(tmp_path / "bank.npz", model)
             before_rows = counter.calls
@@ -611,8 +616,17 @@ def test_point_sweep_distances_meet_the_centred_bound(offset, truncated, capsys)
     assert model.support_size == len(naive.terms)
     # a centre left where the stream began reads 1.7e-11 at offset 0 and 12.6 at 1e6
     assert gap <= 5e-12
+    # a multi-row predict reads the same kept rows, whose centre lags a
+    # drifting stream; the last rows are near the terms a truncation keeps
+    queries = xs[-60:]
+    got, want = model.predict(queries), np.array([naive.predict(q) for q in queries])
+    rows_gap = float(np.max(np.max(np.abs(got - want), axis=1) / np.max(np.abs(want), axis=1)))
+    assert rows_gap <= 5e-12
     with capsys.disabled():
-        print(f"\noffset {offset:g}: distance error {worst:.3g} of the bound, gap {gap:.2e}")
+        print(
+            f"\noffset {offset:g}: distance error {worst:.3g} of the bound, "
+            f"gap {gap:.2e}, multi-row gap {rows_gap:.2e}"
+        )
 
 
 @pytest.mark.parametrize("scale", [1e160, 1e300])

@@ -61,26 +61,28 @@ class PolyPaths:
 
     ``paths`` gets ``"features"`` for a query read through the bank's feature
     sums and ``"sweep"`` for one swept over the support; ``sweeps`` counts
-    every poly ``row_sweep`` call.  ``take`` returns both and clears them.
+    every call of the poly bank's ``expand_rows``.  ``take`` returns both and
+    clears them.
     """
 
     def __init__(self, monkeypatch):
         self.paths, self.sweeps = [], 0
         bank = NonSeparablePoly.bank
-        feature_sums, row_sweep = bank.feature_sums, NonSeparablePoly.row_sweep
+        feature_sums, expand_rows = bank.feature_sums, bank.expand_rows
 
         def counted_sums(*args):
             self.paths.append("features")
             return feature_sums(*args)
 
-        def counted_sweep(kernel, support):
+        def counted_rows(obj, *args):
             self.sweeps += 1
-            if support.shape[0] != 1 + support.shape[1] * kernel.dim:
+            before = len(self.paths)
+            expand_rows(obj, *args)
+            if len(self.paths) == before:
                 self.paths.append("sweep")
-            return row_sweep(kernel, support)
 
         monkeypatch.setattr(bank, "feature_sums", staticmethod(counted_sums))
-        monkeypatch.setattr(NonSeparablePoly, "row_sweep", counted_sweep)
+        monkeypatch.setattr(bank, "expand_rows", counted_rows)
 
     def take(self):
         taken = (self.paths, self.sweeps)
@@ -130,16 +132,21 @@ def test_rows_match_the_per_term_oracle_and_the_point_path(name, blocks, monkeyp
 
 @pytest.mark.parametrize("shift", [0.0, 1e3])
 @pytest.mark.parametrize(
-    "kernel", [SeparableGaussian(mu=0.7, dim=D), NonSeparablePoly(mu=0.3, dim=D)], ids=["gaussian", "poly"]
+    "kernel",
+    [SeparableGaussian(mu=0.7, dim=D), SeparableGaussian(mu=0.01, dim=D), NonSeparablePoly(mu=0.3, dim=D)],
+    ids=["gaussian", "narrow-gaussian", "poly"],
 )
 def test_scalar_gram_matches_kernel_calls(kernel, shift):
     xs = np.random.default_rng(62).normal(size=(12, P)) + shift
     xs[5] = xs[4] + 1e-6  # a near-duplicate pair
+    xs[7] = xs[3]  # an equal pair
     assert_close(kernel.gram(xs), block_gram(kernel, xs))
     scalar = kernel.scalar_gram(xs)
     assert_close(scalar, scalar.T)
     if kernel.family == "gaussian":
-        assert_close(np.diag(scalar), np.ones(len(xs)))
+        # exp(0) = 1 exactly, so K(x_i, x_k) = J wherever x_i = x_k
+        assert np.array_equal(np.diag(scalar), np.ones(len(xs)))
+        assert scalar[3, 7] == scalar[7, 3] == 1.0
 
 
 def test_rows_whose_distances_overflow_raise_numerics_error():

@@ -24,6 +24,7 @@ from ovklearn import (
     SynthSpec,
     TruncationSchedule,
     batch_fit,
+    check_cumulative_bound,
     compute_constants,
     delta_update,
     encode_labels,
@@ -41,6 +42,9 @@ KERNEL = SeparableGaussian(1.0, 2)
 XS = np.linspace(0.0, 1.0, 12).reshape(6, 2)
 YS = np.cos(XS)
 DATASET = gen_synthetic(SynthSpec(10, 2, 0))
+# one step, so that m = True would also pass a count of the log's steps
+RUN_LOG = ONORMA(KERNEL, lam=0.125, eta0=0.5).fit(XS[:1], YS[:1])
+CONSTANTS = compute_constants(1.0, c_y=1.0, eta0=0.25, lam=3.0, branch="least_squares")
 
 # name -> (kind, a valid value exact in float32, call(value, csv path), what it stores)
 SETTINGS = {
@@ -120,6 +124,15 @@ SETTINGS = {
         1.0,
         lambda v, _: compute_constants(1.0, c_y=v, eta0=0.25, lam=3.0, branch="least_squares"),
         lambda c: c.c_y,
+    ),
+    "check_cumulative_bound batch_risk": (
+        "real",
+        0.5,
+        lambda v, _: check_cumulative_bound(RUN_LOG, v, CONSTANTS, 1),
+        lambda r: r.batch_risk,
+    ),
+    "check_cumulative_bound m": (
+        "int", 1, lambda v, _: check_cumulative_bound(RUN_LOG, 0.5, CONSTANTS, v), lambda r: r.m
     ),
 }
 
