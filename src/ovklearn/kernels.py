@@ -21,9 +21,10 @@ step code (:class:`KernelBank`), which writes each result at its kernel's
 place in the learner's kernel order.  A bank is the only code that
 evaluates an expansion ``sum_i K(x_i, x) c_i`` at query points, one point
 or a block of rows.  A step calls each bank twice: ``expand`` before the
-loss sweeps the support, predicts and keeps its sweep, and ``norm_terms``
-after it writes the new coefficient's quadratic forms and cross products
-from that kept sweep, so each product is computed once.  A Gaussian
+loss evaluates the expansion at the step's point and keeps that sweep, and
+``norm_terms`` after it writes the new coefficient's quadratic forms and,
+for a Gaussian bank under truncation, its cross products from that kept
+sweep, so each product is computed once.  A Gaussian
 bank's point sweep is one BLAS product of a point's centred
 ``[-2 (x - c), 1, ||x - c||^2]`` with each term's centred row
 ``[x_i - c, ||x_i - c||^2, 1]``, which the expansion state keeps for it
@@ -31,32 +32,32 @@ bank's point sweep is one BLAS product of a point's centred
 scalars once per distinct ``mu``, makes one ``w C`` product per distinct
 ``mu`` and one ``J`` product per distinct structure matrix, with the bits
 of each member's one-kernel forms given the distances
-(:class:`_GaussianBank`).  A poly bank keeps ``<x_i, x>`` and its square
-for both calls and reads each term's coefficient sum, which the
-expansion state keeps for it (:class:`_PolyBank`).
+(:class:`_GaussianBank`).  A poly bank evaluates through the kernel's
+finite feature map: the expansion state keeps the feature sums
+``F = [v; M_1; ...; M_d]``, ``v = sum_i S_i x_i`` and
+``M_k = sum_i c_ik x_i x_i^T``, of its folded terms and a few pending
+rows, and every member reads ``mu (q . v) + (1 - mu) q^T M_k q`` plus a
+sweep of those rows (:class:`_PolyBank`).
 
-A predict on n rows over s terms in R^p with d outputs takes one of two
-paths per family (each bank's ``expand_rows``):
+A predict on n rows over s terms in R^p with d outputs takes one path per
+family (each bank's ``expand_rows``):
 
-* *Sweep*, O(n s (p + 2d)): the Gaussian family and a poly bank with few
-  rows or wide inputs.  Blocks of rows are swept over the support, with
-  the work its members share done once per block.  A Gaussian block reads
-  the kept centred rows: its exponents are one product of the rows with
-  the block's ``[-2 (q - c), 1, ||q - c||^2]``, scaled by ``-1 / mu`` of
-  the bank's last kernel, and every other distinct ``mu`` multiplies them
-  by ``mu_last / mu``, so no block divides; each distinct ``mu`` takes one
-  ``exp`` and one ``w C``, as a step does.  A poly block makes its inner
-  products, their squares and the two sums every member reads once.
-* *Feature sums*, O((s + n) p^2 d): a poly bank when
-  ``n s (p + 2d) > (s + n) p^2 d``.  The poly kernel has a finite feature
-  map, so the bank sums ``v = sum_i S_i x_i`` and
-  ``M_k = sum_i c_ik x_i x_i^T`` once (:class:`_PolyBank`) and each row
-  reads ``mu (q . v) + (1 - mu) q^T M_k q``, for every kernel of the bank.
+* *Gaussian*, O(n s (p + 2d)): blocks of rows are swept over the support,
+  with the work the members share done once per block.  A block reads the
+  kept centred rows: its exponents are one product of the rows with the
+  block's ``[-2 (q - c), 1, ||q - c||^2]``, scaled by ``-1 / mu`` of the
+  bank's last kernel, and every other distinct ``mu`` multiplies them by
+  ``mu_last / mu``, so no block divides; each distinct ``mu`` takes one
+  ``exp`` and one ``w C``, as a step does.
+* *Poly*, O(n (p^2 d + B (p + 2d))) for at most B pending rows: each block
+  of rows reads the kept feature sums and sweeps the pending rows, the
+  step's path for one point, whatever the support size.  A support that
+  was never folded (under B terms) is all pending, so it is swept.
 
-The rule reads the shapes alone.  Both paths, and ``scalar_gram`` (each
-family's t x t matrix of per-term scalars, the same exponent product over
-the points' own centred rows for a Gaussian), round differently from the
-step's one-point sweep, which divides each squared distance by ``-mu``
+Both paths, and ``scalar_gram`` (each family's t x t matrix of per-term
+scalars, the same exponent product over the points' own centred rows for
+a Gaussian), round differently from the step's one-point evaluation, which
+for a Gaussian divides each squared distance by ``-mu``
 (:class:`_GaussianBank`): multi-row predictions agree with one-point
 predictions within 1e-12 relative.  Each kernel keeps its family's
 expansion over a scalar Gram, ``row_expansion``, for the batch Gram
@@ -163,36 +164,38 @@ class KernelBank:
     """The kernels of one family, at ``columns`` of a learner's kernel list.
 
     A bank is its family's step code.  Each method reads the stored terms
-    from ``terms = (support, raw, sums, centred)``, the live views the
-    expansion state takes once per call (``sums``, each term's raw
-    coefficient sum, is None unless a bank ``reads_sums``, and ``centred``,
-    the rows of :func:`centred_rows` with their centre and a bound on their
-    norms, None unless a bank ``reads_centred``), shares the work its
-    members have in common and writes member j's result at ``columns[j]``
-    of a list or array in the learner's kernel order.  A step calls each
-    bank twice:
+    from ``terms = (support, raw, features, centred)``, the live views the
+    expansion state takes once per call (``features``, the poly feature
+    sums with the pending rows, is None unless a bank ``reads_features``,
+    and ``centred``, the rows of :func:`centred_rows` with their centre and
+    a bound on their norms, None unless a bank ``reads_centred``), shares
+    the work its members have in common and writes member j's result at
+    ``columns[j]`` of a list or array in the learner's kernel order.  A step
+    calls each bank twice:
 
     * ``expand(terms, scale, x, gs)``, before the loss, writes every
       ``scale * g_j(x)`` into ``gs`` and returns ``kept``, its one sweep
-      ``sweep(terms, x)``: the per-term scalars at x with the views read;
+      ``sweep(terms, x)``;
     * ``norm_terms(kept, x_sq, a, a_sq, quads, cross)``, after the loss,
       writes every ``<K_j(x, x) a, a>`` into ``quads`` from the step's
-      ``x_sq = <x, x>`` and ``a_sq = <a, a>``; given
-      ``cross = (crosses, raw_a, raw_sum)``, it also adds every
-      ``<K_j(x_i, x) raw_a, raw_i>`` into column j of the stored terms'
-      (s, m) ``crosses`` (``raw_sum`` is the sum of ``raw_a``, or None
-      unless the state keeps sums).  These read x, a and the raw terms
-      alone, so the shrink between the calls changes no result.
+      ``x_sq = <x, x>`` and ``a_sq = <a, a>``.  A bank that
+      ``keeps_crosses`` (the Gaussian family's), given
+      ``cross = (crosses, raw_a)``, also adds every
+      ``<K_j(x_i, x) raw_a, raw_i>`` into its member's column of the stored
+      terms' ``crosses``, one column per member in bank order.  These read
+      x, a and the raw terms alone, so the shrink between the calls changes
+      no result.
 
     ``expand_rows(terms, queries, gs)`` writes every
     ``sum_i K_j(x_i, q) raw_i`` at the (n, p) query rows into the (n, d)
-    ``gs[j]``.  The queries go in blocks whose (B, s) rows take about
+    ``gs[j]``.  The queries go in blocks whose rows take about
     ``_BLOCK_BYTES`` (:func:`_block_size`), so no n x s array is formed, and
     each block shares its members' work as the step does.
     """
 
-    reads_sums = False
+    reads_features = False
     reads_centred = False
+    keeps_crosses = False
 
     def __init__(self, kernels, columns):
         self.kernels = tuple(kernels)
@@ -239,6 +242,7 @@ class _GaussianBank(KernelBank):
     """
 
     reads_centred = True
+    keeps_crosses = True
 
     def __init__(self, kernels, columns):
         super().__init__(kernels, columns)
@@ -253,6 +257,10 @@ class _GaussianBank(KernelBank):
             J = k.structure
             structures.setdefault(J.tobytes(), (J, J.T, []))[2].append((j, i))
         self._structures = list(structures.values())
+        # per distinct J, J and the (column of the cross sums, scalars row) of
+        # each member: the cross sums keep the bank's members alone, in their order
+        place = {j: c for c, j in enumerate(self.columns)}
+        self._crossers = [(J, [(place[j], i) for j, i in members]) for J, _, members in self._structures]
         # a block's exponents are the last member's; (scalars row, mu_last / mu)
         # of every other distinct mu, then the last member's own row, whose
         # exp is taken in place
@@ -332,12 +340,12 @@ class _GaussianBank(KernelBank):
             for j, _ in members:
                 quads[j] = quad
         if cross is not None:
-            crosses, raw_a, _ = cross
+            crosses, raw_a = cross
             scalars, raw = kept
-            for structure, _, members in self._structures:
+            for structure, crossers in self._crossers:
                 v = self.cross_vector(structure, raw, raw_a)
-                for j, i in members:
-                    column = crosses[:, j]
+                for c, i in crossers:
+                    column = crosses[:, c]
                     column += scalars[i] * v
 
     @staticmethod
@@ -357,95 +365,134 @@ class _GaussianBank(KernelBank):
 
 
 class _PolyBank(KernelBank):
-    """Poly kernels ``mu <x_i, x> ONES + (1 - mu) <x_i, x>^2 I``, read through one row.
+    """Poly kernels ``mu <x_i, x> ONES + (1 - mu) <x_i, x>^2 I``, read through their feature map.
 
-    Every member's scalars are the inner products ``p_i = <x_i, x>``
-    themselves, so the point sweep gives one row for the whole bank.
-    ``ONES @ a == sum(a) * ones``, so every product costs O(d) per term
-    given each term's coefficient sum ``S_i = sum_k c_ik``, which the
-    state keeps for this bank (``reads_sums``).  The sweep keeps ``p`` and
-    ``p * p`` for every member's expansion and cross sums.
+    ``K(x_i, q) c_i = mu <x_i, q> S_i ones + (1 - mu) <x_i, q>^2 c_i`` with
+    ``S_i = sum_k c_ik``, so ``sum_i K(x_i, q) c_i`` is
+    ``mu (q . v) ones + (1 - mu) (q^T M_k q)_k`` with ``v = sum_i S_i x_i``
+    and ``M_k = sum_i c_ik x_i x_i^T``: every member reads the same two sums,
+    ``linear = sum_i <x_i, q> S_i`` and ``quadratic_k = sum_i <x_i, q>^2 c_ik``
+    (:meth:`sums_at`).  The expansion state keeps this bank's ``features``
+    (``reads_features``): the rows ``F = [v; M_1; ...; M_d]``
+    (:meth:`feature_sums`) of a folded range of its terms, and fewer than B
+    pending rows, the stored terms not yet folded and, with negated
+    coefficients, the dropped terms still folded.  A query reads ``F q`` in
+    O(p^2 d) (:meth:`read_features`) and sweeps the pending rows in
+    O(B (p + 2d)) (:meth:`plus_pending`), whatever the support size; a
+    support that was never folded is all pending, so it is swept.  One point
+    (the step's :meth:`sweep`) and a block of rows (:meth:`expand_rows`)
+    take the same path, so a poly step costs O(p^2 d + B (p + 2d)).
 
-    ``K(x_i, q) c_i = mu <x_i, q> S_i ones + (1 - mu) <x_i, q>^2 c_i``, so
-    ``sum_i K(x_i, q) c_i`` is ``mu (q . v) ones + (1 - mu) (q^T M_k q)_k``
-    with ``v = sum_i S_i x_i`` and ``M_k = sum_i c_ik x_i x_i^T``.
-    :meth:`feature_sums` builds v and the M_k once per multi-row query, in
-    O(s p^2 d), for every member of the bank, and each row reads them in
-    O(p^2 d), against O(s (p + 2d)) for its sweep of the support.
-    :meth:`expand_rows` takes the cheaper of the two from the shapes alone.
+    The bank keeps no cross sums: under truncation the state downdates a
+    dropped term's norm share from an evaluation at its point
+    (:meth:`drop_shares`), whose reading of F it takes for B terms at a time.
     """
 
-    reads_sums = True
+    reads_features = True
+
+    @staticmethod
+    def feature_sums(support, coeffs) -> np.ndarray:
+        """The (1 + p d, p) rows ``[v; M_1; ...; M_d]`` (see the class) of the (s, p) points and (s, d) raw coefficients.
+
+        Row ``1 + k p + b`` is column b of M_k.  One product per block of
+        support rows whose right-hand factor ``[S_i, c_i1 x_i, ..., c_id x_i]``
+        takes about ``_BLOCK_BYTES``.
+        """
+        (s, p), d = support.shape, coeffs.shape[1]
+        columns = np.zeros((p, 1 + p * d))
+        block = max(1, min(s, _BLOCK_BYTES // (8 * (1 + p * d))))
+        right = np.empty((block, 1 + p * d))
+        for lo in range(0, s, block):
+            x, c = support[lo : lo + block], coeffs[lo : lo + block]
+            r = right[: len(x)]
+            np.add.reduce(c, axis=1, out=r[:, 0])
+            np.multiply(c[:, :, None], x[:, None, :], out=r[:, 1:].reshape(len(x), d, p))
+            columns += x.T @ r
+        return columns.T
+
+    @staticmethod
+    def read_features(features, q) -> tuple:
+        """``(q . v, (q^T M_k q)_k)`` from the feature rows ``F``, at one point (p,) or a block (B, p)."""
+        p = q.shape[-1]
+        if q.ndim == 1:
+            rows = features.dot(q)
+            return float(rows[0]), rows[1:].reshape(-1, p).dot(q)
+        rows = q.dot(features.T)
+        quadratic = np.matmul(rows[:, 1:].reshape(len(q), -1, p), q[:, :, None])
+        return rows[:, 0], quadratic[:, :, 0]
+
+    def sums_at(self, features, pending, q) -> tuple:
+        """``(linear, quadratic)`` over the stored terms in raw units, at one point (p,) or a block (B, p).
+
+        ``F``'s reading (:meth:`read_features`) plus the pending rows' (:meth:`plus_pending`).
+        """
+        folded = None if features is None else self.read_features(features, q)
+        return self.plus_pending(folded, pending, q)
+
+    @staticmethod
+    def plus_pending(folded, pending, q) -> tuple:
+        """``folded``, a reading of ``F`` at q or None, plus a sweep of the (points, raw) pending rows.
+
+        The sweep's ``linear`` is ``sum_k sum_i <x_i, q> c_ik``, and the
+        squared inner products overwrite the inner products for ``quadratic``.
+        """
+        support, coeffs = pending
+        if q.ndim == 1:
+            p = support.dot(q)
+            linear = sum(p.dot(coeffs).tolist())
+        else:
+            p = q.dot(support.T)
+            linear = np.add.reduce(p.dot(coeffs), axis=1)
+        quadratic = np.multiply(p, p, out=p).dot(coeffs)
+        if folded is not None:
+            linear = linear + folded[0]
+            quadratic += folded[1]
+        return linear, quadratic
 
     def sweep(self, terms, x) -> tuple:
-        # p_i = <x_i, x>, the same for every mu, and p * p, with the raw terms
-        support, raw, sums, _ = terms
-        p = support.dot(x)
-        return p, p * p, raw, sums
+        # the step's one evaluation at x; norm_terms reads nothing of it
+        return self.sums_at(*terms[2], x)
 
     def expand(self, terms, scale, x, gs) -> tuple:
-        kept = p, squares, raw, sums = self.sweep(terms, x)
-        # each member's row_expansion, whose two products every member shares
-        linear, quadratic = p.dot(sums), squares.dot(raw)
+        kept = linear, quadratic = self.sweep(terms, x)
         for j, kernel in zip(self.columns, self.kernels):
             gs[j] = scale * ((1.0 - kernel.mu) * quadratic + kernel.mu * linear)
         return kept
 
     def norm_terms(self, kept, x_sq, a, a_sq, quads, cross) -> None:
-        total = float(np.add.reduce(a))
+        # a Python sum: the C reduction costs more than its d additions
+        total = sum(a.tolist())
         for j, kernel in zip(self.columns, self.kernels):
             mu = kernel.mu
             quads[j] = mu * x_sq * total * total + (1.0 - mu) * x_sq * x_sq * a_sq
-        if cross is not None:
-            crosses, raw_a, raw_total = cross
-            p, squares, raw, sums = kept
-            coupled, uncoupled = p * sums, squares * raw.dot(raw_a)
-            for j, kernel in zip(self.columns, self.kernels):
-                column = crosses[:, j]
-                column += kernel.mu * raw_total * coupled + (1.0 - kernel.mu) * uncoupled
+
+    def drop_shares(self, folded, pending, x, raw, shares) -> None:
+        """Write every member's ``2 <g_j(x), raw> - <K_j(x, x) raw, raw>`` into ``shares``, in raw units.
+
+        ``(x, raw)`` is the oldest stored term, which the feature sums and
+        the pending rows still hold, and ``folded`` the feature sums' reading
+        at x (None when none are kept): dropping the term changes
+        ``||g_j||^2`` by ``-scale^2`` times this share.
+        """
+        linear, quadratic = self.plus_pending(folded, pending, x)
+        x_sq, total, raw_sq = float(x.dot(x)), sum(raw.tolist()), float(raw.dot(raw))
+        linear, uncoupled = linear * total, float(quadratic.dot(raw))
+        for j, kernel in zip(self.columns, self.kernels):
+            mu = kernel.mu
+            cross = mu * linear + (1.0 - mu) * uncoupled
+            quad = mu * x_sq * total * total + (1.0 - mu) * x_sq * x_sq * raw_sq
+            shares[j] = 2.0 * cross - quad
 
     def expand_rows(self, terms, queries, gs) -> None:
-        support, raw, sums, _ = terms
-        n, (s, p), d = len(queries), support.shape, raw.shape[1]
-        # a sweep's rows are the inner products with the s terms, the feature
-        # path's with the 1 + p d feature sums
-        features = None if n * s * (p + 2 * d) <= (s + n) * p * p * d else self.feature_sums(terms)
-        right = support if features is None else features
-        block = _block_size(n, len(right))
-        buf = np.empty((block, len(right)))
-        for lo in range(0, n, block):
-            hi = min(lo + block, n)
-            q = queries[lo:hi]
-            rows = np.matmul(q, right.T, out=buf[: hi - lo])
-            if features is None:
-                # each member's expansion, whose two products every member shares
-                linear = rows.dot(sums)
-                quadratic = np.multiply(rows, rows, out=rows).dot(raw)
-            else:
-                linear = rows[:, 0]
-                # (q^T M_k q)_k: row 1 + k p + b of the sums is column b of M_k
-                quadratic = np.matmul(rows[:, 1:].reshape(hi - lo, d, p), q[:, :, None])[:, :, 0]
+        features, pending = terms[2]
+        widest = max(len(pending[0]), 0 if features is None else len(features), 1)
+        block = _block_size(len(queries), widest)
+        for lo in range(0, len(queries), block):
+            hi = min(lo + block, len(queries))
+            linear, quadratic = self.sums_at(features, pending, queries[lo:hi])
             for j, kernel in zip(self.columns, self.kernels):
                 out = np.multiply(quadratic, 1.0 - kernel.mu, out=gs[j][lo:hi])
                 out += (kernel.mu * linear)[:, None]
-
-    @staticmethod
-    def feature_sums(terms) -> np.ndarray:
-        """The (1 + p d, p) rows ``[v; M_1; ...; M_d]`` (see the class), from the raw terms.
-
-        Summed over blocks of support rows whose (B, p) products take
-        about ``_BLOCK_BYTES``.
-        """
-        support, coeffs, sums, _ = terms
-        (s, p), d = support.shape, coeffs.shape[1]
-        columns = np.zeros((p, 1 + p * d))
-        block = max(1, _BLOCK_BYTES // (8 * p))
-        for lo in range(0, s, block):
-            x, c = support[lo : lo + block], coeffs[lo : lo + block]
-            columns[:, 0] += x.T @ sums[lo : lo + block]
-            for k in range(d):
-                columns[:, 1 + k * p : 1 + (k + 1) * p] += (x * c[:, k, None]).T @ x
-        return columns.T
 
 
 class OperatorKernel:
@@ -609,9 +656,15 @@ class SeparableGaussian(OperatorKernel):
         w = centred_exponents(rows, centre, xs, -1.0 / self.mu, np.empty((t, t)))
         # K(x_i, x_k) = J exactly wherever x_i = x_k, the diagonal included,
         # where the product leaves a rounding residue; equal points' entries
-        # share one residue, so a diagonal alone would split a duplicate pair
-        _, point = np.unique(xs, axis=0, return_inverse=True)
-        w[point[:, None] == point[None, :]] = 0.0
+        # share one residue, so a diagonal alone would split a duplicate pair.
+        # Points are keyed by their bytes, with -0.0 made 0.0, and the t x t
+        # mask is built only when two points are equal
+        keys = np.add(xs, 0.0, order="C").view(np.dtype((np.void, 8 * p))).ravel()
+        distinct, point = np.unique(keys, return_inverse=True)
+        if len(distinct) == t:
+            np.fill_diagonal(w, 0.0)
+        else:
+            w[point[:, None] == point[None, :]] = 0.0
         return np.exp(w, out=w)
 
     def row_expansion(self, scalars, coeffs, sums, scratch=None, out=None) -> np.ndarray:
@@ -639,9 +692,9 @@ class NonSeparablePoly(OperatorKernel):
     mu in [0, 1].  mu = 1 gives the fully coupled linear kernel, mu = 0
     the uncoupled quadratic one.
 
-    The coupled part ``ONES @ c_i`` is ``sum(c_i) * ones``, so the row
-    methods read the stored terms' coefficient sums instead of reducing
-    the coefficients on every call.
+    The coupled part ``ONES @ c_i`` is ``sum(c_i) * ones``, so
+    ``row_expansion`` reads each term's coefficient sum, which its caller
+    reduces once, and a learner's bank folds it into its feature sums.
     """
 
     mu: float

@@ -7,9 +7,10 @@ sequence; only the kernel differs.  This is the step of
 m = 1 (:class:`~ovklearn.onorma._OnlineLearner` runs both).  The kernels
 of one family are evaluated together by that family's bank
 (:class:`~ovklearn.kernels.KernelBank`): one sweep of the s stored terms
-per family (the Gaussians share their squared distances, the poly kernels
-their inner products), one scalars pass for all the Gaussians and O(s d)
-per kernel give every g_j(x_t),
+for the Gaussians, which share their squared distances, one scalars pass
+for all of them and O(s d) per kernel, and one reading of the kept
+feature sums plus at most B pending rows for the poly kernels, give every
+g_j(x_t),
 each squared norm ``gamma_j = ||g_j||^2`` is refreshed by an O(d^2)
 recursion (no re-expansion of g_j), and the weights are then recomputed
 in closed form (:func:`delta_update`) on the constraint set
@@ -21,12 +22,12 @@ A weight that reaches exactly 0 (small weights underflow) stays 0 for the
 rest of the run, because its ``T_j = delta_j^2 gamma_j`` is 0.
 
 Truncation drops a term from every g_j at once.  Each stored term keeps
-its cross sums with the later terms, one per kernel, so every gamma_j is
-downdated exactly at O(m) per dropped term
+its cross sums with the later terms, one per Gaussian kernel, so every
+Gaussian gamma_j is downdated exactly at O(1) per dropped term
 (``onorma._ExpansionState.drop_expired``); keeping those sums costs one
-O(s d) product per poly bank or distinct Gaussian structure matrix and
-O(s) per kernel and step.  No Gram matrix is formed and no
-kernel is evaluated for a drop.
+O(s d) product per distinct structure matrix and O(s) per kernel and
+step.  A poly gamma_j is downdated from one evaluation of its bank's
+features at the dropped term.  No Gram matrix is formed.
 """
 
 from __future__ import annotations
@@ -73,8 +74,8 @@ class MONORMA(_OnlineLearner):
     mixes costs one sweep per family plus O(s d) per kernel and step.  The
     Gaussians map the sweep to their scalars in one pass, once per distinct
     bandwidth, and share each structure matrix's quadratic form and cross
-    vector; a poly kernel reads each term's stored coefficient sum and
-    makes no reduction over the support.  The weight update costs O(m)
+    vector; the poly kernels share one reading of their bank's feature
+    sums, whose cost does not grow with the support.  The weight update costs O(m)
     and the combination of the g_j O(m d) per step.
 
     Truncation is supported as an extension (off by default).  A dropped

@@ -11,27 +11,29 @@ The hypothesis after t steps is the kernel expansion
 
 The shrink is applied lazily through a single scale factor that folds
 into the stored coefficients when it underflows, so no step rewrites the
-coefficients.  With s stored terms in R^p and outputs in R^d, a step
-sweeps the support once per kernel family, O(s p), and maps the row to
-the kernels' scalars, O(s) per Gaussian bandwidth; that gives each
-kernel's prediction, O(s d), and, under truncation, the new term's cross
-products with every stored term, O(s d) per structure matrix or poly bank
-plus O(s) per kernel.  Each family's kernels are evaluated by one bank,
-the family's step code (:class:`ovklearn.kernels.KernelBank`), which
-writes their results in kernel order.  A step calls each bank twice:
-:meth:`_ExpansionState.expand`, before the loss, sweeps and predicts and
-keeps the sweep, and :meth:`_ExpansionState.update`, after it, writes
-the new coefficient's quadratic forms and cross products from that kept
-sweep, the step's ``<x, x>`` and ``<a, a>`` and the live views of the
-terms, so no product is formed twice.  A poly bank also reads each
-term's coefficient sum, which the state stores with the term, so no step
-reduces the stored coefficients, and a Gaussian bank each term's centred
-row, so its sweep is one BLAS product with no s x p elementwise pass.
-The squared RKHS norms are tracked by
-an O(d^2) recursion on Python floats.  Under truncation each stored term
-also keeps its cross sum with the later terms, so
-:meth:`_ExpansionState.drop_expired` downdates the norm exactly for a
-dropped term in O(1) per kernel, with no kernel evaluation.
+coefficients.  With s stored terms in R^p and outputs in R^d, a Gaussian
+bank sweeps the support, O(s p), and maps the row to its scalars, O(s)
+per bandwidth; that gives each kernel's prediction, O(s d), and, under
+truncation, the new term's cross products with every stored term, O(s d)
+per structure matrix plus O(s) per kernel.  A poly bank steps in the
+kernel's feature space: it reads the feature sums kept with its folded
+terms and sweeps at most B pending rows, O(p^2 d + B (p + 2d)) whatever
+s is.  Each family's kernels are evaluated by one bank, the family's step
+code (:class:`ovklearn.kernels.KernelBank`), which writes their results
+in kernel order.  A step calls each bank twice:
+:meth:`_ExpansionState.expand`, before the loss, evaluates and predicts
+and keeps the sweep, and :meth:`_ExpansionState.update`, after it, writes
+the new coefficient's quadratic forms and the Gaussian cross products
+from that kept sweep, the step's ``<x, x>`` and ``<a, a>`` and the live
+views of the terms, so no product is formed twice.  A Gaussian bank reads
+each term's centred row, so its sweep is one BLAS product with no s x p
+elementwise pass.  The squared RKHS norms are tracked by an O(d^2)
+recursion on Python floats.  Under truncation each stored term also keeps
+its Gaussian cross sums with the later terms, so
+:meth:`_ExpansionState.drop_expired` downdates a Gaussian norm exactly for
+a dropped term in O(1) per kernel, with no kernel evaluation; a poly norm
+is downdated from one evaluation at the dropped term's point, whose
+reading of the feature sums is taken for B terms at a time.
 
 :class:`ONORMA` is the multi-kernel learner of :mod:`ovklearn.monorma`
 over one kernel: both are :class:`_OnlineLearner`, which runs one
@@ -57,6 +59,10 @@ __all__ = ["ONORMA", "StepResult", "TruncationSchedule", "truncation_window"]
 RENORM_THRESHOLD = 1e-6
 
 _INITIAL_CAPACITY = 64
+
+# a poly bank's unfolded terms, and its dropped terms that are still folded,
+# join its feature sums in one product once this many have gathered
+_FOLD = 64
 
 
 def truncation_window(t: int, t0: int, epsilon: float) -> int:
@@ -124,10 +130,21 @@ class _ExpansionState:
     (at least 64), so a truncated support keeps at most twice its peak.
     Effective coefficients are ``scale * raw``.
 
-    When a bank ``reads_sums`` (the poly family's), term i also keeps its
-    raw coefficient sum ``S[i] = sum_k raw[i, k]``, written by
-    :meth:`update` and :meth:`restore` and recomputed from the folded
-    coefficients by :meth:`decay`; a state of other kernels keeps none.
+    When a bank ``reads_features`` (the poly family's), the state keeps
+    its feature sums ``F = [v; M_1; ...; M_d]``
+    (:meth:`~ovklearn.kernels._PolyBank.feature_sums`) of the folded terms,
+    the buffer rows ``[lo, hi)``, in raw-coefficient units, and fewer than
+    ``_FOLD`` (B) pending rows ``(PX, PA)``: copies of the terms stored
+    since, and of the folded terms dropped since with negated coefficients,
+    so the stored terms' expansion is F's reading plus the pending rows'.
+    The B-th pending row folds them all into F in one product, and then
+    ``[lo, hi)`` is the live range.  :meth:`restore`, each buffer move and
+    each fold of the lazy scale sum F afresh over the live terms, so
+    rounding drifts for one buffer's lifetime at most; under B live terms
+    nothing is folded and every live term is pending.  ``lo <= start <=
+    hi <= end`` always holds, and F is None while nothing is folded.  Under
+    truncation the state also keeps F's reading at the next B folded
+    terms to leave, taken in one product whenever F changes (``_ahead``).
 
     When a bank ``reads_centred`` (the Gaussian family's), term i also
     keeps its centred row ``R[i] = [x_i - c, ||x_i - c||^2, 1]``
@@ -139,16 +156,18 @@ class _ExpansionState:
     re-centred at the cost of the copy the move makes anyway.  ``_peak``
     bounds the live rows' norms.
 
-    With ``cross_terms`` on, term i also keeps, for each kernel j, the raw
-    sums ``C[i, j] = sum_{k > i} <K_j(x_i, x_k) a_k, a_i>`` over the later
-    terms and ``Q[i, j] = <K_j(x_i, x_i) a_i, a_i>``.  Terms leave in the
-    order they came, so every term later than the oldest is still stored
-    and the oldest term's share of ``||g_j||^2`` is
-    ``scale^2 (2 C[i, j] + Q[i, j])``.
+    With ``cross_terms`` on, term i also keeps, for each Gaussian kernel j
+    (column c of the bank that ``keeps_crosses``), the raw sums
+    ``C[i, c] = sum_{k > i} <K_j(x_i, x_k) a_k, a_i>`` over the later terms
+    and ``Q[i, c] = <K_j(x_i, x_i) a_i, a_i>``.  Terms leave in the order
+    they came, so every term later than the oldest is still stored and the
+    oldest term's share of ``||g_j||^2`` is ``scale^2 (2 C[i, c] + Q[i, c])``.
+    A poly kernel keeps none: the same share is
+    ``2 <g_j(x_i), a_i> - <K_j(x_i, x_i) a_i, a_i>``, read from its features.
     """
 
-    # the buffers a move copies; the centred rows R are recomputed instead
-    _BUFFERS = ("_X", "_A", "_S", "_T", "_C", "_Q")
+    # the buffers a move copies; the centred rows R and the feature sums F are recomputed instead
+    _BUFFERS = ("_X", "_A", "_T", "_C", "_Q")
 
     def __init__(self, kernels, cross_terms: bool = False):
         self.kernels = tuple(kernels)
@@ -158,7 +177,9 @@ class _ExpansionState:
         for j, kernel in enumerate(self.kernels):
             columns.setdefault(kernel.bank, []).append(j)
         self.banks = tuple(bank([self.kernels[j] for j in js], js) for bank, js in columns.items())
-        self.keeps_sums = any(bank.reads_sums for bank in self.banks)
+        # one bank per family: at most one keeps cross sums and one reads feature sums
+        self._crossing = next((bank for bank in self.banks if bank.keeps_crosses), None)
+        self._featured = next((bank for bank in self.banks if bank.reads_features), None)
         self.keeps_centred = any(bank.reads_centred for bank in self.banks)
         self.restore((), (), (), None)
 
@@ -183,16 +204,23 @@ class _ExpansionState:
         self.restore((), (), (), p)
 
     def terms(self) -> tuple:
-        """The live views ``(support, raw_coeffs, sums, centred)`` that every bank reads.
+        """The live views ``(support, raw_coeffs, features, centred)`` that every bank reads.
 
-        ``sums`` (each term's raw coefficient sum) is None unless a bank
-        reads sums, and ``centred``, the centred rows with their centre and
-        the bound on their norms, None unless a bank reads centred rows.
+        ``features`` is ``(F, pending)``: the feature sums of the folded
+        terms (None when none are folded) and the ``(points, raw)`` views of
+        the pending rows, the live terms not yet folded and, with their raw
+        coefficients negated, the dropped terms still folded.  It is None
+        unless a bank reads features.
+        ``centred``, the centred rows with their centre and the bound on
+        their norms, is None unless a bank reads centred rows.
         """
         live = slice(self.start, self.end)
-        sums = None if self._S is None else self._S[live]
+        features = None
+        if self._featured is not None:
+            n = self._pending
+            features = self._F, (self._PX[:n], self._PA[:n])
         centred = None if self._R is None else (self._R[live], self._centre, self._peak)
-        return self._X[live], self._A[live], sums, centred
+        return self._X[live], self._A[live], features, centred
 
     @property
     def support(self) -> np.ndarray:
@@ -239,25 +267,24 @@ class _ExpansionState:
                 self._compact_or_grow(x)
             i = self.end
             raw = np.divide(a, self.scale, out=self._A[i])
-            raw_sum = None if self._S is None else float(np.add.reduce(raw))
-            if self.cross_terms and kept:
-                cross = (self._C[self.start : i], raw, raw_sum)
+            if self._C is not None and kept:
+                cross = (self._C[self.start : i], raw)
         for bank, k in zip(self.banks, kept or (None,) * len(self.banks)):
             bank.norm_terms(k, x_sq, a, a_sq, quads, cross)
         if store:
             self._X[i] = x
-            if raw_sum is not None:
-                self._S[i] = raw_sum
             if self._R is not None:
                 norm = centred_row(x, self._centre, self._R[i])
                 if norm > self._peak:
                     self._peak = float(norm)
             self._T[i] = t
-            if self.cross_terms:
+            if self._C is not None:
                 self._C[i] = 0.0
                 s2 = self.scale * self.scale
-                self._Q[i] = [q / s2 for q in quads]
+                self._Q[i] = [quads[j] / s2 for j in self._crossing.columns]
             self.end = i + 1
+            if self._featured is not None:
+                self._push(x, raw)
         return quads
 
     def evaluate(self, x) -> list:
@@ -318,6 +345,8 @@ class _ExpansionState:
         if self._R is not None:
             self._R = np.empty((cap, self.input_dim + 2))
             self._centre_rows(x)
+        if self._featured is not None:
+            self._sum_features()
 
     def _centre_rows(self, empty) -> None:
         """Recompute every live centred row and the bound on their norms.
@@ -329,37 +358,92 @@ class _ExpansionState:
         self._centre = support.mean(axis=0) if len(support) else np.array(empty, dtype=float)
         self._peak = centred_rows(support, self._centre, self._R[self.start : self.end])
 
+    def _sum_features(self) -> None:
+        """Sum the feature sums afresh over every live term, or leave all pending under ``_FOLD``."""
+        self._PX = np.empty((_FOLD, self.input_dim or 0))
+        self._PA = np.empty((_FOLD, self.dim))
+        self._lo = self._hi = self.start
+        self._F, self._pending, self._ahead = None, 0, None
+        if len(self) >= _FOLD:
+            self._F = self._featured.feature_sums(self.support, self.raw_coeffs)
+            self._hi = self.end
+            self._read_ahead()
+        else:
+            self._repend()
+
+    def _read_ahead(self) -> None:
+        """Read the new feature sums at the next ``_FOLD`` folded terms to leave, in one product.
+
+        Each drop pushes a pending row, so no more than ``_FOLD`` terms leave
+        before the sums change again.  Only a truncated state drops terms.
+        """
+        if self.cross_terms:
+            points = self._X[self.start : min(self.start + _FOLD, self._hi)]
+            linear, quadratic = self._featured.read_features(self._F, points)
+            self._ahead = self.start, linear.tolist(), quadratic
+
+    def _repend(self) -> None:
+        # every folded term has left: the live terms, fewer than _FOLD, are all pending
+        n = self._pending = len(self)
+        self._PX[:n] = self.support
+        self._PA[:n] = self.raw_coeffs
+
+    def _push(self, x, raw, dropped=False) -> None:
+        """Add a pending row, with the raw coefficients negated for a ``dropped`` term.
+
+        ``_FOLD`` pending rows fold into the feature sums in one product, and
+        ``[lo, hi)`` becomes the live range, ``lo <= start <= hi <= end``.
+        """
+        n = self._pending
+        self._PX[n] = x
+        if dropped:
+            np.negative(raw, out=self._PA[n])
+        else:
+            self._PA[n] = raw
+        self._pending = n = n + 1
+        if n == len(self._PX):
+            sums = self._featured.feature_sums(self._PX, self._PA)
+            if self._F is None:
+                self._F = sums
+            else:
+                self._F += sums
+            self._pending = 0
+            self._lo, self._hi = self.start, self.end
+            self._read_ahead()
+
     def decay(self, factor: float) -> None:
         self.scale *= factor
         if self.scale < RENORM_THRESHOLD:
             live = slice(self.start, self.end)
             self._A[live] *= self.scale
-            if self._S is not None:
-                # re-reduced, not scaled: scale * S may differ in the last bit
-                self._S[live] = self._A[live].sum(axis=1)
-            if self.cross_terms:
+            if self._C is not None:
                 # C and Q are bilinear in the raw coefficients
                 self._C[live] *= self.scale * self.scale
                 self._Q[live] *= self.scale * self.scale
             self.scale = 1.0
+            if self._featured is not None:
+                # re-summed, not scaled: the dropped terms still folded were not rescaled
+                self._sum_features()
 
     def restore(self, support, coeffs, times, input_dim) -> None:
         """Replace the terms by saved ones (effective coefficients, scale 1).
 
-        Copies them into buffers sized for them, reduces every term's
-        coefficient sum at once and centres every term's row around the
-        support mean.  With cross terms on, it then replays
-        :meth:`update` for each term over the terms before it (one bank
-        ``sweep`` per family and term), which rebuilds C and Q in O(s^2).
+        Copies them into buffers sized for them and centres every term's
+        row around the support mean.  With cross terms on and a Gaussian
+        kernel, it then replays :meth:`update` for each term over the terms
+        before it (one Gaussian ``sweep`` per term), which rebuilds C and Q
+        in O(s^2).  Last it sums the poly feature sums afresh, in
+        O(s p^2 d).
         """
-        n, m = len(support), len(self.kernels)
+        n = len(support)
         self.input_dim = input_dim
         self._X = np.array(support, dtype=float, order="C").reshape(n, input_dim or 0)
         self._A = np.array(coeffs, dtype=float, order="C").reshape(n, self.dim)
-        self._S = self._A.sum(axis=1) if self.keeps_sums else None
         self._T = np.array(times, dtype=np.int64).reshape(n)
-        self._C = np.empty((n, m)) if self.cross_terms else None
-        self._Q = np.empty((n, m)) if self.cross_terms else None
+        self._C = self._Q = None
+        if self.cross_terms and self._crossing is not None:
+            self._C = np.empty((n, len(self._crossing.kernels)))
+            self._Q = np.empty((n, len(self._crossing.kernels)))
         self.start = 0
         self.scale = 1.0
         self._R = None
@@ -368,14 +452,20 @@ class _ExpansionState:
             self._R = np.empty((n, p + 2))
             self.end = n
             self._centre_rows(np.zeros(p))
-        if self.cross_terms:
+        if self._C is not None:
+            if self._featured is not None:
+                # the replayed appends push pending rows; the sums are taken afresh after
+                self.end = 0
+                self._sum_features()
             for i in range(n):
                 self.end = i  # the support is the terms before i, as when i was appended
                 x, a = self._X[i], self._A[i]
                 terms = self.terms()
-                kept = [bank.sweep(terms, x) for bank in self.banks]
+                kept = [bank.sweep(terms, x) if bank.keeps_crosses else None for bank in self.banks]
                 self.update(kept, x, float(x.dot(x)), a, float(a.dot(a)), self._T[i], True)
         self.end = n
+        if self._featured is not None:
+            self._sum_features()
 
     def drop_expired(self, cutoff: int, norms_sq) -> int:
         """Pop every term with time <= cutoff, downdating each norm exactly.
@@ -383,10 +473,15 @@ class _ExpansionState:
         ``norms_sq[j]`` (a list or an array, updated in place) tracks
         ``||g_j||^2`` for ``g_j = sum_i K_j(x_i, .) a_i`` over the stored
         terms.  Removing the oldest term changes it by
-        ``-2 <g_j(x_i), a_i> + <K_j(x_i, x_i) a_i, a_i>``; every other term
-        is later, so this is ``-scale^2 (2 C[i, j] + Q[i, j])``.  A dropped
-        term costs O(1) per kernel and no kernel evaluation.  Norms that
-        rounding leaves below zero are clamped; returns how many were.
+        ``-2 <g_j(x_i), a_i> + <K_j(x_i, x_i) a_i, a_i>``.  For a Gaussian
+        every other term is later, so this is
+        ``-scale^2 (2 C[i, c] + Q[i, c])``: O(1) per kernel and no kernel
+        evaluation.  For a poly bank it is read from the term's feature-sum
+        reading, taken ahead, plus a sweep of the pending rows,
+        O(p d + B (p + 2d)) per term; the dropped term then joins the
+        pending rows negated, or, if it was itself pending, every folded
+        term has left and the live terms become the pending rows.  Norms
+        that rounding leaves below zero are clamped; returns how many were.
         """
         lo = i = self.start
         while i < self.end and self._T[i] <= cutoff:
@@ -402,10 +497,32 @@ class _ExpansionState:
         # the elementwise one, in the same order, so the bits are the same.
         # Past t0 the window grows by 0 or 1 a step, so this reads one row
         s2 = self.scale * self.scale
-        for k in range(lo, i):
-            c, q = self._C[k].tolist(), self._Q[k].tolist()
-            for j in range(len(c)):
-                norms_sq[j] -= s2 * (2.0 * c[j] + q[j])
+        if self._C is not None:
+            columns = self._crossing.columns
+            for k in range(lo, i):
+                c, q = self._C[k].tolist(), self._Q[k].tolist()
+                for m, j in enumerate(columns):
+                    norms_sq[j] -= s2 * (2.0 * c[m] + q[m])
+        featured = self._featured
+        if featured is not None:
+            shares = [0.0] * len(self.kernels)
+            for k in range(lo, i):
+                # read while term k is still stored; a folded term leaves F as a
+                # negated pending row, and a pending one means every folded term has left
+                x, raw, n = self._X[k], self._A[k], self._pending
+                folded = None
+                if k < self._hi:
+                    first, linear, quadratic = self._ahead
+                    folded = linear[k - first], quadratic[k - first]
+                featured.drop_shares(folded, (self._PX[:n], self._PA[:n]), x, raw, shares)
+                for j in featured.columns:
+                    norms_sq[j] -= s2 * shares[j]
+                self.start = k + 1
+                if k < self._hi:
+                    self._push(x, raw, dropped=True)
+                else:
+                    self._F, self._lo, self._hi = None, k + 1, k + 1
+                    self._repend()
         self.start = i
         clips = 0
         for j, n in enumerate(norms_sq):
@@ -568,7 +685,8 @@ class _OnlineLearner:
         """Resume from :meth:`to_arrays`' output, the step count, the tracked norms
         and the kernel weights (None keeps them).
 
-        A truncated learner rebuilds its cross terms here, in O(s^2).
+        A truncated learner rebuilds its Gaussian cross terms here, in
+        O(s^2), and a poly learner its feature sums, in O(s p^2 d).
         """
         self.t = t
         self._norms[:] = norms

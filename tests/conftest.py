@@ -64,6 +64,42 @@ def exact_sq_distances(support, x):
 UNIT_ROUNDOFF = 2.0**-53
 
 
+def exact_expansion(kernel, support, coeffs, queries):
+    """Every ``sum_i K(x_i, q) c_i`` of a poly kernel in exact rational arithmetic.
+
+    Works in Fractions from the float support, coefficients, queries and
+    ``mu``, with ``1 - mu`` exact too.  Returns one list of d Fractions per
+    row of the (n, p) ``queries``.
+    """
+    assert kernel.family == "poly", "the poly kernel is a polynomial in its inputs"
+    mu = Fraction(kernel.mu)
+    rows = [[Fraction(v) for v in row] for row in np.asarray(support, dtype=float).tolist()]
+    terms = [[Fraction(v) for v in row] for row in np.asarray(coeffs, dtype=float).tolist()]
+    out = []
+    for q in np.asarray(queries, dtype=float).tolist():
+        q = [Fraction(v) for v in q]
+        g = [Fraction(0)] * kernel.dim
+        for x, c in zip(rows, terms):
+            dot = sum(a * b for a, b in zip(x, q))
+            coupled, square = mu * dot * sum(c), (1 - mu) * dot * dot
+            g = [gk + coupled + square * ck for gk, ck in zip(g, c)]
+        out.append(g)
+    return out
+
+
+def absolute_expansion(kernel, support, coeffs, queries):
+    """The (n, d) sums of the absolute terms of :func:`exact_expansion`, in floats.
+
+    Entry (r, k) is ``sum_i mu t_i sum_l |c_il| + (1 - mu) t_i^2 |c_ik|``
+    with ``t_i = sum_a |x_ia q_ra|``: the sum of the absolute values of the
+    products ``x_ia q_a (c_il or x_ib q_b c_ik)`` that every evaluation of
+    the expansion adds up, in whatever order.
+    """
+    t = np.abs(np.asarray(queries, dtype=float)) @ np.abs(np.asarray(support, dtype=float)).T
+    c = np.abs(np.asarray(coeffs, dtype=float))
+    return kernel.mu * (t @ c.sum(axis=1))[:, None] + (1.0 - kernel.mu) * ((t * t) @ c)
+
+
 def centred_distance_bound(norms, uu, p):
     """Largest error allowed a distance of the centred point sweep, per term.
 
@@ -99,6 +135,16 @@ def gaussian_cross(w, coeffs, structure, a):
     return w * (coeffs @ (structure @ a))
 
 
+def poly_sums(p, coeffs):
+    """``(sum_i p_i S_i, sum_i p_i^2 c_i)`` from ``p_i = <x_i, x>``: a poly bank's sweep of its terms."""
+    return float((p @ coeffs).sum()), (p * p) @ coeffs
+
+
+def poly_expansion(linear, quadratic, mu):
+    """A poly kernel's expansion at one point from its bank's two sums."""
+    return (1.0 - mu) * quadratic + mu * linear
+
+
 def poly_cross(p, coeffs, sums, mu, a):
     """Every ``<K(x_i, x) a, c_i>`` of a poly kernel, from ``p_i = <x_i, x>``."""
     return mu * float(a.sum()) * (p * sums) + (1.0 - mu) * ((p * p) * (coeffs @ a))
@@ -108,6 +154,13 @@ def poly_quad(x, mu, a):
     """``<K(x, x) a, a>`` of a poly kernel."""
     dot, total = float(x @ x), float(a.sum())
     return mu * dot * total * total + (1.0 - mu) * dot * dot * float(a @ a)
+
+
+def poly_drop_share(support, coeffs, mu):
+    """``2 <g(x_0), c_0> - <K(x_0, x_0) c_0, c_0>``: what dropping the first term takes from ``||g||^2``."""
+    x, c = support[0], coeffs[0]
+    crosses = poly_cross(support @ x, coeffs, coeffs.sum(axis=1), mu, c)
+    return 2.0 * float(crosses.sum()) - poly_quad(x, mu, c)
 
 
 def power_iteration_norm(mat, max_iters=2_000_000, seed=0):

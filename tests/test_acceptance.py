@@ -644,6 +644,46 @@ def test_criterion_11b_truncated_monorma_plateau(capsys):
     assert multi_late <= 4.0 * single_late
 
 
+def test_criterion_11c_untruncated_poly_step_stays_flat(capsys):
+    ds = gen_synthetic(SynthSpec(2000, 4, seed=0))
+    kernel = NonSeparablePoly(mu=0.2, dim=4)
+
+    # interleaved as in criterion 11.  The untruncated step reads the feature
+    # sums kept with its folded terms, so its cost should not grow with the
+    # support (250-500 terms early, 1500-2000 late).  The truncated twin keeps
+    # 213-242 terms over those steps (epsilon near 0), so whatever its cost
+    # does there is the host's drift, which the reading divides out
+    models = [
+        ONORMA(kernel, lam=0.01, eta0=0.02, truncation=schedule)
+        for schedule in (None, TruncationSchedule(t0=200, epsilon=1e-9))
+    ]
+    times = np.empty((2, len(ds)))
+    for i, (x, y) in enumerate(zip(ds.xs, ds.ys)):
+        for k, model in enumerate(models):
+            tick = time.perf_counter_ns()
+            model.step(x, y)
+            times[k, i] = time.perf_counter_ns() - tick
+    plain, twin = times / 1000.0
+
+    plain_growth, twin_growth = (
+        float(np.median(steps[1500:2000]) / np.median(steps[250:500])) for steps in (plain, twin)
+    )
+    # at landing this read 0.99-1.01 on a 2-core VM, where a step that sweeps
+    # every stored term read 1.23-1.36; the limit leaves 0.14 of margin above
+    # the landing reading
+    growth = plain_growth / twin_growth
+    ok = growth <= 1.15
+    report(
+        capsys,
+        "11c",
+        ok,
+        f"untruncated poly step late/early {growth:.2f}x of its twin's (limit 1.15): "
+        f"{plain_growth:.2f}x from s=250-500 to s=1500-{models[0].support_size}, "
+        f"twin {twin_growth:.2f}x at s={models[1].support_size}",
+    )
+    assert growth <= 1.15
+
+
 def test_criterion_12_metrics_determinism(capsys, tmp_path):
     base = ExperimentConfig(
         algorithm="monorma",

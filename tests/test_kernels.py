@@ -14,8 +14,10 @@ from conftest import (
     gaussian_expansion,
     gaussian_quad,
     gaussian_scalars,
-    poly_cross,
+    poly_drop_share,
+    poly_expansion,
     poly_quad,
+    poly_sums,
     power_iteration_norm,
     squared_distances,
 )
@@ -142,18 +144,26 @@ def test_row_methods_match_kernel_matrices():
         assert np.allclose(gs[1], expansion, rtol=1e-12, atol=1e-12)
         # the quads and the cross products as the step's post-loss bank call writes them
         crosses, quads = np.zeros((len(support), 2)), [None, None]
-        bank.norm_terms(kept[0], float(x @ x), a, float(a @ a), quads, (crosses, a, float(a.sum())))
-        assert np.allclose(crosses[:, 1], cross, rtol=1e-12, atol=1e-12)
+        bank.norm_terms(kept[0], float(x @ x), a, float(a @ a), quads, (crosses, a))
         quad = float(a @ (k(x, x) @ a))
         assert abs(quads[1] - quad) <= 1e-12 * max(1.0, abs(quad))
         # and bit for bit the kernel's one-member point forms
         sums = coeffs.sum(axis=1)
         if k.family == "poly":
-            p = support @ x
-            assert np.array_equal(gs[1], k.row_expansion(p, coeffs, sums))
-            assert np.array_equal(crosses[:, 1], poly_cross(p, coeffs, sums, k.mu, a))
+            # a poly bank keeps no cross sums: dropping the first term reads its
+            # share of the norm from one evaluation at its point instead
+            shares, x0, c0 = [None, None], support[0], coeffs[0]
+            features, pending = state.terms()[2]
+            folded = None if features is None else bank.read_features(features, x0)
+            bank.drop_shares(folded, pending, x0, c0, shares)
+            g0 = sum(k(xi, x0) @ ci for xi, ci in zip(support, coeffs))
+            share = 2.0 * float(g0 @ c0) - float(c0 @ (k(x0, x0) @ c0))
+            assert abs(shares[1] - share) <= 1e-12 * max(1.0, abs(share))
+            assert np.all(crosses == 0.0)
+            assert np.array_equal(gs[1], poly_expansion(*poly_sums(support @ x, coeffs), k.mu))
             assert quads[1] == poly_quad(x, k.mu, a)
         else:
+            assert np.allclose(crosses[:, 1], cross, rtol=1e-12, atol=1e-12)
             row = bank_row_within_bound(bank, state, x)
             w, J = gaussian_scalars(row, k.mu), k.structure
             assert np.array_equal(gs[1], gaussian_expansion(w, coeffs, J))
@@ -234,7 +244,7 @@ def test_gaussian_bank_shares_work_and_keeps_each_members_bits():
         gs, quads = [None] * len(kernels), [None] * len(kernels)
         kept = scalars, _ = bank.expand(state.terms(), state.scale, x, gs)
         out = np.zeros((len(support), len(kernels)))
-        bank.norm_terms(kept, float(x @ x), a, float(a @ a), quads, (out, a, None))
+        bank.norm_terms(kept, float(x @ x), a, float(a @ a), quads, (out, a))
         for j, kernel in enumerate(kernels):
             own, J = gaussian_scalars(row, kernel.mu), kernel.structure
             assert np.array_equal(scalars[bank.row_index[j]], own)
@@ -242,25 +252,31 @@ def test_gaussian_bank_shares_work_and_keeps_each_members_bits():
             assert np.array_equal(out[:, j], gaussian_cross(own, coeffs, J, a))
             assert np.array_equal(gs[j], state.scale * gaussian_expansion(own, coeffs, J))
 
-    # a poly bank shares its inner products and the two products of its expansion
+    # a poly bank shares one evaluation, its two sums, and one per dropped term
     polys = [NonSeparablePoly(mu=mu, dim=3) for mu in (0.2, 0.7, 0.0)]
     model = MONORMA(polys, lam=0.1, eta0=0.5)
     model.fit(xs[:200], ys[:200])
     state = model._state
     (bank,) = state.banks
-    support, coeffs, sums, _ = state.terms()
-    assert state.scale != 1.0
+    support, coeffs = state.support, state.raw_coeffs
+    # the step reads kept feature sums and sweeps only the terms not yet folded
+    assert state.scale != 1.0 and state.terms()[2][0] is not None
     for x in xs[200:]:
         a = rng.normal(size=3)
-        gs, quads = [None] * len(polys), [None] * len(polys)
-        kept = p, *_ = bank.expand(state.terms(), state.scale, x, gs)
-        out = np.zeros((len(support), len(polys)))
-        bank.norm_terms(kept, float(x @ x), a, float(a @ a), quads, (out, a, float(a.sum())))
-        assert np.array_equal(p, support @ x)
+        gs, quads, shares = [None] * len(polys), [None] * len(polys), [None] * len(polys)
+        kept = linear, quadratic = bank.expand(state.terms(), state.scale, x, gs)
+        bank.norm_terms(kept, float(x @ x), a, float(a @ a), quads, None)
+        features, pending = state.terms()[2]
+        folded = bank.read_features(features, support[0])
+        bank.drop_shares(folded, pending, support[0], coeffs[0], shares)
+        want_linear, want_quadratic = poly_sums(support @ x, coeffs)
+        assert abs(linear - want_linear) <= 1e-12 * abs(want_linear)
+        assert np.allclose(quadratic, want_quadratic, rtol=1e-12, atol=0.0)
         for j, kernel in enumerate(polys):
-            assert np.array_equal(gs[j], state.scale * kernel.row_expansion(p, coeffs, sums))
-            assert np.array_equal(out[:, j], poly_cross(p, coeffs, sums, kernel.mu, a))
+            assert np.array_equal(gs[j], state.scale * poly_expansion(float(linear), quadratic, kernel.mu))
             assert quads[j] == poly_quad(x, kernel.mu, a)
+            share = poly_drop_share(support, coeffs, kernel.mu)
+            assert abs(shares[j] - share) <= 1e-12 * abs(share)
 
 
 @pytest.mark.parametrize(

@@ -356,20 +356,29 @@ def test_interleaved_families_keep_kernel_order_under_truncation():
                 assert abs(model.gamma[j] - oracle) <= 1e-10 * oracle
     assert folds >= 1 and model.support_size == schedule.window(200)
 
-    # restored, every g_j and its cross sums have the bits of a one-kernel
-    # state over the same terms; the bandwidths 1 and 1/2 fold exactly into
-    # the multi-row sweep, so its rows share those bits too
+    # restored, every g_j and its cross sums or feature sums have the bits of
+    # a one-kernel state over the same terms; the bandwidths 1 and 1/2 fold
+    # exactly into the multi-row sweep, so its rows share those bits too
     arrays = model.to_arrays()
     back = MONORMA(kernels, lam=0.9, eta0=0.9, truncation=schedule)
     back.restore(*arrays, model.t, model.gamma, model.delta)
     probes = np.random.default_rng(62).uniform(0.0, 1.0, size=(7, 4))
+    gaussians = [j for j, kernel in enumerate(kernels) if kernel.family == "gaussian"]
     for j, kernel in enumerate(kernels):
         alone = _ExpansionState([kernel], cross_terms=True)
         alone.restore(*arrays)
         for q in (probes[0], probes):
             assert np.array_equal(back._state.evaluate(q)[j], alone.evaluate(q)[0])
-        assert np.array_equal(back._state._C[:, j], alone._C[:, 0])
-        assert np.array_equal(back._state._Q[:, j], alone._Q[:, 0])
+        if j in gaussians:
+            # only the Gaussian members keep cross sums, in their order in the bank
+            c = gaussians.index(j)
+            assert np.array_equal(back._state._C[:, c], alone._C[:, 0])
+            assert np.array_equal(back._state._Q[:, c], alone._Q[:, 0])
+        else:
+            # the poly members keep none; their bank's feature sums are summed afresh
+            assert alone._C is None and alone._F is not None
+            assert np.array_equal(back._state._F, alone._F)
+    assert back._state._C.shape == (model.support_size, len(gaussians))
 
 
 def test_risk_decomposition():

@@ -10,6 +10,7 @@ import pytest
 
 import ovklearn
 import ovklearn.kernels
+import ovklearn.onorma
 from conftest import block_gram, naive_expansion
 from ovklearn.batch import BatchModel
 from ovklearn.exceptions import NumericsError
@@ -57,31 +58,34 @@ def models(support, coeffs):
 
 
 class PolyPaths:
-    """Records which path each multi-row poly query takes while installed.
+    """Records what each multi-row poly query reads while installed.
 
-    ``paths`` gets ``"features"`` for a query read through the bank's feature
-    sums and ``"sweep"`` for one swept over the support; ``sweeps`` counts
-    every call of the poly bank's ``expand_rows``.  ``take`` returns both and
+    A poly bank has one path for any number of rows: the feature sums kept
+    with its folded terms plus a sweep of the terms not folded, so a support
+    that was never folded is swept whole.  ``paths`` gets ``"features"`` for
+    a query that read the kept feature sums (``read_features``) and
+    ``"sweep"`` for one that swept the whole support; ``sweeps`` counts every
+    call of the poly bank's ``expand_rows``.  ``take`` returns both and
     clears them.
     """
 
     def __init__(self, monkeypatch):
         self.paths, self.sweeps = [], 0
+        self.reads = 0
         bank = NonSeparablePoly.bank
-        feature_sums, expand_rows = bank.feature_sums, bank.expand_rows
+        read_features, expand_rows = bank.read_features, bank.expand_rows
 
-        def counted_sums(*args):
-            self.paths.append("features")
-            return feature_sums(*args)
+        def counted_reads(*args):
+            self.reads += 1
+            return read_features(*args)
 
         def counted_rows(obj, *args):
             self.sweeps += 1
-            before = len(self.paths)
+            before = self.reads
             expand_rows(obj, *args)
-            if len(self.paths) == before:
-                self.paths.append("sweep")
+            self.paths.append("features" if self.reads > before else "sweep")
 
-        monkeypatch.setattr(bank, "feature_sums", staticmethod(counted_sums))
+        monkeypatch.setattr(bank, "read_features", staticmethod(counted_reads))
         monkeypatch.setattr(bank, "expand_rows", counted_rows)
 
     def take(self):
@@ -149,6 +153,34 @@ def test_scalar_gram_matches_kernel_calls(kernel, shift):
         assert scalar[3, 7] == scalar[7, 3] == 1.0
 
 
+def mask_form_gram(kernel, xs):
+    """The Gaussian scalar Gram with every equal pair's exponent set to 0 through a t x t mask."""
+    centre = xs.mean(axis=0)
+    rows = np.empty((len(xs), xs.shape[1] + 2))
+    ovklearn.kernels.centred_rows(xs, centre, rows)
+    w = ovklearn.kernels.centred_exponents(rows, centre, xs, -1.0 / kernel.mu, np.empty((len(xs),) * 2))
+    _, point = np.unique(xs, axis=0, return_inverse=True)
+    w[point[:, None] == point[None, :]] = 0.0
+    return np.exp(w)
+
+
+@pytest.mark.parametrize("equal", ["none", "pair", "signed-zero", "many"])
+def test_gaussian_scalar_gram_matches_the_mask_form_bit_for_bit(equal):
+    # the distinct-points branch writes only the diagonal, the other the mask;
+    # -0.0 and 0.0 are one point, as np.unique(axis=0) counts them
+    rng = np.random.default_rng(68)
+    xs = rng.normal(size=(40, P))
+    if equal == "pair":
+        xs[17] = xs[3]
+    elif equal == "signed-zero":
+        xs[5], xs[9] = [0.0, 1.5, -2.0], [-0.0, 1.5, -2.0]
+    elif equal == "many":
+        xs[20:] = xs[:20]
+    xs = np.asfortranarray(xs) if equal == "many" else xs
+    kernel = SeparableGaussian(mu=0.7, dim=D)
+    assert np.array_equal(kernel.scalar_gram(xs), mask_form_gram(kernel, xs))
+
+
 def test_rows_whose_distances_overflow_raise_numerics_error():
     # inputs near 1e160 overflow the centred product to inf - inf; the point
     # path's distances overflow to inf, whose kernel value is 0
@@ -165,11 +197,18 @@ def test_rows_whose_distances_overflow_raise_numerics_error():
 def test_every_model_raises_on_predictions_that_overflow(monkeypatch):
     support, coeffs, queries = case("plain")
     paths = PolyPaths(monkeypatch)
-    for model, kernels, _ in models(1e160 * support, coeffs):
+    # nine terms are never folded, so a poly bank sweeps them; a poly learner
+    # with a folded support reads its feature sums, whose M_k overflow
+    rng = np.random.default_rng(67)
+    wide = rng.normal(size=(ovklearn.onorma._FOLD + 6, P))
+    folded = ONORMA(NonSeparablePoly(mu=0.3, dim=D), lam=0.1, eta0=0.5)
+    with np.errstate(over="ignore", invalid="ignore"):
+        folded.restore(1e160 * wide, rng.normal(size=(len(wide), D)), np.arange(1, len(wide) + 1), P, len(wide), [0.0])
+    cases = [(model, kernels, "sweep") for model, kernels, _ in models(1e160 * support, coeffs)]
+    cases.append((folded, [folded.kernel], "features"))
+    for model, kernels, path in cases:
         poly = any(kernel.family == "poly" for kernel in kernels)
-        # a poly bank sweeps two rows over the nine terms and reads seven
-        # through its feature sums, whose M_k overflow
-        for rows, path in ((queries[:2], "sweep"), (queries, "features")):
+        for rows in (queries[:2], queries):
             with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericsError):
                 model.predict(1e160 * rows)
             assert paths.take() == (([path], 1) if poly else ([], 0))
@@ -200,6 +239,8 @@ def trained_poly_models(mu, d, p=3):
 @pytest.mark.parametrize("mu", [0.0, 0.3, 1.0])
 def test_poly_feature_sums_match_the_per_term_oracle_and_the_point_path(mu, d, monkeypatch):
     queries = np.random.default_rng(64).uniform(-1.0, 1.0, size=(40, 3))
+    # folds of 8 terms: each model folds, and the truncated one unfolds dropped terms
+    monkeypatch.setattr(ovklearn.onorma, "_FOLD", 8)
     paths = PolyPaths(monkeypatch)
     for model, kernels, weights in trained_poly_models(mu, d):
         state = model._state
@@ -222,30 +263,42 @@ def poly_model(s, p, d, rng):
     return model
 
 
+def restored_path(s):
+    """The path of a poly bank restored over s terms: a support under one fold is never folded."""
+    return "features" if s >= ovklearn.onorma._FOLD else "sweep"
+
+
 @pytest.mark.parametrize("s, p, d", [(9, 3, 2), (60, 4, 2), (200, 20, 4)])
 def test_poly_paths_agree_at_the_crossover(s, p, d, monkeypatch):
-    # the feature sums pay from n s (p + 2d) > (s + n) p^2 d on; at (200, 20, 4)
-    # the two sides are equal at n = 80
+    # the row count at which the feature sums once began to pay,
+    # n s (p + 2d) > (s + n) p^2 d (n = 80 at (200, 20, 4)): one path now
+    # serves both sides, so the rows agree with their own first n - 1
     n = s * p * p * d // (s * (p + 2 * d) - p * p * d) + 1
     rng = np.random.default_rng(65)
     model = poly_model(s, p, d, rng)
     queries = rng.normal(size=(n, p))
     paths = PolyPaths(monkeypatch)
     below = model.predict(queries[:-1])
-    assert paths.take() == (["sweep"], 1)
+    assert paths.take() == ([restored_path(s)], 1)
     at = model.predict(queries)
-    assert paths.take() == (["features"], 1)
+    assert paths.take() == ([restored_path(s)], 1)
     assert_close(below, at[:-1])
 
 
 @pytest.mark.parametrize("s, p, d, n", [(9, 3, 2, 3), (200, 20, 4, 1), (200, 20, 4, 80), (30, 40, 2, 500)])
 def test_few_rows_or_wide_inputs_sweep_the_support_once(s, p, d, n, monkeypatch):
-    # with 40 columns the feature sums cost more than the sweep at any n
+    # one call reads the support once, by the same path for any row count or width
     rng = np.random.default_rng(66)
     model = poly_model(s, p, d, rng)
     paths = PolyPaths(monkeypatch)
-    model.predict(rng.normal(size=(n, p)))
-    assert paths.take() == (["sweep"], 1)
+    queries = rng.normal(size=(n, p))
+    got = model.predict(queries)
+    assert paths.take() == ([restored_path(s)], 1)
+    state = model._state
+    for j, kernel in enumerate(state.kernels):
+        naive = [naive_expansion(kernel, state.support, state.coeffs, q) for q in queries[:3]]
+        assert_close(state.evaluate(queries[:3])[j], np.array(naive))
+    assert_close(got[:3], np.array([model.predict(q) for q in queries[:3]]))
 
 
 def imports_module(name):

@@ -3,11 +3,13 @@
 Property 1: along a random stream, every tracked norm equals the naive
 Gram oracle, and a checkpoint taken at a random step restores the same
 terms; a truncated learner rebuilds the same cross sums by replaying
-them, and a poly learner's per-term coefficient sums equal a fresh
-reduction of its coefficients.  Property 3: through any mix of steps,
+them, and after every step a poly learner's kept feature sums match a
+fresh sum over their folded range, exactly after a restore or a buffer
+move.  Property 3: through any mix of steps,
 lazy-scale folds, truncation drops, buffer moves, restores and a late
 switch to truncation, a Gaussian learner's kept centred rows are its
-support minus its centre, bit for bit, with their einsum norms.
+support minus its centre, bit for bit, with their einsum norms, and a
+poly learner's kept feature sums hold as in property 1.
 Property 2: over random kernel banks, the
 weights stay on the boundary ``sum_j delta_j^r = 1`` after every step, and
 the predictions and per-kernel norms equal the naive multi-kernel
@@ -23,7 +25,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import NaiveMultiKernelLearner, gram_norm_sq
+import ovklearn.onorma
+from conftest import UNIT_ROUNDOFF, NaiveMultiKernelLearner, gram_norm_sq
 from ovklearn.checkpoint import load_model, save_model
 from ovklearn.cli import main
 from ovklearn.kernels import NonSeparablePoly, SeparableGaussian, default_structure
@@ -47,12 +50,39 @@ def tracked(model):
     return model.gamma if isinstance(model, MONORMA) else np.array([model.norm_sq])
 
 
-def sums_hold(state, kind):
-    # only a poly kernel reads the per-term coefficient sums; they must equal a fresh reduction
-    sums = state.terms()[2]
-    if kind != "poly":
-        return sums is None
-    return np.array_equal(sums, state.raw_coeffs.sum(axis=1))
+def features_hold(state, exact):
+    """Whether the kept feature sums F match a fresh ``feature_sums`` of their folded range.
+
+    Only a poly bank reads them.  F covers the buffer rows ``[lo, hi)``,
+    with ``lo <= start <= hi <= end``, and is None while that range is
+    empty.  ``exact`` (after a restore or a buffer move, which sum F afresh)
+    asks for the fresh sum's bits.  Otherwise F was built by folding and
+    unfolding blocks since it was last summed afresh, from terms that all
+    lie in the buffer rows ``[0, end)``, N of them.  Each entry of F is then
+    a sum of at most 2N products ``x_ia c_ik x_ib`` (``x_ia S_i`` for v,
+    with ``S_i`` a sum of d), each term meeting at most d + 1 roundings in
+    its product and 2N - 1 in the additions, so by the standard summation
+    bound (Higham, ch. 4) it errs by at most ``(2N + d + 2) u`` times the
+    sum of the absolute terms, to first order; the fresh sum by at most
+    ``(N + d + 1) u`` times the same sum.  The two sums differ by at most
+    ``(3N + 2d + 4) u`` times the absolute feature sums of the N rows,
+    with room for second-order terms.
+    """
+    features = state.terms()[2]
+    if not any(kernel.family == "poly" for kernel in state.kernels):
+        return features is None
+    F, lo, hi = state._F, state._lo, state._hi
+    if not lo <= state.start <= hi <= state.end or (F is None and lo != hi):
+        return False
+    if F is None:
+        return True
+    bank = state._featured
+    fresh = bank.feature_sums(state._X[lo:hi], state._A[lo:hi])
+    if exact:
+        return np.array_equal(F, fresh)
+    n, d = state.end, state.dim
+    absolute = bank.feature_sums(np.abs(state._X[:n]), np.abs(state._A[:n]))
+    return bool(np.all(np.abs(F - fresh) <= (3 * n + 2 * d + 4) * UNIT_ROUNDOFF * absolute))
 
 
 def centred_rows_hold(state):
@@ -119,11 +149,13 @@ def test_kept_centred_rows_are_the_support_minus_the_centre(
                 buffers = state._X
                 model.step(x, rng.normal(size=d))
                 moves += state._X is not buffers
+                assert features_hold(state, exact=state._X is not buffers)
         elif op == "checkpoint":
             path = tmp_path_factory.mktemp("centred") / "model.npz"
             save_model(path, model)
             model = load_model(path)
             state = model._state
+            assert features_hold(state, exact=True)
         elif model.truncation is None:
             model.truncation = TruncationSchedule(t0=arg, epsilon=0.25)
         assert centred_rows_hold(state)
@@ -133,6 +165,18 @@ def test_kept_centred_rows_are_the_support_minus_the_centre(
 
 def close(have, want, rel):
     return np.max(np.abs(have - want), initial=0.0) <= rel * np.max(np.abs(want), initial=0.0)
+
+
+def stepped_features_hold(model, kind, x, y):
+    """One step, then :func:`features_hold`, exactly when the step moved the buffers.
+
+    A move sums F afresh before the step stores its term, which a fold of
+    one term then folds in at once, so that fold is checked within the bound.
+    """
+    buffers = model._state._X
+    model.step(x, y)
+    moved = model._state._X is not buffers and ovklearn.onorma._FOLD > 1
+    return features_hold(model._state, exact=moved)
 
 
 @pytest.mark.parametrize("truncated", [False, True], ids=["plain", "truncated"])
@@ -145,16 +189,25 @@ def close(have, want, rel):
     t0=st.integers(2, 6),
     p=st.integers(1, 4),
     d=st.integers(1, 3),
+    fold=st.sampled_from([1, 3, 8, ovklearn.onorma._FOLD]),
 )
 def test_tracked_norms_and_restore(
-    tmp_path_factory, kind, truncated, seed, n, saved_frac, t0, p, d
+    tmp_path_factory, kind, truncated, seed, n, saved_frac, t0, p, d, fold
 ):
+    with pytest.MonkeyPatch.context() as patch:
+        # short folds, so that streams this short fold and unfold their feature sums
+        patch.setattr(ovklearn.onorma, "_FOLD", fold)
+        tracked_norms_and_restore(tmp_path_factory, kind, truncated, seed, n, saved_frac, t0, p, d)
+
+
+def tracked_norms_and_restore(tmp_path_factory, kind, truncated, seed, n, saved_frac, t0, p, d):
     rng = np.random.default_rng(seed)
     xs = rng.uniform(-1.0, 1.0, size=(n, p))
     ys = rng.normal(size=(n, d))
     live = build(kind, d, t0 if truncated else None)
     saved_at = int(saved_frac * n)
-    live.fit(xs[:saved_at], ys[:saved_at])
+    for x, y in zip(xs[:saved_at], ys[:saved_at]):
+        assert stepped_features_hold(live, kind, x, y)
 
     path = tmp_path_factory.mktemp("prop") / "model.npz"
     save_model(path, live)
@@ -162,8 +215,11 @@ def test_tracked_norms_and_restore(
     assert np.array_equal(back._state.support, live._state.support)
     assert np.array_equal(back._state.coeffs, live._state.coeffs)
     assert np.array_equal(back._state.times, live._state.times)
-    assert sums_hold(back._state, kind)
-    if truncated:
+    assert features_hold(back._state, exact=True)
+    if truncated and kind == "poly":
+        # a poly learner keeps no cross sums: its drops read the feature sums
+        assert back._state._C is None and live._state._C is None
+    elif truncated:
         # restore replays the appends' cross sums: the rebuilt sums are the live ones with the scale folded in
         s2 = live._state.scale ** 2
         assert back._state.scale == 1.0
@@ -173,15 +229,14 @@ def test_tracked_norms_and_restore(
             assert close(have, want, 1e-12)
 
     for x, y in zip(xs[saved_at:], ys[saved_at:]):
-        live.step(x, y)
-        back.step(x, y)
+        assert stepped_features_hold(live, kind, x, y)
+        assert stepped_features_hold(back, kind, x, y)
     state = live._state
     oracle = np.array(
         [gram_norm_sq(k, list(state.support), list(state.coeffs)) for k in state.kernels]
     )
     assert close(tracked(live), oracle, 1e-10)
     assert close(tracked(back), tracked(live), 1e-12)
-    assert sums_hold(live._state, kind) and sums_hold(back._state, kind)
     if truncated and n > t0:
         assert live.support_size <= live.truncation.window(n)
 
