@@ -47,6 +47,7 @@ def main():
         eta0=eta0,
         lam=lam,
         branch="least_squares",
+        kappa_note=hyp.kappa_note,
     )
     print(consts.to_text())
 

@@ -12,9 +12,10 @@ over an m-step online run with learning rate ``eta0 / sqrt(t)``:
 * ``least_squares`` -- squared loss with targets bounded by C_y and
   ``lambda > 2 kappa^2``; then ``U = max(C_y / kappa, 2 C_y / lambda)``.
 
-Here ``kappa^2`` bounds ``||K(x, x)||_op``; this module estimates it
-empirically over the training inputs (a lower bound of the true sup,
-flagged in every report).  With truncation active the sqrt(m) constant
+Here ``kappa^2`` bounds ``||K(x, x)||_op``; this module takes its largest
+value over the training inputs, which is the sup itself for a Gaussian
+kernel (``||J||`` at every x) and a lower bound of the sup for a poly
+kernel, as every report notes (:data:`KAPPA_NOTE`).  With truncation active the sqrt(m) constant
 uses the factor 10 * eta * lambda instead of 2 * eta * lambda.
 
 alpha = 2 * lambda * U^2 * (2 eta lambda + 1 / (eta lambda))   (plain)
@@ -44,7 +45,11 @@ __all__ = [
     "key_value_text",
 ]
 
-KAPPA_NOTE = "empirical max over the dataset; a lower bound of the true sup"
+# what the reported kappa is, by kernel family
+KAPPA_NOTE = {
+    "gaussian": "exact: ||K(x, x)||_op = ||J|| at every x",
+    "poly": "empirical max over the dataset; a lower bound of the true sup",
+}
 
 
 def key_value_text(values: dict) -> str:
@@ -77,6 +82,7 @@ class BoundConstants:
     lam: float
     branch: str
     truncated: bool
+    kappa_note: str
 
     def coefficient_limit(self, t: int) -> float:
         """Per-step bound on the norm of the newly added coefficient."""
@@ -111,8 +117,12 @@ def compute_constants(
     lam: float,
     branch: str,
     truncated: bool = False,
+    kappa_note: str = KAPPA_NOTE["poly"],
 ) -> BoundConstants:
     """Derive U, alpha, beta for the chosen branch.
+
+    ``kappa_note`` says what kappa is, for the reports; the default makes
+    no claim beyond an empirical lower bound.
 
     Raises :class:`HypothesisViolation` naming the failing inequality if
     the branch prerequisites do not hold, and ConfigError for any other bad argument.
@@ -152,6 +162,7 @@ def compute_constants(
         lam=lam,
         branch=branch,
         truncated=truncated,
+        kappa_note=kappa_note,
     )
 
 
@@ -180,7 +191,7 @@ class BoundReport:
             "slack": self.slack,
             "holds": self.holds,
         }
-        note = key_value_text({"kappa_note": KAPPA_NOTE})
+        note = key_value_text({"kappa_note": self.constants.kappa_note})
         return "\n".join([key_value_text(own), self.constants.to_text(), note])
 
 
@@ -208,6 +219,7 @@ class HypothesisReport:
     """Pass/fail diagnostics for the guarantee prerequisites."""
 
     kappa_sq: float
+    kappa_note: str
     c_y: float
     branch: str
     loss_name: str
@@ -220,7 +232,7 @@ class HypothesisReport:
         return key_value_text(
             {
                 "kappa_sq": self.kappa_sq,
-                "kappa_note": KAPPA_NOTE,
+                "kappa_note": self.kappa_note,
                 "c_y": self.c_y,
                 "branch": self.branch,
                 "loss": self.loss_name,
@@ -257,6 +269,7 @@ def check_hypotheses(kernel, xs, ys, lam: float, loss) -> HypothesisReport:
         raise ConfigError(f"unrecognised loss {loss!r}")
     return HypothesisReport(
         kappa_sq=kappa_sq,
+        kappa_note=KAPPA_NOTE[kernel.family],
         c_y=c_y,
         branch=branch,
         loss_name=loss.name(),

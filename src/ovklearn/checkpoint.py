@@ -79,7 +79,7 @@ def load_model(path):
     Every failure to read it, from a missing or non-npz file to an
     archive without the expected entries, raises DataError; so does a NaN
     or inf in the stored terms, norms or kernel weights, and a step count,
-    norm or weight no run reaches (see ``_check_state``).
+    term time, norm or weight no run reaches (see ``_check_state``).
     """
     try:
         # np.load can raise before its archive owns the handle; this closes it on every path
@@ -127,8 +127,9 @@ def _model_from(path, zf):
     )
     support, coeffs = zf["support"], zf["coeffs"]
     _check_finite(path, support=support, coeffs=coeffs, **tracked)
-    _check_state(path, meta["t"], learner.r, **tracked)
-    learner.restore(support, coeffs, zf["times"], meta["input_dim"], meta["t"], norms, delta)
+    times = zf["times"]
+    _check_state(path, meta["t"], learner.r, times, **tracked)
+    learner.restore(support, coeffs, times, meta["input_dim"], meta["t"], norms, delta)
     return learner
 
 
@@ -142,10 +143,18 @@ def _check_finite(path, **fields) -> None:
         check_finite(f"{name} in checkpoint {path}", np.asarray(values, dtype=float))
 
 
-def _check_state(path, t, r, delta=None, **norms) -> None:
-    """DataError naming a step count, tracked norm or kernel weight no run reaches."""
+def _check_state(path, t, r, times, delta=None, **norms) -> None:
+    """DataError naming a step count, term time, tracked norm or kernel weight no run reaches.
+
+    A run stores its terms at strictly increasing steps in [1, t], and its
+    truncation drops them by those times.
+    """
     if type(t) is not int or t < 0:
         raise DataError(f"{path}: t must be an integer >= 0, got {t!r}")
+    times = np.asarray(times)
+    whole = times.dtype.kind in "iu" or (times.dtype.kind == "f" and np.array_equal(times, np.trunc(times)))
+    if not (whole and np.all(np.diff(times) > 0) and np.all((times >= 1) & (times <= t))):
+        raise DataError(f"{path}: times must be strictly increasing integers in [1, t = {t}]")
     for name, values in norms.items():
         if np.any(np.asarray(values, dtype=float) < 0):
             raise DataError(f"{path}: negative {name} in checkpoint")

@@ -514,6 +514,7 @@ def _guarantee(cfg: ExperimentConfig, kernel, train: Dataset, loss, run_log):
         lam=cfg.lam,
         branch="least_squares",
         truncated=cfg.truncate,
+        kappa_note=hyp.kappa_note,
     )
     step_results = run_log()
     reference = batch_fit(kernel, train.xs, train.ys, cfg.lam)

@@ -18,26 +18,15 @@ for any points ``x_k`` and vectors ``y_k``,
 
 A learner evaluates its kernels through one bank per family, the family's
 step code (:class:`KernelBank`), which writes each result at its kernel's
-place in the learner's kernel order.  A bank is the only code that
-evaluates an expansion ``sum_i K(x_i, x) c_i`` at query points, one point
-or a block of rows.  A step calls each bank twice: ``expand`` before the
-loss evaluates the expansion at the step's point and keeps that sweep, and
-``norm_terms`` after it writes the new coefficient's quadratic forms and,
-for a Gaussian bank under truncation, its cross products from that kept
-sweep, so each product is computed once.  A Gaussian
-bank's point sweep is one BLAS product of a point's centred
-``[-2 (x - c), 1, ||x - c||^2]`` with each term's centred row
-``[x_i - c, ||x_i - c||^2, 1]``, which the expansion state keeps for it
-(:func:`centred_rows`); the bank maps those squared distances to its
-scalars once per distinct ``mu``, makes one ``w C`` product per distinct
-``mu`` and one ``J`` product per distinct structure matrix, with the bits
-of each member's one-kernel forms given the distances
-(:class:`_GaussianBank`).  A poly bank evaluates through the kernel's
-finite feature map: the expansion state keeps the feature sums
-``F = [v; M_1; ...; M_d]``, ``v = sum_i S_i x_i`` and
-``M_k = sum_i c_ik x_i x_i^T``, of its folded terms and a few pending
-rows, and every member reads ``mu (q . v) + (1 - mu) q^T M_k q`` plus a
-sweep of those rows (:class:`_PolyBank`).
+place in the learner's kernel order and keeps its family's cache of the
+stored terms.  A bank is the only code that evaluates an expansion
+``sum_i K(x_i, x) c_i`` at query points, one point or a block of rows.  A
+Gaussian bank keeps each term's centred row, so its point sweep is one
+BLAS product, and does the work its members share once per distinct
+``mu`` or structure matrix (:class:`_GaussianBank`).  A poly bank
+evaluates through the kernel's finite feature map, from the feature sums
+``F = [v; M_1; ...; M_d]`` of its folded terms plus a sweep of a few
+pending rows (:class:`_PolyBank`).
 
 A predict on n rows over s terms in R^p with d outputs takes one path per
 family (each bank's ``expand_rows``):
@@ -97,6 +86,10 @@ __all__ = [
 
 # a block of queries' rows takes about this many bytes, so it stays in cache
 _BLOCK_BYTES = 1 << 20
+
+# a poly bank's unfolded terms, and its dropped terms that are still folded,
+# join its feature sums in one product once this many have gathered
+_FOLD = 64
 
 # while every centred norm ||x_i - c||^2 and ||x - c||^2 is at most this, each
 # of the point sweep's p + 2 terms is at most 2^1001 in size, so none overflows
@@ -163,39 +156,42 @@ def _check_pair(x, x2):
 class KernelBank:
     """The kernels of one family, at ``columns`` of a learner's kernel list.
 
-    A bank is its family's step code.  Each method reads the stored terms
-    from ``terms = (support, raw, features, centred)``, the live views the
-    expansion state takes once per call (``features``, the poly feature
-    sums with the pending rows, is None unless a bank ``reads_features``,
-    and ``centred``, the rows of :func:`centred_rows` with their centre and
-    a bound on their norms, None unless a bank ``reads_centred``), shares
-    the work its members have in common and writes member j's result at
-    ``columns[j]`` of a list or array in the learner's kernel order.  A step
-    calls each bank twice:
+    A bank is its family's step code, and it owns its family's cache of the
+    expansion state's terms (:class:`ovklearn.onorma._ExpansionState`),
+    kept in the state's buffer rows.  It reads the terms from the state,
+    shares the work its members have in common and writes member j's result
+    at ``columns[j]`` of a list or array in the learner's kernel order.  A
+    step calls each bank twice:
 
-    * ``expand(terms, scale, x, gs)``, before the loss, writes every
-      ``scale * g_j(x)`` into ``gs`` and returns ``kept``, its one sweep
-      ``sweep(terms, x)``;
-    * ``norm_terms(kept, x_sq, a, a_sq, quads, cross)``, after the loss,
-      writes every ``<K_j(x, x) a, a>`` into ``quads`` from the step's
-      ``x_sq = <x, x>`` and ``a_sq = <a, a>``.  A bank that
-      ``keeps_crosses`` (the Gaussian family's), given
-      ``cross = (crosses, raw_a)``, also adds every
-      ``<K_j(x_i, x) raw_a, raw_i>`` into its member's column of the stored
-      terms' ``crosses``, one column per member in bank order.  These read
-      x, a and the raw terms alone, so the shrink between the calls changes
-      no result.
+    * ``expand(state, x, gs)``, before the loss, writes every
+      ``scale * g_j(x)`` into ``gs`` and returns ``kept``, its one sweep;
+    * ``norm_terms(kept, x_sq, a, a_sq, quads)``, after the loss, writes
+      every ``<K_j(x, x) a, a>`` into ``quads`` from the step's
+      ``x_sq = <x, x>`` and ``a_sq = <a, a>``.  These read x and a alone,
+      so the shrink between the calls changes no result.
 
-    ``expand_rows(terms, queries, gs)`` writes every
+    ``expand_rows(state, queries, gs)`` writes every
     ``sum_i K_j(x_i, q) raw_i`` at the (n, p) query rows into the (n, d)
     ``gs[j]``.  The queries go in blocks whose rows take about
     ``_BLOCK_BYTES`` (:func:`_block_size`), so no n x s array is formed, and
     each block shares its members' work as the step does.
-    """
 
-    reads_features = False
-    reads_centred = False
-    keeps_crosses = False
+    The state raises an event whenever its terms change, and the bank keeps
+    its cache in step:
+
+    * ``stored(state, kept, x, raw, quads)``: a term came in at the last
+      live row, with raw coefficient ``raw``; ``kept`` and ``quads`` are the
+      step's, and ``kept`` is None when the support was empty;
+    * ``dropped(state, k, x, raw, norms_sq)``: the oldest term, at row k,
+      has left; the bank subtracts its share of each member's
+      ``||g_j||^2`` from ``norms_sq[j]``;
+    * ``restored(state)``: the state holds saved terms at scale 1, in
+      buffers of as many rows;
+    * ``moved(state, old, cap, x)``: the live rows ``old`` moved to the
+      first rows of fresh buffers of ``cap`` rows, before x comes in;
+    * ``rescaled(state, scale)``: the raw coefficients were multiplied by
+      ``scale``, the old lazy scale, which is now 1.
+    """
 
     def __init__(self, kernels, columns):
         self.kernels = tuple(kernels)
@@ -210,26 +206,43 @@ def _block_size(n, width):
 class _GaussianBank(KernelBank):
     """Gaussians ``exp(-||x_i - x||^2 / mu) J``: one product for the distances, J products per J.
 
-    The step's point sweep (:meth:`distances`) reads each term's centred
-    row ``[x_i - c, n_i, 1]``, ``n_i = ||x_i - c||^2``, which the expansion
-    state keeps for this bank (``reads_centred``): with ``u = x - c``, one
-    BLAS product of the rows with ``[-2 u, 1, ||u||^2]`` gives every
-    ``||x_i - x||^2 = n_i + ||u||^2 - 2 <x_i - c, u>``, clamped at 0,
+    The bank keeps each stored term's centred row
+    ``R[i] = [x_i - c, n_i, 1]``, ``n_i = ||x_i - c||^2``
+    (:func:`centred_rows`), around c, the mean of the live support (the
+    first term's point when none is live), with ``_peak`` bounding the live
+    rows' norms.  A stored term's row is written as it comes in; a restore
+    and each buffer move centre every live row afresh, so a drifting
+    truncated stream is re-centred at the cost of the copy the move makes
+    anyway.  The step's point sweep (:meth:`distances`) is one BLAS product
+    of the rows with ``[-2 u, 1, ||u||^2]``, ``u = x - c``, which gives
+    every ``||x_i - x||^2 = n_i + ||u||^2 - 2 <x_i - c, u>``, clamped at 0,
     within a small multiple of ``eps (n_i + ||u||^2)`` of the exact one.
     Past a centred norm of 2^1000 the rows are centred at x and scaled by a
     power of two, so a distance may overflow to inf (kernel value 0) but is
     never NaN.
 
+    Under truncation (the state's ``cross_terms``) term i also keeps, for
+    member c of the bank, the raw sums
+    ``C[i, c] = sum_{k > i} <K_c(x_i, x_k) a_k, a_i>`` over the later terms
+    and ``Q[i, c] = <K_c(x_i, x_i) a_i, a_i>``.  Terms leave in the order
+    they came, so every term later than the oldest is still stored, and the
+    oldest term's share of ``||g_c||^2`` is ``scale^2 (2 C[i, c] + Q[i, c])``:
+    a drop costs O(1) per member and no kernel evaluation.  A stored term
+    adds its products with the stored terms, read from the step's kept
+    sweep, to their C; a fold of the lazy scale rescales C and Q, which are
+    bilinear in the raw coefficients; a restore rebuilds them by replaying
+    each term's store over the terms before it, in O(s^2).
+
     ``scalars`` divides the distances by the column of the distinct ``-mu``
     into one (u, s) buffer and takes ``exp`` in place, so members with
     equal ``mu`` share a row: member j reads row ``row_index[j]``.  The
-    sweep keeps those rows and the raw coefficients for :meth:`norm_terms`.
+    sweep keeps those rows and the raw coefficients for the cross sums.
     Members with equal ``mu`` share one :meth:`weighted_sum` ``w C``, and
     members whose J are equal bit for bit share :meth:`quad` and
-    :meth:`cross_vector`, which :meth:`norm_terms` scales by each member's
-    scalars.  Given the distances, every result has the bits of the
-    member's own one-point forms (``exp(row / -mu)``, ``J (w C)``,
-    ``<J a, a>``, ``w (C J a)``): IEEE division and ``exp`` are elementwise.
+    :meth:`cross_vector`, which are scaled by each member's scalars.  Given
+    the distances, every result has the bits of the member's own one-point
+    forms (``exp(row / -mu)``, ``J (w C)``, ``<J a, a>``, ``w (C J a)``):
+    IEEE division and ``exp`` are elementwise.
 
     A block of query rows (:meth:`expand_rows`) reads the same kept rows
     and divides nothing: :func:`centred_exponents` scales each query's
@@ -240,9 +253,6 @@ class _GaussianBank(KernelBank):
     :meth:`expand`.  These exponents round differently from the quotients
     of the point path, by a few ulps.
     """
-
-    reads_centred = True
-    keeps_crosses = True
 
     def __init__(self, kernels, columns):
         super().__init__(kernels, columns)
@@ -269,19 +279,22 @@ class _GaussianBank(KernelBank):
         self._block_ratios = [(i, last / mu) for mu, i in mus.items() if mu != last]
         self._block_ratios.append((mus[last], None))
 
-    def distances(self, terms, x) -> np.ndarray:
-        """``||x_i - x||^2`` for every stored term: one product with the kept centred rows."""
-        rows, centre, peak = terms[3]
+    def centred(self, state) -> tuple:
+        """The live centred rows, their centre and the bound on their norms."""
+        return self._R[state.start : state.end], self._centre, self._peak
+
+    def distances(self, support, rows, x) -> np.ndarray:
+        """``||x_i - x||^2`` for every term of the support: one product with their centred rows."""
+        centre = self._centre
         p = len(centre)
         v = np.empty(p + 2)
         u = np.subtract(x, centre, out=v[:p])
         uu = float(u.dot(u))
         e = 0
-        if not (uu <= _SAFE_NORM and peak <= _SAFE_NORM):
+        if not (uu <= _SAFE_NORM and self._peak <= _SAFE_NORM):
             # out of range: the terms centred at x itself, so u = 0 and each row's
             # norm is its distance, after an exact scaling by 2^-e that brings
             # every entry under 2^480, so no square or sum overflows
-            support = terms[0]
             top = max(float(np.abs(support).max(initial=0.0)), float(np.abs(x).max()))
             e = max(math.frexp(top)[1] - 480, 0)
             rows = np.empty_like(rows)
@@ -298,9 +311,9 @@ class _GaussianBank(KernelBank):
             np.ldexp(row, 2 * e, out=row)
         return row
 
-    def sweep(self, terms, x) -> tuple:
+    def sweep(self, support, raw, rows, x) -> tuple:
         # the distances, the same for every mu and J, as scalars; with the raw terms
-        return self.scalars(self.distances(terms, x)), terms[1]
+        return self.scalars(self.distances(support, rows, x)), raw
 
     def scalars(self, row) -> list:
         # one row of row / -mu per distinct mu, which rounds as each member's scalars does
@@ -308,17 +321,19 @@ class _GaussianBank(KernelBank):
         np.exp(w, out=w)
         return [w] if w.ndim == 1 else list(w)
 
-    def expand(self, terms, scale, x, gs) -> tuple:
-        kept = scalars, raw = self.sweep(terms, x)
+    def expand(self, state, x, gs) -> tuple:
+        support, raw = state.terms()
+        kept = scalars, raw = self.sweep(support, raw, self._R[state.start : state.end], x)
         sums = [self.weighted_sum(w, raw) for w in scalars]
+        scale = state.scale
         for _, structure_t, members in self._structures:
             for j, i in members:
                 # the floats of J (w C), as each member's row_expansion gives them
                 gs[j] = scale * sums[i].dot(structure_t)
         return kept
 
-    def expand_rows(self, terms, queries, gs) -> None:
-        raw, (rows, centre, _) = terms[1], terms[3]
+    def expand_rows(self, state, queries, gs) -> None:
+        raw, (rows, centre, _) = state.raw_coeffs, self.centred(state)
         n, s = len(queries), len(rows)
         block = _block_size(n, s)
         exponents = np.empty((block, s))
@@ -334,19 +349,80 @@ class _GaussianBank(KernelBank):
                 for j, i in members:
                     np.matmul(sums[i], structure_t, out=gs[j][lo:hi])
 
-    def norm_terms(self, kept, x_sq, a, a_sq, quads, cross) -> None:
+    def norm_terms(self, kept, x_sq, a, a_sq, quads) -> None:
         for structure, _, members in self._structures:
             quad = self.quad(structure, a)
             for j, _ in members:
                 quads[j] = quad
-        if cross is not None:
-            crosses, raw_a = cross
-            scalars, raw = kept
-            for structure, crossers in self._crossers:
-                v = self.cross_vector(structure, raw, raw_a)
-                for c, i in crossers:
-                    column = crosses[:, c]
-                    column += scalars[i] * v
+
+    def stored(self, state, kept, x, raw, quads) -> None:
+        self._store(state.start, state.end - 1, kept, x, raw, quads, state.scale * state.scale)
+
+    def _store(self, start, i, kept, x, raw, quads, s2) -> None:
+        """Write term i's centred row and, under truncation, its cross sums with the terms ``[start, i)``."""
+        if self._C is not None:
+            if kept is not None:
+                crosses, (scalars, coeffs) = self._C[start:i], kept
+                for structure, crossers in self._crossers:
+                    v = self.cross_vector(structure, coeffs, raw)
+                    for c, r in crossers:
+                        column = crosses[:, c]
+                        column += scalars[r] * v
+            self._C[i] = 0.0
+            self._Q[i] = [quads[j] / s2 for j in self.columns]
+        norm = centred_row(x, self._centre, self._R[i])
+        if norm > self._peak:
+            self._peak = float(norm)
+
+    def dropped(self, state, k, x, raw, norms_sq) -> None:
+        # Python floats beat array calls for a few kernels; each operation is
+        # the elementwise one, in the same order, so the bits are the same
+        s2 = state.scale * state.scale
+        c, q = self._C[k].tolist(), self._Q[k].tolist()
+        for m, j in enumerate(self.columns):
+            norms_sq[j] -= s2 * (2.0 * c[m] + q[m])
+
+    def restored(self, state) -> None:
+        n, p = len(state), state.input_dim or 0
+        self._R = np.empty((n, p + 2))
+        self._centre_rows(state, np.zeros(p))
+        self._C = self._Q = None
+        if state.cross_terms:
+            self._C, self._Q = np.empty((n, len(self.kernels))), np.empty((n, len(self.kernels)))
+            # each term's store over the terms before it, as when it came in at scale 1
+            support, raw = state.terms()
+            quads = {}
+            for i in range(n):
+                x, a = support[i], raw[i]
+                kept = self.sweep(support[:i], raw[:i], self._R[:i], x)
+                self.norm_terms(kept, None, a, None, quads)
+                self._store(0, i, kept, x, a, quads, 1.0)
+
+    def moved(self, state, old, cap, x) -> None:
+        if self._C is not None:
+            for name in ("_C", "_Q"):
+                new = np.empty((cap, len(self.kernels)))
+                new[: len(state)] = getattr(self, name)[old]
+                setattr(self, name, new)
+        self._R = np.empty((cap, (state.input_dim or 0) + 2))
+        self._centre_rows(state, x)
+
+    def rescaled(self, state, scale) -> None:
+        if self._C is not None:
+            # C and Q are bilinear in the raw coefficients
+            live = slice(state.start, state.end)
+            self._C[live] *= scale * scale
+            self._Q[live] *= scale * scale
+
+    def _centre_rows(self, state, empty) -> None:
+        """Recompute every live centred row and the bound on their norms.
+
+        The centre is the live support's mean, or the point ``empty`` (the
+        one about to come in) when no term is live.
+        """
+        support = state.support
+        self._centre = support.mean(axis=0) if len(support) else np.array(empty, dtype=float)
+        self._peak = centred_rows(support, self._centre, self._R[state.start : state.end])
 
     @staticmethod
     def weighted_sum(w, coeffs) -> np.ndarray:
@@ -372,23 +448,33 @@ class _PolyBank(KernelBank):
     ``mu (q . v) ones + (1 - mu) (q^T M_k q)_k`` with ``v = sum_i S_i x_i``
     and ``M_k = sum_i c_ik x_i x_i^T``: every member reads the same two sums,
     ``linear = sum_i <x_i, q> S_i`` and ``quadratic_k = sum_i <x_i, q>^2 c_ik``
-    (:meth:`sums_at`).  The expansion state keeps this bank's ``features``
-    (``reads_features``): the rows ``F = [v; M_1; ...; M_d]``
-    (:meth:`feature_sums`) of a folded range of its terms, and fewer than B
-    pending rows, the stored terms not yet folded and, with negated
-    coefficients, the dropped terms still folded.  A query reads ``F q`` in
-    O(p^2 d) (:meth:`read_features`) and sweeps the pending rows in
-    O(B (p + 2d)) (:meth:`plus_pending`), whatever the support size; a
-    support that was never folded is all pending, so it is swept.  One point
-    (the step's :meth:`sweep`) and a block of rows (:meth:`expand_rows`)
-    take the same path, so a poly step costs O(p^2 d + B (p + 2d)).
+    (:meth:`sums_at`).  A query reads ``F q`` in O(p^2 d)
+    (:meth:`read_features`) and sweeps the pending rows in O(B (p + 2d))
+    (:meth:`plus_pending`), whatever the support size.  One point (the
+    step's :meth:`sweep`) and a block of rows (:meth:`expand_rows`) take the
+    same path, so a poly step costs O(p^2 d + B (p + 2d)).
 
-    The bank keeps no cross sums: under truncation the state downdates a
-    dropped term's norm share from an evaluation at its point
-    (:meth:`drop_shares`), whose reading of F it takes for B terms at a time.
+    The bank keeps the feature sums ``F = [v; M_1; ...; M_d]``
+    (:meth:`feature_sums`) of the folded terms, the buffer rows
+    ``[lo, hi)``, in raw-coefficient units, and fewer than ``_FOLD`` (B)
+    pending rows ``(PX, PA)``: copies of the terms stored since, and of the
+    folded terms dropped since with negated coefficients, so the stored
+    terms' expansion is F's reading plus the pending rows'.  The B-th
+    pending row folds them all into F in one product, and then ``[lo, hi)``
+    is the live range.  A restore, each buffer move and each fold of the
+    lazy scale sum F afresh over the live terms, so rounding drifts for one
+    buffer's lifetime at most; under B live terms nothing is folded and
+    every live term is pending.  ``lo <= start <= hi <= end`` always holds,
+    and F is None while nothing is folded.
+
+    The bank keeps no cross sums: a dropped term's share of ``||g_j||^2``,
+    ``2 <g_j(x_i), a_i> - <K_j(x_i, x_i) a_i, a_i>``, is read in raw units
+    from one evaluation at its point (:meth:`drop_shares`), and under
+    truncation the bank takes F's reading at the next B folded terms to
+    leave in one product whenever F changes (``_ahead``).  The dropped term
+    then joins the pending rows negated, or, if it was itself pending, every
+    folded term has left and the live terms become the pending rows.
     """
-
-    reads_features = True
 
     @staticmethod
     def feature_sums(support, coeffs) -> np.ndarray:
@@ -421,13 +507,18 @@ class _PolyBank(KernelBank):
         quadratic = np.matmul(rows[:, 1:].reshape(len(q), -1, p), q[:, :, None])
         return rows[:, 0], quadratic[:, :, 0]
 
-    def sums_at(self, features, pending, q) -> tuple:
+    def pending(self) -> tuple:
+        """The ``(points, raw)`` views of the pending rows."""
+        n = self._pending
+        return self._PX[:n], self._PA[:n]
+
+    def sums_at(self, q) -> tuple:
         """``(linear, quadratic)`` over the stored terms in raw units, at one point (p,) or a block (B, p).
 
         ``F``'s reading (:meth:`read_features`) plus the pending rows' (:meth:`plus_pending`).
         """
-        folded = None if features is None else self.read_features(features, q)
-        return self.plus_pending(folded, pending, q)
+        folded = None if self._F is None else self.read_features(self._F, q)
+        return self.plus_pending(folded, self.pending(), q)
 
     @staticmethod
     def plus_pending(folded, pending, q) -> tuple:
@@ -449,17 +540,18 @@ class _PolyBank(KernelBank):
             quadratic += folded[1]
         return linear, quadratic
 
-    def sweep(self, terms, x) -> tuple:
+    def sweep(self, x) -> tuple:
         # the step's one evaluation at x; norm_terms reads nothing of it
-        return self.sums_at(*terms[2], x)
+        return self.sums_at(x)
 
-    def expand(self, terms, scale, x, gs) -> tuple:
-        kept = linear, quadratic = self.sweep(terms, x)
+    def expand(self, state, x, gs) -> tuple:
+        kept = linear, quadratic = self.sweep(x)
+        scale = state.scale
         for j, kernel in zip(self.columns, self.kernels):
             gs[j] = scale * ((1.0 - kernel.mu) * quadratic + kernel.mu * linear)
         return kept
 
-    def norm_terms(self, kept, x_sq, a, a_sq, quads, cross) -> None:
+    def norm_terms(self, kept, x_sq, a, a_sq, quads) -> None:
         # a Python sum: the C reduction costs more than its d additions
         total = sum(a.tolist())
         for j, kernel in zip(self.columns, self.kernels):
@@ -483,16 +575,95 @@ class _PolyBank(KernelBank):
             quad = mu * x_sq * total * total + (1.0 - mu) * x_sq * x_sq * raw_sq
             shares[j] = 2.0 * cross - quad
 
-    def expand_rows(self, terms, queries, gs) -> None:
-        features, pending = terms[2]
-        widest = max(len(pending[0]), 0 if features is None else len(features), 1)
+    def expand_rows(self, state, queries, gs) -> None:
+        widest = max(self._pending, 0 if self._F is None else len(self._F), 1)
         block = _block_size(len(queries), widest)
         for lo in range(0, len(queries), block):
             hi = min(lo + block, len(queries))
-            linear, quadratic = self.sums_at(features, pending, queries[lo:hi])
+            linear, quadratic = self.sums_at(queries[lo:hi])
             for j, kernel in zip(self.columns, self.kernels):
                 out = np.multiply(quadratic, 1.0 - kernel.mu, out=gs[j][lo:hi])
                 out += (kernel.mu * linear)[:, None]
+
+    def stored(self, state, kept, x, raw, quads) -> None:
+        self._push(state, x, raw)
+
+    def dropped(self, state, k, x, raw, norms_sq) -> None:
+        # read while term k is still held; a folded term leaves F as a negated
+        # pending row, and a pending one means every folded term has left
+        folded = None
+        if k < self._hi:
+            first, linear, quadratic = self._ahead
+            folded = linear[k - first], quadratic[k - first]
+        shares = {}
+        self.drop_shares(folded, self.pending(), x, raw, shares)
+        s2 = state.scale * state.scale
+        for j in self.columns:
+            norms_sq[j] -= s2 * shares[j]
+        if k < self._hi:
+            self._push(state, x, raw, dropped=True)
+        else:
+            self._F, self._lo, self._hi = None, k + 1, k + 1
+            self._repend(state)
+
+    def restored(self, state, *_) -> None:
+        """Sum the feature sums afresh over every live term, or leave all pending under ``_FOLD``.
+
+        A move and a fold of the lazy scale do the same: re-summed, not
+        scaled, as the dropped terms still folded were not rescaled.
+        """
+        self._PX = np.empty((_FOLD, state.input_dim or 0))
+        self._PA = np.empty((_FOLD, state.dim))
+        self._lo = self._hi = state.start
+        self._F, self._pending, self._ahead = None, 0, None
+        if len(state) >= _FOLD:
+            self._F = self.feature_sums(state.support, state.raw_coeffs)
+            self._hi = state.end
+            self._read_ahead(state)
+        else:
+            self._repend(state)
+
+    moved = rescaled = restored
+
+    def _read_ahead(self, state) -> None:
+        """Read the new feature sums at the next ``_FOLD`` folded terms to leave, in one product.
+
+        Each drop pushes a pending row, so no more than ``_FOLD`` terms leave
+        before the sums change again.  Only a truncated state drops terms.
+        """
+        if state.cross_terms:
+            points = state.support[: min(_FOLD, self._hi - state.start)]
+            linear, quadratic = self.read_features(self._F, points)
+            self._ahead = state.start, linear.tolist(), quadratic
+
+    def _repend(self, state) -> None:
+        # every folded term has left: the live terms, fewer than _FOLD, are all pending
+        n = self._pending = len(state)
+        self._PX[:n] = state.support
+        self._PA[:n] = state.raw_coeffs
+
+    def _push(self, state, x, raw, dropped=False) -> None:
+        """Add a pending row, with the raw coefficients negated for a ``dropped`` term.
+
+        ``_FOLD`` pending rows fold into the feature sums in one product, and
+        ``[lo, hi)`` becomes the live range, ``lo <= start <= hi <= end``.
+        """
+        n = self._pending
+        self._PX[n] = x
+        if dropped:
+            np.negative(raw, out=self._PA[n])
+        else:
+            self._PA[n] = raw
+        self._pending = n = n + 1
+        if n == len(self._PX):
+            sums = self.feature_sums(self._PX, self._PA)
+            if self._F is None:
+                self._F = sums
+            else:
+                self._F += sums
+            self._pending = 0
+            self._lo, self._hi = state.start, state.end
+            self._read_ahead(state)
 
 
 class OperatorKernel:
@@ -607,6 +778,9 @@ class SeparableGaussian(OperatorKernel):
 
     def __post_init__(self):
         object.__setattr__(self, "mu", check_positive("gaussian kernel mu", self.mu))
+        # every evaluation divides by mu or scales by -1 / mu; a subnormal mu overflows both
+        if not math.isfinite(1.0 / self.mu):
+            raise ConfigError(f"gaussian kernel mu must have a finite reciprocal, got {self.mu!r}")
         object.__setattr__(self, "dim", check_int("output dimension", self.dim, 1))
         J = self.structure
         if J is None:
@@ -749,8 +923,9 @@ class NonSeparablePoly(OperatorKernel):
 def operator_norm_bound(kernel: OperatorKernel, xs) -> float:
     """Empirical bound kappa^2 = max over the dataset of ||K(x, x)||_op.
 
-    This is a lower bound of the true supremum over the whole input space;
-    reports quoting it should flag the substitution.
+    For a Gaussian this is the supremum over the whole input space, ``||J||``
+    at every x; for a poly kernel it is a lower bound of it, which reports
+    quoting it flag (``bounds.KAPPA_NOTE``).
     """
     xs = np.asarray(xs, dtype=float)
     if len(xs) == 0:

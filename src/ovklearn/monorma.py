@@ -21,10 +21,10 @@ for r > 1 fixed norms draw the weights to ``delta_j ∝ gamma_j^(1/(r-1))``.
 A weight that reaches exactly 0 (small weights underflow) stays 0 for the
 rest of the run, because its ``T_j = delta_j^2 gamma_j`` is 0.
 
-Truncation drops a term from every g_j at once.  Each stored term keeps
-its cross sums with the later terms, one per Gaussian kernel, so every
-Gaussian gamma_j is downdated exactly at O(1) per dropped term
-(``onorma._ExpansionState.drop_expired``); keeping those sums costs one
+Truncation drops a term from every g_j at once.  The Gaussian bank keeps
+each stored term's cross sums with the later terms, one per Gaussian
+kernel, so every Gaussian gamma_j is downdated exactly at O(1) per dropped
+term (``kernels._GaussianBank``); keeping those sums costs one
 O(s d) product per distinct structure matrix and O(s) per kernel and
 step.  A poly gamma_j is downdated from one evaluation of its bank's
 features at the dropped term.  No Gram matrix is formed.

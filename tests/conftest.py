@@ -10,6 +10,7 @@ out with the operations a kernel bank must reproduce bit for bit: a bank
 shares work between its kernels, never the floats of any one of them.
 """
 
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -65,13 +66,20 @@ UNIT_ROUNDOFF = 2.0**-53
 
 
 def exact_expansion(kernel, support, coeffs, queries):
-    """Every ``sum_i K(x_i, q) c_i`` of a poly kernel in exact rational arithmetic.
+    """Every ``sum_i K(x_i, q) c_i``, from the float terms, exactly or to 40 digits.
 
-    Works in Fractions from the float support, coefficients, queries and
-    ``mu``, with ``1 - mu`` exact too.  Returns one list of d Fractions per
-    row of the (n, p) ``queries``.
+    Works from the float support, coefficients, queries and kernel
+    parameters.  A poly kernel is a polynomial in them, computed in
+    Fractions with ``1 - mu`` exact too.  A Gaussian's exponent
+    ``-||x_i - q||^2 / mu`` is an exact Fraction
+    (:func:`exact_sq_distances`); its ``exp`` and the sums
+    ``sum_i w_i J c_i`` are taken in :mod:`decimal` at 40 significant
+    digits, each operation within 1e-39 relative, some 1e-23 of the unit
+    roundoff.  Returns one list of d Fractions per row of the (n, p)
+    ``queries``.
     """
-    assert kernel.family == "poly", "the poly kernel is a polynomial in its inputs"
+    if kernel.family == "gaussian":
+        return _exact_gaussian_expansion(kernel, support, coeffs, queries)
     mu = Fraction(kernel.mu)
     rows = [[Fraction(v) for v in row] for row in np.asarray(support, dtype=float).tolist()]
     terms = [[Fraction(v) for v in row] for row in np.asarray(coeffs, dtype=float).tolist()]
@@ -87,16 +95,44 @@ def exact_expansion(kernel, support, coeffs, queries):
     return out
 
 
+def _exact_gaussian_expansion(kernel, support, coeffs, queries):
+    mu = Fraction(kernel.mu)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        # each term's J c_i, in Decimals converted exactly from the floats
+        structure = [[Decimal(v) for v in row] for row in kernel.structure.tolist()]
+        applied = [
+            [sum(a * Decimal(c) for a, c in zip(row, terms)) for row in structure]
+            for terms in np.asarray(coeffs, dtype=float).tolist()
+        ]
+        out = []
+        for q in np.asarray(queries, dtype=float).tolist():
+            g = [Decimal(0)] * kernel.dim
+            for distance, jc in zip(exact_sq_distances(support, q), applied):
+                exponent = -distance / mu
+                w = (Decimal(exponent.numerator) / Decimal(exponent.denominator)).exp()
+                g = [gk + w * v for gk, v in zip(g, jc)]
+            out.append([Fraction(gk) for gk in g])
+    return out
+
+
 def absolute_expansion(kernel, support, coeffs, queries):
     """The (n, d) sums of the absolute terms of :func:`exact_expansion`, in floats.
 
-    Entry (r, k) is ``sum_i mu t_i sum_l |c_il| + (1 - mu) t_i^2 |c_ik|``
-    with ``t_i = sum_a |x_ia q_ra|``: the sum of the absolute values of the
+    For a poly kernel entry (r, k) is
+    ``sum_i mu t_i sum_l |c_il| + (1 - mu) t_i^2 |c_ik|`` with
+    ``t_i = sum_a |x_ia q_ra|``: the sum of the absolute values of the
     products ``x_ia q_a (c_il or x_ib q_b c_ik)`` that every evaluation of
-    the expansion adds up, in whatever order.
+    the expansion adds up, in whatever order.  For a Gaussian it is
+    ``sum_i w_i sum_l |J_kl| |c_il|`` with ``w_i`` the kernel's weight
+    ``exp(-||x_i - q_r||^2 / mu)``, from the naive distances.
     """
-    t = np.abs(np.asarray(queries, dtype=float)) @ np.abs(np.asarray(support, dtype=float)).T
+    queries, support = np.asarray(queries, dtype=float), np.asarray(support, dtype=float)
     c = np.abs(np.asarray(coeffs, dtype=float))
+    if kernel.family == "gaussian":
+        w = np.exp(np.array([-squared_distances(support, q) / kernel.mu for q in queries]).reshape(len(queries), -1))
+        return w @ c @ np.abs(kernel.structure).T
+    t = np.abs(queries) @ np.abs(support).T
     return kernel.mu * (t @ c.sum(axis=1))[:, None] + (1.0 - kernel.mu) * ((t * t) @ c)
 
 

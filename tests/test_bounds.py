@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -232,19 +234,25 @@ def test_coefficient_bound_ratios_within_limit():
 
 
 def test_reports_flag_empirical_kappa():
+    # a Gaussian's ||K(x, x)||_op is ||J|| at every x, so its kappa is exact;
+    # a poly kernel's grows with |x|, so the max over the data is a lower bound,
+    # which is also what a kappa given without a note is reported as
     _, consts, report = stable_run(86)
-    assert KAPPA_NOTE in report.to_text()
+    assert f"kappa_note = {KAPPA_NOTE['poly']}" in report.to_text()
     assert "holds = true" in report.to_text()
     assert "branch = least_squares" in consts.to_text()
-    hyp = check_hypotheses(
-        SeparableGaussian(mu=1.0, dim=2),
-        np.ones((2, 3)),
-        np.ones((2, 2)),
-        3.0,
-        SquaredLoss(),
-    )
-    assert KAPPA_NOTE in hyp.to_text()
-    assert "hypotheses_pass = true" in hyp.to_text()
+    for kernel in (SeparableGaussian(mu=1.0, dim=2), NonSeparablePoly(mu=0.5, dim=2)):
+        hyp = check_hypotheses(kernel, np.ones((2, 3)), np.ones((2, 2)), 300.0, SquaredLoss())
+        note = KAPPA_NOTE[kernel.family]
+        assert f"kappa_note = {note}" in hyp.to_text()
+        assert "hypotheses_pass = true" in hyp.to_text()
+        consts = compute_constants(
+            math.sqrt(hyp.kappa_sq), c_y=hyp.c_y, eta0=0.001, lam=300.0, branch="least_squares", kappa_note=note
+        )
+        run = check_cumulative_bound([StepResult(np.zeros(2), 0.0, 0.0, 0.0)], 0.0, consts, 1)
+        assert f"kappa_note = {note}" in run.to_text()
+    assert KAPPA_NOTE["gaussian"] == "exact: ||K(x, x)||_op = ||J|| at every x"
+    assert KAPPA_NOTE["poly"] == "empirical max over the dataset; a lower bound of the true sup"
 
 
 def test_key_value_text_formats():

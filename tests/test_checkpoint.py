@@ -466,6 +466,33 @@ def test_rejects_impossible_meta(tmp_path, kind, field, value, message):
         load_model(path)
 
 
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        lambda times: times[::-1],
+        lambda times: np.full_like(times, times[-1]),
+        lambda times: times + 1000,
+        lambda times: times + 0.5,
+    ],
+    ids=["reversed", "duplicated", "past-t", "fractional"],
+)
+def test_rejects_term_times_no_run_stores(tmp_path, tamper):
+    # truncation drops terms by their times: with any of these a truncated
+    # learner would keep more terms than its window once it resumed
+    xs, ys = stream(26, 40)
+    model = ONORMA(SeparableGaussian(mu=1.0, dim=2), lam=0.1, truncation=TruncationSchedule(t0=10))
+    model.fit(xs, ys)
+    saved, path = tmp_path / "saved.npz", tmp_path / "tampered.npz"
+    save_model(saved, model)
+    assert load_model(saved).support_size == model.truncation.window(40)
+    with np.load(saved) as zf:
+        arrays = {name: zf[name] for name in zf.files}
+    arrays["times"] = tamper(arrays["times"])
+    np.savez(path, **arrays)
+    with pytest.raises(DataError, match=re.escape("times must be strictly increasing integers in [1, t = 40]")):
+        load_model(path)
+
+
 @pytest.mark.parametrize("spec", [[1, 2], None, "gaussian"], ids=["list", "null", "string"])
 def test_rejects_a_kernel_spec_that_is_not_a_dict(tmp_path, spec):
     with pytest.raises(ConfigError, match="kernel spec must be a dict"):

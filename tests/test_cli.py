@@ -146,6 +146,12 @@ def test_infinite_gaussian_bandwidth_exits_2(capsys):
     assert "gaussian kernel mu must be finite and > 0, got inf" in err
 
 
+def test_subnormal_gaussian_bandwidth_exits_2(capsys):
+    code, _, err = run_cli(["train", "--set", "kernel=gaussian(mu=1e-320)"], capsys)
+    assert code == 2
+    assert "gaussian kernel mu must have a finite reciprocal, got 1e-320" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 from fractions import Fraction
 
@@ -135,58 +136,62 @@ def test_row_methods_match_kernel_matrices():
         support = rng.normal(size=(int(rng.integers(1, 8)), 3))
         coeffs = rng.normal(size=(len(support), dim))
         x, a = rng.normal(size=3), rng.normal(size=dim)
-        state = _ExpansionState([sibling, k])
+        state = _ExpansionState([sibling, k], cross_terms=True)
         state.restore(support, coeffs, range(1, len(support) + 1), 3)
         (bank,) = state.banks
         expansion = sum(k(xi, x) @ ci for xi, ci in zip(support, coeffs))
         cross = [float(ci @ (k(xi, x) @ a)) for xi, ci in zip(support, coeffs)]
         kept, gs = state.expand(x)
         assert np.allclose(gs[1], expansion, rtol=1e-12, atol=1e-12)
-        # the quads and the cross products as the step's post-loss bank call writes them
-        crosses, quads = np.zeros((len(support), 2)), [None, None]
-        bank.norm_terms(kept[0], float(x @ x), a, float(a @ a), quads, (crosses, a))
+
+        queries = rng.normal(size=(3, 3))
+        block = [np.empty((3, dim)) for _ in range(2)]
+        bank.expand_rows(state, queries, block)
+        naive = [sum(k(xi, q) @ ci for xi, ci in zip(support, coeffs)) for q in queries]
+        assert np.allclose(block[1], naive, rtol=1e-12, atol=1e-12)
+        # the expansion over a (3, s) block of scalars leaves them intact when scratch=None
+        sums = coeffs.sum(axis=1)
+        rows = rng.uniform(size=(3, len(support)))
+        unchanged = rows.copy()
+        k.row_expansion(rows, coeffs, sums, None, np.empty((3, dim)))
+        assert np.array_equal(rows, unchanged)
+
+        # the quads as the step's post-loss bank call writes them
+        quads = [None, None]
+        bank.norm_terms(kept[0], float(x @ x), a, float(a @ a), quads)
         quad = float(a @ (k(x, x) @ a))
         assert abs(quads[1] - quad) <= 1e-12 * max(1.0, abs(quad))
         # and bit for bit the kernel's one-member point forms
-        sums = coeffs.sum(axis=1)
         if k.family == "poly":
             # a poly bank keeps no cross sums: dropping the first term reads its
             # share of the norm from one evaluation at its point instead
             shares, x0, c0 = [None, None], support[0], coeffs[0]
-            features, pending = state.terms()[2]
-            folded = None if features is None else bank.read_features(features, x0)
-            bank.drop_shares(folded, pending, x0, c0, shares)
+            folded = None if bank._F is None else bank.read_features(bank._F, x0)
+            bank.drop_shares(folded, bank.pending(), x0, c0, shares)
             g0 = sum(k(xi, x0) @ ci for xi, ci in zip(support, coeffs))
             share = 2.0 * float(g0 @ c0) - float(c0 @ (k(x0, x0) @ c0))
             assert abs(shares[1] - share) <= 1e-12 * max(1.0, abs(share))
-            assert np.all(crosses == 0.0)
+            assert not hasattr(bank, "_C")
             assert np.array_equal(gs[1], poly_expansion(*poly_sums(support @ x, coeffs), k.mu))
             assert quads[1] == poly_quad(x, k.mu, a)
         else:
-            assert np.allclose(crosses[:, 1], cross, rtol=1e-12, atol=1e-12)
             row = bank_row_within_bound(bank, state, x)
             w, J = gaussian_scalars(row, k.mu), k.structure
             assert np.array_equal(gs[1], gaussian_expansion(w, coeffs, J))
-            assert np.array_equal(crosses[:, 1], gaussian_cross(w, coeffs, J, a))
             assert quads[1] == gaussian_quad(J, a)
-
-        queries = rng.normal(size=(3, 3))
-        block = [np.empty((3, dim)) for _ in range(2)]
-        bank.expand_rows(state.terms(), queries, block)
-        naive = [sum(k(xi, q) @ ci for xi, ci in zip(support, coeffs)) for q in queries]
-        assert np.allclose(block[1], naive, rtol=1e-12, atol=1e-12)
-        # the expansion over a (3, s) block of scalars leaves them intact when scratch=None
-        rows = rng.uniform(size=(3, len(support)))
-        kept = rows.copy()
-        k.row_expansion(rows, coeffs, sums, None, np.empty((3, dim)))
-        assert np.array_equal(rows, kept)
+            # the cross products, as storing the term at scale 1 adds them to
+            # the stored terms' cross sums, here zeroed first
+            bank._C[:] = 0.0
+            state.update(kept, x, float(x @ x), a, float(a @ a), len(support) + 1, True)
+            crosses = bank._C[: len(support)]
+            assert np.allclose(crosses[:, 1], cross, rtol=1e-12, atol=1e-12)
+            assert np.array_equal(crosses[:, 1], gaussian_cross(w, coeffs, J, a))
 
 
 def bank_row_within_bound(bank, state, x):
     """The Gaussian bank's distance row at x, checked against the naive and the exact rows."""
-    terms = state.terms()
-    (rows, centre, _), support, p = terms[3], terms[0], len(x)
-    row = bank.distances(terms, x)
+    (rows, centre, _), support, p = bank.centred(state), state.support, len(x)
+    row = bank.distances(support, rows, x)
     u = x - centre
     bound = centred_distance_bound(rows[:, p], float(np.einsum("i,i->", u, u)), p)
     assert np.all(np.abs(row - squared_distances(support, x)) <= bound)
@@ -242,14 +247,19 @@ def test_gaussian_bank_shares_work_and_keeps_each_members_bits():
             for j, kernel in enumerate(kernels):
                 assert np.array_equal(shared[bank.row_index[j]], gaussian_scalars(special, kernel.mu))
         gs, quads = [None] * len(kernels), [None] * len(kernels)
-        kept = scalars, _ = bank.expand(state.terms(), state.scale, x, gs)
-        out = np.zeros((len(support), len(kernels)))
-        bank.norm_terms(kept, float(x @ x), a, float(a @ a), quads, (out, a))
+        kept = scalars, _ = bank.expand(state, x, gs)
+        bank.norm_terms(kept, float(x @ x), a, float(a @ a), quads)
+        # the cross products, as storing the term adds them to the stored
+        # terms' cross sums, zeroed first in a copy of the state
+        trial = copy.deepcopy(state)
+        trial.banks[0]._C[:] = 0.0
+        trial.update([kept], x, float(x @ x), a, float(a @ a), model.t + 1, True)
+        out, raw = trial.banks[0]._C[trial.start : trial.end - 1], trial.raw_coeffs[-1]
         for j, kernel in enumerate(kernels):
             own, J = gaussian_scalars(row, kernel.mu), kernel.structure
             assert np.array_equal(scalars[bank.row_index[j]], own)
             assert quads[j] == gaussian_quad(J, a)
-            assert np.array_equal(out[:, j], gaussian_cross(own, coeffs, J, a))
+            assert np.array_equal(out[:, j], gaussian_cross(own, coeffs, J, raw))
             assert np.array_equal(gs[j], state.scale * gaussian_expansion(own, coeffs, J))
 
     # a poly bank shares one evaluation, its two sums, and one per dropped term
@@ -260,15 +270,14 @@ def test_gaussian_bank_shares_work_and_keeps_each_members_bits():
     (bank,) = state.banks
     support, coeffs = state.support, state.raw_coeffs
     # the step reads kept feature sums and sweeps only the terms not yet folded
-    assert state.scale != 1.0 and state.terms()[2][0] is not None
+    assert state.scale != 1.0 and bank._F is not None
     for x in xs[200:]:
         a = rng.normal(size=3)
         gs, quads, shares = [None] * len(polys), [None] * len(polys), [None] * len(polys)
-        kept = linear, quadratic = bank.expand(state.terms(), state.scale, x, gs)
-        bank.norm_terms(kept, float(x @ x), a, float(a @ a), quads, None)
-        features, pending = state.terms()[2]
-        folded = bank.read_features(features, support[0])
-        bank.drop_shares(folded, pending, support[0], coeffs[0], shares)
+        kept = linear, quadratic = bank.expand(state, x, gs)
+        bank.norm_terms(kept, float(x @ x), a, float(a @ a), quads)
+        folded = bank.read_features(bank._F, support[0])
+        bank.drop_shares(folded, bank.pending(), support[0], coeffs[0], shares)
         want_linear, want_quadratic = poly_sums(support @ x, coeffs)
         assert abs(linear - want_linear) <= 1e-12 * abs(want_linear)
         assert np.allclose(quadratic, want_quadratic, rtol=1e-12, atol=0.0)
@@ -479,6 +488,38 @@ def test_parameter_validation():
         NonSeparablePoly(mu=1.1, dim=2)
     with pytest.raises(ConfigError):
         NonSeparablePoly(mu=0.5, dim=0)
+
+
+@pytest.mark.parametrize("mu", [1e-310, 5e-324])
+def test_subnormal_gaussian_bandwidth_is_a_config_error(mu):
+    # 1 / mu overflows, which the step, the block path and the Gram would each
+    # meet differently: kernel values with overflow warnings, or NaN
+    with pytest.raises(ConfigError, match="finite reciprocal"):
+        SeparableGaussian(mu=mu, dim=2)
+
+
+def test_tiny_normal_gaussian_bandwidth_works_on_every_path():
+    # at mu = 1e-300 every distinct pair's kernel value underflows to 0 and
+    # every equal pair's is 1, on the point path, the block path and the Gram
+    kernel = SeparableGaussian(mu=1e-300, dim=2)
+    xs, ys = np.random.default_rng(33).normal(size=(12, 3)), np.ones((12, 2))
+    xs[7] = xs[2]
+    model = ONORMA(kernel, lam=0.1, eta0=0.5)
+    first = model.step(xs[0], ys[0]).prediction
+    second = model.step(xs[0], ys[0]).prediction
+    assert np.array_equal(first, np.zeros(2)) and np.all(second != 0.0)
+    model.fit(xs[1:], ys[1:])
+    far = xs + 10.0
+    assert np.array_equal(model.predict(far), np.zeros((12, 2)))
+    assert all(np.array_equal(model.predict(x), np.zeros(2)) for x in far)
+    # at a stored point the kernel value is exp(-residue / mu), 1 or 0 as its
+    # centred distance rounds, so there both paths are only checked finite
+    assert np.all(np.isfinite(model.predict(xs)))
+    assert all(np.all(np.isfinite(model.predict(x))) for x in xs)
+    scalar = kernel.scalar_gram(xs)
+    same = np.all(xs[:, None] == xs[None, :], axis=2).astype(float)
+    assert np.array_equal(scalar, same)
+    assert np.all(np.isfinite(kernel.gram(xs)))
 
 
 def test_input_dimension_mismatch():

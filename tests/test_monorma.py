@@ -364,21 +364,23 @@ def test_interleaved_families_keep_kernel_order_under_truncation():
     back.restore(*arrays, model.t, model.gamma, model.delta)
     probes = np.random.default_rng(62).uniform(0.0, 1.0, size=(7, 4))
     gaussians = [j for j, kernel in enumerate(kernels) if kernel.family == "gaussian"]
+    banks = {bank.kernels[0].family: bank for bank in back._state.banks}
     for j, kernel in enumerate(kernels):
         alone = _ExpansionState([kernel], cross_terms=True)
         alone.restore(*arrays)
         for q in (probes[0], probes):
             assert np.array_equal(back._state.evaluate(q)[j], alone.evaluate(q)[0])
+        (own,) = alone.banks
         if j in gaussians:
             # only the Gaussian members keep cross sums, in their order in the bank
             c = gaussians.index(j)
-            assert np.array_equal(back._state._C[:, c], alone._C[:, 0])
-            assert np.array_equal(back._state._Q[:, c], alone._Q[:, 0])
+            assert np.array_equal(banks["gaussian"]._C[:, c], own._C[:, 0])
+            assert np.array_equal(banks["gaussian"]._Q[:, c], own._Q[:, 0])
         else:
             # the poly members keep none; their bank's feature sums are summed afresh
-            assert alone._C is None and alone._F is not None
-            assert np.array_equal(back._state._F, alone._F)
-    assert back._state._C.shape == (model.support_size, len(gaussians))
+            assert not hasattr(own, "_C") and own._F is not None
+            assert np.array_equal(banks["poly"]._F, own._F)
+    assert banks["gaussian"]._C.shape == (model.support_size, len(gaussians))
 
 
 def test_risk_decomposition():

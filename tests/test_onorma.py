@@ -109,7 +109,8 @@ def test_dropped_terms_clamp_norms_below_zero_and_leave_nan():
     xs, ys = stream(81, 6, d=2)
     state = _ExpansionState([k, k, k], cross_terms=True)
     state.restore(xs, ys, range(1, 7), xs.shape[1])
-    shares = 2.0 * state._C[:2] + state._Q[:2]
+    (bank,) = state.banks
+    shares = 2.0 * bank._C[:2] + bank._Q[:2]
     norms = np.array([np.nan, -1.0, 1.0]) + shares.sum(axis=0)
     expected = norms.copy()
     for share in shares:
@@ -468,7 +469,7 @@ def test_truncation_switched_on_after_construction():
     model = ONORMA(k, lam=0.1, eta0=0.5)
     xs, ys = stream(45, 150, d=2)
     model.fit(xs[:60], ys[:60])
-    assert model._state._C is None  # untruncated learners keep no cross terms
+    assert model._state.banks[0]._C is None  # untruncated learners keep no cross terms
     model.truncation = TruncationSchedule(t0=20, epsilon=0.25)
     model.fit(xs[60:], ys[60:])
     assert model.support_size == model.truncation.window(150)
@@ -603,16 +604,15 @@ def test_point_sweep_distances_meet_the_centred_bound(offset, truncated, capsys)
     worst = gap = 0.0
     for t, (x, y) in enumerate(zip(xs, ys)):
         if t % 20 == 19:
-            terms = state.terms()
-            rows, centre, _ = terms[3]
+            support, (rows, centre, _) = state.support, bank.centred(state)
             u = x - centre
             bound = centred_distance_bound(rows[:, p], float(np.einsum("i,i->", u, u)), p)
-            row = bank.distances(terms, x)
-            exact = exact_sq_distances(terms[0], x)
+            row = bank.distances(support, rows, x)
+            exact = exact_sq_distances(support, x)
             errors = np.array([float(abs(Fraction(r) - e)) for r, e in zip(row.tolist(), exact)])
             assert np.all(errors <= bound)
             worst = max(worst, float(np.max(errors / bound)))
-            assert np.all(np.abs(row - squared_distances(terms[0], x)) <= bound)
+            assert np.all(np.abs(row - squared_distances(support, x)) <= bound)
         got, want = model.step(x, y).prediction, naive.step(x, y)
         gap = max(gap, float(np.max(np.abs(got - want)) / np.max(np.abs(want), initial=1e-300)))
     assert model.support_size == len(naive.terms)

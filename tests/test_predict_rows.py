@@ -10,7 +10,6 @@ import pytest
 
 import ovklearn
 import ovklearn.kernels
-import ovklearn.onorma
 from conftest import block_gram, naive_expansion
 from ovklearn.batch import BatchModel
 from ovklearn.exceptions import NumericsError
@@ -200,7 +199,7 @@ def test_every_model_raises_on_predictions_that_overflow(monkeypatch):
     # nine terms are never folded, so a poly bank sweeps them; a poly learner
     # with a folded support reads its feature sums, whose M_k overflow
     rng = np.random.default_rng(67)
-    wide = rng.normal(size=(ovklearn.onorma._FOLD + 6, P))
+    wide = rng.normal(size=(ovklearn.kernels._FOLD + 6, P))
     folded = ONORMA(NonSeparablePoly(mu=0.3, dim=D), lam=0.1, eta0=0.5)
     with np.errstate(over="ignore", invalid="ignore"):
         folded.restore(1e160 * wide, rng.normal(size=(len(wide), D)), np.arange(1, len(wide) + 1), P, len(wide), [0.0])
@@ -240,7 +239,7 @@ def trained_poly_models(mu, d, p=3):
 def test_poly_feature_sums_match_the_per_term_oracle_and_the_point_path(mu, d, monkeypatch):
     queries = np.random.default_rng(64).uniform(-1.0, 1.0, size=(40, 3))
     # folds of 8 terms: each model folds, and the truncated one unfolds dropped terms
-    monkeypatch.setattr(ovklearn.onorma, "_FOLD", 8)
+    monkeypatch.setattr(ovklearn.kernels, "_FOLD", 8)
     paths = PolyPaths(monkeypatch)
     for model, kernels, weights in trained_poly_models(mu, d):
         state = model._state
@@ -265,7 +264,7 @@ def poly_model(s, p, d, rng):
 
 def restored_path(s):
     """The path of a poly bank restored over s terms: a support under one fold is never folded."""
-    return "features" if s >= ovklearn.onorma._FOLD else "sweep"
+    return "features" if s >= ovklearn.kernels._FOLD else "sweep"
 
 
 @pytest.mark.parametrize("s, p, d", [(9, 3, 2), (60, 4, 2), (200, 20, 4)])

@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import ovklearn.onorma
+import ovklearn.kernels
 from conftest import UNIT_ROUNDOFF, NaiveMultiKernelLearner, gram_norm_sq
 from ovklearn.checkpoint import load_model, save_model
 from ovklearn.cli import main
@@ -53,7 +53,7 @@ def tracked(model):
 def features_hold(state, exact):
     """Whether the kept feature sums F match a fresh ``feature_sums`` of their folded range.
 
-    Only a poly bank reads them.  F covers the buffer rows ``[lo, hi)``,
+    Only a poly bank keeps them.  F covers the buffer rows ``[lo, hi)``,
     with ``lo <= start <= hi <= end``, and is None while that range is
     empty.  ``exact`` (after a restore or a buffer move, which sum F afresh)
     asks for the fresh sum's bits.  Otherwise F was built by folding and
@@ -68,15 +68,14 @@ def features_hold(state, exact):
     ``(3N + 2d + 4) u`` times the absolute feature sums of the N rows,
     with room for second-order terms.
     """
-    features = state.terms()[2]
-    if not any(kernel.family == "poly" for kernel in state.kernels):
-        return features is None
-    F, lo, hi = state._F, state._lo, state._hi
+    bank = next((bank for bank in state.banks if bank.kernels[0].family == "poly"), None)
+    if bank is None:
+        return not any(hasattr(other, "_F") for other in state.banks)
+    F, lo, hi = bank._F, bank._lo, bank._hi
     if not lo <= state.start <= hi <= state.end or (F is None and lo != hi):
         return False
     if F is None:
         return True
-    bank = state._featured
     fresh = bank.feature_sums(state._X[lo:hi], state._A[lo:hi])
     if exact:
         return np.array_equal(F, fresh)
@@ -86,12 +85,12 @@ def features_hold(state, exact):
 
 
 def centred_rows_hold(state):
-    # only a Gaussian reads the centred rows [x_i - c, ||x_i - c||^2, 1]; each must
+    # only a Gaussian bank keeps the centred rows [x_i - c, ||x_i - c||^2, 1]; each must
     # equal a fresh subtraction and einsum, bit for bit, under the bound on its norm
-    centred = state.terms()[3]
-    if not any(kernel.family == "gaussian" for kernel in state.kernels):
-        return centred is None
-    rows, centre, peak = centred
+    bank = next((bank for bank in state.banks if bank.kernels[0].family == "gaussian"), None)
+    if bank is None:
+        return not any(hasattr(other, "_R") for other in state.banks)
+    rows, centre, peak = bank.centred(state)
     p = state.input_dim or 0
     diffs = rows[:, :p]
     return (
@@ -175,7 +174,7 @@ def stepped_features_hold(model, kind, x, y):
     """
     buffers = model._state._X
     model.step(x, y)
-    moved = model._state._X is not buffers and ovklearn.onorma._FOLD > 1
+    moved = model._state._X is not buffers and ovklearn.kernels._FOLD > 1
     return features_hold(model._state, exact=moved)
 
 
@@ -189,14 +188,14 @@ def stepped_features_hold(model, kind, x, y):
     t0=st.integers(2, 6),
     p=st.integers(1, 4),
     d=st.integers(1, 3),
-    fold=st.sampled_from([1, 3, 8, ovklearn.onorma._FOLD]),
+    fold=st.sampled_from([1, 3, 8, ovklearn.kernels._FOLD]),
 )
 def test_tracked_norms_and_restore(
     tmp_path_factory, kind, truncated, seed, n, saved_frac, t0, p, d, fold
 ):
     with pytest.MonkeyPatch.context() as patch:
         # short folds, so that streams this short fold and unfold their feature sums
-        patch.setattr(ovklearn.onorma, "_FOLD", fold)
+        patch.setattr(ovklearn.kernels, "_FOLD", fold)
         tracked_norms_and_restore(tmp_path_factory, kind, truncated, seed, n, saved_frac, t0, p, d)
 
 
@@ -218,14 +217,14 @@ def tracked_norms_and_restore(tmp_path_factory, kind, truncated, seed, n, saved_
     assert features_hold(back._state, exact=True)
     if truncated and kind == "poly":
         # a poly learner keeps no cross sums: its drops read the feature sums
-        assert back._state._C is None and live._state._C is None
+        assert not any(hasattr(bank, "_C") for bank in back._state.banks + live._state.banks)
     elif truncated:
         # restore replays the appends' cross sums: the rebuilt sums are the live ones with the scale folded in
         s2 = live._state.scale ** 2
         assert back._state.scale == 1.0
         for name in ("_C", "_Q"):
-            have = getattr(back._state, name)[back._state.start : back._state.end]
-            want = s2 * getattr(live._state, name)[live._state.start : live._state.end]
+            have = getattr(back._state.banks[0], name)[back._state.start : back._state.end]
+            want = s2 * getattr(live._state.banks[0], name)[live._state.start : live._state.end]
             assert close(have, want, 1e-12)
 
     for x, y in zip(xs[saved_at:], ys[saved_at:]):
