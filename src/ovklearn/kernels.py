@@ -383,12 +383,13 @@ class _GaussianBank(KernelBank):
             norms_sq[j] -= s2 * (2.0 * c[m] + q[m])
 
     def restored(self, state) -> None:
-        n, p = len(state), state.input_dim or 0
-        self._R = np.empty((n, p + 2))
-        self._centre_rows(state, np.zeros(p))
+        n, p, m = len(state), state.input_dim or 0, len(self.kernels)
         self._C = self._Q = None
         if state.cross_terms:
-            self._C, self._Q = np.empty((n, len(self.kernels))), np.empty((n, len(self.kernels)))
+            self._C, self._Q = np.empty((n, m)), np.empty((n, m))
+        self._R = np.empty((n, p + 2))
+        self._centre_rows(state, np.zeros(p))
+        if self._C is not None:
             # each term's store over the terms before it, as when it came in at scale 1
             support, raw = state.terms()
             quads = {}
